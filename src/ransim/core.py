@@ -79,15 +79,15 @@ class Event:
         self.fn = fn
         self.generation = generation
 
-    def __lt__(self, other):
-        return (self.fire_at, self.sequence) < (other.fire_at, other.sequence)
-
     def __repr__(self):
         return f"Event({self.kind} @ {self.fire_at}us -> {self.target})"
 
 
 class Simulator:
-    """Single-threaded event loop with a (fire_at, sequence)-keyed heap.
+    """Single-threaded event loop over a heap of (fire_at, sequence, event).
+
+    The sequence number is unique, so heap ordering compares plain integers
+    and never reaches the ``Event`` itself.
 
     There is no event cancellation; handlers that may be superseded carry a
     generation counter and no-op when stale.
@@ -107,9 +107,10 @@ class Simulator:
                 f"cannot schedule event '{kind}' at t={fire_at}us before current "
                 f"clock t={self.now}us"
             )
-        ev = Event(fire_at, self._seq, kind, target, fn, generation)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
+        seq = self._seq
+        ev = Event(fire_at, seq, kind, target, fn, generation)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (fire_at, seq, ev))
         return ev
 
     def schedule_in(self, delay, kind, target, fn, generation=0):
@@ -118,9 +119,9 @@ class Simulator:
     def run_until(self, t_end):
         """Process every event with fire_at <= t_end; leave the clock at t_end."""
         q = self._queue
-        while q and q[0].fire_at <= t_end:
-            ev = heapq.heappop(q)
-            self.now = ev.fire_at
+        while q and q[0][0] <= t_end:
+            fire_at, _, ev = heapq.heappop(q)
+            self.now = fire_at
             try:
                 ev.fn()
             except SimulationError:
@@ -136,4 +137,4 @@ class Simulator:
         return self.now
 
     def peek_next_time(self):
-        return self._queue[0].fire_at if self._queue else None
+        return self._queue[0][0] if self._queue else None

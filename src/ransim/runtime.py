@@ -107,6 +107,7 @@ class Runtime:
         self._build_trust()
         self._build_ues()
         self._build_bearers()
+        self._build_ranf_index()
         self._build_subnets()
         self._build_energy()
         self._schedule_script()
@@ -144,6 +145,15 @@ class Runtime:
         for rf in ranfs:
             for ru in rf.serving_rus:
                 self.ru_to_ranf[ru] = rf.id
+        # Per-RANF PRB pool template: (ru, carrier) -> (prbs, bytes_per_prb).
+        self.pool_maps = {}
+        for rf in ranfs:
+            self.pool_maps[rf.id] = {
+                (ru_id, c_id): (self.carriers[c_id].prbs_per_tti,
+                                self.carriers[c_id].bytes_per_prb)
+                for ru_id in sorted(rf.serving_rus)
+                for c_id in self.topology.rus[ru_id].carriers
+            }
         entries = {}
         for e in cfg["bler"]["entries"]:
             entries[(e["ue"], e["ru"], e["carrier"])] = e["bler"]
@@ -284,6 +294,23 @@ class Runtime:
                 self.sim.schedule(iv, "rlc-status", b["id"],
                                   lambda c=ctx: self._on_rlc_status(c))
 
+    def _build_ranf_index(self):
+        """Index the UEs and bearers each RANF serves.
+
+        ``ues_by_ranf[ranf]`` lists UE ids in sorted order and
+        ``bearers_by_ranf[ranf][slice]`` lists bearer contexts in config
+        order, which is the order the TTI loop visits them in.  Only
+        ``_do_handover`` changes a UE's RANF, and it rebuilds the index
+        (O(UEs + bearers) per handover instead of per TTI).
+        """
+        self.ues_by_ranf = {rf_id: [] for rf_id in self.topology.ranfs}
+        self.bearers_by_ranf = {rf_id: {} for rf_id in self.topology.ranfs}
+        for ue_id in sorted(self.ues):
+            self.ues_by_ranf[self.ues[ue_id].ranf].append(ue_id)
+        for ctx in self.bearers.values():
+            by_slice = self.bearers_by_ranf[self.ues[ctx.ue].ranf]
+            by_slice.setdefault(ctx.slice, []).append(ctx)
+
     def _build_subnets(self):
         self.subnets = {}
         for sn in self.cfg["subnetworks"]:
@@ -405,23 +432,12 @@ class Runtime:
         if nxt <= self.duration:
             self.sim.schedule(nxt, "tti", "scheduler", self._on_tti)
 
-    def _bearers_of_ranf(self, ranf_id):
-        for bid in self.bearers:
-            ctx = self.bearers[bid]
-            if self.ues[ctx.ue].ranf == ranf_id:
-                yield ctx
-
     def _tti_for_ranf(self, ranf, now):
-        pools_map = {}
-        for ru_id in sorted(ranf.serving_rus):
-            ru = self.topology.rus[ru_id]
-            for c_id in ru.carriers:
-                c = self.carriers[c_id]
-                pools_map[(ru_id, c_id)] = (c.prbs_per_tti, c.bytes_per_prb)
+        pools_map = self.pool_maps[ranf.id]
         if not pools_map:
             return 0
         pools = sched.PrbPools(pools_map)
-        grants_this_tti = []
+        grants_by_ue = {}  # ue id -> its grants this TTI, in grant order
         active_rus = set()
 
         # HARQ retransmissions take resources first.
@@ -448,24 +464,25 @@ class Runtime:
         # control-plane latency and are used as-is (stale) once visible.
         max_sojourn = 0
         requests = []
+        by_slice = self.bearers_by_ranf[ranf.id]
         for sl in self.slice_ids:
             items = []
-            for ctx in self._bearers_of_ranf(ranf.id):
-                if ctx.slice != sl:
-                    continue
-                ue = self.ues[ctx.ue]
+            paused = now < self.slice_paused_until.get(sl, 0)
+            for ctx in () if paused else by_slice.get(sl, ()):
                 # Buffers live at the UP function, which keeps reporting
                 # through a handover interruption; only the radio grant
                 # waits for the UE to resume (see resources_for below).
-                if ue.released:
+                if self.ues[ctx.ue].released:
                     continue
-                if now < self.slice_paused_until.get(sl, 0):
-                    continue
+                rlc = ctx.rlc
+                if not (ctx.buffer.queue or rlc.retx_queue
+                        or rlc.pending_drop_indications):
+                    continue  # idle: AQM is a no-op and no request is due
                 self._apply_aqm(ctx, now)
-                extra = (len(ctx.rlc.pending_drop_indications)
+                extra = (len(rlc.pending_drop_indications)
                          * stack.DROP_IND_BYTES)
                 extra += sum(s.end - s.start + stack.SEG_HEADER_BYTES
-                             for s in ctx.rlc.retx_queue)
+                             for s in rlc.retx_queue)
                 max_sojourn = max(max_sojourn, ctx.buffer.head_sojourn(now))
                 if ctx.buffer.queue or extra:
                     items.append((ctx.bearer, ctx.buffer, extra))
@@ -499,25 +516,25 @@ class Runtime:
                 raise ModelError(f"grant issued to unadmitted UE {ctx.ue}")
             self.metrics.on_grant(g, now)
             self.metrics.add_slice_prbs(ctx.slice, g.prbs)
-            grants_this_tti.append(g)
+            grants_by_ue.setdefault(g.ue, []).append(g)
             active_rus.add(g.ru)
             self._serve_grant(ctx, g, now)
 
         # Uplink anchor grants (bookkeeping only; UL data is out of scope).
-        for ue_id in sorted(self.ues):
+        for ue_id in self.ues_by_ranf[ranf.id]:
             ue = self.ues[ue_id]
-            if ue.released or ue.ranf != ranf.id or now < ue.resume_at:
+            if ue.released or now < ue.resume_at:
                 continue
             ru = ue.serving_set.rus[0]
             carrier = self.topology.rus[ru].carriers[0]
             ul = sched.Grant(ue_id, "", ru, carrier, 1, 0, self.tti_index, "UL")
-            grants_this_tti.append(ul)
+            grants_by_ue.setdefault(ue_id, []).append(ul)
             if self.metrics.record_grants:
                 self.metrics.grant_log.append(
                     (now, ue_id, "", ru, carrier, 1, "UL"))
 
-        for ue_id in sorted({g.ue for g in grants_this_tti}):
-            sched.ul_anchor_check(ue_id, grants_this_tti, self.ru_to_ranf,
+        for ue_id in sorted(grants_by_ue):
+            sched.ul_anchor_check(ue_id, grants_by_ue[ue_id], self.ru_to_ranf,
                                   self.ues[ue_id].ranf,
                                   strict=self.strict_anchor)
 
@@ -559,7 +576,6 @@ class Runtime:
         ru_id, carrier_id = key
         ctx = proc.meta["bearer"]
         wake_delay = self._wake_ru(ru_id, now)
-        awake = None  # _wake_ru guarantees the granted RU is awake
         rng = self.rng.stream(f"link:{ue.id}")
         sset = ue.serving_set
         success, attempted = radio.transmit(sset, carrier_id, self.bler, rng)
@@ -910,6 +926,7 @@ class Runtime:
         link = self.topology.latency(src.site, dst.site)
         interruption = self.cfg["handover_interruption_us"]
         ue.ranf = dst_id
+        self._build_ranf_index()
         ue.serving_set = self._select_serving(ue_id, dst_id)
         ue.resume_at = now + max(interruption, link)
         self.metrics.handovers.append(radio.HandoverRecord(

@@ -178,12 +178,12 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
             if sl in demand_slices:
                 reserved[sl] = int(total_prbs * frac)
 
+    keys_of = {req: list(resources_for(req)) for req in order}
     remaining = {}  # request -> unmet byte demand
     for req in order:
         demand = req.buffered_bytes + demand_overhead
-        keys = list(resources_for(req))
         # Honor reservations of other slices: hold back PRBs still owed to them.
-        for key in keys:
+        for key in keys_of[req]:
             if demand <= 0:
                 break
             bpp = pools.bytes_per_prb[key]
@@ -209,7 +209,7 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
         free = pools.free[key]
         if free <= 0:
             continue
-        takers = [r for r in order if key in set(resources_for(r))]
+        takers = [r for r in order if key in keys_of[r]]
         if not takers:
             continue
         unmet = [r for r in takers if remaining.get(r, 0) > 0]
@@ -222,7 +222,7 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
     # Work conservation: an unmet request alongside a free compatible PRB is a bug.
     for req, unmet in remaining.items():
         if unmet > 0:
-            for key in resources_for(req):
+            for key in keys_of[req]:
                 if pools.free.get(key, 0) > 0:
                     raise ModelError(
                         f"work conservation violated: request {req.bearer_id} "

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from ransim import config as cfgmod
-from ransim import cli
+from ransim import cli, runtime, stack
 from ransim.runtime import Runtime, run_scenario
 
 
@@ -194,3 +194,122 @@ def test_summary_numbers_reproducible_from_series(tmp_path):
     granted = report["prb_utilization"][key]["granted_prbs"]
     assert offered == 50 * len(utils)
     assert granted == pytest.approx(sum(u * 50 for u in utils))
+
+
+def three_cell_raw():
+    """Three fully meshed cells, four UEs with one bearer per slice each,
+    and handovers that move UEs away, between and back."""
+    cells = ("a", "b", "c")
+    raw = {
+        "seed": 17,
+        "duration_us": 200_000,
+        "tti_us": 500,
+        "handover_interruption_us": 2_000,
+        "cn_entry_site": "cell-a",
+        "sites": [{"id": f"cell-{c}", "kind": "OnPrem", "cpu_capacity": 100}
+                  for c in cells],
+        "links": [{"a": "cell-a", "b": "cell-b", "latency_us": 1000},
+                  {"a": "cell-a", "b": "cell-c", "latency_us": 1000},
+                  {"a": "cell-b", "b": "cell-c", "latency_us": 1000}],
+        "carriers": [{"id": "c1", "prbs_per_tti": 20, "bytes_per_prb": 100}],
+        "rus": [{"id": f"ru-{c}", "site": f"cell-{c}", "carriers": ["c1"]}
+                for c in cells],
+        "ranfs": [{"id": f"rf-{c}", "site": f"cell-{c}", "rus": [f"ru-{c}"],
+                   "neighbors": [f"rf-{o}" for o in cells if o != c]}
+                  for c in cells],
+        "slices": [{"id": "I"}, {"id": "II"}],
+        "placement": (
+            [{"id": f"rrm-{c}", "kind": "RRM", "site": f"cell-{c}"}
+             for c in cells]
+            + [{"id": f"fhm-{c}", "kind": "FHM", "site": f"cell-{c}",
+                "bound_ru": f"ru-{c}"} for c in cells]
+            + [{"id": f"phy-{c}", "kind": "PHY", "site": f"cell-{c}",
+                "slice": "I"} for c in cells]
+            + [{"id": "rrc1", "kind": "RRC", "site": "cell-a", "slice": "I"},
+               {"id": "up1", "kind": "UP", "site": "cell-a", "slice": "I"},
+               {"id": "rrc2", "kind": "RRC", "site": "cell-a", "slice": "II"},
+               {"id": "up2", "kind": "UP", "site": "cell-a", "slice": "II"},
+               {"id": "phy2", "kind": "PHY", "site": "cell-a",
+                "slice": "II"}]),
+        "ues": [{"id": "u1", "ranf": "rf-a"}, {"id": "u2", "ranf": "rf-a"},
+                {"id": "u3", "ranf": "rf-b"}, {"id": "u4", "ranf": "rf-c"}],
+        "bearers": [],
+        "script": [
+            {"at_us": 40_000, "action": "handover", "ue": "u1", "dst": "rf-b"},
+            {"at_us": 60_000, "action": "handover", "ue": "u3", "dst": "rf-c"},
+            {"at_us": 90_000, "action": "handover", "ue": "u1", "dst": "rf-c"},
+            {"at_us": 120_000, "action": "handover", "ue": "u4",
+             "dst": "rf-a"},
+            {"at_us": 150_000, "action": "handover", "ue": "u1",
+             "dst": "rf-a"},
+        ],
+    }
+    # Interleave the UEs in config order so that an index that merely
+    # appends on handover would get the order wrong.
+    for kind, latency, reliability in (("mc", 5_000, 1 - 1e-8),
+                                       ("mod", 100_000, 0.999)):
+        for ue in ("u2", "u1", "u4", "u3"):
+            raw["bearers"].append({
+                "id": f"b-{kind}-{ue}", "ue": ue, "latency_req_us": latency,
+                "reliability_req": reliability,
+                "traffic": {"pattern": "Poisson", "rate_bytes_per_s": 100_000,
+                            "sdu_bytes": 500},
+            })
+    return raw
+
+
+def assert_ranf_index_matches_scan(rt):
+    for rf_id in rt.topology.ranfs:
+        assert rt.ues_by_ranf[rf_id] == sorted(
+            u for u in rt.ues if rt.ues[u].ranf == rf_id)
+        indexed = rt.bearers_by_ranf[rf_id]
+        for sl in set(rt.slice_ids) | set(indexed):
+            assert indexed.get(sl, []) == [
+                c for c in rt.bearers.values()
+                if rt.ues[c.ue].ranf == rf_id and c.slice == sl], (rf_id, sl)
+
+
+def test_ranf_index_follows_handovers():
+    rt = Runtime(cfgmod.validate_scenario(three_cell_raw()))
+    assert_ranf_index_matches_scan(rt)
+    for t in (50_000, 100_000, 130_000, 160_000):
+        rt.sim.run_until(t)
+        assert_ranf_index_matches_scan(rt)
+    report = rt.run()
+    assert_ranf_index_matches_scan(rt)
+    assert [h["accepted"] for h in report["handovers"]] == [True] * 5
+    assert rt.ues_by_ranf == {"rf-a": ["u1", "u2", "u4"], "rf-b": [],
+                              "rf-c": ["u3"]}
+    assert sum(b["delivered"] for b in report["bearers"].values()) > 0
+
+
+def test_empty_buffer_with_retx_or_drop_indication_still_requests(
+        monkeypatch):
+    requests = []
+
+    original = runtime.stage1_with_extras
+
+    def recording(items, now, class_weights):
+        reqs = original(items, now, class_weights)
+        requests.append({r.bearer_id: r for r in reqs})
+        return reqs
+
+    monkeypatch.setattr(runtime, "stage1_with_extras", recording)
+    raw = base_raw()
+    raw["bearers"][0]["traffic"]["start_us"] = 400_000
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    ranf = rt.topology.ranfs["rf-a"]
+    ctx = rt.bearers["b1"]
+    assert not ctx.buffer.queue
+
+    rt._tti_for_ranf(ranf, 500)
+    assert requests[-1] == {}
+
+    ctx.rlc.retx_queue.append(stack.Segment(0, 0, 300, is_retx=True))
+    rt._tti_for_ranf(ranf, 1000)
+    assert requests[-1]["b1"].buffered_bytes == 300 + stack.SEG_HEADER_BYTES
+    ctx.rlc.retx_queue.clear()
+
+    ctx.rlc.pending_drop_indications.append(0)
+    rt._tti_for_ranf(ranf, 1500)
+    assert requests[-1]["b1"].buffered_bytes == stack.DROP_IND_BYTES
