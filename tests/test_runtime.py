@@ -285,9 +285,8 @@ def test_ranf_index_follows_handovers():
 
 def test_empty_buffer_with_retx_or_drop_indication_still_requests(
         monkeypatch):
-    requests = []
-
     original = runtime.stage1_with_extras
+    requests = []
 
     def recording(items, now, class_weights):
         reqs = original(items, now, class_weights)
