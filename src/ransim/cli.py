@@ -11,7 +11,7 @@ import sys
 import yaml
 
 from . import config as cfgmod
-from .core import SimulationError
+from .core import ConfigError, SimulationError
 from .metrics import write_latency_cdf, write_summary, write_tti_series_csv
 from .runtime import Runtime
 
@@ -86,8 +86,11 @@ def cmd_run(args):
     overrides = {"seed": args.seed, "duration_us": args.duration,
                  "mode": args.mode}
     cfg = _load(args.scenario, overrides)
-    for policy_arg in args.policy or []:
-        cfg["script"].append(_parse_policy_arg(policy_arg))
+    if args.policy:
+        # A new list: the default ``script`` list is shared between configs.
+        cfg["script"] = cfg["script"] + [_parse_policy_arg(a)
+                                         for a in args.policy]
+        cfg = cfgmod.validate_scenario(cfg)
     report = _run_one(cfg, args.out_dir)
     if not args.out_dir:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
@@ -179,7 +182,7 @@ def main(argv=None):
         return args.fn(args)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ import json
 
 import yaml
 
+from . import orchestrate as orch
 from .core import ConfigError
 
 MODE_SIXG = "sixg"
@@ -50,7 +51,7 @@ _NESTED_DEFAULTS = {
     "min_slice_share": {},
     "serving": {"quality_threshold": 0.1, "max_set_size": 1},
     "trust": {"weights": [0.5, 0.3, 0.2], "threshold": 0.6,
-              "reassess_interval_us": 1_000_000, "query_latency_us": 0},
+              "reassess_interval_us": 1_000_000},
     "orchestrator": {"scale_hi": 0.8, "scale_lo": 0.2, "hysteresis": 3,
                      "tick_us": 100_000, "idle_sleep_interval_us": 10_000},
     "record": {"grants": False, "tti_series": True, "series_stride": 1},
@@ -380,10 +381,39 @@ def validate_scenario(raw):
                 if action in ("detach_subnet", "attach_subnet") \
                         and ev.get("subnet") not in subnet_ids:
                     errors.append(f"{path}.subnet: unknown {ev.get('subnet')!r}")
+                if action == "policy":
+                    _check_policy(ev.get("policy"), f"{path}.policy",
+                                  slice_ids, errors)
 
     if errors:
         raise SchemaErrors(errors)
     return cfg
+
+
+def _check_policy(policy, path, slice_ids, errors):
+    if not _check_keys(policy, {"id", "scope", "directive", "params"}, path,
+                       errors):
+        return
+    _require(policy, "id", path, errors, (str,))
+    directive = _require(policy, "directive", path, errors, (str,))
+    if directive is None:
+        return
+    if directive not in orch.POLICY_PARAMS:
+        errors.append(f"{path}.directive: unknown directive {directive!r}, "
+                      f"expected one of {sorted(orch.POLICY_PARAMS)}")
+        return
+    params = policy.get("params", {})
+    if not _check_keys(params, orch.POLICY_PARAMS[directive],
+                       f"{path}.params", errors):
+        return
+    if directive == orch.MIN_SLICE_SHARE:
+        sl = _require(params, "slice", f"{path}.params", errors, (str,))
+        if sl is not None and sl not in slice_ids:
+            errors.append(f"{path}.params.slice: unknown slice {sl!r}")
+        frac = _require(params, "fraction", f"{path}.params", errors,
+                        (int, float))
+        if frac is not None and not 0 <= frac <= 1:
+            errors.append(f"{path}.params.fraction: must be in [0,1]")
 
 
 def config_hash(cfg):

@@ -28,23 +28,18 @@ class ModelError(SimulationError):
 class RngStream:
     """A named pseudo-random stream derived from a master seed.
 
-    Seeding hashes (master_seed, stream_id), so streams are independent and
+    Seeding hashes (master_seed, name), so streams are independent and
     adding a new stream never perturbs draws on existing ones.  Backed by
     ``random.Random`` (Mersenne Twister), which is stable across platforms.
     """
 
-    def __init__(self, master_seed, stream_id):
-        self.stream_id = stream_id
-        self.seed = master_seed
-        digest = hashlib.sha256(f"{master_seed}:{stream_id}".encode()).digest()
+    def __init__(self, master_seed, name):
+        digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
         self._rand = random.Random(int.from_bytes(digest[:8], "big"))
 
     def draw(self):
         """Uniform float in [0, 1); advances the state exactly once."""
         return self._rand.random()
-
-    def randint(self, a, b):
-        return self._rand.randint(a, b)
 
     def expovariate(self, lambd):
         return self._rand.expovariate(lambd)
@@ -60,24 +55,23 @@ class RngRegistry:
         self.master_seed = master_seed
         self._streams = {}
 
-    def stream(self, stream_id):
-        st = self._streams.get(stream_id)
+    def stream(self, name):
+        st = self._streams.get(name)
         if st is None:
-            st = RngStream(self.master_seed, stream_id)
-            self._streams[stream_id] = st
+            st = RngStream(self.master_seed, name)
+            self._streams[name] = st
         return st
 
 
 class Event:
-    __slots__ = ("fire_at", "sequence", "kind", "target", "fn", "generation")
+    __slots__ = ("fire_at", "sequence", "kind", "target", "fn")
 
-    def __init__(self, fire_at, sequence, kind, target, fn, generation=0):
+    def __init__(self, fire_at, sequence, kind, target, fn):
         self.fire_at = fire_at
         self.sequence = sequence
         self.kind = kind
         self.target = target
         self.fn = fn
-        self.generation = generation
 
     def __repr__(self):
         return f"Event({self.kind} @ {self.fire_at}us -> {self.target})"
@@ -100,7 +94,7 @@ class Simulator:
         self.rng = rng if rng is not None else RngRegistry(0)
         self.events_processed = 0
 
-    def schedule(self, fire_at, kind, target, fn, generation=0):
+    def schedule(self, fire_at, kind, target, fn):
         """Enqueue ``fn()`` to run at ``fire_at``; rejects scheduling into the past."""
         if fire_at < self.now:
             raise ConfigError(
@@ -108,13 +102,10 @@ class Simulator:
                 f"clock t={self.now}us"
             )
         seq = self._seq
-        ev = Event(fire_at, seq, kind, target, fn, generation)
+        ev = Event(fire_at, seq, kind, target, fn)
         self._seq = seq + 1
         heapq.heappush(self._queue, (fire_at, seq, ev))
         return ev
-
-    def schedule_in(self, delay, kind, target, fn, generation=0):
-        return self.schedule(self.now + delay, kind, target, fn, generation)
 
     def run_until(self, t_end):
         """Process every event with fire_at <= t_end; leave the clock at t_end."""
@@ -135,6 +126,3 @@ class Simulator:
         if t_end > self.now:
             self.now = t_end
         return self.now
-
-    def peek_next_time(self):
-        return self._queue[0][0] if self._queue else None

@@ -13,20 +13,20 @@ SCALE_UP = "ScaleUp"
 SCALE_DOWN = "ScaleDown"
 SCALE_NONE = "None"
 
-PREFER_SITE = "PreferSite"
 ENERGY_SAVING = "EnergySaving"
 MIN_SLICE_SHARE = "MinSliceShare"
 
-PER_TTI = "per-TTI"
-PER_INTERVAL = "per-interval"
+# Policy directive -> the params keys it reads.
+POLICY_PARAMS = {
+    ENERGY_SAVING: {"on"},
+    MIN_SLICE_SHARE: {"slice", "fraction"},
+}
 
 
 @dataclass
 class SlaSpec:
     slice_id: str
     latency_budget: int  # tightest latency requirement, us
-    offered_load: float = 0.0  # bytes/s, informational
-    availability: float = 0.999
     cpu_load_per_instance: float = 1.0
 
 
@@ -36,8 +36,7 @@ class Reject:
     detail: str = ""
 
 
-def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000,
-                prefer_site=None, instance_id_prefix=None):
+def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
     """Place a new slice's RRC/UP/PHY, cheapest-first (FarEdge preferred).
 
     The conservative latency bound is path latency + one TTI of scheduling
@@ -46,7 +45,7 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000,
     all-OnPrem misses it (or capacity runs out) the slice is rejected and
     the plan is left unchanged.  Returns the new FunctionInstances or Reject.
     """
-    prefix = instance_id_prefix or f"slice-{sla.slice_id}"
+    prefix = f"slice-{sla.slice_id}"
     faredge = sorted(
         (s for s in topology.sites.values() if s.kind == topo.FAREDGE),
         key=lambda s: s.id,
@@ -59,16 +58,9 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000,
         return Reject("capacity", "no OnPrem site in topology")
 
     candidates = []  # site choices for (RRC, UP, PHY), cheapest first
-    prefs = dict(prefer_site or {})
     if faredge:
         candidates.append(faredge[0])
     candidates.append(onprem[0])
-    if prefs:
-        # An explicit site-kind preference jumps the queue when feasible.
-        def pref_key(site):
-            wanted = prefs.get(topo.UP)
-            return 0 if wanted == site.kind else 1
-        candidates.sort(key=lambda s: (pref_key(s), s.kind != topo.FAREDGE))
 
     overhead = tti + harq_max_tx * harq_rtt
     last_detail = ""
@@ -150,7 +142,6 @@ class PowerProfile:
     idle_w: float
     sleep_w: float
     wake_latency: int = 100  # us
-    granularity: str = PER_TTI
 
     def __post_init__(self):
         if not (self.sleep_w < self.idle_w < self.active_w):
@@ -164,18 +155,13 @@ class PowerProfile:
 
 
 DEFAULT_POWER_PROFILES = {
-    "RU": PowerProfile(20.0, 8.0, 1.0, wake_latency=100, granularity=PER_TTI),
-    topo.PHY: PowerProfile(15.0, 6.0, 1.0, wake_latency=100, granularity=PER_TTI),
-    topo.UP: PowerProfile(10.0, 4.0, 0.5, wake_latency=500,
-                          granularity=PER_INTERVAL),
-    topo.RRC: PowerProfile(5.0, 2.0, 0.3, wake_latency=500,
-                           granularity=PER_INTERVAL),
-    topo.RRM: PowerProfile(5.0, 2.0, 0.3, wake_latency=500,
-                           granularity=PER_INTERVAL),
-    topo.CP_ROUTING: PowerProfile(3.0, 1.5, 0.2, wake_latency=500,
-                                  granularity=PER_INTERVAL),
-    topo.FHM: PowerProfile(4.0, 1.8, 0.2, wake_latency=100,
-                           granularity=PER_TTI),
+    "RU": PowerProfile(20.0, 8.0, 1.0, wake_latency=100),
+    topo.PHY: PowerProfile(15.0, 6.0, 1.0, wake_latency=100),
+    topo.UP: PowerProfile(10.0, 4.0, 0.5, wake_latency=500),
+    topo.RRC: PowerProfile(5.0, 2.0, 0.3, wake_latency=500),
+    topo.RRM: PowerProfile(5.0, 2.0, 0.3, wake_latency=500),
+    topo.CP_ROUTING: PowerProfile(3.0, 1.5, 0.2, wake_latency=500),
+    topo.FHM: PowerProfile(4.0, 1.8, 0.2, wake_latency=100),
 }
 
 
@@ -227,9 +213,6 @@ class EnergyMeter:
             self._accumulate(entity, now)
         return dict(self.energy_j)
 
-    def total(self):
-        return sum(self.energy_j.values())
-
 
 def replay_energy(transitions, profiles, t_end):
     """Independent oracle: recompute joules per entity from the transition log."""
@@ -249,7 +232,7 @@ def replay_energy(transitions, profiles, t_end):
 class Policy:
     id: str
     scope: str  # slice | site | global
-    directive: str  # PreferSite | EnergySaving | MinSliceShare
+    directive: str  # EnergySaving | MinSliceShare
     params: dict = field(default_factory=dict)
 
 
@@ -261,14 +244,13 @@ class PolicyStore:
         self.audit = []
 
     def apply(self, policy, now):
-        if policy.directive not in (PREFER_SITE, ENERGY_SAVING, MIN_SLICE_SHARE):
+        if policy.directive not in POLICY_PARAMS:
             raise ConfigError(f"unknown policy directive {policy.directive!r}")
         if policy.directive == MIN_SLICE_SHARE:
             frac = policy.params.get("fraction")
             if frac is None or not 0 <= frac <= 1:
                 raise ConfigError(f"policy {policy.id}: bad MinSliceShare fraction")
-        key = (policy.directive, policy.scope,
-               policy.params.get("slice"), policy.params.get("kind"))
+        key = (policy.directive, policy.scope, policy.params.get("slice"))
         if key in self._by_key:
             self.audit.append((now, policy.id, "overrides",
                                self._by_key[key].id))
@@ -288,10 +270,3 @@ class PolicyStore:
             if p.directive == MIN_SLICE_SHARE:
                 shares[p.params["slice"]] = p.params["fraction"]
         return shares
-
-    def preferred_sites(self):
-        prefs = {}
-        for p in self._by_key.values():
-            if p.directive == PREFER_SITE:
-                prefs[p.params["kind"]] = p.params["site_kind"]
-        return prefs

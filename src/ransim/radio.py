@@ -56,24 +56,20 @@ class ServingSet:
             raise ModelError(f"serving set for {self.ue} must be non-empty")
 
 
-def transmit(serving_set, carrier_id, bler_map, rng, awake_rus=None):
-    """One transmission attempt; returns (success, attempted).
+def transmit(serving_set, carrier_id, bler_map, rng):
+    """One transmission attempt; returns True on success.
 
     Single-RU mode succeeds with probability 1-bler of the primary RU; joint
-    mode fails only if every awake RU in the set fails independently.  With
-    every RU asleep the attempt is not made (grant wasted).
+    mode fails only if every RU in the set fails independently.  One draw is
+    taken per RU either way.
     """
     rus = serving_set.rus if serving_set.mode == DMIMO_JOINT else serving_set.rus[:1]
-    if awake_rus is not None:
-        rus = [r for r in rus if r in awake_rus]
-    if not rus:
-        return False, False
     success = False
     for ru in rus:
         bler = bler_map.get(serving_set.ue, ru, carrier_id)
         if rng.draw() >= bler:
             success = True
-    return success, True
+    return success
 
 
 def select_serving_set(ue, candidate_rus, bler_of, quality_threshold,

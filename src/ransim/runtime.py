@@ -24,8 +24,7 @@ from .metrics import MetricsCollector
 class BearerCtx:
     __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "reassembly",
                  "source", "live", "stashed_at", "metrics", "ue", "slice",
-                 "path_echo", "window_marked", "window_delivered",
-                 "highest_completed")
+                 "window_marked", "window_delivered")
 
     def __init__(self, bearer, buffer, rlc, reorder, source, metrics):
         self.bearer = bearer
@@ -103,7 +102,7 @@ class Runtime:
 
         self._build_topology()
         self._build_placement()
-        self._build_policies()
+        self.policies = orch.PolicyStore()
         self._build_trust()
         self._build_ues()
         self._build_bearers()
@@ -174,9 +173,7 @@ class Runtime:
                 sla = orch.SlaSpec(sl["id"], sl["latency_budget_us"])
                 result = orch.admit_slice(
                     sla, self.topology, self.plan, tti=self.tti,
-                    harq_max_tx=self.max_tx, harq_rtt=self.harq_rtt,
-                    prefer_site=self.cfg.get("_prefer_site"),
-                )
+                    harq_max_tx=self.max_tx, harq_rtt=self.harq_rtt)
                 if isinstance(result, orch.Reject):
                     raise ConfigError(
                         f"slice {sl['id']} rejected ({result.reason}): "
@@ -205,13 +202,9 @@ class Runtime:
                 self.ctrl_lat[(sl, rf.id)] = self.topology.latency(
                     ups[0].site, rf.site) if ups else 0
 
-    def _build_policies(self):
-        self.policies = orch.PolicyStore()
-
     def _build_trust(self):
         t = self.cfg["trust"]
-        self.trust_engine = tru.TrustEngine(tuple(t["weights"]), t["threshold"],
-                                            t["query_latency_us"])
+        self.trust_engine = tru.TrustEngine(tuple(t["weights"]), t["threshold"])
         self.metrics.audit_log = self.trust_engine.audit_log
 
     def _build_ues(self):
@@ -341,6 +334,12 @@ class Runtime:
             self.meter.register(f"fn:{inst.id}",
                                 orch.DEFAULT_POWER_PROFILES[inst.kind], "Idle")
             self.instance_activity[inst.id] = 0
+        # A slice's UP and PHY instances are fixed after placement (migration
+        # moves only their site): UP first, then PHY, each in plan order.
+        self.user_plane_instances = {
+            sl: [i.id for kind in (topo.UP, topo.PHY)
+                 for i in self.plan.of_kind(kind, sl)]
+            for sl in self.slice_ids}
 
     def _schedule_script(self):
         for ev in self.cfg["script"]:
@@ -371,15 +370,19 @@ class Runtime:
     def _ingress(self, ctx, size, now):
         ctx.metrics.packets_in += 1
         ue = self.ues[ctx.ue]
-        if ue.released or not ctx.bearer.active:
+        # At most SN_WINDOW (half the SN space) SNs may be in flight, counted
+        # from the oldest live one: past that a new SN could collide with a
+        # live PDU and would fall outside the receiver's window.  Refusing a
+        # new SN while the one exactly SN_WINDOW behind is live keeps every
+        # live SN within the window, so that one lookup is the whole check.
+        full = (ctx.bearer.tx_sn_next - stack.SN_WINDOW) % stack.SN_SPACE \
+            in ctx.live
+        if ue.released or not ctx.bearer.active or full:
             ctx.metrics.ingress_dropped += 1
             ctx.metrics.packets_in -= 1
             return
         target = None if self.split_mode else ctx.buffer
         pdu = stack.pdcp_preprocess(size, ctx.bearer, now, buffer=target)
-        if pdu.sn in ctx.live:
-            raise ModelError(
-                f"bearer {ctx.bearer.id}: SN space overrun at sn={pdu.sn}")
         ctx.live[pdu.sn] = pdu
         if self.split_mode:
             ctx.cu_queue.append(pdu)
@@ -578,7 +581,7 @@ class Runtime:
         wake_delay = self._wake_ru(ru_id, now)
         rng = self.rng.stream(f"link:{ue.id}")
         sset = ue.serving_set
-        success, attempted = radio.transmit(sset, carrier_id, self.bler, rng)
+        success = radio.transmit(sset, carrier_id, self.bler, rng)
         fh_mode = self.cfg["fronthaul"]["mode"]
         charged = radio.fronthaul_load(
             fh_mode, tb.bytes, self.cfg["fronthaul"]["expansion_factor"],
@@ -622,15 +625,18 @@ class Runtime:
         elif result == stack.HARQ_FAILED_TO_RLC:
             proc.free()
             self.metrics.tb_failed_final += 1
-            abandoned = ctx.rlc.queue_retx(tb.segments)
-            for sn in abandoned:
-                if ctx.live.pop(sn, None) is not None:
-                    ctx.metrics.residual += 1
+            self._abandon(ctx, ctx.rlc.queue_retx(tb.segments))
         elif result == stack.HARQ_FAILED:
             proc.free()
             self.metrics.tb_failed_final += 1
         else:
             self.metrics.harq_protocol_errors += 1
+
+    def _abandon(self, ctx, sns):
+        """Count each SN still live as a residual loss and forget it."""
+        for sn in sns:
+            if ctx.live.pop(sn, None) is not None:
+                ctx.metrics.residual += 1
 
     # ------------------------------------------------------------ receiver
 
@@ -708,9 +714,8 @@ class Runtime:
                                   lambda: self._on_reorder_timer(ctx, gen))
                 return
         delivered, lost, _ = ctx.reorder.timer_expired(now)
+        self._abandon(ctx, lost)
         for sn in lost:
-            if ctx.live.pop(sn, None) is not None:
-                ctx.metrics.residual += 1
             ctx.rlc.discard(sn)
             self._signal_source(ctx, tra.DropEcho(), now)
         self._deliver_sdus(ctx, delivered, now)
@@ -752,10 +757,7 @@ class Runtime:
                 continue
             for s, e in entry.pending:
                 segs.append(stack.Segment(sn, s, e, is_retx=True))
-        abandoned = rlc.queue_retx(segs)
-        for sn in abandoned:
-            if ctx.live.pop(sn, None) is not None:
-                ctx.metrics.residual += 1
+        self._abandon(ctx, rlc.queue_retx(segs))
 
     # ------------------------------------------------------------ split mode
 
@@ -799,13 +801,12 @@ class Runtime:
             self.meter.set_state(entity, target, now)
 
     def _mark_instance_active(self, slice_id, now):
-        for kind in (topo.UP, topo.PHY):
-            for inst in self.plan.of_kind(kind, slice_id):
-                entity = f"fn:{inst.id}"
-                if self.meter.state(entity) == "Sleep":
-                    self.meter.wake_delays += 1
-                self.meter.set_state(entity, "Active", now)
-                self.instance_activity[inst.id] = now
+        for inst_id in self.user_plane_instances[slice_id]:
+            entity = f"fn:{inst_id}"
+            if self.meter.state(entity) == "Sleep":
+                self.meter.wake_delays += 1
+            self.meter.set_state(entity, "Active", now)
+            self.instance_activity[inst_id] = now
 
     def _on_orchestrator_tick(self):
         now = self.sim.now
@@ -848,9 +849,8 @@ class Runtime:
         ue.released = True
         for ctx in ue.bearers:
             ctx.bearer.active = False
-            for sn in list(ctx.live):
-                ctx.live.pop(sn)
-                ctx.metrics.residual += 1
+            ctx.metrics.residual += len(ctx.live)
+            ctx.live.clear()
             ctx.buffer.queue.clear()
             ctx.buffer.bytes = 0
             ctx.rlc.window.clear()
@@ -916,11 +916,8 @@ class Runtime:
                 continue
             bctx = proc.meta["bearer"]
             tb = proc.free()
-            abandoned = bctx.rlc.queue_retx(
-                [s for s in tb.segments if s.sn in bctx.rlc.window])
-            for sn in abandoned:
-                if bctx.live.pop(sn, None) is not None:
-                    bctx.metrics.residual += 1
+            self._abandon(bctx, bctx.rlc.queue_retx(
+                [s for s in tb.segments if s.sn in bctx.rlc.window]))
         forwarded = sum(len(ctx.rlc.window) + len(ctx.buffer.queue)
                         for ctx in ue.bearers)
         link = self.topology.latency(src.site, dst.site)

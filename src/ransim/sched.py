@@ -1,14 +1,13 @@
 """QoS classification, slice mapping, and the two-stage air-interface scheduler.
 
-Stage 1 runs per slice at the slice's UP site and turns buffer state into
-prioritized requests (priority = class weight x head sojourn / latency
-budget).  Stage 2 runs centrally at the OnPrem RRM each TTI and greedily
-allocates PRBs over all (RU, carrier) pools of the RANF, which is what
-gives carrier aggregation across distributed RUs.  Uplink is anchored to a
+Stage 1 (``runtime.stage1_with_extras``) runs per slice at the slice's UP
+site and turns buffer state into prioritized requests (priority = class
+weight x head sojourn / latency budget).  Stage 2 runs centrally at the
+OnPrem RRM each TTI and greedily allocates PRBs over all (RU, carrier)
+pools of the RANF, which is what gives carrier aggregation across
+distributed RUs.  Uplink is anchored to a
 single RANF; inter-RANF resource use is a bug by construction.
 """
-
-from dataclasses import dataclass, field
 
 from .core import ConfigError, ModelError, US_PER_MS
 
@@ -26,8 +25,6 @@ MOD_LATENCY_MAX = 1_100_000  # 1100 ms
 
 # Latency budget used for urgency normalization (class upper bound).
 CLASS_LATENCY_BUDGET = {MISSION_CRITICAL: MC_LATENCY_MAX, MODERATE: MOD_LATENCY_MAX}
-
-DEFAULT_CLASS_WEIGHTS = {MISSION_CRITICAL: 100.0, MODERATE: 1.0}
 
 
 class QosUnsatisfiable(ConfigError):
@@ -64,26 +61,9 @@ def classify_qos(latency_req, reliability_req):
     return MODERATE, SLICE_II
 
 
-@dataclass
-class SliceProfile:
-    id: str
-    admitted_classes: set
-    placement_policy: dict = field(default_factory=dict)  # fn kind -> site kind
-
-    def admits(self, qos_class):
-        return qos_class in self.admitted_classes
-
-
-def default_slice_profiles():
-    return {
-        SLICE_I: SliceProfile(SLICE_I, {MISSION_CRITICAL, MODERATE}),
-        SLICE_II: SliceProfile(SLICE_II, {MODERATE}),
-    }
-
-
 class SchedulingRequest:
     __slots__ = ("bearer_id", "ue", "slice", "buffered_bytes", "head_sojourn",
-                 "priority", "is_retx")
+                 "priority")
 
     def __init__(self, bearer_id, ue, slice_id, buffered_bytes, head_sojourn,
                  priority):
@@ -93,7 +73,6 @@ class SchedulingRequest:
         self.buffered_bytes = buffered_bytes
         self.head_sojourn = head_sojourn
         self.priority = priority
-        self.is_retx = False
 
 
 class Grant:
@@ -113,28 +92,6 @@ class Grant:
     def __repr__(self):
         return (f"Grant({self.direction} ue={self.ue} b={self.bearer_id} "
                 f"ru={self.ru}/{self.carrier} prbs={self.prbs} tti={self.tti})")
-
-
-def stage1_preprocess(bearers_with_buffers, now, class_weights=None):
-    """Per-slice pre-processing: one request per non-empty bearer buffer.
-
-    ``bearers_with_buffers`` is an iterable of (Bearer, TransmitBuffer).
-    """
-    weights = class_weights or DEFAULT_CLASS_WEIGHTS
-    requests = []
-    for bearer, buffer in bearers_with_buffers:
-        if not buffer.queue:
-            continue
-        sojourn = buffer.head_sojourn(now)
-        urgency = sojourn / bearer.latency_budget
-        w = weights.get(bearer.qos_class, 1.0)
-        requests.append(
-            SchedulingRequest(
-                bearer.id, bearer.ue, bearer.slice, buffer.bytes, sojourn,
-                w * urgency,
-            )
-        )
-    return requests
 
 
 class PrbPools:

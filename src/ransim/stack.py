@@ -82,8 +82,6 @@ class PdcpPdu:
 class AqmState:
     mark_threshold: int = 1_000  # us head sojourn before CE mark
     drop_threshold: int = 50_000  # us head sojourn before front drop
-    ce_marks: int = 0
-    drops: int = 0
 
     def __post_init__(self):
         if self.drop_threshold < self.mark_threshold:
@@ -159,7 +157,6 @@ def aqm_inspect(buffer, now, ecn_capable):
             head = q[0]
             if now - head.arrival_time > aqm.mark_threshold and not head.ce_marked:
                 head.ce_marked = True
-                aqm.ce_marks += 1
                 actions.append(MarkCE(head.sn))
     else:
         while q:
@@ -168,7 +165,6 @@ def aqm_inspect(buffer, now, ecn_capable):
                 break
             q.popleft()
             buffer.bytes -= head.size
-            aqm.drops += 1
             actions.append(FrontDrop(head.sn))
     return actions
 
@@ -199,9 +195,6 @@ class TransportBlock:
     @property
     def empty(self):
         return not self.segments and not self.drop_indications
-
-    def payload_bytes(self):
-        return sum(s.end - s.start for s in self.segments)
 
 
 class WindowEntry:
@@ -270,7 +263,7 @@ class RlcTxState:
         self.window.pop(sn, None)
 
 
-def build_transport_block(buffer, rlc, grant_bytes, now=None):
+def build_transport_block(buffer, rlc, grant_bytes):
     """Fill a grant with RLC control, retransmissions, then new head-of-queue data.
 
     Drop indications ride first (fastest congestion indication), then queued
@@ -411,7 +404,6 @@ class ReorderState:
         self.t_reordering = t_reordering
         self.timer_deadline = None
         self.timer_generation = 0
-        self.delivered_count = 0
         self.duplicates = 0
 
     def _drain(self):
@@ -450,7 +442,6 @@ class ReorderState:
             self.expected_sn = (sn + 1) % SN_SPACE
             delivered, skipped = self._drain()
             delivered.insert(0, sn)
-            self.delivered_count += len(delivered)
             return delivered, skipped, self._timer_action(now)
         if sn_lt(sn, self.expected_sn) or sn in self.stash:
             self.duplicates += 1
@@ -465,7 +456,6 @@ class ReorderState:
         self.skipped.add(sn)
         if sn == self.expected_sn:
             delivered, skipped = self._drain()
-            self.delivered_count += len(delivered)
             return delivered, skipped, self._timer_action(now)
         return [], [], self._timer_action(now)
 
@@ -492,5 +482,4 @@ class ReorderState:
         # reported as lost here.
         more, _ = self._drain()
         delivered.extend(more)
-        self.delivered_count += len(delivered)
         return delivered, skipped, None

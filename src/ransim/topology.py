@@ -41,13 +41,6 @@ ALLOWED_SITE_KINDS = {
     FHM: {ONPREM},
 }
 
-ACTIVE = "Active"
-IDLE = "Idle"
-SLEEP = "Sleep"
-
-DL = "DL"
-UL = "UL"
-
 
 @dataclass
 class Site:
@@ -86,7 +79,6 @@ class FunctionInstance:
     site: str
     slice: str = None
     bound_ru: str = None  # FHM only
-    power_state: str = IDLE
     cpu_load: float = 0.0
 
 
@@ -143,24 +135,6 @@ class Topology:
         if lat is None:
             raise ModelError(f"no link between sites {a} and {b}")
         return lat
-
-    def serving_ranf_of_ru(self, ru_id):
-        for rf in self.ranfs.values():
-            if ru_id in rf.serving_rus:
-                return rf
-        return None
-
-    def attach_ru(self, ranf, ru):
-        """Attach an RU to a RANF; an RU is served by exactly one RANF."""
-        current = self.serving_ranf_of_ru(ru.id)
-        if current is not None and current.id != ranf.id:
-            raise ConfigError(
-                f"RU {ru.id} already served by RANF {current.id}; detach first"
-            )
-        ranf.serving_rus.add(ru.id)
-
-    def detach_ru(self, ranf, ru):
-        ranf.serving_rus.discard(ru.id)
 
 
 class PlacementPlan:
@@ -270,7 +244,7 @@ def validate_placement(plan, topology, slices=None):
     return violations
 
 
-def path_latency(plan, topology, slice_id, ru_id, direction=DL, cn_entry_site=None):
+def path_latency(plan, topology, slice_id, ru_id, cn_entry_site=None):
     """One-way user-plane latency along CN-entry -> UP -> PHY -> FHM -> RU.
 
     UL traverses the same chain in reverse; links are symmetric so the value

@@ -5,7 +5,7 @@ Trust is never inherited: a UE admitted at one RANF is re-checked on
 handover, and a missing record means score zero (default deny).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ConfigError
 
@@ -55,17 +55,15 @@ class TrustRecord:
     ue: str
     features: TrustFeatures
     threshold: float = 0.6
-    last_assessed: int = 0
     admitted: bool = False
 
 
 class TrustEngine:
     """One logical trust-assessment service reachable from every RRM."""
 
-    def __init__(self, weights=(0.5, 0.3, 0.2), threshold=0.6, query_latency=0):
+    def __init__(self, weights=(0.5, 0.3, 0.2), threshold=0.6):
         self.weights = tuple(weights)
         self.default_threshold = threshold
-        self.query_latency = query_latency
         self.records = {}  # ue -> TrustRecord
         self.audit_log = []
 
@@ -85,7 +83,6 @@ class TrustEngine:
             self._log(now, ue, REJECT, 0.0, ranf)
             return REJECT
         score = lotaf_score(record.features, self.weights)
-        record.last_assessed = now
         if score >= record.threshold:
             record.admitted = True
             self._log(now, ue, ADMIT, score, ranf)
@@ -100,7 +97,6 @@ class TrustEngine:
         if record is None or not record.admitted:
             return RELEASE if record is None else KEEP
         score = lotaf_score(record.features, self.weights)
-        record.last_assessed = now
         if score < record.threshold:
             record.admitted = False
             self._log(now, ue, RELEASE, score, ranf)

@@ -200,8 +200,7 @@ def test_criterion_04_harq_residual_rate():
     for _ in range(n):
         proc.load(object())
         while True:
-            success, attempted = radio.transmit(ss, "c1", bmap, rng)
-            assert attempted
+            success = radio.transmit(ss, "c1", bmap, rng)
             outcome = stack.harq_on_feedback(proc, success,
                                              reliable_mode=False)
             if outcome == stack.HARQ_ACKED:
@@ -322,7 +321,7 @@ def test_criterion_08_dmimo_product_and_monotonicity():
     fails = 0
     ss2 = radio.ServingSet("u1", ["ru1", "ru2"], mode=radio.DMIMO_JOINT)
     for _ in range(n):
-        ok, _ = radio.transmit(ss2, "c1", bmap, rng)
+        ok = radio.transmit(ss2, "c1", bmap, rng)
         fails += not ok
     rate2 = fails / n
     assert abs(rate2 - expected) < 3 * sigma, (rate2, sigma)
@@ -334,7 +333,7 @@ def test_criterion_08_dmimo_product_and_monotonicity():
         ss = radio.ServingSet("u1", list(rus), mode=radio.DMIMO_JOINT)
         f = 0
         for _ in range(m):
-            ok, _ = radio.transmit(ss, "c1", bmap, rng)
+            ok = radio.transmit(ss, "c1", bmap, rng)
             f += not ok
         rates.append(f / m)
     guard = 3 * math.sqrt(0.1 * 0.9 / m)
@@ -537,7 +536,7 @@ def _trust_raw():
     raw = single_cell_raw(seed=23, duration_us=800_000)
     raw["record"] = {"grants": True, "tti_series": False}
     raw["trust"] = {"weights": [0.5, 0.3, 0.2], "threshold": 0.6,
-                    "reassess_interval_us": 100_000, "query_latency_us": 0}
+                    "reassess_interval_us": 100_000}
     raw["ues"] = [
         # score 0.70 clean (admitted), 0.51 once the anomaly hits (released)
         {"id": "ue-good", "ranf": "rf-a",

@@ -1,4 +1,7 @@
 import copy
+import glob
+import os
+import re
 
 import pytest
 import yaml
@@ -94,3 +97,48 @@ def test_shipped_scenarios_validate():
     assert files, "no shipped scenarios found"
     for f in files:
         cfgmod.parse_scenario(f)
+
+
+def test_trust_query_latency_rejected():
+    raw = minimal_raw()
+    raw["trust"] = {"query_latency_us": 10_000_000}
+    with pytest.raises(cfgmod.SchemaErrors) as exc:
+        cfgmod.validate_scenario(raw)
+    assert "query_latency_us" in str(exc.value)
+
+
+@pytest.mark.parametrize("policy, fragment", [
+    ({"id": "p1", "params": {"on": True}}, "'directive'"),
+    ({"id": "p1", "directive": "PreferSite",
+      "params": {"kind": "UP", "site_kind": "OnPrem"}}, "PreferSite"),
+    ({"id": "p1", "directive": "MinSliceShare",
+      "params": {"slice": "I", "fraction": 1.5}}, "fraction"),
+    ({"id": "p1", "directive": "MinSliceShare",
+      "params": {"slice": "IX", "fraction": 0.5}}, "'IX'"),
+    ({"id": "p1", "directive": "EnergySaving", "params": {"of": True}},
+     "'of'"),
+])
+def test_bad_policy_rejected_at_validation(policy, fragment):
+    raw = minimal_raw()
+    raw["slices"] = [{"id": "I"}]
+    raw["script"] = [{"at_us": 0, "action": "policy", "policy": policy}]
+    with pytest.raises(cfgmod.SchemaErrors) as exc:
+        cfgmod.validate_scenario(raw)
+    assert fragment in str(exc.value)
+
+
+def test_every_default_key_is_read_by_the_simulator():
+    """A key with a default but no reader is a knob that does nothing."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "ransim")
+    text = "".join(open(path).read()
+                   for path in sorted(glob.glob(os.path.join(src, "*.py")))
+                   if os.path.basename(path) != "config.py")
+    free_form = {"class_weights", "min_slice_share"}
+    keys = set(cfgmod._TOP_DEFAULTS)
+    for section, defaults in cfgmod._NESTED_DEFAULTS.items():
+        keys.add(section)
+        if section not in free_form:
+            keys |= set(defaults)
+    unread = sorted(k for k in keys
+                    if not re.search(r'\[\s*"%s"\s*\]' % re.escape(k), text))
+    assert unread == []

@@ -101,7 +101,7 @@ def test_same_seed_same_event_trace():
         def tick(i):
             trace.append((sim.now, round(sim.rng.stream("s").draw(), 12)))
             if i < 20:
-                sim.schedule_in(10, "tick", "x", lambda: tick(i + 1))
+                sim.schedule(sim.now + 10, "tick", "x", lambda: tick(i + 1))
 
         sim.schedule(0, "tick", "x", lambda: tick(0))
         sim.run_until(1000)

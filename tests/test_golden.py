@@ -34,16 +34,20 @@ def _split_lossy_raw():
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
-        "c0b62b620a05571935064f3fff6ed93b3ab69e44154dec9298d0b34fee8fccf4"),
+        # Moved only by config_hash: trust.query_latency_us left the schema.
+        "ef2c88dec9fc56ca88f4b2e0596332118a594b34e94acca8237a0eca7a0bb0db"),
     "latency-budgets": (
         lambda: load_scenario("latency-budgets.yaml"),
-        "8d008bab4f9959f3d66facb0d46d19047241d48f56937f044166953577e47a99"),
+        # Moved only by config_hash: trust.query_latency_us left the schema.
+        "ac11d7362e1f26144d1cdfb61973ab600b2ae497c789aa46460271f794b9a3f4"),
     "split-lossy": (
         lambda: build(_split_lossy_raw()),
-        "e4df837e4609d0e3e1c2e157411cbc1d194a8740bef4759fd16a2fcc91240367"),
+        # Moved only by config_hash: trust.query_latency_us left the schema.
+        "4ed09f150f5815db93bfc464104c4f95aab53fae87931b6839d8532cb1b012cd"),
     "handover": (
         lambda: build(_handover_raw()),
-        "49f5ce406fcebb2f11f43346a7fbbc84545bd2c61b8fc3a2f92249b7ac1b4e70"),
+        # Moved only by config_hash: trust.query_latency_us left the schema.
+        "4e7db2a2aea815fa67e3b015c98182d87b7db611b883a869e686c46ef3baa590"),
 }
 
 

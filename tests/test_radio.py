@@ -8,24 +8,14 @@ def test_single_ru_uses_primary_only():
     bler = radio.BlerMap({("u", "r1", "c"): 1.0, ("u", "r2", "c"): 0.0})
     sset = radio.ServingSet("u", ["r1", "r2"], radio.SINGLE_RU)
     rng = RngRegistry(1).stream("link:u")
-    success, attempted = radio.transmit(sset, "c", bler, rng)
-    assert attempted and not success
+    assert not radio.transmit(sset, "c", bler, rng)
 
 
 def test_joint_mode_succeeds_if_any_ru_succeeds():
     bler = radio.BlerMap({("u", "r1", "c"): 1.0, ("u", "r2", "c"): 0.0})
     sset = radio.ServingSet("u", ["r1", "r2"], radio.DMIMO_JOINT)
     rng = RngRegistry(1).stream("link:u")
-    success, attempted = radio.transmit(sset, "c", bler, rng)
-    assert attempted and success
-
-
-def test_all_asleep_wastes_grant():
-    sset = radio.ServingSet("u", ["r1"], radio.SINGLE_RU)
-    rng = RngRegistry(1).stream("link:u")
-    success, attempted = radio.transmit(sset, "c", radio.BlerMap(), rng,
-                                        awake_rus=set())
-    assert not attempted and not success
+    assert radio.transmit(sset, "c", bler, rng)
 
 
 def test_joint_failure_is_product_of_blers():
@@ -34,7 +24,7 @@ def test_joint_failure_is_product_of_blers():
     rng = RngRegistry(5).stream("link:u")
     n = 200_000
     fails = sum(1 for _ in range(n)
-                if not radio.transmit(sset, "c", bler, rng)[0])
+                if not radio.transmit(sset, "c", bler, rng))
     p = 0.3 * 0.3
     sigma = (p * (1 - p) / n) ** 0.5
     assert abs(fails / n - p) < 3 * sigma

@@ -3,10 +3,15 @@ import json
 import os
 
 import pytest
+import yaml
 
 from ransim import config as cfgmod
 from ransim import cli, runtime, stack
+from ransim.core import ModelError
 from ransim.runtime import Runtime, run_scenario
+
+SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                     "smoke.yaml")
 
 
 def base_raw(**overrides):
@@ -122,6 +127,40 @@ def test_classic_bearer_front_drops_under_overload():
     assert report["conservation"]["b1"]["holds"]
 
 
+def smoke_raw():
+    with open(SMOKE) as fh:
+        return yaml.safe_load(fh)
+
+
+def test_ecn_overload_discards_at_ingress():
+    # b-mod offered 30 MB/s against 12 kB per 500 us TTI: without AQM drops
+    # the in-flight count reaches half the SN space.
+    raw = smoke_raw()
+    raw["bearers"][1]["ecn_capable"] = True
+    raw["bearers"][1]["traffic"]["rate_bytes_per_s"] = 30_000_000
+    report = run_raw(raw)
+    assert report["bearers"]["b-mod"]["ingress_dropped"] > 0
+    cons = report["conservation"]["b-mod"]
+    assert cons["holds"] and cons["in_flight_at_end"] <= stack.SN_WINDOW
+
+
+def test_dead_link_discards_at_ingress_before_sn_wraps():
+    # Every transmission fails and RLC retries forever, so the oldest PDUs
+    # stay live while AQM front-drops the rest: few PDUs are live, but the
+    # SN span from the oldest one reaches half the SN space.
+    raw = smoke_raw()
+    raw["duration_us"] = 2_000_000
+    raw["bler"] = {"default": 1.0}
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    report = rt.run()
+    assert report["bearers"]["b-mod"]["ingress_dropped"] > 0
+    assert report["bearers"]["b-mod"]["aqm_drops"] > 0
+    assert all(c["holds"] for c in report["conservation"].values())
+    ctx = rt.bearers["b-mod"]
+    assert all(1 <= stack.sn_delta(sn, ctx.bearer.tx_sn_next)
+               <= stack.SN_WINDOW for sn in ctx.live)
+
+
 def test_migration_script_changes_path_and_pauses():
     raw = base_raw(duration_us=400_000)
     raw["script"] = [{"at_us": 200_000, "action": "migrate",
@@ -179,6 +218,33 @@ def test_cli_validate_reports_errors(tmp_path, capsys):
     bad.write_text("duration_us: -5\nsites: []\n")
     assert cli.main(["validate", str(bad)]) == 1
     assert "invalid scenario" in capsys.readouterr().out
+
+
+def test_cli_run_exit_codes(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("duration_us: 1000\nsites: [{id: cell-a}]\n")
+    assert cli.main(["run", str(bad)]) == 1
+    assert "kind" in capsys.readouterr().err
+
+    def model_error(cfg, out_dir):
+        raise ModelError("invariant broken")
+
+    monkeypatch.setattr(cli, "_run_one", model_error)
+    assert cli.main(["run", SMOKE]) == 2
+
+
+def test_cli_injected_policy_validated_before_run(tmp_path, monkeypatch,
+                                                  capsys):
+    policy = tmp_path / "prefer.yaml"
+    policy.write_text("{id: p1, directive: PreferSite, "
+                      "params: {kind: UP, site_kind: OnPrem}}\n")
+
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "Runtime", no_run)
+    assert cli.main(["run", SMOKE, "--policy", f"{policy}@1000"]) == 1
+    assert "PreferSite" in capsys.readouterr().err
 
 
 def test_summary_numbers_reproducible_from_series(tmp_path):

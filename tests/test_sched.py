@@ -1,7 +1,7 @@
 import pytest
 
 from ransim import sched, stack
-from ransim.core import ModelError
+from ransim.runtime import stage1_with_extras
 
 
 # ---------------------------------------------------------------- QoS table
@@ -35,12 +35,18 @@ def test_stage1_priority_formula():
     bmod = stack.TransmitBuffer("mod")
     bmc.push(stack.PdcpPdu(0, 100, 0))
     bmod.push(stack.PdcpPdu(0, 100, 0))
-    reqs = sched.stage1_preprocess([(mc, bmc), (mod, bmod)], now=1_000)
+    weights = {sched.MISSION_CRITICAL: 100.0, sched.MODERATE: 1.0}
+    reqs = stage1_with_extras([(mc, bmc, 0), (mod, bmod, 0)], 1_000, weights)
     by_id = {r.bearer_id: r for r in reqs}
     assert by_id["mc"].priority == pytest.approx(100.0 * 1_000 / 10_000)
     assert by_id["mod"].priority == pytest.approx(1.0 * 1_000 / 1_100_000)
-    # Empty buffers produce no request.
-    assert sched.stage1_preprocess([(mc, stack.TransmitBuffer("mc"))], 0) == []
+    assert by_id["mc"].buffered_bytes == 100
+    # Pending control or retransmission bytes add to the demand and make the
+    # request urgent: +1.0 before weighting.  (The runtime skips bearers with
+    # nothing to send before stage 1; test_runtime checks that filter.)
+    [urgent] = stage1_with_extras([(mc, bmc, 30)], 1_000, weights)
+    assert urgent.buffered_bytes == 130
+    assert urgent.priority == pytest.approx(100.0 * (1_000 / 10_000 + 1.0))
 
 
 # ---------------------------------------------------------------- stage 2
