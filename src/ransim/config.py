@@ -58,6 +58,12 @@ _NESTED_DEFAULTS = {
     "bler": {"default": 0.0, "entries": []},
 }
 
+# The list-valued keys of each section, which validate_scenario copies.
+_NESTED_LIST_KEYS = {
+    section: [k for k, v in defaults.items() if isinstance(v, list)]
+    for section, defaults in _NESTED_DEFAULTS.items()
+}
+
 _TRAFFIC_DEFAULTS = {
     "pattern": "ConstantBitRate",
     "rate_bytes_per_s": 1_000_000.0,
@@ -145,12 +151,19 @@ def validate_scenario(raw):
                | {"duration_us", "sites", "carriers", "rus"})
     _check_keys(raw, allowed, "scenario", errors)
 
+    # Every config gets its own copy of the mutable (list) defaults, so that
+    # editing one resolved config in place cannot change the next one.
     cfg = dict(_TOP_DEFAULTS)
     for key, default in _TOP_DEFAULTS.items():
-        if raw.get(key) is not None:
-            cfg[key] = raw[key]
+        value = raw.get(key)
+        if value is not None:
+            cfg[key] = value
+        elif isinstance(default, list):
+            cfg[key] = list(default)
     for section, defaults in _NESTED_DEFAULTS.items():
         merged = dict(defaults)
+        for key in _NESTED_LIST_KEYS.get(section, ()):
+            merged[key] = list(defaults[key])
         sub = raw.get(section)
         if sub is not None:
             if _check_keys(sub, set(defaults), section, errors):

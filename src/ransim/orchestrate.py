@@ -237,7 +237,12 @@ class Policy:
 
 
 class PolicyStore:
-    """Last-writer-wins policy state with an audit trail."""
+    """Last-writer-wins policy state with an audit trail.
+
+    Minimum slice shares are read from here.  Energy saving is not: the
+    runtime follows the last ``EnergySaving`` policy applied, whatever its
+    scope, so there is one owner of that decision.
+    """
 
     def __init__(self):
         self._by_key = {}
@@ -257,12 +262,6 @@ class PolicyStore:
         else:
             self.audit.append((now, policy.id, "applied", None))
         self._by_key[key] = policy
-
-    def energy_saving(self):
-        for p in self._by_key.values():
-            if p.directive == ENERGY_SAVING:
-                return bool(p.params.get("on", False))
-        return False
 
     def min_slice_shares(self):
         shares = {}

@@ -3,8 +3,13 @@ config and drives them through the event loop.
 
 The downlink data path is simulated packet by packet (PDCP ingress ->
 single RLC buffer -> TTI scheduling -> HARQ transmission -> receiver
-reassembly and reordering).  Uplink is represented by per-TTI anchor
-grants only, enough to enforce and audit the single-RANF UL rule.
+reassembly and reordering).  Uplink data is out of scope; the single-RANF
+UL anchor is an invariant of the serving set, checked wherever a UE's RANF
+or serving set is chosen (set-up and handover).
+
+Each TTI visits only the bearers that have something to send: a bearer
+joins its (RANF, slice) active set when data, a retransmission or a drop
+indication is queued for it, and stage 1 drops it once it finds it idle.
 """
 
 from collections import deque
@@ -24,7 +29,8 @@ from .metrics import MetricsCollector
 class BearerCtx:
     __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "reassembly",
                  "source", "live", "stashed_at", "metrics", "ue", "slice",
-                 "window_marked", "window_delivered")
+                 "window_marked", "window_delivered", "active_set",
+                 "in_active_set")
 
     def __init__(self, bearer, buffer, rlc, reorder, source, metrics):
         self.bearer = bearer
@@ -41,6 +47,14 @@ class BearerCtx:
         self.slice = bearer.slice
         self.window_marked = 0
         self.window_delivered = 0
+        self.active_set = None  # its RANF's stage-1 set for its slice
+        self.in_active_set = False
+
+    def has_data(self):
+        """Anything to send: new data, RLC retransmissions or drop indications."""
+        rlc = self.rlc
+        return bool(self.buffer.queue or rlc.retx_queue
+                    or rlc.pending_drop_indications)
 
 
 class UeCtx:
@@ -220,10 +234,22 @@ class Runtime:
             serving = self._select_serving(u["id"], u["ranf"])
             ue = UeCtx(u["id"], u["ranf"], serving,
                        self.cfg["harq"]["processes"], self.max_tx)
+            self._check_ul_anchor(ue)
             self.ues[u["id"]] = ue
             self.trust_engine.admission_check(u["id"], 0, ranf=u["ranf"])
             if not self.trust_engine.is_admitted(u["id"]):
                 ue.released = True
+
+    def _check_ul_anchor(self, ue):
+        """UL is anchored to the UE's RANF: its serving RUs must all belong
+        to that RANF.  Checked wherever ``ue.ranf`` or ``ue.serving_set``
+        is set, so no per-TTI UL bookkeeping is needed."""
+        own = self.topology.ranfs[ue.ranf].serving_rus
+        if self.strict_anchor and not own.issuperset(ue.serving_set.rus):
+            foreign = [ru for ru in ue.serving_set.rus if ru not in own]
+            raise sched.UlAnchorViolation(
+                f"UE {ue.id} anchored to RANF {ue.ranf} is served by "
+                f"foreign RUs {foreign}")
 
     def _select_serving(self, ue_id, ranf_id):
         scfg = self.cfg["serving"]
@@ -288,21 +314,30 @@ class Runtime:
                                   lambda c=ctx: self._on_rlc_status(c))
 
     def _build_ranf_index(self):
-        """Index the UEs and bearers each RANF serves.
+        """Build each RANF's stage-1 active sets from the bearers' state.
 
-        ``ues_by_ranf[ranf]`` lists UE ids in sorted order and
-        ``bearers_by_ranf[ranf][slice]`` lists bearer contexts in config
-        order, which is the order the TTI loop visits them in.  Only
-        ``_do_handover`` changes a UE's RANF, and it rebuilds the index
-        (O(UEs + bearers) per handover instead of per TTI).
+        ``active_sets[ranf][slice]`` is a dict used as an ordered set of the
+        bearer contexts that may have something to send.  A bearer joins it
+        through ``_activate`` when data, a retransmission or a drop indication
+        is queued for it; stage 1 removes it once it finds it idle or its UE
+        released.  Only ``_do_handover`` changes a UE's RANF, and it rebuilds
+        the sets (O(bearers) per handover instead of per TTI).
         """
-        self.ues_by_ranf = {rf_id: [] for rf_id in self.topology.ranfs}
-        self.bearers_by_ranf = {rf_id: {} for rf_id in self.topology.ranfs}
-        for ue_id in sorted(self.ues):
-            self.ues_by_ranf[self.ues[ue_id].ranf].append(ue_id)
+        self.active_sets = {rf_id: {} for rf_id in self.topology.ranfs}
         for ctx in self.bearers.values():
-            by_slice = self.bearers_by_ranf[self.ues[ctx.ue].ranf]
-            by_slice.setdefault(ctx.slice, []).append(ctx)
+            ue = self.ues[ctx.ue]
+            ctx.active_set = self.active_sets[ue.ranf].setdefault(ctx.slice, {})
+            ctx.in_active_set = False
+            if not ue.released and ctx.has_data():
+                self._activate(ctx)
+
+    def _activate(self, ctx):
+        """Put a bearer that has something to send into its active set.
+        The flag keeps the common case, a bearer already in it, to one
+        attribute read."""
+        if not ctx.in_active_set:
+            ctx.in_active_set = True
+            ctx.active_set[ctx] = None
 
     def _build_subnets(self):
         self.subnets = {}
@@ -391,10 +426,13 @@ class Runtime:
                                   ctx.bearer.id,
                                   lambda: self._du_arrival(ctx, [ctx.cu_queue.popleft()])
                                   if ctx.cu_queue else None)
+        else:
+            self._activate(ctx)
 
     def _du_arrival(self, ctx, pdus):
         for pdu in pdus:
             ctx.buffer.push(pdu)
+        self._activate(ctx)
 
     def _on_cc_window(self, ctx):
         """Per-RTT congestion window for reactive sources."""
@@ -463,32 +501,35 @@ class Runtime:
                                retransmission=True)
             self.pending_retx[ranf.id] = still
 
-        # Stage 1 per slice at the UP site; requests reach the RRM after the
-        # control-plane latency and are used as-is (stale) once visible.
+        # Stage 1 per slice at the UP site, over the bearers with something
+        # to send; requests reach the RRM after the control-plane latency and
+        # are used as-is (stale) once visible.
         max_sojourn = 0
         requests = []
-        by_slice = self.bearers_by_ranf[ranf.id]
+        active_sets = self.active_sets[ranf.id]
         for sl in self.slice_ids:
             items = []
-            paused = now < self.slice_paused_until.get(sl, 0)
-            for ctx in () if paused else by_slice.get(sl, ()):
-                # Buffers live at the UP function, which keeps reporting
-                # through a handover interruption; only the radio grant
-                # waits for the UE to resume (see resources_for below).
-                if self.ues[ctx.ue].released:
-                    continue
-                rlc = ctx.rlc
-                if not (ctx.buffer.queue or rlc.retx_queue
-                        or rlc.pending_drop_indications):
-                    continue  # idle: AQM is a no-op and no request is due
-                self._apply_aqm(ctx, now)
-                extra = (len(rlc.pending_drop_indications)
-                         * stack.DROP_IND_BYTES)
-                extra += sum(s.end - s.start + stack.SEG_HEADER_BYTES
-                             for s in rlc.retx_queue)
-                max_sojourn = max(max_sojourn, ctx.buffer.head_sojourn(now))
-                if ctx.buffer.queue or extra:
-                    items.append((ctx.bearer, ctx.buffer, extra))
+            active = active_sets.get(sl)
+            if active and now >= self.slice_paused_until.get(sl, 0):
+                for ctx in list(active):
+                    # Buffers live at the UP function, which keeps reporting
+                    # through a handover interruption; only the radio grant
+                    # waits for the UE to resume (see resources_for below).
+                    if self.ues[ctx.ue].released or not ctx.has_data():
+                        del active[ctx]
+                        ctx.in_active_set = False
+                        continue
+                    self._apply_aqm(ctx, now)
+                    rlc = ctx.rlc
+                    extra = (len(rlc.pending_drop_indications)
+                             * stack.DROP_IND_BYTES)
+                    if rlc.retx_queue:
+                        extra += sum(s.end - s.start + stack.SEG_HEADER_BYTES
+                                     for s in rlc.retx_queue)
+                    max_sojourn = max(max_sojourn,
+                                      ctx.buffer.head_sojourn(now))
+                    if ctx.buffer.queue or extra:
+                        items.append((ctx.bearer, ctx.buffer, extra))
             reqs = stage1_with_extras(items, now, self.class_weights)
             pipe = self.stage1_pipe.setdefault((ranf.id, sl), deque())
             pipe.append((now + self.ctrl_lat.get((sl, ranf.id), 0), reqs))
@@ -523,19 +564,6 @@ class Runtime:
             active_rus.add(g.ru)
             self._serve_grant(ctx, g, now)
 
-        # Uplink anchor grants (bookkeeping only; UL data is out of scope).
-        for ue_id in self.ues_by_ranf[ranf.id]:
-            ue = self.ues[ue_id]
-            if ue.released or now < ue.resume_at:
-                continue
-            ru = ue.serving_set.rus[0]
-            carrier = self.topology.rus[ru].carriers[0]
-            ul = sched.Grant(ue_id, "", ru, carrier, 1, 0, self.tti_index, "UL")
-            grants_by_ue.setdefault(ue_id, []).append(ul)
-            if self.metrics.record_grants:
-                self.metrics.grant_log.append(
-                    (now, ue_id, "", ru, carrier, 1, "UL"))
-
         for ue_id in sorted(grants_by_ue):
             sched.ul_anchor_check(ue_id, grants_by_ue[ue_id], self.ru_to_ranf,
                                   self.ues[ue_id].ranf,
@@ -547,6 +575,8 @@ class Runtime:
         return max_sojourn
 
     def _apply_aqm(self, ctx, now):
+        if not ctx.buffer.queue:
+            return  # AQM acts on the head of the queue only
         actions = stack.aqm_inspect(ctx.buffer, now, ctx.bearer.ecn_capable)
         for act in actions:
             if isinstance(act, stack.FrontDrop):
@@ -563,6 +593,11 @@ class Runtime:
         proc = ue.free_process()
         if proc is None:
             self.metrics.wasted_grants += 1
+            return
+        if not ctx.has_data():
+            # A stale request or the stage-2 leftover pass granted a drained
+            # bearer: the whole grant is padding.
+            self.metrics.padding_bytes += grant.bytes
             return
         tb = stack.build_transport_block(ctx.buffer, ctx.rlc, grant.bytes)
         if tb.empty:
@@ -626,6 +661,7 @@ class Runtime:
             proc.free()
             self.metrics.tb_failed_final += 1
             self._abandon(ctx, ctx.rlc.queue_retx(tb.segments))
+            self._activate(ctx)
         elif result == stack.HARQ_FAILED:
             proc.free()
             self.metrics.tb_failed_final += 1
@@ -758,6 +794,8 @@ class Runtime:
             for s, e in entry.pending:
                 segs.append(stack.Segment(sn, s, e, is_retx=True))
         self._abandon(ctx, rlc.queue_retx(segs))
+        if rlc.retx_queue:
+            self._activate(ctx)
 
     # ------------------------------------------------------------ split mode
 
@@ -923,8 +961,11 @@ class Runtime:
         link = self.topology.latency(src.site, dst.site)
         interruption = self.cfg["handover_interruption_us"]
         ue.ranf = dst_id
-        self._build_ranf_index()
         ue.serving_set = self._select_serving(ue_id, dst_id)
+        self._check_ul_anchor(ue)
+        # Moves the UE's bearers, with the retransmissions just queued, into
+        # the target RANF's active sets.
+        self._build_ranf_index()
         ue.resume_at = now + max(interruption, link)
         self.metrics.handovers.append(radio.HandoverRecord(
             ue_id, src.id, dst_id, now, interruption, forwarded, True))

@@ -5,8 +5,11 @@ site and turns buffer state into prioritized requests (priority = class
 weight x head sojourn / latency budget).  Stage 2 runs centrally at the
 OnPrem RRM each TTI and greedily allocates PRBs over all (RU, carrier)
 pools of the RANF, which is what gives carrier aggregation across
-distributed RUs.  Uplink is anchored to a
-single RANF; inter-RANF resource use is a bug by construction.
+distributed RUs.  Stage 2 issues downlink grants only; the runtime checks
+each TTI's grants with ``ul_anchor_check`` so that none leaves the UE's
+serving RANF.  Uplink is anchored to a single RANF by keeping every UE's
+serving set inside its RANF (checked at set-up and handover), so no UL
+grants are simulated; inter-RANF resource use is a bug by construction.
 """
 
 from .core import ConfigError, ModelError, US_PER_MS

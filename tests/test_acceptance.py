@@ -348,7 +348,8 @@ def test_criterion_08_dmimo_product_and_monotonicity():
 
 def test_criterion_09_ul_anchor():
     # Positive: strict anchoring is on by default in every scenario this
-    # suite runs (config default strict_anchor=True); the per-TTI check
+    # suite runs (config default strict_anchor=True); the per-TTI check of
+    # the DL grants, or the serving-set check at set-up and handover,
     # raising would have failed those tests.  Verify the default holds.
     assert cfgmod.validate_scenario(single_cell_raw())["strict_anchor"]
     # Negative: a corrupted scheduler output with UL grants split across

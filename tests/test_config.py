@@ -27,6 +27,20 @@ def test_defaults_filled_in():
     assert cfg["aqm"]["drop_threshold_us"] == 50_000
 
 
+def test_resolved_configs_do_not_share_mutable_defaults():
+    fresh = cfgmod.validate_scenario(minimal_raw())
+    expected = copy.deepcopy(fresh)
+    edited = cfgmod.validate_scenario(minimal_raw())
+    for value in edited.values():
+        if isinstance(value, list):  # script, links, ues, bearers, ...
+            value.append({"id": "leaked"})
+    edited["trust"]["weights"][0] = 0.9
+    edited["bler"]["entries"].append(
+        {"ue": "u1", "ru": "ru1", "carrier": "c1", "bler": 0.5})
+    assert cfgmod.validate_scenario(minimal_raw()) == expected
+    assert fresh == expected
+
+
 def test_all_errors_collected_not_just_first():
     raw = minimal_raw()
     del raw["duration_us"]

@@ -6,9 +6,10 @@ import pytest
 import yaml
 
 from ransim import config as cfgmod
-from ransim import cli, runtime, stack
+from ransim import cli, radio, runtime, sched, stack
 from ransim.core import ModelError
 from ransim.runtime import Runtime, run_scenario
+from test_golden import _split_lossy_raw
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                      "smoke.yaml")
@@ -324,28 +325,70 @@ def three_cell_raw():
     return raw
 
 
-def assert_ranf_index_matches_scan(rt):
-    for rf_id in rt.topology.ranfs:
-        assert rt.ues_by_ranf[rf_id] == sorted(
-            u for u in rt.ues if rt.ues[u].ranf == rf_id)
-        indexed = rt.bearers_by_ranf[rf_id]
-        for sl in set(rt.slice_ids) | set(indexed):
-            assert indexed.get(sl, []) == [
-                c for c in rt.bearers.values()
-                if rt.ues[c.ue].ranf == rf_id and c.slice == sl], (rf_id, sl)
+def has_data(ctx):
+    return bool(ctx.buffer.queue or ctx.rlc.retx_queue
+                or ctx.rlc.pending_drop_indications)
+
+
+def assert_active_sets_match_scan(rt):
+    """Every live-UE bearer with data is in its RANF's active set for its
+    slice, and every member of a set belongs there (brute-force scan)."""
+    for rf_id, by_slice in rt.active_sets.items():
+        for sl, members in by_slice.items():
+            for ctx in members:
+                assert rt.ues[ctx.ue].ranf == rf_id and ctx.slice == sl, \
+                    (ctx.bearer.id, rf_id, sl)
+                assert ctx.in_active_set and ctx.active_set is members
+    for ctx in rt.bearers.values():
+        ue = rt.ues[ctx.ue]
+        home = rt.active_sets[ue.ranf].get(ctx.slice, {})
+        assert ctx.active_set is home, ctx.bearer.id
+        assert ctx.in_active_set == (ctx in home), ctx.bearer.id
+        if not ue.released and has_data(ctx):
+            assert ctx in home, (rt.sim.now, ctx.bearer.id)
+
+
+def run_checking_each_event(rt, check):
+    """Run to the end, calling ``check(rt)`` after every event handler."""
+    def checked(fn):
+        def handler():
+            fn()
+            check(rt)
+        return handler
+
+    for _, _, ev in rt.sim._queue:
+        ev.fn = checked(ev.fn)
+    schedule = rt.sim.schedule
+    rt.sim.schedule = lambda fire_at, kind, target, fn: schedule(
+        fire_at, kind, target, checked(fn))
+    return rt.run()
+
+
+def lossy_reliable_raw():
+    """Reliable HARQ that gives up at max_tx, so TBs go back to RLC."""
+    raw = base_raw(harq={"max_tx": 2}, bler={"default": 0.5})
+    raw["bearers"][0]["traffic"] = {"pattern": "Poisson",
+                                    "rate_bytes_per_s": 400_000,
+                                    "sdu_bytes": 500}
+    return raw
 
 
 def test_ranf_index_follows_handovers():
     rt = Runtime(cfgmod.validate_scenario(three_cell_raw()))
-    assert_ranf_index_matches_scan(rt)
-    for t in (50_000, 100_000, 130_000, 160_000):
-        rt.sim.run_until(t)
-        assert_ranf_index_matches_scan(rt)
-    report = rt.run()
-    assert_ranf_index_matches_scan(rt)
+    assert_active_sets_match_scan(rt)
+    report = run_checking_each_event(rt, assert_active_sets_match_scan)
     assert [h["accepted"] for h in report["handovers"]] == [True] * 5
-    assert rt.ues_by_ranf == {"rf-a": ["u1", "u2", "u4"], "rf-b": [],
-                              "rf-c": ["u3"]}
+    assert {u: ue.ranf for u, ue in rt.ues.items()} == {
+        "u1": "rf-a", "u2": "rf-a", "u3": "rf-c", "u4": "rf-a"}
+    assert sum(b["delivered"] for b in report["bearers"].values()) > 0
+
+
+@pytest.mark.parametrize("make_raw", [_split_lossy_raw, lossy_reliable_raw],
+                         ids=["split-lossy", "reliable-lossy"])
+def test_active_sets_hold_every_bearer_with_data_after_each_event(make_raw):
+    rt = Runtime(cfgmod.validate_scenario(make_raw()))
+    report = run_checking_each_event(rt, assert_active_sets_match_scan)
+    assert all(c["holds"] for c in report["conservation"].values())
     assert sum(b["delivered"] for b in report["bearers"].values()) > 0
 
 
@@ -370,11 +413,116 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     rt._tti_for_ranf(ranf, 500)
     assert requests[-1] == {}
 
-    ctx.rlc.retx_queue.append(stack.Segment(0, 0, 300, is_retx=True))
+    # One PDU goes out whole and waits in the RLC window; the next TTI finds
+    # the bearer idle.  A status report that misses the PDU queues its
+    # retransmission while the buffer stays empty.
+    rt._ingress(ctx, 300, 1000)
     rt._tti_for_ranf(ranf, 1000)
-    assert requests[-1]["b1"].buffered_bytes == 300 + stack.SEG_HEADER_BYTES
-    ctx.rlc.retx_queue.clear()
-
-    ctx.rlc.pending_drop_indications.append(0)
     rt._tti_for_ranf(ranf, 1500)
+    assert requests[-1] == {} and not ctx.buffer.queue
+    assert list(ctx.rlc.window) == [0]
+    rt._apply_status(ctx, 0, [0])
+    rt._tti_for_ranf(ranf, 2000)
+    assert requests[-1]["b1"].buffered_bytes == 300 + stack.SEG_HEADER_BYTES
+    assert not ctx.rlc.retx_queue
+
+    # A head PDU past the AQM drop threshold is front-dropped; its drop
+    # indication alone makes the request.
+    rt._ingress(ctx, 300, 2500)
+    rt._tti_for_ranf(ranf, 2500 + rt.cfg["aqm"]["drop_threshold_us"] + 500)
+    assert ctx.metrics.aqm_drops == 1 and not ctx.buffer.queue
     assert requests[-1]["b1"].buffered_bytes == stack.DROP_IND_BYTES
+
+
+def test_serving_set_outside_the_ranf_is_an_anchor_violation(monkeypatch):
+    def foreign(rt, ue_id, ranf_id):
+        return radio.ServingSet(ue_id, ["ru-b" if ranf_id == "rf-a"
+                                        else "ru-a"])
+
+    cfg = cfgmod.validate_scenario(three_cell_raw())
+    with monkeypatch.context() as m:
+        m.setattr(Runtime, "_select_serving", foreign)
+        with pytest.raises(sched.UlAnchorViolation, match="u1"):
+            Runtime(cfg)
+
+    # At handover: u1 moves to rf-b at 40 ms and is given rf-a's RU.
+    rt = Runtime(cfgmod.validate_scenario(three_cell_raw()))
+    rt._select_serving = lambda ue_id, ranf_id: foreign(rt, ue_id, ranf_id)
+    with pytest.raises(sched.UlAnchorViolation, match="RANF rf-b"):
+        rt.run()
+    assert rt.sim.now == 40_000
+
+
+def test_last_energy_saving_policy_applied_decides_ru_states():
+    raw = base_raw()
+    raw["bearers"][0]["traffic"]["stop_us"] = 50_000
+    raw["script"] = [
+        {"at_us": 100_000, "action": "policy",
+         "policy": {"id": "es-on", "scope": "global",
+                    "directive": "EnergySaving", "params": {"on": True}}},
+        {"at_us": 200_000, "action": "policy",
+         "policy": {"id": "es-off", "scope": "site",
+                    "directive": "EnergySaving", "params": {"on": False}}},
+    ]
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    rt.sim.run_until(150_000)
+    assert rt.meter.state("ru:ru1") == "Sleep"
+    rt.sim.run_until(250_000)
+    assert rt.meter.state("ru:ru1") == "Idle"
+    # Different scopes: both policies stay stored, neither overrides.
+    assert [a[2] for a in rt.policies.audit] == ["applied", "applied"]
+
+
+def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
+    """Call counts, not timings: no UL grant objects, no transport block
+    built for a bearer with nothing to send, and stage 1 never touches a
+    bearer that never had data."""
+    directions = []
+
+    class CountingGrant(sched.Grant):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            directions.append(self.direction)
+
+    built = []
+    build = stack.build_transport_block
+
+    def checked_build(buffer, rlc, grant_bytes):
+        assert buffer.queue or rlc.retx_queue or rlc.pending_drop_indications
+        tb = build(buffer, rlc, grant_bytes)
+        built.append(tb)
+        return tb
+
+    monkeypatch.setattr(sched, "Grant", CountingGrant)
+    monkeypatch.setattr(stack, "build_transport_block", checked_build)
+
+    raw = three_cell_raw()
+    raw["script"] = []
+    for ue in ("u1", "u3", "u4"):
+        raw["bearers"].append({
+            "id": f"b-idle-{ue}", "ue": ue, "latency_req_us": 100_000,
+            "reliability_req": 0.999,
+            "traffic": {"pattern": "Poisson", "rate_bytes_per_s": 100_000,
+                        "sdu_bytes": 500, "start_us": 10_000_000}})
+    rt = Runtime(cfgmod.validate_scenario(raw))
+
+    class TouchCounter:
+        def __init__(self, inner):
+            self.inner = inner
+            self.touches = 0
+
+        def __getattr__(self, name):
+            self.touches += 1
+            return getattr(self.inner, name)
+
+    idle = [rt.bearers[f"b-idle-{ue}"] for ue in ("u1", "u3", "u4")]
+    for ctx in idle:
+        ctx.buffer = TouchCounter(ctx.buffer)
+    report = rt.run()
+
+    assert directions and set(directions) == {"DL"}
+    assert len(built) == report["tb_transmitted"] > 0
+    assert all(not tb.empty for tb in built)
+    assert [ctx.buffer.touches for ctx in idle] == [0, 0, 0]
