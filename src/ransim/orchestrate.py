@@ -246,6 +246,7 @@ class PolicyStore:
 
     def __init__(self):
         self._by_key = {}
+        self._shares = None  # min_slice_shares(), until the next apply
         self.audit = []
 
     def apply(self, policy, now):
@@ -262,10 +263,12 @@ class PolicyStore:
         else:
             self.audit.append((now, policy.id, "applied", None))
         self._by_key[key] = policy
+        self._shares = None
 
     def min_slice_shares(self):
-        shares = {}
-        for p in self._by_key.values():
-            if p.directive == MIN_SLICE_SHARE:
-                shares[p.params["slice"]] = p.params["fraction"]
-        return shares
+        """Slice id -> reserved fraction; the dict is shared, do not edit."""
+        if self._shares is None:
+            self._shares = {p.params["slice"]: p.params["fraction"]
+                            for p in self._by_key.values()
+                            if p.directive == MIN_SLICE_SHARE}
+        return self._shares

@@ -30,7 +30,7 @@ class BearerCtx:
     __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "reassembly",
                  "source", "live", "stashed_at", "metrics", "ue", "slice",
                  "window_marked", "window_delivered", "active_set",
-                 "in_active_set")
+                 "in_active_set", "traffic_rng")
 
     def __init__(self, bearer, buffer, rlc, reorder, source, metrics):
         self.bearer = bearer
@@ -49,6 +49,7 @@ class BearerCtx:
         self.window_delivered = 0
         self.active_set = None  # its RANF's stage-1 set for its slice
         self.in_active_set = False
+        self.traffic_rng = None  # its ``traffic:`` stream, fetched on first use
 
     def has_data(self):
         """Anything to send: new data, RLC retransmissions or drop indications."""
@@ -58,17 +59,19 @@ class BearerCtx:
 
 
 class UeCtx:
-    __slots__ = ("id", "ranf", "serving_set", "harq", "resume_at", "released",
-                 "bearers")
+    __slots__ = ("id", "ranf", "serving_set", "pool_keys", "harq", "resume_at",
+                 "released", "bearers", "link_rng")
 
     def __init__(self, ue_id, ranf_id, serving_set, n_harq, max_tx):
         self.id = ue_id
         self.ranf = ranf_id
         self.serving_set = serving_set
+        self.pool_keys = None  # its stage-2 (ru, carrier) keys, on first use
         self.harq = [stack.HarqProcess(i, max_tx) for i in range(n_harq)]
         self.resume_at = 0
         self.released = False
         self.bearers = []
+        self.link_rng = None  # its ``link:`` stream, fetched on first use
 
     def free_process(self):
         for p in self.harq:
@@ -105,6 +108,10 @@ class Runtime:
         self.d_f1 = cfg["split"]["d_f1_us"]
         self.credit_bytes = cfg["split"]["credit_bytes"]
         self.class_weights = cfg["class_weights"]
+        self.min_slice_share = cfg["min_slice_share"] or None
+        fh = cfg["fronthaul"]
+        self.fh_params = (fh["mode"], fh["expansion_factor"],
+                          fh["update_cost_bytes"])
 
         rec = cfg["record"]
         self.metrics = MetricsCollector(rec["grants"], rec["tti_series"],
@@ -112,10 +119,12 @@ class Runtime:
         self.rng = RngRegistry(self.seed)
         self.sim = Simulator(self.rng)
         self.pending_retx = {}
-        self.stage1_pipe = {}
 
         self._build_topology()
         self._build_placement()
+        # (ready_at, requests) per RANF and slice, in the order sent.
+        self.stage1_pipes = {rf_id: {sl: deque() for sl in self.slice_ids}
+                             for rf_id in self.topology.ranfs}
         self.policies = orch.PolicyStore()
         self._build_trust()
         self._build_ues()
@@ -158,15 +167,15 @@ class Runtime:
         for rf in ranfs:
             for ru in rf.serving_rus:
                 self.ru_to_ranf[ru] = rf.id
-        # Per-RANF PRB pool template: (ru, carrier) -> (prbs, bytes_per_prb).
-        self.pool_maps = {}
+        # Per-RANF PRB pool template, copied by ``fresh()`` each TTI.
+        self.pool_templates = {}
         for rf in ranfs:
-            self.pool_maps[rf.id] = {
+            self.pool_templates[rf.id] = sched.PrbPools({
                 (ru_id, c_id): (self.carriers[c_id].prbs_per_tti,
                                 self.carriers[c_id].bytes_per_prb)
                 for ru_id in sorted(rf.serving_rus)
                 for c_id in self.topology.rus[ru_id].carriers
-            }
+            })
         entries = {}
         for e in cfg["bler"]["entries"]:
             entries[(e["ue"], e["ru"], e["carrier"])] = e["bler"]
@@ -209,11 +218,11 @@ class Runtime:
                 self.path_lat[(sl, ru_id)] = topo.path_latency(
                     self.plan, self.topology, sl, ru_id, cn_entry_site=cn)
         # Stage-1 control latency: UP site -> the RANF's RRM site.
-        self.ctrl_lat = {}
+        self.ctrl_lat = {rf_id: {} for rf_id in self.topology.ranfs}
         for sl in self.slice_ids:
             ups = self.plan.of_kind(topo.UP, sl)
             for rf in self.topology.ranfs.values():
-                self.ctrl_lat[(sl, rf.id)] = self.topology.latency(
+                self.ctrl_lat[rf.id][sl] = self.topology.latency(
                     ups[0].site, rf.site) if ups else 0
 
     def _build_trust(self):
@@ -223,7 +232,6 @@ class Runtime:
 
     def _build_ues(self):
         self.ues = {}
-        serving_cfg = self.cfg["serving"]
         for u in self.cfg["ues"]:
             tr = u["trust"]
             self.trust_engine.register(
@@ -362,17 +370,22 @@ class Runtime:
         self.meter = orch.EnergyMeter()
         self.energy_saving = self.energy_enabled
         self.instance_activity = {}
-        for ru_id in sorted(self.topology.rus):
-            self.meter.register(f"ru:{ru_id}",
-                                orch.DEFAULT_POWER_PROFILES["RU"], "Idle")
+        self.ru_entity = {ru: f"ru:{ru}" for ru in sorted(self.topology.rus)}
+        for entity in self.ru_entity.values():
+            self.meter.register(entity, orch.DEFAULT_POWER_PROFILES["RU"],
+                                "Idle")
         for inst in self.plan.instances:
             self.meter.register(f"fn:{inst.id}",
                                 orch.DEFAULT_POWER_PROFILES[inst.kind], "Idle")
             self.instance_activity[inst.id] = 0
+        self.ranf_ru_entities = {  # RUs in id order, with entity names
+            rf.id: [(ru_id, self.ru_entity[ru_id])
+                    for ru_id in sorted(rf.serving_rus)]
+            for rf in self.topology.ranfs.values()}
         # A slice's UP and PHY instances are fixed after placement (migration
         # moves only their site): UP first, then PHY, each in plan order.
         self.user_plane_instances = {
-            sl: [i.id for kind in (topo.UP, topo.PHY)
+            sl: [(i.id, f"fn:{i.id}") for kind in (topo.UP, topo.PHY)
                  for i in self.plan.of_kind(kind, sl)]
             for sl in self.slice_ids}
 
@@ -387,7 +400,9 @@ class Runtime:
 
     def _on_traffic(self, ctx, stop):
         now = self.sim.now
-        rng = self.rng.stream(f"traffic:{ctx.bearer.id}")
+        rng = ctx.traffic_rng
+        if rng is None:
+            rng = ctx.traffic_rng = self.rng.stream(f"traffic:{ctx.bearer.id}")
         next_t, sizes = ctx.source.next_emission(now, rng)
         for size in sizes:
             self._ingress(ctx, size, now)
@@ -468,16 +483,18 @@ class Runtime:
             self._tti_for_subnet(ctx, now)
         if self.split_mode and self.credit_bytes is not None:
             for ctx in self.bearers.values():
-                self._du_status(ctx, now)
+                if ctx.cu_queue:
+                    self._du_status(ctx, now)
         nxt = now + self.tti
         if nxt <= self.duration:
             self.sim.schedule(nxt, "tti", "scheduler", self._on_tti)
 
     def _tti_for_ranf(self, ranf, now):
-        pools_map = self.pool_maps[ranf.id]
-        if not pools_map:
+        template = self.pool_templates[ranf.id]
+        if not template.total:
             return 0
-        pools = sched.PrbPools(pools_map)
+        pools = template.fresh()
+        ues = self.ues
         grants_by_ue = {}  # ue id -> its grants this TTI, in grant order
         active_rus = set()
 
@@ -487,7 +504,7 @@ class Runtime:
             still = deque()
             while pending:
                 proc, ue_id = pending.popleft()
-                ue = self.ues[ue_id]
+                ue = ues[ue_id]
                 if proc.state != stack.AWAITING_FEEDBACK or proc.meta is None \
                         or ue.released or ue.ranf != ranf.id:
                     continue  # flushed by handover or release
@@ -507,6 +524,8 @@ class Runtime:
         max_sojourn = 0
         requests = []
         active_sets = self.active_sets[ranf.id]
+        pipes = self.stage1_pipes[ranf.id]
+        ctrl_lat = self.ctrl_lat[ranf.id]
         for sl in self.slice_ids:
             items = []
             active = active_sets.get(sl)
@@ -515,7 +534,7 @@ class Runtime:
                     # Buffers live at the UP function, which keeps reporting
                     # through a handover interruption; only the radio grant
                     # waits for the UE to resume (see resources_for below).
-                    if self.ues[ctx.ue].released or not ctx.has_data():
+                    if ues[ctx.ue].released or not ctx.has_data():
                         del active[ctx]
                         ctx.in_active_set = False
                         continue
@@ -531,8 +550,8 @@ class Runtime:
                     if ctx.buffer.queue or extra:
                         items.append((ctx.bearer, ctx.buffer, extra))
             reqs = stage1_with_extras(items, now, self.class_weights)
-            pipe = self.stage1_pipe.setdefault((ranf.id, sl), deque())
-            pipe.append((now + self.ctrl_lat.get((sl, ranf.id), 0), reqs))
+            pipe = pipes[sl]
+            pipe.append((now + ctrl_lat[sl], reqs))
             visible = None
             while pipe and pipe[0][0] <= now:
                 visible = pipe.popleft()[1]
@@ -540,38 +559,43 @@ class Runtime:
                 requests.extend(visible)
 
         def resources_for(req):
-            ue = self.ues[req.ue]
+            ue = ues[req.ue]
             if now < ue.resume_at:
-                return
-            for ru_id in ue.serving_set.rus:
-                if ru_id in ranf.serving_rus:
-                    for c_id in self.topology.rus[ru_id].carriers:
-                        yield (ru_id, c_id)
+                return ()
+            # Another RANF than the UE's sees only stale requests, sent
+            # before the UE's handover out of it; only its own RANF caches.
+            own = ue.ranf == ranf.id
+            if own and ue.pool_keys is not None:
+                return ue.pool_keys
+            keys = [(ru_id, c_id) for ru_id in ue.serving_set.rus
+                    if ru_id in ranf.serving_rus
+                    for c_id in self.topology.rus[ru_id].carriers]
+            if own:
+                ue.pool_keys = keys
+            return keys
 
-        min_share = self.policies.min_slice_shares() or \
-            {k: v for k, v in self.cfg["min_slice_share"].items()}
+        min_share = self.policies.min_slice_shares() or self.min_slice_share
         grants = sched.stage2_allocate(requests, self.tti_index, pools,
-                                       resources_for,
-                                       min_share=min_share or None)
+                                       resources_for, min_share=min_share)
+        trust = self.trust_engine
+        metrics = self.metrics
         for g in grants:
             ctx = self.bearers[g.bearer_id]
-            if not self.trust_engine.is_admitted(ctx.ue) \
-                    and self.trust_engine.records:
+            if trust.records and not trust.is_admitted(ctx.ue):
                 raise ModelError(f"grant issued to unadmitted UE {ctx.ue}")
-            self.metrics.on_grant(g, now)
-            self.metrics.add_slice_prbs(ctx.slice, g.prbs)
+            metrics.on_grant(g, now)
+            metrics.add_slice_prbs(ctx.slice, g.prbs)
             grants_by_ue.setdefault(g.ue, []).append(g)
             active_rus.add(g.ru)
             self._serve_grant(ctx, g, now)
 
         for ue_id in sorted(grants_by_ue):
             sched.ul_anchor_check(ue_id, grants_by_ue[ue_id], self.ru_to_ranf,
-                                  self.ues[ue_id].ranf,
-                                  strict=self.strict_anchor)
+                                  ues[ue_id].ranf, strict=self.strict_anchor)
 
         self._energy_tti(ranf, active_rus, now)
-        self.metrics.on_tti(now, pools.total, pools.used(), max_sojourn,
-                            self.tti_index)
+        metrics.on_tti(now, ranf.id, pools.total, pools.used(), max_sojourn,
+                       self.tti_index)
         return max_sojourn
 
     def _apply_aqm(self, ctx, now):
@@ -614,13 +638,14 @@ class Runtime:
         ru_id, carrier_id = key
         ctx = proc.meta["bearer"]
         wake_delay = self._wake_ru(ru_id, now)
-        rng = self.rng.stream(f"link:{ue.id}")
+        rng = ue.link_rng
+        if rng is None:
+            rng = ue.link_rng = self.rng.stream(f"link:{ue.id}")
         sset = ue.serving_set
         success = radio.transmit(sset, carrier_id, self.bler, rng)
-        fh_mode = self.cfg["fronthaul"]["mode"]
-        charged = radio.fronthaul_load(
-            fh_mode, tb.bytes, self.cfg["fronthaul"]["expansion_factor"],
-            self.cfg["fronthaul"]["update_cost_bytes"])
+        fh_mode, expansion, update_cost = self.fh_params
+        charged = radio.fronthaul_load(fh_mode, tb.bytes, expansion,
+                                       update_cost)
         targets = sset.rus if sset.mode == radio.DMIMO_JOINT else [ru_id]
         for target in targets:
             self.metrics.on_fronthaul(target, charged)
@@ -821,7 +846,7 @@ class Runtime:
     # ------------------------------------------------------------ energy
 
     def _wake_ru(self, ru_id, now):
-        entity = f"ru:{ru_id}"
+        entity = self.ru_entity[ru_id]
         state = self.meter.state(entity)
         delay = 0
         if state == "Sleep":
@@ -831,16 +856,13 @@ class Runtime:
         return delay
 
     def _energy_tti(self, ranf, active_rus, now):
-        for ru_id in sorted(ranf.serving_rus):
-            entity = f"ru:{ru_id}"
-            if ru_id in active_rus:
-                continue  # set Active by _wake_ru
-            target = "Sleep" if self.energy_saving else "Idle"
-            self.meter.set_state(entity, target, now)
+        target = "Sleep" if self.energy_saving else "Idle"
+        for ru_id, entity in self.ranf_ru_entities[ranf.id]:
+            if ru_id not in active_rus:  # else set Active by _wake_ru
+                self.meter.set_state(entity, target, now)
 
     def _mark_instance_active(self, slice_id, now):
-        for inst_id in self.user_plane_instances[slice_id]:
-            entity = f"fn:{inst_id}"
+        for inst_id, entity in self.user_plane_instances[slice_id]:
             if self.meter.state(entity) == "Sleep":
                 self.meter.wake_delays += 1
             self.meter.set_state(entity, "Active", now)
@@ -962,6 +984,7 @@ class Runtime:
         interruption = self.cfg["handover_interruption_us"]
         ue.ranf = dst_id
         ue.serving_set = self._select_serving(ue_id, dst_id)
+        ue.pool_keys = None
         self._check_ul_anchor(ue)
         # Moves the UE's bearers, with the retransmissions just queued, into
         # the target RANF's active sets.

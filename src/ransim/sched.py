@@ -105,6 +105,18 @@ class PrbPools:
         self.free = {k: v[0] for k, v in pools.items()}
         self.bytes_per_prb = {k: v[1] for k, v in pools.items()}
         self.total = dict(self.free)
+        # Leftover order: best spectral efficiency first, ties by key.
+        self.by_efficiency = sorted(self.free,
+                                    key=lambda k: (-self.bytes_per_prb[k], k))
+
+    def fresh(self):
+        """Full pools of the same shape; the read-only parts are shared."""
+        pools = PrbPools.__new__(PrbPools)
+        pools.free = dict(self.total)
+        pools.bytes_per_prb = self.bytes_per_prb
+        pools.total = self.total
+        pools.by_efficiency = self.by_efficiency
+        return pools
 
     def take(self, key, prbs):
         avail = self.free.get(key, 0)
@@ -120,15 +132,21 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
                     demand_overhead=16):
     """Greedy central allocation by descending priority, ties by bearer id.
 
-    ``resources_for(request)`` yields the (ru, carrier) keys the request's UE
-    may use, in deterministic order (its serving set within one RANF).  A
-    request may be filled from several pools in one TTI (carrier aggregation).
-    ``min_share`` optionally maps slice id -> fraction of total PRBs reserved
-    while that slice has demand.  Leftover PRBs go to the requester with the
-    best spectral efficiency among those that can use them.
+    ``resources_for(request)`` returns the (ru, carrier) keys the request's
+    UE may use, in deterministic order (its serving set within one RANF); the
+    sequence is only read.  A request may be filled from several pools in
+    one TTI (carrier aggregation).  ``min_share`` optionally maps slice id ->
+    fraction of total PRBs reserved while that slice has demand.
+
+    Leftover rule: each pool still free afterwards, best bytes per PRB first
+    (ties by key), goes whole to the first request in priority order that
+    can use it and still has unmet demand, or else to the first that can
+    use it at all.
     """
     grants = []
     order = sorted(requests, key=lambda r: (-r.priority, r.bearer_id))
+    free = pools.free
+    bytes_per_prb = pools.bytes_per_prb
 
     reserved = {}
     if min_share:
@@ -138,52 +156,61 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
             if sl in demand_slices:
                 reserved[sl] = int(total_prbs * frac)
 
-    keys_of = {req: list(resources_for(req)) for req in order}
-    remaining = {}  # request -> unmet byte demand
-    for req in order:
+    keys_of = [resources_for(req) for req in order]
+    remaining = []  # unmet byte demand, parallel to ``order``
+    for req, keys in zip(order, keys_of):
         demand = req.buffered_bytes + demand_overhead
-        # Honor reservations of other slices: hold back PRBs still owed to them.
-        for key in keys_of[req]:
+        # Honor reservations of other slices: hold back PRBs still owed to
+        # them.  Only this request's own slice entry changes below.
+        holdback = reserved and sum(v for sl, v in reserved.items()
+                                    if sl != req.slice)
+        for key in keys:
             if demand <= 0:
                 break
-            bpp = pools.bytes_per_prb[key]
+            bpp = bytes_per_prb[key]
             want = -(-demand // bpp)  # ceil
-            avail = pools.free.get(key, 0)
-            holdback = sum(v for sl, v in reserved.items() if sl != req.slice)
+            avail = free[key]
             if holdback:
-                total_free = sum(pools.free.values())
-                avail = max(0, min(avail, total_free - holdback))
-            got = pools.take(key, min(want, avail))
+                avail = max(0, min(avail, sum(free.values()) - holdback))
+            got = min(want, avail)
             if got == 0:
                 continue
+            free[key] -= got
             nbytes = got * bpp
             grants.append(Grant(req.ue, req.bearer_id, key[0], key[1], got,
                                 nbytes, tti))
             demand -= nbytes
             if req.slice in reserved:
                 reserved[req.slice] = max(0, reserved[req.slice] - got)
-        remaining[req] = max(0, demand)
+        remaining.append(max(0, demand))
 
-    # Leftovers to the best-spectral-efficiency requester that can use them.
-    for key in sorted(pools.free, key=lambda k: (-pools.bytes_per_prb[k], k)):
-        free = pools.free[key]
-        if free <= 0:
+    # Leftovers, by the rule in the docstring.
+    for key in pools.by_efficiency:
+        got = free[key]
+        if got <= 0:
             continue
-        takers = [r for r in order if key in keys_of[r]]
-        if not takers:
+        pick = None
+        for i, keys in enumerate(keys_of):
+            if key in keys:
+                if remaining[i] > 0:
+                    pick = i
+                    break
+                if pick is None:
+                    pick = i
+        if pick is None:
             continue
-        unmet = [r for r in takers if remaining.get(r, 0) > 0]
-        req = min(unmet or takers, key=lambda r: (-r.priority, r.bearer_id))
-        got = pools.take(key, free)
+        req = order[pick]
+        free[key] = 0
+        nbytes = got * bytes_per_prb[key]
         grants.append(Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                            got * pools.bytes_per_prb[key], tti))
-        remaining[req] = max(0, remaining.get(req, 0) - got * pools.bytes_per_prb[key])
+                            nbytes, tti))
+        remaining[pick] = max(0, remaining[pick] - nbytes)
 
     # Work conservation: an unmet request alongside a free compatible PRB is a bug.
-    for req, unmet in remaining.items():
+    for req, keys, unmet in zip(order, keys_of, remaining):
         if unmet > 0:
-            for key in keys_of[req]:
-                if pools.free.get(key, 0) > 0:
+            for key in keys:
+                if free.get(key, 0) > 0:
                     raise ModelError(
                         f"work conservation violated: request {req.bearer_id} "
                         f"unmet with {key} free"

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import os
 
@@ -7,7 +8,8 @@ import yaml
 
 from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
-from ransim.core import ModelError
+from ransim.core import ModelError, RngRegistry
+from ransim.metrics import write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from test_golden import _split_lossy_raw
 
@@ -205,7 +207,15 @@ def test_cli_validate_run_sweep_emit(tmp_path, capsys):
                      "200000"]) == 0
     assert os.path.exists(os.path.join(out_dir, "summary.json"))
     assert os.path.exists(os.path.join(out_dir, "resolved-config.yaml"))
-    assert os.path.exists(os.path.join(out_dir, "tti-series.csv"))
+    with open(os.path.join(out_dir, "tti-series.csv")) as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t_us", "ranf", "prb_utilization",
+                      "max_head_sojourn_us"]
+    with open(scen) as fh:
+        ranfs = sorted(rf["id"] for rf in yaml.safe_load(fh)["ranfs"])
+    # Every TTI has one row per RANF, in time order, then RANF order.
+    assert [(int(t), rf) for t, rf, _, _ in rows] == [
+        (t, rf) for t in range(500, 200_001, 500) for rf in ranfs]
     assert cli.main(["emit", os.path.join(out_dir, "summary.json")]) == 0
     capsys.readouterr()
     assert cli.main(["sweep", scen, "--axis", "split.d_f1_us=0,1000",
@@ -249,18 +259,47 @@ def test_cli_injected_policy_validated_before_run(tmp_path, monkeypatch,
 
 
 def test_summary_numbers_reproducible_from_series(tmp_path):
-    raw = base_raw()
-    raw["record"] = {"grants": False, "tti_series": True, "series_stride": 1}
-    cfg = cfgmod.validate_scenario(raw)
-    rt = Runtime(cfg)
-    report = rt.run()
-    # PRB utilization in the summary equals the aggregate of the series.
-    utils = [u for _, u, _ in rt.metrics.tti_series]
-    key = "ru1/c1"
-    offered = report["prb_utilization"][key]["offered_prbs"]
-    granted = report["prb_utilization"][key]["granted_prbs"]
-    assert offered == 50 * len(utils)
-    assert granted == pytest.approx(sum(u * 50 for u in utils))
+    # One RANF, then three RANFs with handovers between them.
+    for raw in (base_raw(), three_cell_raw()):
+        raw["record"] = {"grants": False, "tti_series": True,
+                         "series_stride": 1}
+        cfg = cfgmod.validate_scenario(raw)
+        rt = Runtime(cfg)
+        report = rt.run()
+        prbs = {c["id"]: c["prbs_per_tti"] for c in cfg["carriers"]}
+        ru_carriers = {r["id"]: r["carriers"] for r in cfg["rus"]}
+        pools_of = {rf["id"]: [f"{ru}/{c}" for ru in rf["rus"]
+                               for c in ru_carriers[ru]]
+                    for rf in cfg["ranfs"]}
+        series = rt.metrics.tti_series
+        assert sorted(series) == sorted(pools_of)
+        rows_of = {rf_id: [(t, u) for t, u, _ in rows]
+                   for rf_id, rows in series.items()}
+        # One row per RANF per TTI, each filed under its RANF.
+        times = [t for t, _ in rows_of["rf-a"]]
+        assert len(times) == cfg["duration_us"] // cfg["tti_us"]
+        for rf_id, rows in rows_of.items():
+            assert [t for t, _ in rows] == times
+        # Each RANF's PRB utilization in the summary equals the aggregate of
+        # that RANF's rows over that RANF's pools.
+        util_report = report["prb_utilization"]
+        for rf_id, keys in pools_of.items():
+            per_tti = sum(prbs[k.split("/")[1]] for k in keys)
+            utils = [u for _, u in rows_of[rf_id]]
+            for k in keys:
+                assert util_report[k]["offered_prbs"] \
+                    == prbs[k.split("/")[1]] * len(utils)
+            granted = sum(util_report[k]["granted_prbs"] for k in keys)
+            assert granted == pytest.approx(sum(u * per_tti for u in utils))
+        # The CSV interleaves the RANFs' rows by time, each labelled.
+        path = tmp_path / "tti-series.csv"
+        write_tti_series_csv(series, path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        util_at = {rf_id: dict(pairs) for rf_id, pairs in rows_of.items()}
+        assert [(int(t), rf, float(u)) for t, rf, u, _ in rows] == [
+            (t, rf, pytest.approx(util_at[rf][t], abs=1e-6))
+            for t in times for rf in sorted(rows_of)]
 
 
 def three_cell_raw():
@@ -526,3 +565,74 @@ def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
     assert len(built) == report["tb_transmitted"] > 0
     assert all(not tb.empty for tb in built)
     assert [ctx.buffer.touches for ctx in idle] == [0, 0, 0]
+
+
+def test_link_and_traffic_streams_are_fetched_lazily_and_once(monkeypatch):
+    """Counts, not timings: set-up creates no ``link:``/``traffic:`` stream
+    (creating them eagerly made set-up slower), and a run asks the registry
+    for each of them once, then keeps the handle."""
+    per_entity = ("link:", "traffic:")
+    rt = Runtime(cfgmod.validate_scenario(three_cell_raw()))
+    assert not [n for n in rt.rng._streams if n.startswith(per_entity)]
+
+    asked = {}
+    stream = RngRegistry.stream
+
+    def counting(registry, name):
+        asked[name] = asked.get(name, 0) + 1
+        return stream(registry, name)
+
+    monkeypatch.setattr(RngRegistry, "stream", counting)
+    report = rt.run()
+    fetched = {n: k for n, k in asked.items() if n.startswith(per_entity)}
+    assert {n.split(":")[0] for n in fetched} == {"link", "traffic"}
+    assert set(fetched.values()) == {1}
+    assert len(fetched) == len(rt.bearers) + len(rt.ues)
+    assert report["tb_transmitted"] > 0
+
+
+def test_stale_request_in_old_ranf_pipe_gets_no_grant(monkeypatch):
+    """A handover while the old RANF's stage-1 pipe still holds the UE's
+    requests: once the UE resumes, the old RANF sees them, but the UE has no
+    pool there, so it grants them nothing; the new RANF serves the UE."""
+    raw = three_cell_raw()
+    # The UP functions sit at cell-a, 3 ms from cell-b, so rf-b's requests
+    # arrive 6 TTIs late; cell-b to cell-c is 0.5 ms, so the UE resumes
+    # first.
+    raw["links"] = [{"a": "cell-a", "b": "cell-b", "latency_us": 3000},
+                    {"a": "cell-a", "b": "cell-c", "latency_us": 3000},
+                    {"a": "cell-b", "b": "cell-c", "latency_us": 500}]
+    raw["handover_interruption_us"] = 0
+    raw["script"] = [{"at_us": 60_000, "action": "handover", "ue": "u3",
+                      "dst": "rf-c"}]
+    for b in raw["bearers"]:
+        if b["ue"] == "u3":  # an SDU every TTI, so every request has data
+            b["traffic"] = {"pattern": "ConstantBitRate",
+                            "rate_bytes_per_s": 1_000_000, "sdu_bytes": 500}
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    assert rt.ctrl_lat["rf-b"]["I"] == 3000
+
+    stale_seen = []
+    served_after = set()
+    allocate = sched.stage2_allocate
+
+    def checked(requests, tti, pools, resources_for, **kwargs):
+        grants = allocate(requests, tti, pools, resources_for, **kwargs)
+        [pool_ranf] = {rt.ru_to_ranf[ru] for ru, _ in pools.total}
+        for r in requests:
+            ue = rt.ues[r.ue]
+            if ue.ranf != pool_ranf and rt.sim.now >= ue.resume_at:
+                stale_seen.append((rt.sim.now, r.bearer_id, pool_ranf))
+                assert list(resources_for(r)) == []
+                assert r.bearer_id not in {g.bearer_id for g in grants}
+        if rt.sim.now > 60_000:
+            served_after.update((pool_ranf, g.bearer_id) for g in grants)
+        return grants
+
+    monkeypatch.setattr(sched, "stage2_allocate", checked)
+    report = rt.run()
+    assert report["handovers"][0]["accepted"]
+    assert {b for _, b, rf in stale_seen if rf == "rf-b"} \
+        == {"b-mc-u3", "b-mod-u3"}
+    assert {("rf-c", "b-mc-u3"), ("rf-c", "b-mod-u3")} <= served_after
+    assert not [b for rf, b in served_after if rf == "rf-b" and "u3" in b]

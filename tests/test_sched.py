@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransim import sched, stack
+from ransim.core import ModelError
 from ransim.runtime import stage1_with_extras
 
 
@@ -92,6 +95,119 @@ def test_stage2_leftover_goes_to_best_spectral_efficiency():
     # Entire capacity ends up granted (work conservation with one requester).
     assert sum(pools.free.values()) == 0
     assert grants[0].carrier == "hi"
+
+
+def reference_stage2_allocate(requests, tti, pools, resources_for,
+                              min_share=None, demand_overhead=16):
+    """Test-only reference allocator: the plain form of ``stage2_allocate``,
+    with dicts keyed by request and a min() over the takers of each leftover
+    pool."""
+    grants = []
+    order = sorted(requests, key=lambda r: (-r.priority, r.bearer_id))
+
+    reserved = {}
+    if min_share:
+        total_prbs = sum(pools.total.values())
+        demand_slices = {r.slice for r in requests}
+        for sl, frac in min_share.items():
+            if sl in demand_slices:
+                reserved[sl] = int(total_prbs * frac)
+
+    keys_of = {req: list(resources_for(req)) for req in order}
+    remaining = {}  # request -> unmet byte demand
+    for req in order:
+        demand = req.buffered_bytes + demand_overhead
+        for key in keys_of[req]:
+            if demand <= 0:
+                break
+            bpp = pools.bytes_per_prb[key]
+            want = -(-demand // bpp)  # ceil
+            avail = pools.free.get(key, 0)
+            holdback = sum(v for sl, v in reserved.items() if sl != req.slice)
+            if holdback:
+                total_free = sum(pools.free.values())
+                avail = max(0, min(avail, total_free - holdback))
+            got = pools.take(key, min(want, avail))
+            if got == 0:
+                continue
+            nbytes = got * bpp
+            grants.append(sched.Grant(req.ue, req.bearer_id, key[0], key[1],
+                                      got, nbytes, tti))
+            demand -= nbytes
+            if req.slice in reserved:
+                reserved[req.slice] = max(0, reserved[req.slice] - got)
+        remaining[req] = max(0, demand)
+
+    for key in sorted(pools.free, key=lambda k: (-pools.bytes_per_prb[k], k)):
+        free = pools.free[key]
+        if free <= 0:
+            continue
+        takers = [r for r in order if key in keys_of[r]]
+        if not takers:
+            continue
+        unmet = [r for r in takers if remaining.get(r, 0) > 0]
+        req = min(unmet or takers, key=lambda r: (-r.priority, r.bearer_id))
+        got = pools.take(key, free)
+        grants.append(sched.Grant(req.ue, req.bearer_id, key[0], key[1], got,
+                                  got * pools.bytes_per_prb[key], tti))
+        remaining[req] = max(0, remaining.get(req, 0)
+                             - got * pools.bytes_per_prb[key])
+
+    for req, unmet in remaining.items():
+        if unmet > 0:
+            for key in keys_of[req]:
+                if pools.free.get(key, 0) > 0:
+                    raise ModelError(
+                        f"work conservation violated: request {req.bearer_id} "
+                        f"unmet with {key} free"
+                    )
+    return grants
+
+
+POOL_KEYS = [(ru, c) for ru in ("ru1", "ru2") for c in ("a", "b")]
+
+
+@st.composite
+def stage2_inputs(draw):
+    keys = draw(st.lists(st.sampled_from(POOL_KEYS), min_size=1,
+                         unique=True))
+    pool_map = {k: (draw(st.integers(0, 30)), draw(st.integers(1, 300)))
+                for k in keys}
+    n = draw(st.integers(0, 6))
+    requests, keys_of = [], {}
+    for i in draw(st.permutations(range(n))):
+        bid = f"b{i}"
+        requests.append(req(bid, f"u{draw(st.integers(0, 3))}",
+                            draw(st.sampled_from(["I", "II"])),
+                            draw(st.integers(0, 4_000)),
+                            draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))))
+        # Some requests may use no pool at all (UE not resumed yet).
+        keys_of[bid] = draw(st.lists(st.sampled_from(keys), unique=True))
+    min_share = draw(st.none() | st.dictionaries(
+        st.sampled_from(["I", "II", "III"]),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0])))
+    return pool_map, requests, keys_of, min_share
+
+
+def outcome(allocate, pool_map, requests, keys_of, min_share):
+    pools = sched.PrbPools(pool_map)
+    try:
+        grants = allocate(list(requests), 7, pools,
+                          lambda r: keys_of[r.bearer_id], min_share=min_share)
+    except ModelError as exc:
+        return "error", str(exc), pools.free
+    return ([(g.ue, g.bearer_id, g.ru, g.carrier, g.prbs, g.bytes, g.tti,
+              g.direction) for g in grants], pools.free)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stage2_inputs())
+def test_stage2_matches_reference_allocator(inputs):
+    """Same grants, same free PRBs and the same error as the reference, on
+    random pools, requests with priority ties, key lists (some empty) and
+    slice shares."""
+    assert outcome(sched.stage2_allocate, *inputs) \
+        == outcome(reference_stage2_allocate, *inputs)
 
 
 def test_ul_anchor_check_detects_cross_ranf():
