@@ -2,12 +2,15 @@
 
 All simulation time is integer microseconds.  Ordering of simultaneous
 events is FIFO by a global scheduling counter, which makes every run a
-pure function of (scenario, master seed).
+pure function of (scenario, master seed).  The queue is a heap of plain
+``(fire_at, seq, fn, kind, target)`` tuples: scheduling allocates no event
+object, and a handler is any zero-argument callable (bound methods and
+``functools.partial`` of them in the runtime).
 """
 
 import hashlib
-import heapq
 import random
+from heapq import heappop, heappush
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -63,25 +66,12 @@ class RngRegistry:
         return st
 
 
-class Event:
-    __slots__ = ("fire_at", "sequence", "kind", "target", "fn")
-
-    def __init__(self, fire_at, sequence, kind, target, fn):
-        self.fire_at = fire_at
-        self.sequence = sequence
-        self.kind = kind
-        self.target = target
-        self.fn = fn
-
-    def __repr__(self):
-        return f"Event({self.kind} @ {self.fire_at}us -> {self.target})"
-
-
 class Simulator:
-    """Single-threaded event loop over a heap of (fire_at, sequence, event).
+    """Single-threaded event loop over a heap of (fire_at, seq, fn, kind, target).
 
-    The sequence number is unique, so heap ordering compares plain integers
-    and never reaches the ``Event`` itself.
+    ``seq`` is unique, so heap ordering compares two integers (FIFO among
+    events at the same time) and never reaches ``fn``, which may be any
+    callable.  ``kind`` and ``target`` only name a failing handler.
 
     There is no event cancellation; handlers that may be superseded carry a
     generation counter and no-op when stale.
@@ -102,27 +92,30 @@ class Simulator:
                 f"clock t={self.now}us"
             )
         seq = self._seq
-        ev = Event(fire_at, seq, kind, target, fn)
         self._seq = seq + 1
-        heapq.heappush(self._queue, (fire_at, seq, ev))
-        return ev
+        heappush(self._queue, (fire_at, seq, fn, kind, target))
 
     def run_until(self, t_end):
-        """Process every event with fire_at <= t_end; leave the clock at t_end."""
+        """Process every event with fire_at <= t_end; leave the clock at t_end.
+        ``events_processed`` counts the handlers that returned."""
         q = self._queue
-        while q and q[0][0] <= t_end:
-            fire_at, _, ev = heapq.heappop(q)
-            self.now = fire_at
-            try:
-                ev.fn()
-            except SimulationError:
-                raise
-            except Exception as exc:
-                raise ModelError(
-                    f"event handler failed: kind={ev.kind} t={ev.fire_at}us "
-                    f"target={ev.target}: {exc}"
-                ) from exc
-            self.events_processed += 1
+        pop = heappop
+        done = 0
+        try:
+            while q and q[0][0] <= t_end:
+                fire_at, _, fn, kind, target = pop(q)
+                self.now = fire_at
+                fn()
+                done += 1
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise ModelError(
+                f"event handler failed: kind={kind} t={fire_at}us "
+                f"target={target}: {exc}"
+            ) from exc
+        finally:
+            self.events_processed += done
         if t_end > self.now:
             self.now = t_end
         return self.now

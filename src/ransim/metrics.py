@@ -65,24 +65,24 @@ class MetricsCollector:
             self.bearers[bearer_id] = bm
         return bm
 
-    def on_grant(self, grant, t):
+    def on_grant(self, grant, t, slice_id):
         key = (grant.ru, grant.carrier)
         self.prb_granted[key] = self.prb_granted.get(key, 0) + grant.prbs
+        self.slice_prbs[slice_id] = self.slice_prbs.get(slice_id, 0) + grant.prbs
         if self.record_grants:
             self.grant_log.append((t, grant.ue, grant.bearer_id, grant.ru,
                                    grant.carrier, grant.prbs, grant.direction))
 
-    def add_slice_prbs(self, slice_id, prbs):
-        self.slice_prbs[slice_id] = self.slice_prbs.get(slice_id, 0) + prbs
-
-    def on_tti(self, t, ranf, pools_total, pools_used, max_head_sojourn,
-               tti_index):
-        for key, total in pools_total.items():
-            self.prb_offered[key] = self.prb_offered.get(key, 0) + total
+    def on_tti(self, t, ranf, pools, max_head_sojourn, tti_index):
+        """Account one RANF-TTI of ``pools`` (a ``sched.PrbPools``)."""
+        offered = self.prb_offered
+        for key, total in pools.total.items():
+            offered[key] = offered.get(key, 0) + total
         if self.record_series and tti_index % self.series_stride == 0:
-            offered = sum(pools_total.values())
-            used = sum(pools_used.values())
-            util = used / offered if offered else 0.0
+            total = pools.total_prbs
+            # A key outside ``pools.total`` in ``free`` only ever holds 0.
+            used = total - sum(pools.free.values())
+            util = used / total if total else 0.0
             self.tti_series.setdefault(ranf, []).append(
                 (t, util, max_head_sojourn))
 

@@ -13,6 +13,7 @@ indication is queued for it, and stage 1 drops it once it finds it idle.
 """
 
 from collections import deque
+from functools import partial
 
 from . import config as cfgmod
 from . import orchestrate as orch
@@ -30,9 +31,9 @@ class BearerCtx:
     __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "reassembly",
                  "source", "live", "stashed_at", "metrics", "ue", "slice",
                  "window_marked", "window_delivered", "active_set",
-                 "in_active_set", "traffic_rng")
+                 "in_active_set", "traffic_rng", "ue_ctx", "emit")
 
-    def __init__(self, bearer, buffer, rlc, reorder, source, metrics):
+    def __init__(self, bearer, buffer, rlc, reorder, source, metrics, ue_ctx):
         self.bearer = bearer
         self.buffer = buffer
         self.cu_queue = deque()  # split-baseline PDCP-side queue at the CU
@@ -50,6 +51,8 @@ class BearerCtx:
         self.active_set = None  # its RANF's stage-1 set for its slice
         self.in_active_set = False
         self.traffic_rng = None  # its ``traffic:`` stream, fetched on first use
+        self.ue_ctx = ue_ctx
+        self.emit = None  # the handler of its next ``traffic`` event
 
     def has_data(self):
         """Anything to send: new data, RLC retransmissions or drop indications."""
@@ -163,6 +166,7 @@ class Runtime:
         ranfs = [topo.Ranf(rf["id"], rf["site"], set(rf["rus"]),
                            set(rf["neighbors"])) for rf in cfg["ranfs"]]
         self.topology = topo.Topology(sites, rus, ranfs)
+        self.ranf_order = sorted(ranfs, key=lambda rf: rf.id)  # TTI order
         self.ru_to_ranf = {}
         for rf in ranfs:
             for ru in rf.serving_rus:
@@ -305,21 +309,20 @@ class Runtime:
                 t["recovery_step"],
             )
             source.rtt_window = t["rtt_window_us"]
+            ue = self.ues[bearer.ue]
             ctx = BearerCtx(bearer, buffer, rlc, reorder, source,
-                            self.metrics.bearer(b["id"]))
+                            self.metrics.bearer(b["id"]), ue)
             self.bearers[b["id"]] = ctx
-            self.ues[bearer.ue].bearers.append(ctx)
-            start = t["start_us"]
-            stop = t["stop_us"]
-            self.sim.schedule(start, "traffic", b["id"],
-                              lambda c=ctx, s=stop: self._on_traffic(c, s))
+            ue.bearers.append(ctx)
+            ctx.emit = partial(self._on_traffic, ctx, t["stop_us"])
+            self.sim.schedule(t["start_us"], "traffic", b["id"], ctx.emit)
             if source.congestion_law != tra.NO_REACTION:
                 self.sim.schedule(source.rtt_window, "cc-window", b["id"],
-                                  lambda c=ctx: self._on_cc_window(c))
+                                  partial(self._on_cc_window, ctx))
             if not self.reliable:
                 iv = self.cfg["rlc"]["status_interval_us"]
                 self.sim.schedule(iv, "rlc-status", b["id"],
-                                  lambda c=ctx: self._on_rlc_status(c))
+                                  partial(self._on_rlc_status, ctx))
 
     def _build_ranf_index(self):
         """Build each RANF's stage-1 active sets from the bearers' state.
@@ -333,7 +336,7 @@ class Runtime:
         """
         self.active_sets = {rf_id: {} for rf_id in self.topology.ranfs}
         for ctx in self.bearers.values():
-            ue = self.ues[ctx.ue]
+            ue = ctx.ue_ctx
             ctx.active_set = self.active_sets[ue.ranf].setdefault(ctx.slice, {})
             ctx.in_active_set = False
             if not ue.released and ctx.has_data():
@@ -356,15 +359,13 @@ class Runtime:
             if ctrl.attached:
                 ctrl.request_grant(sn["grant_prbs"], 0, sn["grant_period_us"] * 2)
                 self.sim.schedule(sn["grant_period_us"], "subnet-grant", sn["id"],
-                                  lambda c=ctx, s=sn: self._on_subnet_grant(c, s))
+                                  partial(self._on_subnet_grant, ctx, sn))
             for t in sn["local_traffic"]:
                 self.sim.schedule(t["start_us"], "subnet-traffic", sn["id"],
-                                  lambda c=ctx, t=t: self._on_subnet_traffic(
-                                      c, t, local=True))
+                                  partial(self._on_subnet_traffic, ctx, t, True))
             for t in sn["nonlocal_traffic"]:
                 self.sim.schedule(t["start_us"], "subnet-traffic", sn["id"],
-                                  lambda c=ctx, t=t: self._on_subnet_traffic(
-                                      c, t, local=False))
+                                  partial(self._on_subnet_traffic, ctx, t, False))
 
     def _build_energy(self):
         self.meter = orch.EnergyMeter()
@@ -394,7 +395,7 @@ class Runtime:
             at = ev["at_us"]
             action = ev["action"]
             self.sim.schedule(at, f"script:{action}", str(ev.get("ue", "")),
-                              lambda e=ev: self._on_script(e))
+                              partial(self._on_script, ev))
 
     # ------------------------------------------------------------ traffic
 
@@ -408,41 +409,42 @@ class Runtime:
             self._ingress(ctx, size, now)
         if next_t is not None and next_t <= self.duration \
                 and (stop is None or next_t < stop):
-            self.sim.schedule(next_t, "traffic", ctx.bearer.id,
-                              lambda: self._on_traffic(ctx, stop))
+            self.sim.schedule(next_t, "traffic", ctx.bearer.id, ctx.emit)
         elif ctx.source.rate <= 0 and (stop is None or now < stop):
             # A throttled source re-checks after a recovery window.
             retry = now + ctx.source.rtt_window
             if retry <= self.duration:
-                self.sim.schedule(retry, "traffic", ctx.bearer.id,
-                                  lambda: self._on_traffic(ctx, stop))
+                self.sim.schedule(retry, "traffic", ctx.bearer.id, ctx.emit)
 
     def _ingress(self, ctx, size, now):
-        ctx.metrics.packets_in += 1
-        ue = self.ues[ctx.ue]
+        bearer = ctx.bearer
         # At most SN_WINDOW (half the SN space) SNs may be in flight, counted
         # from the oldest live one: past that a new SN could collide with a
         # live PDU and would fall outside the receiver's window.  Refusing a
         # new SN while the one exactly SN_WINDOW behind is live keeps every
         # live SN within the window, so that one lookup is the whole check.
-        full = (ctx.bearer.tx_sn_next - stack.SN_WINDOW) % stack.SN_SPACE \
+        full = (bearer.tx_sn_next - stack.SN_WINDOW) % stack.SN_SPACE \
             in ctx.live
-        if ue.released or not ctx.bearer.active or full:
+        if ctx.ue_ctx.released or not bearer.active or full:
             ctx.metrics.ingress_dropped += 1
-            ctx.metrics.packets_in -= 1
             return
+        ctx.metrics.packets_in += 1
         target = None if self.split_mode else ctx.buffer
-        pdu = stack.pdcp_preprocess(size, ctx.bearer, now, buffer=target)
+        pdu = stack.pdcp_preprocess(size, bearer, now, buffer=target)
         ctx.live[pdu.sn] = pdu
         if self.split_mode:
             ctx.cu_queue.append(pdu)
             if self.credit_bytes is None:
                 self.sim.schedule(now + self.d_f1, "split-forward",
                                   ctx.bearer.id,
-                                  lambda: self._du_arrival(ctx, [ctx.cu_queue.popleft()])
-                                  if ctx.cu_queue else None)
-        else:
+                                  partial(self._forward_one, ctx))
+        elif not ctx.in_active_set:
             self._activate(ctx)
+
+    def _forward_one(self, ctx):
+        """Split mode without F1 credit: the CU's oldest PDU reaches the DU."""
+        if ctx.cu_queue:
+            self._du_arrival(ctx, [ctx.cu_queue.popleft()])
 
     def _du_arrival(self, ctx, pdus):
         for pdu in pdus:
@@ -468,17 +470,15 @@ class Runtime:
         nxt = now + src.rtt_window
         if nxt <= self.duration:
             self.sim.schedule(nxt, "cc-window", ctx.bearer.id,
-                              lambda: self._on_cc_window(ctx))
+                              partial(self._on_cc_window, ctx))
 
     # ------------------------------------------------------------ TTI loop
 
     def _on_tti(self):
         now = self.sim.now
         self.tti_index += 1
-        max_sojourn = 0
-        for rf_id in sorted(self.topology.ranfs):
-            sojourn = self._tti_for_ranf(self.topology.ranfs[rf_id], now)
-            max_sojourn = max(max_sojourn, sojourn)
+        for ranf in self.ranf_order:
+            self._tti_for_ranf(ranf, now)
         for ctx in self.subnets.values():
             self._tti_for_subnet(ctx, now)
         if self.split_mode and self.credit_bytes is not None:
@@ -492,7 +492,7 @@ class Runtime:
     def _tti_for_ranf(self, ranf, now):
         template = self.pool_templates[ranf.id]
         if not template.total:
-            return 0
+            return
         pools = template.fresh()
         ues = self.ues
         grants_by_ue = {}  # ue id -> its grants this TTI, in grant order
@@ -534,7 +534,7 @@ class Runtime:
                     # Buffers live at the UP function, which keeps reporting
                     # through a handover interruption; only the radio grant
                     # waits for the UE to resume (see resources_for below).
-                    if ues[ctx.ue].released or not ctx.has_data():
+                    if ctx.ue_ctx.released or not ctx.has_data():
                         del active[ctx]
                         ctx.in_active_set = False
                         continue
@@ -583,8 +583,7 @@ class Runtime:
             ctx = self.bearers[g.bearer_id]
             if trust.records and not trust.is_admitted(ctx.ue):
                 raise ModelError(f"grant issued to unadmitted UE {ctx.ue}")
-            metrics.on_grant(g, now)
-            metrics.add_slice_prbs(ctx.slice, g.prbs)
+            metrics.on_grant(g, now, ctx.slice)
             grants_by_ue.setdefault(g.ue, []).append(g)
             active_rus.add(g.ru)
             self._serve_grant(ctx, g, now)
@@ -594,9 +593,7 @@ class Runtime:
                                   ues[ue_id].ranf, strict=self.strict_anchor)
 
         self._energy_tti(ranf, active_rus, now)
-        metrics.on_tti(now, ranf.id, pools.total, pools.used(), max_sojourn,
-                       self.tti_index)
-        return max_sojourn
+        metrics.on_tti(now, ranf.id, pools, max_sojourn, self.tti_index)
 
     def _apply_aqm(self, ctx, now):
         if not ctx.buffer.queue:
@@ -612,7 +609,7 @@ class Runtime:
                 ctx.metrics.ce_marks += 1
 
     def _serve_grant(self, ctx, grant, now):
-        ue = self.ues[ctx.ue]
+        ue = ctx.ue_ctx
         self._apply_aqm(ctx, now)
         proc = ue.free_process()
         if proc is None:
@@ -646,23 +643,23 @@ class Runtime:
         fh_mode, expansion, update_cost = self.fh_params
         charged = radio.fronthaul_load(fh_mode, tb.bytes, expansion,
                                        update_cost)
-        targets = sset.rus if sset.mode == radio.DMIMO_JOINT else [ru_id]
+        targets = sset.rus if sset.mode == radio.DMIMO_JOINT else (ru_id,)
         for target in targets:
             self.metrics.on_fronthaul(target, charged)
         if success:
             path = self.path_lat[(ctx.slice, ru_id)]
             arrive = now + self.tti + path + wake_delay
+            live = ctx.live
             payload = [(s.sn, s.start, s.end,
-                        ctx.live[s.sn].size if s.sn in ctx.live else s.end)
+                        live[s.sn].size if s.sn in live else s.end)
                        for s in tb.segments]
-            drops = list(tb.drop_indications)
+            # The TB's lists are never changed after it is built.
             self.sim.schedule(arrive, "deliver", ctx.bearer.id,
-                              lambda: self._on_deliver(ctx, payload, drops))
-        fb_at = now + self.harq_rtt
-        tx_count = proc.tx_count
-        self.sim.schedule(fb_at, "harq-feedback", ue.id,
-                          lambda: self._on_feedback(ue, proc, tb, tx_count,
-                                                    success))
+                              partial(self._on_deliver, ctx, payload,
+                                      tb.drop_indications))
+        self.sim.schedule(now + self.harq_rtt, "harq-feedback", ue.id,
+                          partial(self._on_feedback, ue, proc, tb,
+                                  proc.tx_count, success))
 
     def _on_feedback(self, ue, proc, tb, tx_count, success):
         if proc.tb is not tb or proc.tx_count != tx_count \
@@ -677,11 +674,11 @@ class Runtime:
         if result == stack.HARQ_ACKED:
             proc.free()
             if self.reliable:
+                ack = ctx.rlc.ack_segment
                 for seg in tb.segments:
-                    ctx.rlc.ack_segment(seg.sn, seg.start, seg.end)
+                    ack(seg.sn, seg.start, seg.end)
         elif result == stack.HARQ_RETRANSMIT:
-            ranf_id = self.ues[ue.id].ranf
-            self.pending_retx.setdefault(ranf_id, deque()).append((proc, ue.id))
+            self.pending_retx.setdefault(ue.ranf, deque()).append((proc, ue.id))
         elif result == stack.HARQ_FAILED_TO_RLC:
             proc.free()
             self.metrics.tb_failed_final += 1
@@ -703,58 +700,70 @@ class Runtime:
 
     def _on_deliver(self, ctx, payload, drops):
         now = self.sim.now
+        add = ctx.reassembly.add
+        reorder = ctx.reorder
         for sn, start, end, size in payload:
-            if ctx.reassembly.add(sn, start, end, size):
-                delivered, gap_closed, timer = ctx.reorder.receive(sn, now)
-                if not delivered and sn in ctx.reorder.stash:
+            if add(sn, start, end, size):
+                delivered, gap_closed, timer = reorder.receive(sn, now)
+                if delivered:
+                    self._deliver_sdus(ctx, delivered, now)
+                elif sn in reorder.stash:
                     ctx.stashed_at.setdefault(sn, now)
-                self._deliver_sdus(ctx, delivered, now)
-                self._timer_action(ctx, timer, now)
+                if timer is not None:
+                    self._timer_action(ctx, timer, now)
         for sn in drops:
             delivered, gap_closed, timer = \
-                ctx.reorder.receive_drop_indication(sn, now)
-            self._deliver_sdus(ctx, delivered, now)
-            self._timer_action(ctx, timer, now)
+                reorder.receive_drop_indication(sn, now)
+            if delivered:
+                self._deliver_sdus(ctx, delivered, now)
+            if timer is not None:
+                self._timer_action(ctx, timer, now)
             self._signal_source(ctx, tra.DropEcho(), now)
 
     def _deliver_sdus(self, ctx, sns, now):
+        live = ctx.live
+        stashed_at = ctx.stashed_at
+        m = ctx.metrics
+        latencies = m.latencies
+        delivered_times = m.delivered_times
         for sn in sns:
-            pdu = ctx.live.pop(sn, None)
+            pdu = live.pop(sn, None)
             if pdu is None:
-                ctx.metrics.duplicates += 1
+                m.duplicates += 1
                 continue
-            latency = now - pdu.arrival_time
-            ctx.metrics.delivered += 1
-            ctx.metrics.latencies.append(latency)
-            ctx.metrics.delivered_times.append(now)
+            m.delivered += 1
+            latencies.append(now - pdu.arrival_time)
+            delivered_times.append(now)
             ctx.window_delivered += 1
-            if sn in ctx.stashed_at:
-                ctx.metrics.reorder_stalls.append((sn, now - ctx.stashed_at.pop(sn)))
+            if sn in stashed_at:
+                m.reorder_stalls.append((sn, now - stashed_at.pop(sn)))
             if pdu.ce_marked:
                 ctx.window_marked += 1
                 self._signal_source(ctx, "ce", now)
 
     def _signal_source(self, ctx, signal, now):
         bid = ctx.bearer.id
-        ru = self.ues[ctx.ue].serving_set.rus[0]
+        ru = ctx.ue_ctx.serving_set.rus[0]
         echo_at = now + self.path_lat[(ctx.slice, ru)]
         if isinstance(signal, tra.DropEcho):
             if bid not in self.metrics.drop_echo_times:
                 self.metrics.drop_echo_times[bid] = echo_at
             if ctx.source.congestion_law == tra.CLASSIC:
+                # Fires at echo_at, the clock the handler would read.
                 self.sim.schedule(echo_at, "drop-echo", bid,
-                                  lambda: tra.on_congestion_signal(
-                                      ctx.source, tra.DropEcho(), self.sim.now))
+                                  partial(tra.on_congestion_signal, ctx.source,
+                                          tra.DropEcho(), echo_at))
         else:
             if bid not in self.metrics.ce_signal_times:
                 self.metrics.ce_signal_times[bid] = echo_at
 
     def _timer_action(self, ctx, action, now):
         if action == "start":
-            gen = ctx.reorder.timer_generation
-            deadline = ctx.reorder.timer_deadline
-            self.sim.schedule(deadline, "t-reordering", ctx.bearer.id,
-                              lambda: self._on_reorder_timer(ctx, gen))
+            reorder = ctx.reorder
+            self.sim.schedule(reorder.timer_deadline, "t-reordering",
+                              ctx.bearer.id,
+                              partial(self._on_reorder_timer, ctx,
+                                      reorder.timer_generation))
         # cancel: the generation bump already invalidates the pending event
 
     def _on_reorder_timer(self, ctx, gen):
@@ -772,7 +781,7 @@ class Runtime:
                 gen = ctx.reorder.timer_generation
                 self.sim.schedule(ctx.reorder.timer_deadline, "t-reordering",
                                   ctx.bearer.id,
-                                  lambda: self._on_reorder_timer(ctx, gen))
+                                  partial(self._on_reorder_timer, ctx, gen))
                 return
         delivered, lost, _ = ctx.reorder.timer_expired(now)
         self._abandon(ctx, lost)
@@ -796,14 +805,14 @@ class Runtime:
                         and sn not in ctx.reorder.skipped:
                     missing.append(sn)
                 sn = (sn + 1) % stack.SN_SPACE
-        ru = self.ues[ctx.ue].serving_set.rus[0]
+        ru = ctx.ue_ctx.serving_set.rus[0]
         delay = self.path_lat[(ctx.slice, ru)]
         self.sim.schedule(now + delay, "rlc-status-rx", ctx.bearer.id,
-                          lambda: self._apply_status(ctx, expected, missing))
+                          partial(self._apply_status, ctx, expected, missing))
         nxt = now + self.cfg["rlc"]["status_interval_us"]
         if nxt <= self.duration:
             self.sim.schedule(nxt, "rlc-status", ctx.bearer.id,
-                              lambda: self._on_rlc_status(ctx))
+                              partial(self._on_rlc_status, ctx))
 
     def _apply_status(self, ctx, ack_point, missing):
         rlc = ctx.rlc
@@ -830,7 +839,7 @@ class Runtime:
         if desired <= 0 or not ctx.cu_queue:
             return
         self.sim.schedule(now + self.d_f1, "f1-status", ctx.bearer.id,
-                          lambda: self._cu_release(ctx, desired))
+                          partial(self._cu_release, ctx, desired))
 
     def _cu_release(self, ctx, credit):
         batch = []
@@ -841,13 +850,18 @@ class Runtime:
         if batch:
             self.sim.schedule(self.sim.now + self.d_f1, "f1-data",
                               ctx.bearer.id,
-                              lambda: self._du_arrival(ctx, batch))
+                              partial(self._du_arrival, ctx, batch))
 
     # ------------------------------------------------------------ energy
+
+    # The meter is called only on a state change, so that each call logs
+    # exactly one transition.
 
     def _wake_ru(self, ru_id, now):
         entity = self.ru_entity[ru_id]
         state = self.meter.state(entity)
+        if state == "Active":
+            return 0
         delay = 0
         if state == "Sleep":
             delay = self.meter.profile(entity).wake_latency
@@ -857,16 +871,22 @@ class Runtime:
 
     def _energy_tti(self, ranf, active_rus, now):
         target = "Sleep" if self.energy_saving else "Idle"
+        meter = self.meter
         for ru_id, entity in self.ranf_ru_entities[ranf.id]:
-            if ru_id not in active_rus:  # else set Active by _wake_ru
-                self.meter.set_state(entity, target, now)
+            # An RU in ``active_rus`` was set Active by _wake_ru.
+            if ru_id not in active_rus and meter.state(entity) != target:
+                meter.set_state(entity, target, now)
 
     def _mark_instance_active(self, slice_id, now):
+        meter = self.meter
+        activity = self.instance_activity
         for inst_id, entity in self.user_plane_instances[slice_id]:
-            if self.meter.state(entity) == "Sleep":
-                self.meter.wake_delays += 1
-            self.meter.set_state(entity, "Active", now)
-            self.instance_activity[inst_id] = now
+            state = meter.state(entity)
+            if state != "Active":
+                if state == "Sleep":
+                    meter.wake_delays += 1
+                meter.set_state(entity, "Active", now)
+            activity[inst_id] = now
 
     def _on_orchestrator_tick(self):
         now = self.sim.now
@@ -877,7 +897,8 @@ class Runtime:
             if now - last >= idle_after:
                 target = "Sleep" if (self.energy_saving and inst.kind in
                                      (topo.UP, topo.RRC, topo.PHY)) else "Idle"
-                self.meter.set_state(entity, target, now)
+                if self.meter.state(entity) != target:
+                    self.meter.set_state(entity, target, now)
         # Load-driven scaling of UP instances (PRB utilization proxy).
         for inst in self.plan.of_kind(topo.UP):
             load = 1.0 if now - self.instance_activity.get(inst.id, 0) \
@@ -1016,7 +1037,7 @@ class Runtime:
         nxt = now + t["period_us"]
         if nxt <= self.duration and (t["stop_us"] is None or nxt < t["stop_us"]):
             self.sim.schedule(nxt, "subnet-traffic", ctx.controller.id,
-                              lambda: self._on_subnet_traffic(ctx, t, local))
+                              partial(self._on_subnet_traffic, ctx, t, local))
 
     def _on_subnet_grant(self, ctx, sn_cfg):
         now = self.sim.now
@@ -1026,7 +1047,7 @@ class Runtime:
         nxt = now + sn_cfg["grant_period_us"]
         if nxt <= self.duration:
             self.sim.schedule(nxt, "subnet-grant", ctx.controller.id,
-                              lambda: self._on_subnet_grant(ctx, sn_cfg))
+                              partial(self._on_subnet_grant, ctx, sn_cfg))
 
     def _tti_for_subnet(self, ctx, now):
         ctrl = ctx.controller
@@ -1035,7 +1056,7 @@ class Runtime:
         if sent:
             arrive = now + ctrl.parent_latency
             self.sim.schedule(arrive, "subnet-relay", ctrl.id,
-                              lambda n=len(sent): self._subnet_delivered(ctx, n))
+                              partial(self._subnet_delivered, ctx, len(sent)))
 
     def _subnet_delivered(self, ctx, n):
         ctx.nonlocal_delivered += n

@@ -105,6 +105,7 @@ class PrbPools:
         self.free = {k: v[0] for k, v in pools.items()}
         self.bytes_per_prb = {k: v[1] for k, v in pools.items()}
         self.total = dict(self.free)
+        self.total_prbs = sum(self.total.values())
         # Leftover order: best spectral efficiency first, ties by key.
         self.by_efficiency = sorted(self.free,
                                     key=lambda k: (-self.bytes_per_prb[k], k))
@@ -115,6 +116,7 @@ class PrbPools:
         pools.free = dict(self.total)
         pools.bytes_per_prb = self.bytes_per_prb
         pools.total = self.total
+        pools.total_prbs = self.total_prbs
         pools.by_efficiency = self.by_efficiency
         return pools
 
@@ -123,9 +125,6 @@ class PrbPools:
         got = min(avail, prbs)
         self.free[key] = avail - got
         return got
-
-    def used(self):
-        return {k: self.total[k] - self.free[k] for k in self.total}
 
 
 def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
@@ -150,7 +149,7 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
 
     reserved = {}
     if min_share:
-        total_prbs = sum(pools.total.values())
+        total_prbs = pools.total_prbs
         demand_slices = {r.slice for r in requests}
         for sl, frac in min_share.items():
             if sl in demand_slices:

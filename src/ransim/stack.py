@@ -218,9 +218,6 @@ class RlcTxState:
         self.retx_queue = deque()  # Segment, awaiting a grant
         self.pending_drop_indications = deque()
 
-    def window_full(self):
-        return len(self.window) >= self.window_size
-
     def enter_window(self, pdu):
         self.window[pdu.sn] = WindowEntry(pdu)
 
@@ -229,8 +226,14 @@ class RlcTxState:
         entry = self.window.get(sn)
         if entry is None:
             return False
+        pending = entry.pending
+        if len(pending) == 1:
+            s, e = pending[0]
+            if start <= s < e <= end:  # the whole rest is ACKed
+                del self.window[sn]
+                return True
         remaining = []
-        for s, e in entry.pending:
+        for s, e in pending:
             if e <= start or s >= end:
                 remaining.append((s, e))
             else:
@@ -294,20 +297,28 @@ def build_transport_block(buffer, rlc, grant_bytes):
             seg.start += take
 
     q = buffer.queue
-    while q and budget > SEG_HEADER_BYTES and not rlc.window_full():
+    segments = tb.segments
+    window = rlc.window
+    window_size = rlc.window_size
+    # The window test stays per pull: a pulled SN may overwrite an entry
+    # still in the window, so a running count would drift.
+    while q and budget > SEG_HEADER_BYTES and len(window) < window_size:
         pdu = q[0]
-        avail = budget - SEG_HEADER_BYTES
-        take = min(avail, pdu.size - pdu.sent)
-        tb.segments.append(Segment(pdu.sn, pdu.sent, pdu.sent + take))
+        sent = pdu.sent
+        take = min(budget - SEG_HEADER_BYTES, pdu.size - sent)
+        segments.append(Segment(pdu.sn, sent, sent + take))
         budget -= SEG_HEADER_BYTES + take
-        pdu.sent += take
+        pdu.sent = sent = sent + take
         buffer.bytes -= take
-        if pdu.sent == pdu.size:
+        if sent == pdu.size:
             q.popleft()
             rlc.enter_window(pdu)
 
-    tb.bytes = grant_bytes - budget if not tb.empty else 0
-    tb.padding = grant_bytes - tb.bytes if not tb.empty else grant_bytes
+    if segments or tb.drop_indications:
+        tb.bytes = grant_bytes - budget
+        tb.padding = budget
+    else:
+        tb.padding = grant_bytes
     return tb
 
 
@@ -376,6 +387,8 @@ class RxReassembly:
 
     def add(self, sn, start, end, size):
         """Returns True when the PDU just became complete."""
+        if start == 0 and end == size and sn not in self.partial:
+            return True  # a whole PDU in one segment
         size_known, ranges = self.partial.get(sn, (size, []))
         merged = []
         new = (start, end)
@@ -440,6 +453,10 @@ class ReorderState:
         """Process a completed PDU; returns (delivered sns, skipped sns, timer action)."""
         if sn == self.expected_sn:
             self.expected_sn = (sn + 1) % SN_SPACE
+            if not self.stash and not self.skipped:  # nothing to drain
+                if self.timer_deadline is None:
+                    return [sn], [], None
+                return [sn], [], self._timer_action(now)
             delivered, skipped = self._drain()
             delivered.insert(0, sn)
             return delivered, skipped, self._timer_action(now)

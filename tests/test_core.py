@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,3 +110,53 @@ def test_same_seed_same_event_trace():
         return trace
 
     assert build() == build()
+
+
+def test_same_time_unorderable_handlers_run_fifo():
+    # partial objects cannot be compared, so the heap must never reach them.
+    sim = Simulator()
+    log = []
+    for i in range(300):
+        sim.schedule(7 if i % 3 else 5, "p", i, partial(log.append, i))
+    assert sim.schedule(9, "p", "x", partial(log.append, "last")) is None
+    sim.run_until(10)
+    assert log == ([i for i in range(300) if i % 3 == 0]
+                   + [i for i in range(300) if i % 3] + ["last"])
+    assert sim.events_processed == 301
+
+
+def test_events_processed_counts_handlers_that_returned():
+    sim = Simulator()
+
+    def boom():
+        raise KeyError("inner")
+
+    def model_error():
+        raise ModelError("bad plan")
+
+    for t in (1, 2, 3):
+        sim.schedule(t, "ok", "x", lambda: None)
+    sim.schedule(4, "exploder", "tgt", boom)
+    sim.schedule(5, "ok", "x", lambda: None)
+    sim.schedule(6, "model", "x", model_error)
+    sim.schedule(7, "ok", "x", lambda: None)
+    with pytest.raises(ModelError):
+        sim.run_until(100)
+    assert sim.events_processed == 3 and sim.now == 4
+    with pytest.raises(ModelError, match="bad plan"):
+        sim.run_until(100)
+    assert sim.events_processed == 4 and sim.now == 6
+    sim.run_until(100)
+    assert sim.events_processed == 5 and sim.now == 100
+
+
+def test_handler_error_names_kind_time_and_target():
+    sim = Simulator()
+    sim.schedule(2, "ok", "x", lambda: None)
+    sim.schedule(42, "harq-feedback", "ue-7", partial(int, "not a number"))
+    with pytest.raises(ModelError) as exc:
+        sim.run_until(100)
+    msg = str(exc.value)
+    assert "kind=harq-feedback" in msg and "t=42us" in msg \
+        and "target=ue-7" in msg
+    assert isinstance(exc.value.__cause__, ValueError)

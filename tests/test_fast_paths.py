@@ -1,0 +1,338 @@
+"""The whole-PDU fast paths in ``stack`` against the general code.
+
+``RefRxReassembly``, ``RefReorderState``, ``ref_ack_segment`` and
+``ref_build_transport_block`` are verbatim copies of the code before the
+fast paths were added (``window_full()`` spelled out as the length test it
+was).  Each property feeds one random operation sequence to both versions
+and compares every return value and the full object state after each step.
+"""
+
+import copy
+
+from hypothesis import given, strategies as st
+
+from ransim import stack
+from ransim.stack import (DROP_IND_BYTES, SEG_HEADER_BYTES, SN_SPACE,
+                          SN_WINDOW, TB_HEADER_BYTES, Segment, TransportBlock,
+                          sn_delta, sn_lt)
+
+
+# ---------------------------------------------------------------- references
+
+class RefRxReassembly:
+    def __init__(self):
+        self.partial = {}
+
+    def add(self, sn, start, end, size):
+        size_known, ranges = self.partial.get(sn, (size, []))
+        merged = []
+        new = (start, end)
+        for r in sorted(ranges + [new]):
+            if merged and r[0] <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], r[1]))
+            else:
+                merged.append(r)
+        self.partial[sn] = (size, merged)
+        if merged == [(0, size)]:
+            del self.partial[sn]
+            return True
+        return False
+
+    def discard(self, sn):
+        self.partial.pop(sn, None)
+
+
+class RefReorderState:
+    def __init__(self, t_reordering=20_000):
+        self.expected_sn = 0
+        self.stash = {}
+        self.skipped = set()
+        self.t_reordering = t_reordering
+        self.timer_deadline = None
+        self.timer_generation = 0
+        self.duplicates = 0
+
+    def _drain(self):
+        delivered = []
+        skipped = []
+        while True:
+            sn = self.expected_sn
+            if sn in self.stash:
+                del self.stash[sn]
+                delivered.append(sn)
+            elif sn in self.skipped:
+                self.skipped.discard(sn)
+                skipped.append(sn)
+            else:
+                break
+            self.expected_sn = (sn + 1) % SN_SPACE
+        return delivered, skipped
+
+    def _timer_action(self, now):
+        if self.stash:
+            if self.timer_deadline is None:
+                self.timer_deadline = now + self.t_reordering
+                self.timer_generation += 1
+                return "start"
+            return None
+        if self.timer_deadline is not None:
+            self.timer_deadline = None
+            self.timer_generation += 1
+            return "cancel"
+        return None
+
+    def receive(self, sn, now):
+        if sn == self.expected_sn:
+            self.expected_sn = (sn + 1) % SN_SPACE
+            delivered, skipped = self._drain()
+            delivered.insert(0, sn)
+            return delivered, skipped, self._timer_action(now)
+        if sn_lt(sn, self.expected_sn) or sn in self.stash:
+            self.duplicates += 1
+            return [], [], None
+        self.stash[sn] = now
+        return [], [], self._timer_action(now)
+
+    def receive_drop_indication(self, sn, now):
+        if sn_lt(sn, self.expected_sn):
+            return [], [], None
+        self.skipped.add(sn)
+        if sn == self.expected_sn:
+            delivered, skipped = self._drain()
+            return delivered, skipped, self._timer_action(now)
+        return [], [], self._timer_action(now)
+
+    def timer_expired(self, now):
+        self.timer_deadline = None
+        self.timer_generation += 1
+        delivered = []
+        skipped = []
+        while self.stash:
+            target = min(self.stash, key=lambda s: sn_delta(self.expected_sn, s))
+            while self.expected_sn != target:
+                if self.expected_sn in self.skipped:
+                    self.skipped.discard(self.expected_sn)
+                else:
+                    skipped.append(self.expected_sn)
+                self.expected_sn = (self.expected_sn + 1) % SN_SPACE
+            del self.stash[target]
+            delivered.append(target)
+            self.expected_sn = (self.expected_sn + 1) % SN_SPACE
+        more, _ = self._drain()
+        delivered.extend(more)
+        return delivered, skipped, None
+
+
+def ref_ack_segment(rlc, sn, start, end):
+    entry = rlc.window.get(sn)
+    if entry is None:
+        return False
+    remaining = []
+    for s, e in entry.pending:
+        if e <= start or s >= end:
+            remaining.append((s, e))
+        else:
+            if s < start:
+                remaining.append((s, start))
+            if e > end:
+                remaining.append((end, e))
+    entry.pending = remaining
+    if not remaining:
+        del rlc.window[sn]
+        return True
+    return False
+
+
+def ref_build_transport_block(buffer, rlc, grant_bytes):
+    tb = TransportBlock(buffer.bearer_id)
+    budget = grant_bytes - TB_HEADER_BYTES
+    if budget <= 0:
+        tb.padding = grant_bytes
+        return tb
+
+    while rlc.pending_drop_indications and budget >= DROP_IND_BYTES:
+        tb.drop_indications.append(rlc.pending_drop_indications.popleft())
+        budget -= DROP_IND_BYTES
+
+    while rlc.retx_queue and budget > SEG_HEADER_BYTES:
+        seg = rlc.retx_queue[0]
+        avail = budget - SEG_HEADER_BYTES
+        take = min(avail, seg.end - seg.start)
+        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take, is_retx=True))
+        budget -= SEG_HEADER_BYTES + take
+        if take == seg.end - seg.start:
+            rlc.retx_queue.popleft()
+        else:
+            seg.start += take
+
+    q = buffer.queue
+    while q and budget > SEG_HEADER_BYTES \
+            and not len(rlc.window) >= rlc.window_size:
+        pdu = q[0]
+        avail = budget - SEG_HEADER_BYTES
+        take = min(avail, pdu.size - pdu.sent)
+        tb.segments.append(Segment(pdu.sn, pdu.sent, pdu.sent + take))
+        budget -= SEG_HEADER_BYTES + take
+        pdu.sent += take
+        buffer.bytes -= take
+        if pdu.sent == pdu.size:
+            q.popleft()
+            rlc.enter_window(pdu)
+
+    tb.bytes = grant_bytes - budget if not tb.empty else 0
+    tb.padding = grant_bytes - tb.bytes if not tb.empty else grant_bytes
+    return tb
+
+
+# ---------------------------------------------------------------- receiver
+
+def receiver_state(rx, reorder):
+    return rx.partial, vars(reorder)
+
+
+# An SN is drawn as an offset from the receiver's next expected SN: a
+# negative offset is an old SN (a duplicate), 0 is in order, the rest
+# arrive out of order.
+offsets = st.sampled_from([0, 0, 0, 1, 1, 2, 3, 5, 8, -1, -3])
+sizes = st.sampled_from([0, 1, 40, 100])
+
+
+@st.composite
+def receiver_ops(draw):
+    ops = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ["whole", "whole", "whole", "part", "drop", "expire", "arm",
+             "discard"]))
+        if kind == "whole":
+            ops.append(("seg", draw(offsets), None, None, draw(sizes)))
+        elif kind == "part":
+            size = draw(sizes)
+            a = draw(st.integers(0, size))
+            b = draw(st.integers(a, size))
+            ops.append(("seg", draw(offsets), a, b, size))
+        elif kind in ("drop", "discard"):
+            ops.append((kind, draw(offsets)))
+        else:
+            ops.append((kind,))
+    return ops
+
+
+@given(st.sampled_from([0, 7, SN_SPACE - 3, SN_WINDOW]), receiver_ops())
+def test_reassembly_and_reordering_match_reference(first_sn, ops):
+    new = (stack.RxReassembly(), stack.ReorderState(t_reordering=50))
+    ref = (RefRxReassembly(), RefReorderState(t_reordering=50))
+    for rx, reorder in (new, ref):
+        reorder.expected_sn = first_sn
+    now = 0
+    for op in ops:
+        now += 10
+        results = []
+        expected = ref[1].expected_sn
+        for rx, reorder in (new, ref):
+            kind = op[0]
+            if kind == "seg":
+                _, off, start, end, size = op
+                sn = (expected + off) % SN_SPACE
+                if start is None:
+                    start, end = 0, size
+                done = rx.add(sn, start, end, size)
+                out = (done, reorder.receive(sn, now) if done else None)
+            elif kind == "drop":
+                sn = (expected + op[1]) % SN_SPACE
+                out = reorder.receive_drop_indication(sn, now)
+            elif kind == "discard":
+                out = rx.discard((expected + op[1]) % SN_SPACE)
+            elif kind == "expire":
+                out = reorder.timer_expired(now)
+            else:
+                # The runtime's reliable-mode re-arm, done on any state.
+                reorder.timer_deadline = now + reorder.t_reordering
+                reorder.timer_generation += 1
+                out = None
+            results.append(out)
+        assert results[0] == results[1], op
+        assert receiver_state(*new) == receiver_state(*ref), op
+
+
+# ---------------------------------------------------------------- transmitter
+
+def window_state(rlc):
+    return {sn: (e.pdu.sn, e.pdu.size, e.pending, e.retx_count)
+            for sn, e in rlc.window.items()}
+
+
+def tx_state(buffer, rlc):
+    return ([(p.sn, p.size, p.sent) for p in buffer.queue], buffer.bytes,
+            window_state(rlc),
+            [(s.sn, s.start, s.end, s.is_retx) for s in rlc.retx_queue],
+            list(rlc.pending_drop_indications))
+
+
+def tb_state(tb):
+    return ([(s.sn, s.start, s.end, s.is_retx) for s in tb.segments],
+            tb.drop_indications, tb.bytes, tb.padding, tb.empty)
+
+
+@st.composite
+def ack_ops(draw):
+    ops = []
+    for _ in range(draw(st.integers(1, 30))):
+        sn = draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            ops.append(("enter", sn, draw(sizes)))
+        else:
+            a = draw(st.integers(0, 110))
+            ops.append(("ack", sn, a, draw(st.integers(a, 110))))
+    return ops
+
+
+@given(ack_ops())
+def test_ack_segment_matches_reference(ops):
+    new, ref = stack.RlcTxState(), stack.RlcTxState()
+    for op in ops:
+        if op[0] == "enter":
+            for rlc in (new, ref):
+                rlc.enter_window(stack.PdcpPdu(op[1], op[2], 0))
+            continue
+        _, sn, start, end = op
+        assert new.ack_segment(sn, start, end) \
+            == ref_ack_segment(ref, sn, start, end), op
+        assert window_state(new) == window_state(ref), op
+
+
+@st.composite
+def tx_setups(draw):
+    """A bearer's transmit side: a window whose SNs may reappear in the
+    buffer (an overwritten window entry), partly sent heads, queued
+    retransmissions and drop indications, then a run of grants."""
+    window_size = draw(st.integers(1, 6))
+    rlc = stack.RlcTxState(window_size=window_size)
+    for sn in draw(st.lists(st.integers(0, 7), max_size=window_size)):
+        rlc.enter_window(stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0))
+    buffer = stack.TransmitBuffer("b1")
+    for i, sn in enumerate(draw(st.lists(st.integers(0, 7), max_size=10))):
+        pdu = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
+        if i == 0:
+            pdu.sent = draw(st.integers(0, pdu.size - 1))
+            buffer.bytes -= pdu.sent
+        buffer.push(pdu)
+    for sn in draw(st.lists(st.integers(0, 7), max_size=3)):
+        a = draw(st.integers(0, 100))
+        rlc.retx_queue.append(
+            Segment(sn, a, draw(st.integers(a + 1, 120)), is_retx=True))
+    rlc.pending_drop_indications.extend(
+        draw(st.lists(st.integers(0, SN_SPACE - 1), max_size=3)))
+    grants = draw(st.lists(st.integers(0, 400), min_size=1, max_size=6))
+    return buffer, rlc, grants
+
+
+@given(tx_setups())
+def test_build_transport_block_matches_reference(setup):
+    buffer, rlc, grants = setup
+    ref_buffer, ref_rlc = copy.deepcopy((buffer, rlc))
+    for grant in grants:
+        tb = stack.build_transport_block(buffer, rlc, grant)
+        ref_tb = ref_build_transport_block(ref_buffer, ref_rlc, grant)
+        assert tb_state(tb) == tb_state(ref_tb), grant
+        assert tx_state(buffer, rlc) == tx_state(ref_buffer, ref_rlc), grant

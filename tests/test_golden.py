@@ -7,12 +7,14 @@ that moves one is a behaviour change and must say why next to the new hash.
 
 import hashlib
 import json
+import os
 
 import pytest
+import yaml
 
 from ransim.runtime import run_scenario
-from test_acceptance import (_handover_raw, build, load_scenario,
-                             single_cell_raw)
+from test_acceptance import (SCENARIO_DIR, _handover_raw, build,
+                             load_scenario, single_cell_raw)
 
 
 def _split_lossy_raw():
@@ -28,6 +30,16 @@ def _split_lossy_raw():
         aqm={"drop_threshold_us": 20_000},
     )
     raw["bearers"][0]["traffic"]["rate_bytes_per_s"] = 4_500_000
+    return raw
+
+
+def _ecn_overload_raw():
+    """``smoke.yaml`` with ``b-mod`` ECN-capable at 30 MB/s: the only run
+    through ingress discards at the SN window and the L4S rate law."""
+    with open(os.path.join(SCENARIO_DIR, "smoke.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["bearers"][1]["ecn_capable"] = True
+    raw["bearers"][1]["traffic"]["rate_bytes_per_s"] = 30_000_000
     return raw
 
 
@@ -48,6 +60,11 @@ CASES = {
         lambda: build(_handover_raw()),
         # Moved only by config_hash: trust.query_latency_us left the schema.
         "4e7db2a2aea815fa67e3b015c98182d87b7db611b883a869e686c46ef3baa590"),
+    "ecn-overload": (
+        lambda: build(_ecn_overload_raw()),
+        # Recorded on the code before the tuple event heap and the
+        # whole-PDU fast paths, and unchanged by them.
+        "b39bda435463267f7d07f49ee43b061cdcb9317c5bfb34ac785e2f3a443031c5"),
 }
 
 

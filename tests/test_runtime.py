@@ -8,10 +8,11 @@ import yaml
 
 from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
+from ransim import orchestrate as orch
 from ransim.core import ModelError, RngRegistry
 from ransim.metrics import write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
-from test_golden import _split_lossy_raw
+from test_golden import _ecn_overload_raw, _split_lossy_raw
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                      "smoke.yaml")
@@ -138,10 +139,7 @@ def smoke_raw():
 def test_ecn_overload_discards_at_ingress():
     # b-mod offered 30 MB/s against 12 kB per 500 us TTI: without AQM drops
     # the in-flight count reaches half the SN space.
-    raw = smoke_raw()
-    raw["bearers"][1]["ecn_capable"] = True
-    raw["bearers"][1]["traffic"]["rate_bytes_per_s"] = 30_000_000
-    report = run_raw(raw)
+    report = run_raw(_ecn_overload_raw())
     assert report["bearers"]["b-mod"]["ingress_dropped"] > 0
     cons = report["conservation"]["b-mod"]
     assert cons["holds"] and cons["in_flight_at_end"] <= stack.SN_WINDOW
@@ -395,8 +393,10 @@ def run_checking_each_event(rt, check):
             check(rt)
         return handler
 
-    for _, _, ev in rt.sim._queue:
-        ev.fn = checked(ev.fn)
+    # Heap entries are (fire_at, seq, fn, kind, target); replacing ``fn``
+    # keeps the (fire_at, seq) order, so the heap stays valid.
+    q = rt.sim._queue
+    q[:] = [entry[:2] + (checked(entry[2]),) + entry[3:] for entry in q]
     schedule = rt.sim.schedule
     rt.sim.schedule = lambda fire_at, kind, target, fn: schedule(
         fire_at, kind, target, checked(fn))
@@ -636,3 +636,50 @@ def test_stale_request_in_old_ranf_pipe_gets_no_grant(monkeypatch):
         == {"b-mc-u3", "b-mod-u3"}
     assert {("rf-c", "b-mc-u3"), ("rf-c", "b-mod-u3")} <= served_after
     assert not [b for rf, b in served_after if rf == "rf-b" and "u3" in b]
+
+
+def dmimo_handover_raw():
+    """``three_cell_raw`` with two RUs per cell served jointly (D-MIMO)
+    and energy saving on, so RUs sleep, wake and move with the UEs."""
+    raw = three_cell_raw()
+    raw.update(dmimo=True, energy=True)
+    for c in ("a", "b", "c"):
+        raw["rus"].append({"id": f"ru-{c}2", "site": f"cell-{c}",
+                           "carriers": ["c1"]})
+        raw["placement"].append({"id": f"fhm-{c}2", "kind": "FHM",
+                                 "site": f"cell-{c}", "bound_ru": f"ru-{c}2"})
+    for rf in raw["ranfs"]:
+        rf["rus"].append(rf["rus"][0] + "2")
+    return raw
+
+
+def latency_budgets_short_raw():
+    with open(os.path.join(os.path.dirname(SMOKE), "latency-budgets.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["duration_us"] = 500_000
+    return raw
+
+
+@pytest.mark.parametrize("make_raw", [latency_budgets_short_raw,
+                                      dmimo_handover_raw],
+                         ids=["latency-budgets", "dmimo-handover"])
+def test_energy_meter_is_called_only_on_transitions(make_raw, monkeypatch):
+    appended = []
+    original = orch.EnergyMeter.set_state
+
+    def counting(meter, entity, state, now):
+        before = len(meter.transitions)
+        original(meter, entity, state, now)
+        appended.append(len(meter.transitions) - before)
+
+    monkeypatch.setattr(orch.EnergyMeter, "set_state", counting)
+    rt = Runtime(cfgmod.validate_scenario(make_raw()))
+    report = rt.run()
+    assert appended and set(appended) == {1}
+    if make_raw is dmimo_handover_raw:
+        assert all(h["accepted"] for h in report["handovers"])
+        assert report["wake_delays"] > 0
+        assert any(len(ue.serving_set.rus) == 2 for ue in rt.ues.values())
+    profiles = {entity: rt.meter.profile(entity) for entity in rt.meter.energy_j}
+    assert orch.replay_energy(rt.meter.transitions, profiles, rt.duration) \
+        == rt.meter.energy_j
