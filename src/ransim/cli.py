@@ -57,15 +57,14 @@ def _prepare_out_dir(out_dir):
 
 
 def _run_one(cfg, out_dir):
-    rt = Runtime(cfg)
+    rt = Runtime(cfg, record_series=bool(out_dir))  # for tti-series.csv
     report = rt.run()
     if out_dir:
         _prepare_out_dir(out_dir)
         cfgmod.dump_resolved(cfg, os.path.join(out_dir, "resolved-config.yaml"))
         write_summary(report, os.path.join(out_dir, "summary.json"))
-        if rt.metrics.record_series:
-            write_tti_series_csv(rt.metrics.tti_series,
-                                 os.path.join(out_dir, "tti-series.csv"))
+        write_tti_series_csv(rt.metrics.tti_series,
+                             os.path.join(out_dir, "tti-series.csv"))
         write_latency_cdf(rt.metrics, os.path.join(out_dir, "latency-cdf.csv"))
     return report
 

@@ -24,7 +24,6 @@ _TOP_DEFAULTS = {
     "drop_indication": True,
     "dmimo": False,
     "energy": False,
-    "strict_anchor": True,
     "cn_entry_site": None,
     "t_reordering_us": 20_000,
     "handover_interruption_us": 5_000,
@@ -54,7 +53,6 @@ _NESTED_DEFAULTS = {
               "reassess_interval_us": 1_000_000},
     "orchestrator": {"scale_hi": 0.8, "scale_lo": 0.2, "hysteresis": 3,
                      "tick_us": 100_000, "idle_sleep_interval_us": 10_000},
-    "record": {"grants": False, "tti_series": True, "series_stride": 1},
     "bler": {"default": 0.0, "entries": []},
 }
 

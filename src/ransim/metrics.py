@@ -14,14 +14,13 @@ from .core import ModelError
 class BearerMetrics:
     __slots__ = ("packets_in", "ingress_dropped", "delivered", "latencies",
                  "aqm_drops", "residual", "duplicates", "ce_marks",
-                 "reorder_stalls", "delivered_times")
+                 "reorder_stalls")
 
     def __init__(self):
         self.packets_in = 0
         self.ingress_dropped = 0
         self.delivered = 0
         self.latencies = []
-        self.delivered_times = []
         self.aqm_drops = 0
         self.residual = 0
         self.duplicates = 0
@@ -30,12 +29,10 @@ class BearerMetrics:
 
 
 class MetricsCollector:
-    def __init__(self, record_grants=False, record_series=True, series_stride=1):
+    def __init__(self, record_series=False):
         self.bearers = {}
-        self.record_grants = record_grants
+        # Per-TTI rows are kept only for an output that writes them.
         self.record_series = record_series
-        self.series_stride = series_stride
-        self.grant_log = []  # (tti_time, ue, bearer, ru, carrier, prbs, dir)
         self.prb_granted = {}  # (ru, carrier) -> prbs
         self.prb_offered = {}  # (ru, carrier) -> prbs
         self.slice_prbs = {}  # slice -> prbs
@@ -44,7 +41,6 @@ class MetricsCollector:
         self.energy_j = {}
         self.wake_delays = 0
         self.wasted_grants = 0
-        self.padding_bytes = 0
         self.tb_transmitted = 0
         self.tb_failed_final = 0
         self.harq_protocol_errors = 0
@@ -65,20 +61,17 @@ class MetricsCollector:
             self.bearers[bearer_id] = bm
         return bm
 
-    def on_grant(self, grant, t, slice_id):
+    def on_grant(self, grant, slice_id):
         key = (grant.ru, grant.carrier)
         self.prb_granted[key] = self.prb_granted.get(key, 0) + grant.prbs
         self.slice_prbs[slice_id] = self.slice_prbs.get(slice_id, 0) + grant.prbs
-        if self.record_grants:
-            self.grant_log.append((t, grant.ue, grant.bearer_id, grant.ru,
-                                   grant.carrier, grant.prbs, grant.direction))
 
-    def on_tti(self, t, ranf, pools, max_head_sojourn, tti_index):
+    def on_tti(self, t, ranf, pools, max_head_sojourn):
         """Account one RANF-TTI of ``pools`` (a ``sched.PrbPools``)."""
         offered = self.prb_offered
         for key, total in pools.total.items():
             offered[key] = offered.get(key, 0) + total
-        if self.record_series and tti_index % self.series_stride == 0:
+        if self.record_series:
             total = pools.total_prbs
             # A key outside ``pools.total`` in ``free`` only ever holds 0.
             used = total - sum(pools.free.values())
@@ -190,7 +183,7 @@ def write_summary(report, path):
 
 
 def write_tti_series_csv(series, path):
-    """One row per RANF per recorded TTI, by time, then RANF id."""
+    """One row per RANF per TTI, by time, then RANF id."""
     rows = sorted((t, ranf, util, sojourn) for ranf, ranf_rows in series.items()
                   for t, util, sojourn in ranf_rows)
     with open(path, "w", newline="") as fh:

@@ -92,7 +92,7 @@ class SubnetCtx:
 
 
 class Runtime:
-    def __init__(self, cfg):
+    def __init__(self, cfg, record_series=False):
         self.cfg = cfg
         self.seed = cfg["seed"]
         self.mode = cfg["mode"]
@@ -103,7 +103,6 @@ class Runtime:
         self.drop_indication = cfg["drop_indication"]
         self.dmimo = cfg["dmimo"]
         self.energy_enabled = cfg["energy"]
-        self.strict_anchor = cfg["strict_anchor"]
         self.harq_rtt = cfg["harq"]["rtt_ttis"] * self.tti
         self.max_tx = cfg["harq"]["max_tx"]
         self.fb_error = cfg["harq"]["feedback_error_rate"]
@@ -116,9 +115,7 @@ class Runtime:
         self.fh_params = (fh["mode"], fh["expansion_factor"],
                           fh["update_cost_bytes"])
 
-        rec = cfg["record"]
-        self.metrics = MetricsCollector(rec["grants"], rec["tti_series"],
-                                        rec["series_stride"])
+        self.metrics = MetricsCollector(record_series)
         self.rng = RngRegistry(self.seed)
         self.sim = Simulator(self.rng)
         self.pending_retx = {}
@@ -254,10 +251,10 @@ class Runtime:
 
     def _check_ul_anchor(self, ue):
         """UL is anchored to the UE's RANF: its serving RUs must all belong
-        to that RANF.  Checked wherever ``ue.ranf`` or ``ue.serving_set``
-        is set, so no per-TTI UL bookkeeping is needed."""
+        to that RANF.  Checked wherever ``ue.ranf`` or ``ue.serving_set`` is
+        set; ``_select_serving`` makes it hold, so raising means a bug."""
         own = self.topology.ranfs[ue.ranf].serving_rus
-        if self.strict_anchor and not own.issuperset(ue.serving_set.rus):
+        if not own.issuperset(ue.serving_set.rus):
             foreign = [ru for ru in ue.serving_set.rus if ru not in own]
             raise sched.UlAnchorViolation(
                 f"UE {ue.id} anchored to RANF {ue.ranf} is served by "
@@ -495,7 +492,6 @@ class Runtime:
             return
         pools = template.fresh()
         ues = self.ues
-        grants_by_ue = {}  # ue id -> its grants this TTI, in grant order
         active_rus = set()
 
         # HARQ retransmissions take resources first.
@@ -560,7 +556,8 @@ class Runtime:
 
         def resources_for(req):
             ue = ues[req.ue]
-            if now < ue.resume_at:
+            # Released with requests still in the pipe, or not yet resumed.
+            if ue.released or now < ue.resume_at:
                 return ()
             # Another RANF than the UE's sees only stale requests, sent
             # before the UE's handover out of it; only its own RANF caches.
@@ -583,17 +580,14 @@ class Runtime:
             ctx = self.bearers[g.bearer_id]
             if trust.records and not trust.is_admitted(ctx.ue):
                 raise ModelError(f"grant issued to unadmitted UE {ctx.ue}")
-            metrics.on_grant(g, now, ctx.slice)
-            grants_by_ue.setdefault(g.ue, []).append(g)
+            metrics.on_grant(g, ctx.slice)
             active_rus.add(g.ru)
             self._serve_grant(ctx, g, now)
-
-        for ue_id in sorted(grants_by_ue):
-            sched.ul_anchor_check(ue_id, grants_by_ue[ue_id], self.ru_to_ranf,
-                                  ues[ue_id].ranf, strict=self.strict_anchor)
+        if grants:
+            sched.ul_anchor_check(grants, self.ru_to_ranf, ues)
 
         self._energy_tti(ranf, active_rus, now)
-        metrics.on_tti(now, ranf.id, pools, max_sojourn, self.tti_index)
+        metrics.on_tti(now, ranf.id, pools, max_sojourn)
 
     def _apply_aqm(self, ctx, now):
         if not ctx.buffer.queue:
@@ -618,13 +612,10 @@ class Runtime:
         if not ctx.has_data():
             # A stale request or the stage-2 leftover pass granted a drained
             # bearer: the whole grant is padding.
-            self.metrics.padding_bytes += grant.bytes
             return
         tb = stack.build_transport_block(ctx.buffer, ctx.rlc, grant.bytes)
         if tb.empty:
-            self.metrics.padding_bytes += grant.bytes
             return
-        self.metrics.padding_bytes += tb.padding
         key = (grant.ru, grant.carrier)
         proc.load(tb, meta={"pool": key, "prbs": grant.prbs, "bearer": ctx})
         self.metrics.tb_transmitted += 1
@@ -725,7 +716,6 @@ class Runtime:
         stashed_at = ctx.stashed_at
         m = ctx.metrics
         latencies = m.latencies
-        delivered_times = m.delivered_times
         for sn in sns:
             pdu = live.pop(sn, None)
             if pdu is None:
@@ -733,7 +723,6 @@ class Runtime:
                 continue
             m.delivered += 1
             latencies.append(now - pdu.arrival_time)
-            delivered_times.append(now)
             ctx.window_delivered += 1
             if sn in stashed_at:
                 m.reorder_stalls.append((sn, now - stashed_at.pop(sn)))

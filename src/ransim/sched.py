@@ -5,11 +5,11 @@ site and turns buffer state into prioritized requests (priority = class
 weight x head sojourn / latency budget).  Stage 2 runs centrally at the
 OnPrem RRM each TTI and greedily allocates PRBs over all (RU, carrier)
 pools of the RANF, which is what gives carrier aggregation across
-distributed RUs.  Stage 2 issues downlink grants only; the runtime checks
-each TTI's grants with ``ul_anchor_check`` so that none leaves the UE's
-serving RANF.  Uplink is anchored to a single RANF by keeping every UE's
-serving set inside its RANF (checked at set-up and handover), so no UL
-grants are simulated; inter-RANF resource use is a bug by construction.
+distributed RUs.  Stage 2 issues downlink grants only; no uplink grants
+are simulated.  Uplink is anchored to a single RANF by keeping every UE's
+serving set inside its RANF (checked at set-up and handover), and the
+runtime checks each RANF-TTI's grants with ``ul_anchor_check`` so that
+none leaves the UE's RANF; either check firing is a bug, never a result.
 """
 
 from .core import ConfigError, ModelError, US_PER_MS
@@ -79,10 +79,9 @@ class SchedulingRequest:
 
 
 class Grant:
-    __slots__ = ("ue", "bearer_id", "ru", "carrier", "prbs", "bytes", "tti",
-                 "direction")
+    __slots__ = ("ue", "bearer_id", "ru", "carrier", "prbs", "bytes", "tti")
 
-    def __init__(self, ue, bearer_id, ru, carrier, prbs, nbytes, tti, direction="DL"):
+    def __init__(self, ue, bearer_id, ru, carrier, prbs, nbytes, tti):
         self.ue = ue
         self.bearer_id = bearer_id
         self.ru = ru
@@ -90,10 +89,9 @@ class Grant:
         self.prbs = prbs
         self.bytes = nbytes
         self.tti = tti
-        self.direction = direction
 
     def __repr__(self):
-        return (f"Grant({self.direction} ue={self.ue} b={self.bearer_id} "
+        return (f"Grant(ue={self.ue} b={self.bearer_id} "
                 f"ru={self.ru}/{self.carrier} prbs={self.prbs} tti={self.tti})")
 
 
@@ -221,23 +219,13 @@ class UlAnchorViolation(ModelError):
     """A grant crossed RANF boundaries (scheduler bug in 6G mode)."""
 
 
-def ul_anchor_check(ue, grants, ru_to_ranf, serving_ranf, strict=True):
-    """Verify UL grants target one RANF and DL never leaves the serving RANF."""
-    violations = []
-    ul_ranfs = set()
+def ul_anchor_check(grants, ru_to_ranf, ues):
+    """Raise if a grant targets an RU outside its UE's RANF.  ``ues`` maps
+    UE ids to contexts with a ``ranf``; ``ru_to_ranf`` maps RUs to RANFs."""
     for g in grants:
-        if g.ue != ue:
-            continue
         ranf = ru_to_ranf.get(g.ru)
-        if ranf != serving_ranf:
-            violations.append(
-                f"{g.direction} grant for {ue} targets RU {g.ru} of RANF {ranf}, "
-                f"serving RANF is {serving_ranf}"
-            )
-        if g.direction == "UL":
-            ul_ranfs.add(ranf)
-    if len(ul_ranfs) > 1:
-        violations.append(f"UL grants for {ue} span RANFs {sorted(ul_ranfs)}")
-    if violations and strict:
-        raise UlAnchorViolation("; ".join(violations))
-    return violations
+        own = ues[g.ue].ranf
+        if ranf != own:
+            raise UlAnchorViolation(
+                f"grant for UE {g.ue} targets RU {g.ru} of RANF {ranf}, "
+                f"but the UE is anchored to RANF {own}")

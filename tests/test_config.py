@@ -114,11 +114,20 @@ def test_shipped_scenarios_validate():
 
 
 def test_trust_query_latency_rejected():
-    raw = minimal_raw()
-    raw["trust"] = {"query_latency_us": 10_000_000}
-    with pytest.raises(cfgmod.SchemaErrors) as exc:
-        cfgmod.validate_scenario(raw)
-    assert "query_latency_us" in str(exc.value)
+    """Keys that changed nothing a run reports have left the schema; each
+    is now an unknown key, named in the error (a ``record`` key by its
+    section, which is gone as a whole)."""
+    for extra, name in (({"trust": {"query_latency_us": 10_000_000}},
+                         "query_latency_us"),
+                        ({"strict_anchor": False}, "strict_anchor"),
+                        ({"record": {"grants": True}}, "record"),
+                        ({"record": {"tti_series": False}}, "record"),
+                        ({"record": {"series_stride": 10}}, "record")):
+        raw = minimal_raw()
+        raw.update(extra)
+        with pytest.raises(cfgmod.SchemaErrors) as exc:
+            cfgmod.validate_scenario(raw)
+        assert f"unknown key {name!r}" in str(exc.value), extra
 
 
 @pytest.mark.parametrize("policy, fragment", [

@@ -46,25 +46,29 @@ def _ecn_overload_raw():
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
-        # Moved only by config_hash: trust.query_latency_us left the schema.
-        "ef2c88dec9fc56ca88f4b2e0596332118a594b34e94acca8237a0eca7a0bb0db"),
+        # Moved only by config_hash: strict_anchor and record left the
+        # schema; the report minus config_hash is byte-identical.
+        "6589a99f2d3b915e14d3bf1048394e4db7d0d0804db4d5e8890a77e17fb8c55c"),
     "latency-budgets": (
         lambda: load_scenario("latency-budgets.yaml"),
-        # Moved only by config_hash: trust.query_latency_us left the schema.
-        "ac11d7362e1f26144d1cdfb61973ab600b2ae497c789aa46460271f794b9a3f4"),
+        # Moved only by config_hash: strict_anchor and record left the
+        # schema; the report minus config_hash is byte-identical.
+        "d743eba8c62326324e1a068ec282dce96725d636a03067cd67e32f84565764c4"),
     "split-lossy": (
         lambda: build(_split_lossy_raw()),
-        # Moved only by config_hash: trust.query_latency_us left the schema.
-        "4ed09f150f5815db93bfc464104c4f95aab53fae87931b6839d8532cb1b012cd"),
+        # Moved only by config_hash: strict_anchor and record left the
+        # schema; the report minus config_hash is byte-identical.
+        "b34cee2ac36358f8f54cbba97bdd34acfe797b05ab40d51694e99d28c51d8b44"),
     "handover": (
         lambda: build(_handover_raw()),
-        # Moved only by config_hash: trust.query_latency_us left the schema.
-        "4e7db2a2aea815fa67e3b015c98182d87b7db611b883a869e686c46ef3baa590"),
+        # Moved only by config_hash: strict_anchor and record left the
+        # schema; the report minus config_hash is byte-identical.
+        "b989e5a684f8558c7aae184398abf37bf35bbb4d555ce22dfa9a962d12961441"),
     "ecn-overload": (
         lambda: build(_ecn_overload_raw()),
-        # Recorded on the code before the tuple event heap and the
-        # whole-PDU fast paths, and unchanged by them.
-        "b39bda435463267f7d07f49ee43b061cdcb9317c5bfb34ac785e2f3a443031c5"),
+        # Moved only by config_hash: strict_anchor and record left the
+        # schema; the report minus config_hash is byte-identical.
+        "3318109b7a85a5bbab20eaa4fcaf9afd21c55bdd0689acf043903959dc85cc98"),
 }
 
 

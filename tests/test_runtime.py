@@ -10,7 +10,7 @@ from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
 from ransim import orchestrate as orch
 from ransim.core import ModelError, RngRegistry
-from ransim.metrics import write_tti_series_csv
+from ransim.metrics import MetricsCollector, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from test_golden import _ecn_overload_raw, _split_lossy_raw
 
@@ -220,6 +220,24 @@ def test_cli_validate_run_sweep_emit(tmp_path, capsys):
                      "--mode", "split_baseline"]) == 0
     out = capsys.readouterr().out
     assert "p99_us" in out
+    sweep_dir = tmp_path / "sweep"
+    assert cli.main(["sweep", scen, "--axis", "seed=1,2",
+                     "--out-dir", str(sweep_dir)]) == 0
+    for seed in (1, 2):
+        with open(sweep_dir / f"seed={seed}" / "tti-series.csv") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 2000 * len(ranfs)
+
+
+def test_run_without_output_keeps_no_tti_series():
+    rt = Runtime(cfgmod.validate_scenario(base_raw()))
+    rt.run()
+    assert rt.metrics.tti_series == {}
+
+
+def test_run_scenario_writes_nothing_to_stdout_or_stderr(capfd):
+    capfd.readouterr()
+    run_scenario(cfgmod.parse_scenario(SMOKE))
+    assert capfd.readouterr() == ("", "")
 
 
 def test_cli_validate_reports_errors(tmp_path, capsys):
@@ -259,10 +277,8 @@ def test_cli_injected_policy_validated_before_run(tmp_path, monkeypatch,
 def test_summary_numbers_reproducible_from_series(tmp_path):
     # One RANF, then three RANFs with handovers between them.
     for raw in (base_raw(), three_cell_raw()):
-        raw["record"] = {"grants": False, "tti_series": True,
-                         "series_stride": 1}
         cfg = cfgmod.validate_scenario(raw)
-        rt = Runtime(cfg)
+        rt = Runtime(cfg, record_series=True)
         report = rt.run()
         prbs = {c["id"]: c["prbs_per_tti"] for c in cfg["carriers"]}
         ru_carriers = {r["id"]: r["carriers"] for r in cfg["rus"]}
@@ -513,17 +529,17 @@ def test_last_energy_saving_policy_applied_decides_ru_states():
 
 
 def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
-    """Call counts, not timings: no UL grant objects, no transport block
-    built for a bearer with nothing to send, and stage 1 never touches a
-    bearer that never had data."""
-    directions = []
+    """Call counts, not timings: no grant objects besides the ones the
+    report accounts, no transport block built for a bearer with nothing to
+    send, and stage 1 never touches a bearer that never had data."""
+    grants = []
 
     class CountingGrant(sched.Grant):
         __slots__ = ()
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            directions.append(self.direction)
+            grants.append(self)
 
     built = []
     build = stack.build_transport_block
@@ -561,7 +577,8 @@ def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
         ctx.buffer = TouchCounter(ctx.buffer)
     report = rt.run()
 
-    assert directions and set(directions) == {"DL"}
+    assert grants and sum(g.prbs for g in grants) == sum(
+        u["granted_prbs"] for u in report["prb_utilization"].values())
     assert len(built) == report["tb_transmitted"] > 0
     assert all(not tb.empty for tb in built)
     assert [ctx.buffer.touches for ctx in idle] == [0, 0, 0]
@@ -683,3 +700,74 @@ def test_energy_meter_is_called_only_on_transitions(make_raw, monkeypatch):
     profiles = {entity: rt.meter.profile(entity) for entity in rt.meter.energy_j}
     assert orch.replay_energy(rt.meter.transitions, profiles, rt.duration) \
         == rt.meter.energy_j
+
+
+def released_mid_run_raw():
+    """``smoke.yaml`` with ue1 released at the 300 ms reassessment.  Slice
+    II's UP is 2 ms from the RRM, so stage-1 requests sent before the
+    release reach stage 2 after it."""
+    with open(SMOKE) as fh:
+        raw = yaml.safe_load(fh)
+    raw["ues"][0]["trust"] = {"auth": 0.5, "history": 0.5, "anomaly": 0.0}
+    raw["trust"] = {"reassess_interval_us": 100_000}
+    raw["script"] = [{"at_us": 250_000, "action": "anomaly", "ue": "ue1",
+                      "anomaly_score": 1.0}]
+    return raw
+
+
+def test_released_ue_in_flight_requests_get_no_grant(monkeypatch):
+    granted = []  # (time, UE, released) of every grant
+    on_grant = MetricsCollector.on_grant
+
+    def spy(metrics, grant, *args):
+        granted.append((rt.sim.now, grant.ue, rt.ues[grant.ue].released))
+        on_grant(metrics, grant, *args)
+
+    monkeypatch.setattr(MetricsCollector, "on_grant", spy)
+    rt = Runtime(cfgmod.validate_scenario(released_mid_run_raw()))
+    assert rt.ctrl_lat["ranf-a"]["II"] == 2000
+    report = rt.run()
+    [release] = [e for e in report["audit_log"]
+                 if e["ue"] == "ue1" and e["event"] == "Release"]
+    assert release["at"] == 300_000
+    assert granted and all(t <= release["at"] and not released
+                           for t, _, released in granted)
+    assert all(c["holds"] for c in report["conservation"].values())
+
+
+def handover_branch_run(raw):
+    """Run ``raw`` with u1's one handover at 40 ms; its record and ``rt``."""
+    raw["script"] = [s for s in raw["script"]
+                     if s["action"] != "handover" or s["at_us"] == 40_000]
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    report = rt.run()
+    assert all(c["holds"] for c in report["conservation"].values())
+    [record] = report["handovers"]
+    assert (record["ue"], record["src"], record["at"]) \
+        == ("u1", "rf-a", 40_000)
+    return record, rt
+
+
+def test_handover_to_a_non_neighbor_is_refused():
+    raw = three_cell_raw()
+    # Neighbor relations are symmetric: drop rf-a <-> rf-b on both sides.
+    raw["ranfs"][0]["neighbors"] = ["rf-c"]
+    raw["ranfs"][1]["neighbors"] = ["rf-c"]
+    record, rt = handover_branch_run(raw)
+    assert not record["accepted"] and record["reason"] == "not a neighbor"
+    assert rt.ues["u1"].ranf == "rf-a" and not rt.ues["u1"].released
+    assert rt.metrics.bearers["b-mc-u1"].latencies
+
+
+def test_handover_rejected_by_admission_releases_the_ue():
+    raw = three_cell_raw()
+    # Admitted at set-up (score 0.6); 0.4 once the anomaly hits, so the
+    # target RANF's admission check rejects it.
+    raw["ues"][0]["trust"] = {"auth": 0.5, "history": 0.5, "anomaly": 0.0}
+    raw["script"].append({"at_us": 30_000, "action": "anomaly", "ue": "u1",
+                          "anomaly_score": 1.0})
+    record, rt = handover_branch_run(raw)
+    assert not record["accepted"] and record["reason"] == "admission rejected"
+    assert rt.ues["u1"].released and rt.ues["u1"].ranf == "rf-a"
+    assert [(e.at, e.event, e.ranf) for e in rt.trust_engine.audit_log
+            if e.ue == "u1"] == [(0, "Admit", "rf-a"), (40_000, "Reject", "rf-b")]

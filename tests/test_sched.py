@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,8 +198,8 @@ def outcome(allocate, pool_map, requests, keys_of, min_share):
                           lambda r: keys_of[r.bearer_id], min_share=min_share)
     except ModelError as exc:
         return "error", str(exc), pools.free
-    return ([(g.ue, g.bearer_id, g.ru, g.carrier, g.prbs, g.bytes, g.tti,
-              g.direction) for g in grants], pools.free)
+    return ([(g.ue, g.bearer_id, g.ru, g.carrier, g.prbs, g.bytes, g.tti)
+             for g in grants], pools.free)
 
 
 @settings(max_examples=300, deadline=None)
@@ -211,12 +213,13 @@ def test_stage2_matches_reference_allocator(inputs):
 
 
 def test_ul_anchor_check_detects_cross_ranf():
+    """One call checks a whole TTI's grants, each against its own UE."""
     ru_to_ranf = {"ru1": "A", "ru2": "B"}
-    ok = [sched.Grant("u1", "b", "ru1", "c", 1, 0, 1, "UL")]
-    assert sched.ul_anchor_check("u1", ok, ru_to_ranf, "A") == []
-    bad = ok + [sched.Grant("u1", "b", "ru2", "c", 1, 0, 1, "UL")]
-    with pytest.raises(sched.UlAnchorViolation):
-        sched.ul_anchor_check("u1", bad, ru_to_ranf, "A")
-    # Non-strict mode reports instead of raising.
-    v = sched.ul_anchor_check("u1", bad, ru_to_ranf, "A", strict=False)
-    assert len(v) >= 1
+    ues = {"u1": SimpleNamespace(ranf="A"), "u2": SimpleNamespace(ranf="B")}
+    ok = [sched.Grant("u1", "b", "ru1", "c", 1, 0, 1),
+          sched.Grant("u2", "b2", "ru2", "c", 1, 0, 1)]
+    assert sched.ul_anchor_check(ok, ru_to_ranf, ues) is None
+    bad = ok + [sched.Grant("u2", "b2", "ru1", "c", 1, 0, 1)]
+    with pytest.raises(sched.UlAnchorViolation,
+                       match="UE u2 targets RU ru1 of RANF A.*RANF B"):
+        sched.ul_anchor_check(bad, ru_to_ranf, ues)
