@@ -110,6 +110,7 @@ def cmd_sweep(args):
     for value in parsed:
         cfg = copy.deepcopy(base)
         _apply_axis(cfg, key, value)
+        cfg = cfgmod.validate_scenario(cfg)
         out = os.path.join(args.out_dir, f"{key.replace('.', '_')}={value}") \
             if args.out_dir else None
         report = _run_one(cfg, out)

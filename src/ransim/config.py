@@ -1,5 +1,10 @@
 """Scenario files: strict YAML schema, exhaustive error reporting, defaults.
 
+``validate_scenario`` is the one check of scenario input: the build and the
+run trust what it returns.  Only model rules stay at the build (QoS
+classification, the slice of a bearer, auto-placement and the placement
+rules), each failing with a ``ConfigError`` that names its cause.
+
 The resolved config (defaults filled in) is itself a valid scenario: dumping
 and re-parsing it is a fixed point.  Every output artifact embeds the seed
 and a hash of the resolved config for provenance.
@@ -11,7 +16,10 @@ import json
 import yaml
 
 from . import orchestrate as orch
-from .core import ConfigError
+from . import radio
+from . import topology as topo
+from . import traffic as tra
+from .core import ConfigError, US_PER_S
 
 MODE_SIXG = "sixg"
 MODE_SPLIT = "split_baseline"
@@ -28,7 +36,10 @@ _TOP_DEFAULTS = {
     "t_reordering_us": 20_000,
     "handover_interruption_us": 5_000,
     "migration_downtime_us": 10_000,
+    "sites": [],
     "links": [],
+    "carriers": [],
+    "rus": [],
     "ranfs": [],
     "ues": [],
     "bearers": [],
@@ -38,16 +49,18 @@ _TOP_DEFAULTS = {
     "script": [],
 }
 
+# Specs: each allowed key maps to its default, or to a tuple of types for a
+# required key.  A dict default is the spec of a nested mapping; a list
+# default also requires a list.
 _NESTED_DEFAULTS = {
     "harq": {"processes": 8, "rtt_ttis": 4, "max_tx": 4,
              "feedback_error_rate": 0.0},
     "aqm": {"mark_threshold_us": 1_000, "drop_threshold_us": 50_000},
     "rlc": {"window": 64, "max_retx": None, "status_interval_us": 5_000},
-    "fronthaul": {"mode": "CentralizedBf", "expansion_factor": 4,
+    "fronthaul": {"mode": radio.CENTRALIZED_BF, "expansion_factor": 4,
                   "update_cost_bytes": 64},
     "split": {"d_f1_us": 0, "credit_bytes": None},
     "class_weights": {"MissionCritical": 100.0, "Moderate": 1.0},
-    "min_slice_share": {},
     "serving": {"quality_threshold": 0.1, "max_set_size": 1},
     "trust": {"weights": [0.5, 0.3, 0.2], "threshold": 0.6,
               "reassess_interval_us": 1_000_000},
@@ -56,14 +69,8 @@ _NESTED_DEFAULTS = {
     "bler": {"default": 0.0, "entries": []},
 }
 
-# The list-valued keys of each section, which validate_scenario copies.
-_NESTED_LIST_KEYS = {
-    section: [k for k, v in defaults.items() if isinstance(v, list)]
-    for section, defaults in _NESTED_DEFAULTS.items()
-}
-
 _TRAFFIC_DEFAULTS = {
-    "pattern": "ConstantBitRate",
+    "pattern": tra.CBR,
     "rate_bytes_per_s": 1_000_000.0,
     "sdu_bytes": 1500,
     "burst_period_us": 100_000,
@@ -71,23 +78,139 @@ _TRAFFIC_DEFAULTS = {
     "fps": 90.0,
     "frame_bytes": 50_000,
     "frame_jitter": 0.0,
-    "congestion_law": "None",
+    "congestion_law": tra.NO_REACTION,
     "recovery_step": 0.05,
     "rtt_window_us": 50_000,
     "start_us": 0,
     "stop_us": None,
 }
 
-_SCRIPT_ACTIONS = {
-    "handover": {"ue", "dst"},
-    "migrate": {"instance", "site"},
-    "anomaly": {"ue", "anomaly_score"},
-    "policy": {"policy"},
-    "detach_subnet": {"subnet"},
-    "attach_subnet": {"subnet", "ranf", "ru"},
-    "device_handover": {"device", "src", "dst"},
-    "set_bler": {"ue", "ru", "carrier", "bler"},
+_NONLOCAL_TRAFFIC = {"src": (str,), "size": (int,), "period_us": (int,),
+                     "start_us": 0, "stop_us": None}
+_UE_TRUST = {"auth": 1.0, "history": 1.0, "anomaly": 0.0}
+_BLER_ENTRY = {"ue": (str,), "ru": (str,), "carrier": (str,),
+               "bler": (int, float)}
+
+# The list sections of a scenario, with the spec of their entries.
+_ENTRIES = {
+    "sites": {"id": (str,), "kind": (str,), "cpu_capacity": 100.0},
+    "links": {"a": (str,), "b": (str,), "latency_us": (int,)},
+    "carriers": {"id": (str,), "prbs_per_tti": (int,),
+                 "bytes_per_prb": (int,)},
+    "rus": {"id": (str,), "site": (str,), "carriers": (list,),
+            "fronthaul_latency_us": 50},
+    "ranfs": {"id": (str,), "site": (str,), "rus": [], "neighbors": []},
+    "slices": {"id": (str,), "latency_budget_us": None, "auto_place": False},
+    "placement": {"id": (str,), "kind": (str,), "site": (str,),
+                  "slice": None, "bound_ru": None, "cpu_load": 1.0},
+    "ues": {"id": (str,), "ranf": (str,), "trust": _UE_TRUST,
+            "trust_threshold": None},
+    "bearers": {"id": (str,), "ue": (str,), "latency_req_us": (int,),
+                "reliability_req": (float,), "ecn_capable": False,
+                "traffic": _TRAFFIC_DEFAULTS},
+    "subnetworks": {"id": (str,), "parent_ranf": None, "parent_ru": None,
+                    "autonomous_prbs": 0, "grant_prbs": 10,
+                    "grant_period_us": 100_000, "local_bytes_per_prb": 64,
+                    "nonlocal_ttl_us": 1_000_000, "parent_latency_us": 2_000,
+                    "devices": [], "local_traffic": [],
+                    "nonlocal_traffic": []},
 }
+_SUBNET_TRAFFIC = {"local_traffic": {**_NONLOCAL_TRAFFIC, "dst": (str,)},
+                   "nonlocal_traffic": _NONLOCAL_TRAFFIC}
+_SCRIPT_ACTIONS = {
+    "handover": {"ue": (str,), "dst": (str,)},
+    "migrate": {"instance": (str,), "site": (str,)},
+    "anomaly": {"ue": (str,), "anomaly_score": (int, float)},
+    "policy": {"policy": (dict,)},
+    "detach_subnet": {"subnet": (str,)},
+    "attach_subnet": {"subnet": (str,), "ranf": (str,), "ru": (str,)},
+    "device_handover": {"device": (str,), "src": (str,), "dst": None},
+    "set_bler": _BLER_ENTRY,
+}
+_SCRIPT_SPECS = {action: {"at_us": (int,), "action": (str,), **spec}
+                 for action, spec in _SCRIPT_ACTIONS.items()}
+
+_NUMBER = (int, float)
+_POSITIVE = (lambda v: type(v) in _NUMBER and v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: type(v) in _NUMBER and v >= 0,
+                 "must be non-negative")
+_FRACTION = (lambda v: type(v) in _NUMBER and 0 <= v <= 1, "must be in [0,1]")
+
+
+def _one_of(*values):
+    return (lambda v: v in values, f"must be one of {list(values)}")
+
+
+# The checks of each entry kind (and of the scenario's top level), by key:
+# the kind of id the value names (each item of a list; None names nothing),
+# a (test, message) pair for the value, or the checks of a nested mapping.
+# Every value the run reschedules by or divides by must be positive.
+_BLER_CHECKS = {"ue": "ues", "ru": "rus", "carrier": "carriers",
+                "bler": _FRACTION}
+_SUBNET_TRAFFIC_CHECKS = {"period_us": _POSITIVE, "start_us": _NON_NEGATIVE}
+_CHECKS = {
+    "scenario": {
+        "duration_us": (lambda v: type(v) is int and v > 0,
+                        "must be a positive integer"),
+        "mode": _one_of(MODE_SIXG, MODE_SPLIT),
+        "tti_us": (lambda v: type(v) in _NUMBER and 125 <= v <= 1000,
+                   "must be within [125, 1000]"),
+        "t_reordering_us": _POSITIVE,
+        "cn_entry_site": "sites",
+        "rlc": {"status_interval_us": _POSITIVE},
+        "orchestrator": {"tick_us": _POSITIVE},
+        "trust": {"reassess_interval_us": _POSITIVE, "weights": (
+            lambda w: len(w) == 3 and all(type(x) in _NUMBER and x >= 0
+                                          for x in w)
+            and abs(sum(w) - 1.0) <= 1e-9,
+            "must be three non-negative weights that sum to 1")},
+        "fronthaul": {"mode": _one_of(radio.CENTRALIZED_BF,
+                                      radio.RU_LOCAL_BF)},
+    },
+    "sites": {"kind": _one_of(topo.ONPREM, topo.FAREDGE),
+              "cpu_capacity": _POSITIVE},
+    "links": {"a": "sites", "b": "sites", "latency_us": _NON_NEGATIVE},
+    "carriers": {"prbs_per_tti": _POSITIVE, "bytes_per_prb": _POSITIVE},
+    "rus": {"site": "sites", "carriers": "carriers"},
+    "ranfs": {"site": "sites", "rus": "rus", "neighbors": "ranfs"},
+    "slices": {},
+    "placement": {"kind": _one_of(*topo.FUNCTION_KINDS), "site": "sites",
+                  "slice": "slices", "bound_ru": "rus"},
+    "ues": {"ranf": "ranfs", "trust": dict.fromkeys(_UE_TRUST, _FRACTION)},
+    "bearers": {"ue": "ues", "traffic": {
+        "pattern": _one_of(tra.CBR, tra.POISSON, tra.PERIODIC_BURST,
+                           tra.XR_FRAME),
+        "congestion_law": _one_of(tra.NO_REACTION, tra.L4S, tra.CLASSIC),
+        "rate_bytes_per_s": _NON_NEGATIVE, "sdu_bytes": _POSITIVE,
+        "burst_period_us": _POSITIVE, "rtt_window_us": _POSITIVE,
+        # XrFrame frames are int(1e6 / fps) us apart: at least 1 us.
+        "fps": (lambda v: type(v) in _NUMBER and 0 < v <= US_PER_S,
+                f"must be in (0, {US_PER_S}]"),
+        "start_us": _NON_NEGATIVE}},
+    "subnetworks": {"parent_ranf": "ranfs", "parent_ru": "rus",
+                    "grant_period_us": _POSITIVE},
+    "local_traffic": _SUBNET_TRAFFIC_CHECKS,
+    "nonlocal_traffic": _SUBNET_TRAFFIC_CHECKS,
+    "bler.entries": _BLER_CHECKS,
+}
+_SCRIPT_CHECKS = {
+    "handover": {"ue": "ues", "dst": "ranfs"},
+    "migrate": {"instance": "instances", "site": "sites"},
+    "anomaly": {"ue": "ues", "anomaly_score": _FRACTION},
+    "policy": {},
+    "detach_subnet": {"subnet": "subnetworks"},
+    "attach_subnet": {"subnet": "subnetworks", "ranf": "ranfs", "ru": "rus"},
+    "device_handover": {"device": "devices", "src": "subnetworks",
+                        "dst": "subnetworks"},
+    "set_bler": _BLER_CHECKS,
+}
+_CHECKS.update((action, {"at_us": _NON_NEGATIVE, **checks})
+               for action, checks in _SCRIPT_CHECKS.items())
+# The spec of each entry kind in _CHECKS; the scenario's is its allowed keys.
+_SPECS = {"scenario": {**_TOP_DEFAULTS, **_NESTED_DEFAULTS,
+                       "duration_us": (int,)},
+          **_ENTRIES, **_SUBNET_TRAFFIC, **_SCRIPT_SPECS,
+          "bler.entries": _BLER_ENTRY}
 
 
 class SchemaErrors(ConfigError):
@@ -117,19 +240,58 @@ def _require(obj, key, path, errors, types=None):
     return val
 
 
-def _unique_ids(items, what, errors):
-    seen = {}
-    for idx, item in enumerate(items):
-        iid = item.get("id") if isinstance(item, dict) else None
-        if iid is None:
+def _fill(obj, spec, path, errors):
+    """Check ``obj`` against ``spec`` and fill in its defaults in place;
+    True when every key of ``spec`` can be read (``obj`` is a mapping, and
+    each required key, nested mapping and list has a value of its type)."""
+    if not _check_keys(obj, spec, path, errors):
+        return False
+    ok = True
+    for key, rule in spec.items():
+        kind = type(rule)
+        if kind is tuple:
+            val = obj.get(key)
+            if val is None:
+                errors.append(f"{path}: missing required key {key!r}")
+                ok = False
+            elif not isinstance(val, rule):
+                errors.append(f"{path}.{key}: expected {rule}, "
+                              f"got {type(val).__name__}")
+                ok = False
+        elif kind is dict:  # a nested mapping of defaults only
+            sub = obj.get(key)
+            if sub is None:
+                obj[key] = rule.copy()
+            elif _check_keys(sub, rule, f"{path}.{key}", errors):
+                obj[key] = {**rule, **sub}
+            else:
+                ok = False
+        elif key not in obj:
+            obj[key] = rule.copy() if kind is list else rule
+        elif kind is list and not isinstance(obj[key], list):
+            errors.append(f"{path}.{key}: expected a list, "
+                          f"got {type(obj[key]).__name__}")
+            ok = False
+    return ok
+
+
+def _check(obj, spec, path, checks, ids, errors):
+    """Apply ``checks`` (see ``_CHECKS``) to a mapping that meets ``spec``;
+    a value that is its spec default is valid."""
+    for key, rule in checks.items():
+        value = obj[key]
+        if value is spec[key]:
             continue
-        if iid in seen:
-            errors.append(
-                f"{what}[{idx}]: duplicate id {iid!r} (first at {what}[{seen[iid]}])"
-            )
-        else:
-            seen[iid] = idx
-    return set(seen)
+        if type(rule) is str:
+            if value is None:
+                continue
+            for v in value if type(value) is list else (value,):
+                if type(v) is not str or v not in ids[rule]:
+                    errors.append(f"{path}.{key}: {v!r} is not in {rule}")
+        elif type(rule) is dict:
+            _check(value, spec[key], f"{path}.{key}", rule, ids, errors)
+        elif not rule[0](value):
+            errors.append(f"{path}.{key}: {rule[1]}")
 
 
 def parse_scenario(path):
@@ -140,265 +302,130 @@ def parse_scenario(path):
 
 
 def validate_scenario(raw):
-    """Validate a raw scenario mapping; returns the resolved config dict."""
+    """Validate a raw scenario mapping; returns the resolved config dict.
+
+    Raises SchemaErrors listing every problem.  The entries of the list
+    sections are completed in place.
+    """
     errors = []
     if not isinstance(raw, dict):
         raise SchemaErrors(["scenario must be a mapping at the top level"])
 
-    allowed = (set(_TOP_DEFAULTS) | set(_NESTED_DEFAULTS)
-               | {"duration_us", "sites", "carriers", "rus"})
-    _check_keys(raw, allowed, "scenario", errors)
+    _check_keys(raw, _SPECS["scenario"], "scenario", errors)
 
     # Every config gets its own copy of the mutable (list) defaults, so that
     # editing one resolved config in place cannot change the next one.
-    cfg = dict(_TOP_DEFAULTS)
+    cfg = {}
     for key, default in _TOP_DEFAULTS.items():
         value = raw.get(key)
-        if value is not None:
-            cfg[key] = value
-        elif isinstance(default, list):
-            cfg[key] = list(default)
-    for section, defaults in _NESTED_DEFAULTS.items():
-        merged = dict(defaults)
-        for key in _NESTED_LIST_KEYS.get(section, ()):
-            merged[key] = list(defaults[key])
+        if value is None:
+            value = list(default) if isinstance(default, list) else default
+        elif isinstance(default, list) and not isinstance(value, list):
+            errors.append(f"scenario.{key}: expected a list")
+            value = []
+        cfg[key] = value
+    for section, spec in _NESTED_DEFAULTS.items():
         sub = raw.get(section)
-        if sub is not None:
-            if _check_keys(sub, set(defaults), section, errors):
-                merged.update({k: v for k, v in sub.items() if k in defaults})
-        cfg[section] = merged
+        if sub is None or not _fill(sub, spec, section, errors):
+            sub = {k: v.copy() if type(v) is list else v
+                   for k, v in spec.items()}
+        cfg[section] = sub
 
-    duration = _require(raw, "duration_us", "scenario", errors, (int,))
-    cfg["duration_us"] = duration if duration is not None else 0
-    if duration is not None and duration <= 0:
-        errors.append("scenario.duration_us: must be positive")
-    if cfg["mode"] not in (MODE_SIXG, MODE_SPLIT):
-        errors.append(f"scenario.mode: must be '{MODE_SIXG}' or '{MODE_SPLIT}'")
-    if not 125 <= cfg["tti_us"] <= 1000:
-        errors.append("scenario.tti_us: must be within [125, 1000]")
+    cfg["duration_us"] = raw.get("duration_us")
+    mark, drop = (cfg["aqm"][k] for k in ("mark_threshold_us",
+                                          "drop_threshold_us"))
+    if not (type(mark) in _NUMBER and type(drop) in _NUMBER and drop >= mark):
+        errors.append("aqm.drop_threshold_us: must be at least "
+                      "mark_threshold_us")
 
-    # --- topology ---
-    sites = raw.get("sites") or []
-    site_ids = _unique_ids(sites, "sites", errors)
-    if not sites:
-        errors.append("scenario.sites: at least one site is required")
-    for idx, s in enumerate(sites):
-        if _check_keys(s, {"id", "kind", "cpu_capacity"}, f"sites[{idx}]", errors):
-            _require(s, "id", f"sites[{idx}]", errors, (str,))
-            kind = _require(s, "kind", f"sites[{idx}]", errors, (str,))
-            if kind not in (None, "OnPrem", "FarEdge"):
-                errors.append(f"sites[{idx}].kind: must be OnPrem or FarEdge")
-            s.setdefault("cpu_capacity", 100.0)
-    cfg["sites"] = sites
-
-    for idx, link in enumerate(cfg["links"]):
-        if _check_keys(link, {"a", "b", "latency_us"}, f"links[{idx}]", errors):
-            for end in ("a", "b"):
-                sid = _require(link, end, f"links[{idx}]", errors, (str,))
-                if sid is not None and sid not in site_ids:
-                    errors.append(f"links[{idx}].{end}: unknown site {sid!r}")
-            lat = _require(link, "latency_us", f"links[{idx}]", errors, (int,))
-            if lat is not None and lat < 0:
-                errors.append(f"links[{idx}].latency_us: must be non-negative")
-
-    carriers = raw.get("carriers") or []
-    carrier_ids = _unique_ids(carriers, "carriers", errors)
-    if not carriers:
-        errors.append("scenario.carriers: at least one carrier is required")
-    for idx, c in enumerate(carriers):
-        if _check_keys(c, {"id", "prbs_per_tti", "bytes_per_prb"},
-                       f"carriers[{idx}]", errors):
-            _require(c, "id", f"carriers[{idx}]", errors, (str,))
-            for k in ("prbs_per_tti", "bytes_per_prb"):
-                v = _require(c, k, f"carriers[{idx}]", errors, (int,))
-                if v is not None and v <= 0:
-                    errors.append(f"carriers[{idx}].{k}: must be positive")
-    cfg["carriers"] = carriers
-
-    rus = raw.get("rus") or []
-    ru_ids = _unique_ids(rus, "rus", errors)
-    if not rus:
-        errors.append("scenario.rus: at least one RU is required")
-    for idx, r in enumerate(rus):
-        if _check_keys(r, {"id", "site", "carriers", "fronthaul_latency_us"},
-                       f"rus[{idx}]", errors):
-            _require(r, "id", f"rus[{idx}]", errors, (str,))
-            site = _require(r, "site", f"rus[{idx}]", errors, (str,))
-            if site is not None and site not in site_ids:
-                errors.append(f"rus[{idx}].site: unknown site {site!r}")
-            for c in r.get("carriers") or []:
-                if c not in carrier_ids:
-                    errors.append(f"rus[{idx}].carriers: unknown carrier {c!r}")
-            if not r.get("carriers"):
-                errors.append(f"rus[{idx}].carriers: at least one carrier required")
-            r.setdefault("fronthaul_latency_us", 50)
-    cfg["rus"] = rus
-
-    ranf_ids = _unique_ids(cfg["ranfs"], "ranfs", errors)
-    if not cfg["ranfs"]:
-        errors.append("scenario.ranfs: at least one RANF is required")
-    for idx, rf in enumerate(cfg["ranfs"]):
-        if _check_keys(rf, {"id", "site", "rus", "neighbors"},
-                       f"ranfs[{idx}]", errors):
-            _require(rf, "id", f"ranfs[{idx}]", errors, (str,))
-            site = _require(rf, "site", f"ranfs[{idx}]", errors, (str,))
-            if site is not None and site not in site_ids:
-                errors.append(f"ranfs[{idx}].site: unknown site {site!r}")
-            for ru in rf.get("rus") or []:
-                if ru not in ru_ids:
-                    errors.append(f"ranfs[{idx}].rus: unknown RU {ru!r}")
-            for nb in rf.get("neighbors") or []:
-                if nb not in {x.get("id") for x in cfg["ranfs"]}:
-                    errors.append(f"ranfs[{idx}].neighbors: unknown RANF {nb!r}")
-            rf.setdefault("rus", [])
-            rf.setdefault("neighbors", [])
-
-    # --- slices / placement ---
-    slice_ids = _unique_ids(cfg["slices"], "slices", errors)
-    for idx, sl in enumerate(cfg["slices"]):
-        if _check_keys(sl, {"id", "latency_budget_us", "auto_place"},
-                       f"slices[{idx}]", errors):
-            _require(sl, "id", f"slices[{idx}]", errors, (str,))
-            sl.setdefault("auto_place", False)
-            sl.setdefault("latency_budget_us", None)
-            if sl["auto_place"] and sl["latency_budget_us"] is None:
-                errors.append(
-                    f"slices[{idx}]: auto_place requires latency_budget_us")
-
-    _unique_ids(cfg["placement"], "placement", errors)
-    for idx, inst in enumerate(cfg["placement"]):
-        if _check_keys(inst, {"id", "kind", "site", "slice", "bound_ru",
-                              "cpu_load"}, f"placement[{idx}]", errors):
-            _require(inst, "id", f"placement[{idx}]", errors, (str,))
-            _require(inst, "kind", f"placement[{idx}]", errors, (str,))
-            site = _require(inst, "site", f"placement[{idx}]", errors, (str,))
-            if site is not None and site not in site_ids:
-                errors.append(f"placement[{idx}].site: unknown site {site!r}")
-            if inst.get("slice") is not None and inst["slice"] not in slice_ids:
-                errors.append(
-                    f"placement[{idx}].slice: unknown slice {inst['slice']!r}")
-            if inst.get("bound_ru") is not None and inst["bound_ru"] not in ru_ids:
-                errors.append(
-                    f"placement[{idx}].bound_ru: unknown RU {inst['bound_ru']!r}")
-            inst.setdefault("slice", None)
-            inst.setdefault("bound_ru", None)
-            inst.setdefault("cpu_load", 1.0)
-
-    # --- ues / bearers ---
-    ue_ids = _unique_ids(cfg["ues"], "ues", errors)
-    for idx, ue in enumerate(cfg["ues"]):
-        if _check_keys(ue, {"id", "ranf", "trust", "trust_threshold"},
-                       f"ues[{idx}]", errors):
-            _require(ue, "id", f"ues[{idx}]", errors, (str,))
-            rf = _require(ue, "ranf", f"ues[{idx}]", errors, (str,))
-            if rf is not None and rf not in ranf_ids:
-                errors.append(f"ues[{idx}].ranf: unknown RANF {rf!r}")
-            tr = ue.setdefault("trust", {"auth": 1.0, "history": 1.0,
-                                         "anomaly": 0.0})
-            _check_keys(tr, {"auth", "history", "anomaly"},
-                        f"ues[{idx}].trust", errors)
-            tr.setdefault("auth", 1.0)
-            tr.setdefault("history", 1.0)
-            tr.setdefault("anomaly", 0.0)
-            ue.setdefault("trust_threshold", None)
-
-    _unique_ids(cfg["bearers"], "bearers", errors)
-    for idx, b in enumerate(cfg["bearers"]):
-        if _check_keys(b, {"id", "ue", "latency_req_us", "reliability_req",
-                           "ecn_capable", "traffic"}, f"bearers[{idx}]", errors):
-            _require(b, "id", f"bearers[{idx}]", errors, (str,))
-            ue = _require(b, "ue", f"bearers[{idx}]", errors, (str,))
-            if ue is not None and ue not in ue_ids:
-                errors.append(f"bearers[{idx}].ue: unknown UE {ue!r}")
-            _require(b, "latency_req_us", f"bearers[{idx}]", errors, (int,))
-            _require(b, "reliability_req", f"bearers[{idx}]", errors, (float,))
-            b.setdefault("ecn_capable", False)
-            traffic = dict(_TRAFFIC_DEFAULTS)
-            sub = b.get("traffic")
-            if sub is not None:
-                if _check_keys(sub, set(_TRAFFIC_DEFAULTS),
-                               f"bearers[{idx}].traffic", errors):
-                    traffic.update({k: v for k, v in sub.items()
-                                    if k in _TRAFFIC_DEFAULTS})
-            b["traffic"] = traffic
-
-    for idx, e in enumerate(cfg["bler"]["entries"]):
-        if _check_keys(e, {"ue", "ru", "carrier", "bler"},
-                       f"bler.entries[{idx}]", errors):
-            for key, pool in (("ue", ue_ids), ("ru", ru_ids),
-                              ("carrier", carrier_ids)):
-                v = _require(e, key, f"bler.entries[{idx}]", errors, (str,))
-                if v is not None and v not in pool:
-                    errors.append(f"bler.entries[{idx}].{key}: unknown id {v!r}")
-            bler = _require(e, "bler", f"bler.entries[{idx}]", errors,
-                            (int, float))
-            if bler is not None and not 0 <= bler <= 1:
-                errors.append(f"bler.entries[{idx}].bler: must be in [0,1]")
-
-    # --- sub-networks ---
-    subnet_keys = {"id", "parent_ranf", "parent_ru", "autonomous_prbs",
-                   "grant_prbs", "grant_period_us", "local_bytes_per_prb",
-                   "nonlocal_ttl_us", "parent_latency_us", "devices",
-                   "local_traffic", "nonlocal_traffic"}
-    subnet_ids = _unique_ids(cfg["subnetworks"], "subnetworks", errors)
-    device_ids = set()
-    for idx, sn in enumerate(cfg["subnetworks"]):
-        if _check_keys(sn, subnet_keys, f"subnetworks[{idx}]", errors):
-            _require(sn, "id", f"subnetworks[{idx}]", errors, (str,))
-            sn.setdefault("parent_ranf", None)
-            sn.setdefault("parent_ru", None)
-            sn.setdefault("autonomous_prbs", 0)
-            sn.setdefault("grant_prbs", 10)
-            sn.setdefault("grant_period_us", 100_000)
-            sn.setdefault("local_bytes_per_prb", 64)
-            sn.setdefault("nonlocal_ttl_us", 1_000_000)
-            sn.setdefault("parent_latency_us", 2_000)
-            sn.setdefault("devices", [])
-            sn.setdefault("local_traffic", [])
-            sn.setdefault("nonlocal_traffic", [])
-            device_ids.update(sn["devices"])
-            for t_idx, t in enumerate(sn["local_traffic"]):
-                _check_keys(t, {"src", "dst", "size", "period_us", "start_us",
-                                "stop_us"},
-                            f"subnetworks[{idx}].local_traffic[{t_idx}]", errors)
-                t.setdefault("start_us", 0)
-                t.setdefault("stop_us", None)
-            for t_idx, t in enumerate(sn["nonlocal_traffic"]):
-                _check_keys(t, {"src", "size", "period_us", "start_us",
-                                "stop_us"},
-                            f"subnetworks[{idx}].nonlocal_traffic[{t_idx}]",
-                            errors)
-                t.setdefault("start_us", 0)
-                t.setdefault("stop_us", None)
-
-    # --- script ---
+    # Each entry that meets its spec, as (path, entry), by entry kind; the
+    # ids of each kind.
+    entries = {"scenario": [("scenario", cfg)]}
+    ids = {}
+    for what, spec in _ENTRIES.items():
+        items = cfg[what]
+        if what in ("sites", "carriers", "rus", "ranfs") and not items:
+            errors.append(f"scenario.{what}: at least one entry is required")
+        entries[what] = _entries(items, spec, what, errors, ids)
+    entries["bler.entries"] = _entries(cfg["bler"]["entries"], _BLER_ENTRY,
+                                       "bler.entries", errors)
+    ids["devices"] = set()
+    for path, sn in entries["subnetworks"]:
+        ids["devices"].update(d for d in sn["devices"] if type(d) is str)
+        for what, spec in _SUBNET_TRAFFIC.items():
+            entries.setdefault(what, []).extend(
+                _entries(sn[what], spec, f"{path}.{what}", errors))
+    ids["instances"] = set(ids["placement"])
+    for path, sl in entries["slices"]:
+        if sl["auto_place"]:
+            ids["instances"].update(orch.auto_instance_ids(sl["id"]))
+            if sl["latency_budget_us"] is None:
+                errors.append(f"{path}: auto_place requires latency_budget_us")
     for idx, ev in enumerate(cfg["script"]):
         path = f"script[{idx}]"
-        if not isinstance(ev, dict):
-            errors.append(f"{path}: expected a mapping")
-            continue
-        at = _require(ev, "at_us", path, errors, (int,))
-        if at is not None and at < 0:
-            errors.append(f"{path}.at_us: must be non-negative")
-        action = _require(ev, "action", path, errors, (str,))
-        if action is not None:
-            if action not in _SCRIPT_ACTIONS:
-                errors.append(f"{path}.action: unknown action {action!r}")
-            else:
-                allowed_keys = _SCRIPT_ACTIONS[action] | {"at_us", "action"}
-                _check_keys(ev, allowed_keys, path, errors)
-                if action == "handover" and ev.get("ue") not in ue_ids:
-                    errors.append(f"{path}.ue: unknown UE {ev.get('ue')!r}")
-                if action in ("detach_subnet", "attach_subnet") \
-                        and ev.get("subnet") not in subnet_ids:
-                    errors.append(f"{path}.subnet: unknown {ev.get('subnet')!r}")
-                if action == "policy":
-                    _check_policy(ev.get("policy"), f"{path}.policy",
-                                  slice_ids, errors)
+        action = ev.get("action") if isinstance(ev, dict) else None
+        if isinstance(action, str) and action in _SCRIPT_SPECS:
+            if _fill(ev, _SCRIPT_SPECS[action], path, errors):
+                entries.setdefault(action, []).append((path, ev))
+        elif action is not None:
+            errors.append(f"{path}.action: unknown action {action!r}")
+        else:
+            _fill(ev, {"at_us": (int,), "action": (str,)}, path, errors)
+
+    for what, good in entries.items():
+        spec, checks = _SPECS[what], _CHECKS[what]
+        for path, entry in good:
+            _check(entry, spec, path, checks, ids, errors)
+
+    # Rules between entries.
+    site_kind = {s["id"]: s["kind"] for _, s in entries["sites"]}
+    for path, r in entries["rus"]:
+        if not r["carriers"]:
+            errors.append(f"{path}.carriers: at least one carrier required")
+        if site_kind.get(r["site"]) == topo.FAREDGE:
+            errors.append(f"{path}.site: an RU attaches to an OnPrem site")
+    served_by = {}
+    for path, rf in entries["ranfs"]:
+        if not rf["rus"]:
+            errors.append(f"{path}.rus: a RANF serves at least one RU")
+        for ru in rf["rus"]:
+            if type(ru) is str and served_by.setdefault(ru, path) != path:
+                errors.append(f"{path}.rus: RU {ru!r} is already served by "
+                              f"{served_by[ru]}")
+    first_link = {}  # (a, b) with a <= b -> (path, latency) of its first link
+    for path, link in entries["links"]:
+        a, b, lat = link["a"], link["b"], link["latency_us"]
+        first, first_lat = first_link.setdefault((min(a, b), max(a, b)),
+                                                  (path, lat))
+        if first_lat != lat:
+            errors.append(f"{path}.latency_us: {lat} differs from the "
+                          f"{first_lat} of {first}, between the same sites")
+    for path, ev in entries.get("policy", ()):
+        _check_policy(ev["policy"], f"{path}.policy", ids["slices"], errors)
 
     if errors:
         raise SchemaErrors(errors)
     return cfg
+
+
+def _entries(items, spec, what, errors, ids=None):
+    """(path, entry) of each entry of ``items`` that meets ``spec``; the
+    ids of all its entries go into ``ids[what]``."""
+    good = []
+    first = {}  # id -> the path of its first entry
+    for idx, item in enumerate(items):
+        path = f"{what}[{idx}]"
+        iid = item.get("id") if isinstance(item, dict) else None
+        if type(iid) is str:  # else the spec check reports it
+            if iid in first:
+                errors.append(f"{path}: duplicate id {iid!r} (first at "
+                              f"{first[iid]})")
+            first.setdefault(iid, path)
+        if _fill(item, spec, path, errors):
+            good.append((path, item))
+    if ids is not None:
+        ids[what] = set(first)
+    return good
 
 
 def _check_policy(policy, path, slice_ids, errors):

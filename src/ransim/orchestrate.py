@@ -30,6 +30,11 @@ class SlaSpec:
     cpu_load_per_instance: float = 1.0
 
 
+def auto_instance_ids(slice_id):
+    """Ids of the RRC, UP and PHY instances that ``admit_slice`` places."""
+    return [f"slice-{slice_id}-{part}" for part in ("rrc", "up", "phy")]
+
+
 @dataclass
 class Reject:
     reason: str  # "latency" | "capacity"
@@ -45,7 +50,7 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
     all-OnPrem misses it (or capacity runs out) the slice is rejected and
     the plan is left unchanged.  Returns the new FunctionInstances or Reject.
     """
-    prefix = f"slice-{sla.slice_id}"
+    ids = auto_instance_ids(sla.slice_id)
     faredge = sorted(
         (s for s in topology.sites.values() if s.kind == topo.FAREDGE),
         key=lambda s: s.id,
@@ -66,15 +71,9 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
     last_detail = ""
     for site in candidates:
         instances = [
-            topo.FunctionInstance(f"{prefix}-rrc", topo.RRC, site.id,
-                                  slice=sla.slice_id,
-                                  cpu_load=sla.cpu_load_per_instance),
-            topo.FunctionInstance(f"{prefix}-up", topo.UP, site.id,
-                                  slice=sla.slice_id,
-                                  cpu_load=sla.cpu_load_per_instance),
-            topo.FunctionInstance(f"{prefix}-phy", topo.PHY, site.id,
-                                  slice=sla.slice_id,
-                                  cpu_load=sla.cpu_load_per_instance),
+            topo.FunctionInstance(iid, kind, site.id, slice=sla.slice_id,
+                                  cpu_load=sla.cpu_load_per_instance)
+            for iid, kind in zip(ids, (topo.RRC, topo.UP, topo.PHY))
         ]
         trial = topo.PlacementPlan(plan.instances + instances)
         violations = topo.validate_placement(trial, topology)
@@ -250,12 +249,6 @@ class PolicyStore:
         self.audit = []
 
     def apply(self, policy, now):
-        if policy.directive not in POLICY_PARAMS:
-            raise ConfigError(f"unknown policy directive {policy.directive!r}")
-        if policy.directive == MIN_SLICE_SHARE:
-            frac = policy.params.get("fraction")
-            if frac is None or not 0 <= frac <= 1:
-                raise ConfigError(f"policy {policy.id}: bad MinSliceShare fraction")
         key = (policy.directive, policy.scope, policy.params.get("slice"))
         if key in self._by_key:
             self.audit.append((now, policy.id, "overrides",

@@ -24,10 +24,6 @@ class Carrier:
     prbs_per_tti: int
     bytes_per_prb: int
 
-    def __post_init__(self):
-        if self.prbs_per_tti <= 0 or self.bytes_per_prb <= 0:
-            raise ValueError(f"carrier {self.id}: capacities must be positive")
-
 
 class BlerMap:
     """Per (ue, ru, carrier) block error probability; default applies elsewhere."""
@@ -40,8 +36,6 @@ class BlerMap:
         return self._map.get((ue, ru, carrier), self.default)
 
     def set(self, ue, ru, carrier, bler):
-        if not 0.0 <= bler <= 1.0:
-            raise ValueError(f"bler must be in [0,1], got {bler}")
         self._map[(ue, ru, carrier)] = bler
 
 
@@ -99,9 +93,7 @@ def fronthaul_load(mode, tb_bytes, expansion_factor=4, update_cost=64):
     """
     if mode == CENTRALIZED_BF:
         return tb_bytes * expansion_factor
-    if mode == RU_LOCAL_BF:
-        return tb_bytes + update_cost
-    raise ModelError(f"unknown beamforming mode {mode!r}")
+    return tb_bytes + update_cost  # RU_LOCAL_BF
 
 
 @dataclass

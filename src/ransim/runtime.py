@@ -20,6 +20,7 @@ from . import orchestrate as orch
 from . import radio
 from . import sched
 from . import stack
+from . import subnet
 from . import topology as topo
 from . import traffic as tra
 from . import trust as tru
@@ -110,7 +111,6 @@ class Runtime:
         self.d_f1 = cfg["split"]["d_f1_us"]
         self.credit_bytes = cfg["split"]["credit_bytes"]
         self.class_weights = cfg["class_weights"]
-        self.min_slice_share = cfg["min_slice_share"] or None
         fh = cfg["fronthaul"]
         self.fh_params = (fh["mode"], fh["expansion_factor"],
                           fh["update_cost_bytes"])
@@ -133,7 +133,6 @@ class Runtime:
         self._build_subnets()
         self._build_energy()
         self._schedule_script()
-        self.tti_index = 0
         self.sim.schedule(self.tti, "tti", "scheduler", self._on_tti)
         if self.trust_engine.records:
             iv = cfg["trust"]["reassess_interval_us"]
@@ -148,13 +147,11 @@ class Runtime:
 
     def _build_topology(self):
         cfg = self.cfg
-        sites = []
-        for s in cfg["sites"]:
-            sites.append(topo.Site(s["id"], s["kind"], s["cpu_capacity"]))
+        sites = [topo.Site(s["id"], s["kind"], s["cpu_capacity"])
+                 for s in cfg["sites"]]
         site_by_id = {s.id: s for s in sites}
-        for link in cfg["links"]:
+        for link in cfg["links"]:  # Topology adds the other direction
             site_by_id[link["a"]].link_latency_to[link["b"]] = link["latency_us"]
-            site_by_id[link["b"]].link_latency_to[link["a"]] = link["latency_us"]
         self.carriers = {c["id"]: radio.Carrier(c["id"], c["prbs_per_tti"],
                                                 c["bytes_per_prb"])
                          for c in cfg["carriers"]}
@@ -279,6 +276,8 @@ class Runtime:
     def _build_bearers(self):
         self.bearers = {}
         declared = set(self.slice_ids)
+        aqm = stack.AqmState(self.cfg["aqm"]["mark_threshold_us"],
+                             self.cfg["aqm"]["drop_threshold_us"])  # read only
         for b in self.cfg["bearers"]:
             qos_class, slice_id = sched.classify_qos(
                 b["latency_req_us"], b["reliability_req"])
@@ -292,8 +291,6 @@ class Runtime:
                 sched.CLASS_LATENCY_BUDGET[qos_class], qos_class,
                 ecn_capable=b["ecn_capable"],
             )
-            aqm = stack.AqmState(self.cfg["aqm"]["mark_threshold_us"],
-                                 self.cfg["aqm"]["drop_threshold_us"])
             buffer = stack.TransmitBuffer(b["id"], aqm)
             rlc = stack.RlcTxState(self.cfg["rlc"]["window"],
                                    self.cfg["rlc"]["max_retx"])
@@ -473,7 +470,6 @@ class Runtime:
 
     def _on_tti(self):
         now = self.sim.now
-        self.tti_index += 1
         for ranf in self.ranf_order:
             self._tti_for_ranf(ranf, now)
         for ctx in self.subnets.values():
@@ -487,10 +483,7 @@ class Runtime:
             self.sim.schedule(nxt, "tti", "scheduler", self._on_tti)
 
     def _tti_for_ranf(self, ranf, now):
-        template = self.pool_templates[ranf.id]
-        if not template.total:
-            return
-        pools = template.fresh()
+        pools = self.pool_templates[ranf.id].fresh()
         ues = self.ues
         active_rus = set()
 
@@ -556,24 +549,21 @@ class Runtime:
 
         def resources_for(req):
             ue = ues[req.ue]
-            # Released with requests still in the pipe, or not yet resumed.
-            if ue.released or now < ue.resume_at:
+            # Released with requests still in the pipe, not yet resumed, or
+            # a stale request from before a handover out of this RANF (the
+            # UE's serving set lies within its own RANF, the one caching it).
+            if ue.released or now < ue.resume_at or ue.ranf != ranf.id:
                 return ()
-            # Another RANF than the UE's sees only stale requests, sent
-            # before the UE's handover out of it; only its own RANF caches.
-            own = ue.ranf == ranf.id
-            if own and ue.pool_keys is not None:
-                return ue.pool_keys
-            keys = [(ru_id, c_id) for ru_id in ue.serving_set.rus
-                    if ru_id in ranf.serving_rus
+            keys = ue.pool_keys
+            if keys is None:
+                keys = ue.pool_keys = [
+                    (ru_id, c_id) for ru_id in ue.serving_set.rus
                     for c_id in self.topology.rus[ru_id].carriers]
-            if own:
-                ue.pool_keys = keys
             return keys
 
-        min_share = self.policies.min_slice_shares() or self.min_slice_share
-        grants = sched.stage2_allocate(requests, self.tti_index, pools,
-                                       resources_for, min_share=min_share)
+        grants = sched.stage2_allocate(
+            requests, pools, resources_for,
+            min_share=self.policies.min_slice_shares())
         trust = self.trust_engine
         metrics = self.metrics
         for g in grants:
@@ -939,9 +929,8 @@ class Runtime:
         elif action == "migrate":
             self._do_migration(ev["instance"], ev["site"], now)
         elif action == "anomaly":
-            rec = self.trust_engine.records.get(ev["ue"])
-            if rec is not None:
-                rec.features.anomaly_score = ev["anomaly_score"]
+            self.trust_engine.records[ev["ue"]].features.anomaly_score = \
+                ev["anomaly_score"]
         elif action == "policy":
             p = ev["policy"]
             policy = orch.Policy(p["id"], p.get("scope", "global"),
@@ -959,8 +948,7 @@ class Runtime:
             dst = self.subnets[ev["dst"]].controller if ev["dst"] else None
             dev = src.devices.get(ev["device"])
             if dev is not None:
-                from .subnet import device_handover
-                device_handover(dev, src, dst, now)
+                subnet.device_handover(dev, src, dst, now)
         elif action == "set_bler":
             self.bler.set(ev["ue"], ev["ru"], ev["carrier"], ev["bler"])
 
@@ -968,9 +956,11 @@ class Runtime:
         ue = self.ues[ue_id]
         src = self.topology.ranfs[ue.ranf]
         dst = self.topology.ranfs[dst_id]
-        if dst_id not in src.neighbor_ranfs:
+        if ue.released or dst_id not in src.neighbor_ranfs:
+            # A released UE stays released: no admission check, no audit.
+            reason = "UE released" if ue.released else "not a neighbor"
             self.metrics.handovers.append(radio.HandoverRecord(
-                ue_id, src.id, dst_id, now, 0, 0, False, "not a neighbor"))
+                ue_id, src.id, dst_id, now, 0, 0, False, reason))
             return
         # Zero trust: re-check at the target RANF, no inherited admission.
         if self.trust_engine.admission_check(ue_id, now, ranf=dst_id) \
@@ -1004,9 +994,7 @@ class Runtime:
             ue_id, src.id, dst_id, now, interruption, forwarded, True))
 
     def _do_migration(self, instance_id, site_id, now):
-        inst = self.plan.by_id.get(instance_id)
-        if inst is None:
-            raise ConfigError(f"migration: unknown instance {instance_id!r}")
+        inst = self.plan.by_id[instance_id]
         site = self.topology.sites[site_id]
         outcome = topo.migrate_function(
             self.plan, self.topology, inst, site, now,
@@ -1020,8 +1008,8 @@ class Runtime:
 
     def _on_subnet_traffic(self, ctx, t, local):
         now = self.sim.now
-        from .subnet import SubnetPacket
-        pkt = SubnetPacket(t["src"], t.get("dst"), t["size"], now, local)
+        pkt = subnet.SubnetPacket(t["src"], t.get("dst"), t["size"], now,
+                                  local)
         ctx.controller.offer(pkt, now)
         nxt = now + t["period_us"]
         if nxt <= self.duration and (t["stop_us"] is None or nxt < t["stop_us"]):
@@ -1099,8 +1087,7 @@ def stage1_with_extras(items, now, class_weights):
 
 
 def subnet_controller_from_cfg(sn):
-    from .subnet import SubnetworkController, SubnetworkDevice
-    ctrl = SubnetworkController(
+    ctrl = subnet.SubnetworkController(
         sn["id"],
         autonomous_prbs=sn["autonomous_prbs"],
         local_bytes_per_prb=sn["local_bytes_per_prb"],
@@ -1110,7 +1097,7 @@ def subnet_controller_from_cfg(sn):
     if sn["parent_ranf"] is not None:
         ctrl.attach(sn["parent_ranf"], sn["parent_ru"])
     for dev_id in sn["devices"]:
-        ctrl.add_device(SubnetworkDevice(dev_id, sn["id"]))
+        ctrl.add_device(subnet.SubnetworkDevice(dev_id, sn["id"]))
     return ctrl
 
 

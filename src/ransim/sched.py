@@ -79,20 +79,19 @@ class SchedulingRequest:
 
 
 class Grant:
-    __slots__ = ("ue", "bearer_id", "ru", "carrier", "prbs", "bytes", "tti")
+    __slots__ = ("ue", "bearer_id", "ru", "carrier", "prbs", "bytes")
 
-    def __init__(self, ue, bearer_id, ru, carrier, prbs, nbytes, tti):
+    def __init__(self, ue, bearer_id, ru, carrier, prbs, nbytes):
         self.ue = ue
         self.bearer_id = bearer_id
         self.ru = ru
         self.carrier = carrier
         self.prbs = prbs
         self.bytes = nbytes
-        self.tti = tti
 
     def __repr__(self):
         return (f"Grant(ue={self.ue} b={self.bearer_id} "
-                f"ru={self.ru}/{self.carrier} prbs={self.prbs} tti={self.tti})")
+                f"ru={self.ru}/{self.carrier} prbs={self.prbs})")
 
 
 class PrbPools:
@@ -125,7 +124,7 @@ class PrbPools:
         return got
 
 
-def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
+def stage2_allocate(requests, pools, resources_for, min_share=None,
                     demand_overhead=16):
     """Greedy central allocation by descending priority, ties by bearer id.
 
@@ -175,7 +174,7 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
             free[key] -= got
             nbytes = got * bpp
             grants.append(Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                                nbytes, tti))
+                                nbytes))
             demand -= nbytes
             if req.slice in reserved:
                 reserved[req.slice] = max(0, reserved[req.slice] - got)
@@ -200,7 +199,7 @@ def stage2_allocate(requests, tti, pools, resources_for, min_share=None,
         free[key] = 0
         nbytes = got * bytes_per_prb[key]
         grants.append(Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                            nbytes, tti))
+                            nbytes))
         remaining[pick] = max(0, remaining[pick] - nbytes)
 
     # Work conservation: an unmet request alongside a free compatible PRB is a bug.

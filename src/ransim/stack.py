@@ -83,10 +83,6 @@ class AqmState:
     mark_threshold: int = 1_000  # us head sojourn before CE mark
     drop_threshold: int = 50_000  # us head sojourn before front drop
 
-    def __post_init__(self):
-        if self.drop_threshold < self.mark_threshold:
-            raise ValueError("drop_threshold must be >= mark_threshold")
-
 
 class TransmitBuffer:
     """The single per-bearer queue of PDUs awaiting first transmission."""

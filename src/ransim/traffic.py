@@ -8,7 +8,7 @@ toward the nominal rate.
 
 from dataclasses import dataclass, field
 
-from .core import ConfigError, US_PER_S
+from .core import US_PER_S
 
 CBR = "ConstantBitRate"
 POISSON = "Poisson"
@@ -38,8 +38,6 @@ class TrafficSource:
     rtt_window: int = 50_000  # us, at most one multiplicative reaction per window
 
     def __post_init__(self):
-        if self.nominal_rate < 0:
-            raise ConfigError(f"source {self.bearer_id}: negative rate")
         self.rate = self.nominal_rate
 
     def next_emission(self, now, rng):
@@ -51,29 +49,23 @@ class TrafficSource:
             return now + max(1, gap), [self.sdu_bytes]
         if self.pattern == POISSON:
             mean_gap = self.sdu_bytes * US_PER_S / self.rate
-            gap = rng.expovariate(1.0 / mean_gap) if mean_gap > 0 else 1
+            gap = rng.expovariate(1.0 / mean_gap)
             return now + max(1, int(gap)), [self.sdu_bytes]
         if self.pattern == PERIODIC_BURST:
-            sizes = []
-            left = self.burst_bytes
-            while left > 0:
-                take = min(left, self.sdu_bytes)
-                sizes.append(take)
-                left -= take
-            return now + self.burst_period, sizes
-        if self.pattern == XR_FRAME:
-            gap = int(US_PER_S / self.fps)
-            size = self.frame_bytes
-            if self.frame_jitter > 0:
-                size = max(1, int(rng.gauss(size, self.frame_jitter * size)))
-            sizes = []
-            left = size
-            while left > 0:
-                take = min(left, self.sdu_bytes)
-                sizes.append(take)
-                left -= take
-            return now + gap, sizes
-        raise ConfigError(f"unknown traffic pattern {self.pattern!r}")
+            return now + self.burst_period, self._sdus(self.burst_bytes)
+        # XR_FRAME
+        size = self.frame_bytes
+        if self.frame_jitter > 0:
+            size = max(1, int(rng.gauss(size, self.frame_jitter * size)))
+        return now + int(US_PER_S / self.fps), self._sdus(size)
+
+    def _sdus(self, nbytes):
+        """SDU sizes carrying ``nbytes``: full SDUs, then the remainder."""
+        sizes = []
+        while nbytes > 0:
+            sizes.append(min(nbytes, self.sdu_bytes))
+            nbytes -= self.sdu_bytes
+        return sizes
 
 
 class CeMarkFraction:

@@ -7,8 +7,6 @@ handover, and a missing record means score zero (default deny).
 
 from dataclasses import dataclass
 
-from .core import ConfigError
-
 ADMIT = "Admit"
 REJECT = "Reject"
 KEEP = "Keep"
@@ -21,18 +19,10 @@ class TrustFeatures:
     history_score: float = 0.0
     anomaly_score: float = 1.0  # 1 = most anomalous
 
-    def __post_init__(self):
-        for name in ("auth_strength", "history_score", "anomaly_score"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"trust feature {name}={v} outside [0,1]")
-
 
 def lotaf_score(features, weights=(0.5, 0.3, 0.2)):
     """Weighted trust score in [0,1]; anomaly contributes inverted."""
     w1, w2, w3 = weights
-    if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
-        raise ConfigError(f"trust weights must be non-negative and sum to 1: {weights}")
     score = (
         w1 * features.auth_strength
         + w2 * features.history_score

@@ -355,11 +355,11 @@ def test_criterion_09_ul_anchor():
         build(single_cell_raw(strict_anchor=False))
     ues = {"u1": Runtime(build(single_cell_raw())).ues["u1"]}
     ru_to_ranf = {"ru1": "rf-a", "ru-b": "rf-b"}
-    own = sched.Grant("u1", "b1", "ru1", "c1", 2, 200, 0)
+    own = sched.Grant("u1", "b1", "ru1", "c1", 2, 200)
     sched.ul_anchor_check([own], ru_to_ranf, ues)
     # Negative: a corrupted scheduler output with a grant on another RANF's
     # RU trips the assertion.
-    foreign = sched.Grant("u1", "b1", "ru-b", "c1", 2, 200, 0)
+    foreign = sched.Grant("u1", "b1", "ru-b", "c1", 2, 200)
     with pytest.raises(sched.UlAnchorViolation,
                        match="UE u1 targets RU ru-b of RANF rf-b.*RANF rf-a"):
         sched.ul_anchor_check([own, foreign], ru_to_ranf, ues)

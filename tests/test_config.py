@@ -156,7 +156,7 @@ def test_every_default_key_is_read_by_the_simulator():
     text = "".join(open(path).read()
                    for path in sorted(glob.glob(os.path.join(src, "*.py")))
                    if os.path.basename(path) != "config.py")
-    free_form = {"class_weights", "min_slice_share"}
+    free_form = {"class_weights"}
     keys = set(cfgmod._TOP_DEFAULTS)
     for section, defaults in cfgmod._NESTED_DEFAULTS.items():
         keys.add(section)
@@ -165,3 +165,331 @@ def test_every_default_key_is_read_by_the_simulator():
     unread = sorted(k for k in keys
                     if not re.search(r'\[\s*"%s"\s*\]' % re.escape(k), text))
     assert unread == []
+
+
+# ---------------------------------------------------------------- one gate
+
+def full_raw():
+    """``minimal_raw`` with an entry of every kind and every script action.
+    It validates; it is not meant to run."""
+    raw = minimal_raw()
+    raw["sites"].append({"id": "edge-1", "kind": "FarEdge"})
+    raw["links"] = [{"a": "cell-a", "b": "edge-1", "latency_us": 2000}]
+    raw["slices"] = [{"id": "I"}, {"id": "II", "auto_place": True,
+                                   "latency_budget_us": 100_000}]
+    raw["placement"] = [{"id": "up-i", "kind": "UP", "site": "cell-a",
+                         "slice": "I"}]
+    raw["ues"] = [{"id": "u1", "ranf": "rf"}]
+    raw["bearers"] = [{"id": "b1", "ue": "u1", "latency_req_us": 5_000,
+                       "reliability_req": 0.999,
+                       "traffic": {"pattern": "XrFrame"}}]
+    raw["bler"] = {"entries": [{"ue": "u1", "ru": "ru1", "carrier": "c1",
+                                "bler": 0.1}]}
+    raw["subnetworks"] = [
+        {"id": "sn1", "parent_ranf": "rf", "parent_ru": "ru1",
+         "devices": ["d1", "d2"],
+         "local_traffic": [{"src": "d1", "dst": "d2", "size": 100,
+                            "period_us": 1_000}],
+         "nonlocal_traffic": [{"src": "d1", "size": 100,
+                               "period_us": 1_000}]},
+        {"id": "sn2"}]
+    raw["script"] = [
+        {"at_us": 1, "action": "handover", "ue": "u1", "dst": "rf"},
+        {"at_us": 1, "action": "migrate", "instance": "slice-II-up",
+         "site": "cell-a"},
+        {"at_us": 1, "action": "anomaly", "ue": "u1", "anomaly_score": 0.5},
+        {"at_us": 1, "action": "policy",
+         "policy": {"id": "p", "directive": "EnergySaving",
+                    "params": {"on": True}}},
+        {"at_us": 1, "action": "detach_subnet", "subnet": "sn1"},
+        {"at_us": 1, "action": "attach_subnet", "subnet": "sn1",
+         "ranf": "rf", "ru": "ru1"},
+        {"at_us": 1, "action": "device_handover", "device": "d1",
+         "src": "sn1", "dst": "sn2"},
+        {"at_us": 1, "action": "set_bler", "ue": "u1", "ru": "ru1",
+         "carrier": "c1", "bler": 0.2},
+    ]
+    return raw
+
+
+def edited(edits, raw=None):
+    """``full_raw`` (or ``raw``) with each value at a path of keys set; an
+    index one past the end of a list appends."""
+    raw = full_raw() if raw is None else raw
+    for path, value in edits:
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        if isinstance(node, list) and path[-1] == len(node):
+            node.append(value)
+        else:
+            node[path[-1]] = value
+    return raw
+
+
+def assert_rejected(raw, path):
+    """Validation fails with an error at ``path``."""
+    with pytest.raises(cfgmod.SchemaErrors) as exc:
+        cfgmod.validate_scenario(raw)
+    assert any(e.startswith(path) for e in exc.value.errors), exc.value.errors
+
+
+def test_full_raw_validates():
+    cfg = cfgmod.validate_scenario(full_raw())
+    assert cfg["script"][6]["dst"] == "sn2"
+
+
+def test_migration_to_an_auto_placed_instance_validates():
+    """``full_raw`` migrates ``slice-II-up``, placed only at the build."""
+    assert full_raw()["script"][1]["instance"] == "slice-II-up"
+    raw = full_raw()
+    raw["slices"][1]["auto_place"] = False
+    assert_rejected(raw, "script[1].instance")
+
+
+TRAFFIC = ("bearers", 0, "traffic")
+SUBNET = ("subnetworks", 0)
+
+
+@pytest.mark.parametrize("edits, path", [
+    ([(("sites", 0, "cpu_capacity"), 0)], "sites[0].cpu_capacity"),
+    ([(("ranfs", 1), {"id": "rf2", "site": "cell-a"})], "ranfs[1].rus"),
+    ([(("placement", 0, "kind"), "Cache")], "placement[0].kind"),
+    ([(("cn_entry_site",), "nowhere")], "scenario.cn_entry_site"),
+    ([(("fronthaul",), {"mode": "Hybrid"})], "scenario.fronthaul.mode"),
+    ([(TRAFFIC + ("pattern",), "Bursty")], "bearers[0].traffic.pattern"),
+    ([(TRAFFIC + ("congestion_law",), "Bogus")],
+     "bearers[0].traffic.congestion_law"),
+    ([(TRAFFIC + ("rate_bytes_per_s",), -1.0)],
+     "bearers[0].traffic.rate_bytes_per_s"),
+    ([(("aqm",), {"mark_threshold_us": 5_000, "drop_threshold_us": 1_000})],
+     "aqm.drop_threshold_us"),
+    ([(("rlc",), {"status_interval_us": 0})],
+     "scenario.rlc.status_interval_us"),
+    ([(("orchestrator",), {"tick_us": 0})], "scenario.orchestrator.tick_us"),
+    ([(("trust",), {"reassess_interval_us": 0})],
+     "scenario.trust.reassess_interval_us"),
+    ([(("t_reordering_us",), 0)], "scenario.t_reordering_us"),
+    ([(TRAFFIC + ("sdu_bytes",), 0)], "bearers[0].traffic.sdu_bytes"),
+    ([(TRAFFIC + ("burst_period_us",), 0)],
+     "bearers[0].traffic.burst_period_us"),
+    ([(TRAFFIC + ("rtt_window_us",), 0)], "bearers[0].traffic.rtt_window_us"),
+    ([(TRAFFIC + ("fps",), 2e6)], "bearers[0].traffic.fps"),
+    ([(TRAFFIC + ("fps",), 0)], "bearers[0].traffic.fps"),
+    ([(TRAFFIC + ("start_us",), -1)], "bearers[0].traffic.start_us"),
+    ([(SUBNET + ("grant_period_us",), 0)], "subnetworks[0].grant_period_us"),
+    ([(SUBNET + ("local_traffic", 0, "period_us"), 0)],
+     "subnetworks[0].local_traffic[0].period_us"),
+    ([(SUBNET + ("nonlocal_traffic", 0, "size"), None)],
+     "subnetworks[0].nonlocal_traffic[0]: missing required key 'size'"),
+    ([(SUBNET + ("parent_ranf",), "ghost")], "subnetworks[0].parent_ranf"),
+    ([(("script", 0, "dst"), "ghost")], "script[0].dst"),
+    ([(("script", 1, "instance"), "ghost")], "script[1].instance"),
+    ([(("script", 1, "site"), "ghost")], "script[1].site"),
+    ([(("script", 2, "ue"), "ghost")], "script[2].ue"),
+    ([(("script", 2, "anomaly_score"), 1.5)], "script[2].anomaly_score"),
+    ([(("script", 5, "ranf"), "ghost")], "script[5].ranf"),
+    ([(("script", 5, "ru"), "ghost")], "script[5].ru"),
+    ([(("script", 6, "device"), "ghost")], "script[6].device"),
+    ([(("script", 6, "src"), "ghost")], "script[6].src"),
+    ([(("script", 6, "dst"), "ghost")], "script[6].dst"),
+    ([(("script", 7, "ue"), "ghost")], "script[7].ue"),
+    ([(("script", 7, "ru"), "ghost")], "script[7].ru"),
+    ([(("script", 7, "carrier"), "ghost")], "script[7].carrier"),
+    ([(("script", 7, "bler"), 2.0)], "script[7].bler"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_rule_rejected_at_validation(edits, path):
+    assert_rejected(edited(edits), path)
+
+
+def test_defaults_pass_their_checks():
+    """Validation does not check a value that is its spec default again,
+    so each default must pass its own rule."""
+    def walk(spec, checks):
+        for key, rule in checks.items():
+            if isinstance(rule, dict):
+                walk(spec[key], rule)
+            elif isinstance(rule, tuple) and not isinstance(spec[key], tuple):
+                assert rule[0](spec[key]), key
+
+    for kind, checks in cfgmod._CHECKS.items():
+        walk(cfgmod._SPECS[kind], checks)
+
+
+def test_device_handover_to_the_parent_validates():
+    raw = full_raw()
+    del raw["script"][6]["dst"]
+    assert cfgmod.validate_scenario(raw)["script"][6]["dst"] is None
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+def _spec_of(path, entry):
+    """The spec of the entry at ``path`` in ``full_raw``."""
+    if path[0] == "script":
+        return cfgmod._SCRIPT_SPECS[entry["action"]]
+    if path[0] == "bler":
+        return cfgmod._BLER_ENTRY
+    if len(path) > 2:  # a sub-network's traffic
+        return cfgmod._SUBNET_TRAFFIC[path[2]]
+    return cfgmod._ENTRIES[path[0]]
+
+
+def _entry_paths():
+    raw = full_raw()
+    paths = [(section, 0) for section in cfgmod._ENTRIES]
+    paths += [("bler", "entries", 0), SUBNET + ("local_traffic", 0),
+              SUBNET + ("nonlocal_traffic", 0)]
+    paths += [("script", i) for i in range(len(raw["script"]))]
+    return paths
+
+
+def _outcome(raw):
+    """None when ``raw`` validates, else the errors; any other exception
+    fails the test."""
+    try:
+        cfgmod.validate_scenario(raw)
+    except cfgmod.SchemaErrors as exc:
+        return exc.errors
+    return None
+
+
+@pytest.mark.parametrize("path", _entry_paths(), ids=str)
+def test_bad_entry_is_a_schema_error_never_a_crash(path):
+    """For an entry of each kind: dropping each required key, replacing the
+    entry by a non-mapping, and giving any key a list or a mapping as its
+    value give SchemaErrors (or a valid scenario), never another
+    exception."""
+    entry = _at(full_raw(), path)
+    spec = _spec_of(path, entry)
+    required = [k for k, rule in spec.items() if isinstance(rule, tuple)]
+    assert required
+    for key in required:
+        raw = full_raw()
+        del _at(raw, path)[key]
+        errors = _outcome(raw)
+        assert errors and f"missing required key {key!r}" in "\n".join(errors)
+    for value in (7, "x", [1, 2], None):
+        assert _outcome(edited([(path, value)])), value
+    for key in entry:
+        for value in ([1], {"x": 1}):
+            _outcome(edited([((*path, key), value)]))
+
+
+@pytest.mark.parametrize("section", sorted(cfgmod._NESTED_DEFAULTS) +
+                         ["ues/trust", "bearers/traffic"])
+def test_bad_nested_mapping_is_a_schema_error(section):
+    for value in (7, "x", [1, 2]):
+        if "/" in section:
+            what, key = section.split("/")
+            raw = edited([((what, 0, key), value)])
+        else:
+            raw = edited([((section,), value)])
+        assert _outcome(raw), (section, value)
+
+
+HANG_CASES = {
+    "rlc-status": {"reliable_harq": False, "rlc": {"status_interval_us": 0}},
+    "orchestrator-tick": {"orchestrator": {"tick_us": 0}},
+    "trust-reassess": {"trust": {"reassess_interval_us": 0}},
+    "t-reordering": {"t_reordering_us": 0},
+    "rtt-window": {"traffic": {"rtt_window_us": 0, "congestion_law": "L4S"}},
+    "burst-period": {"traffic": {"pattern": "PeriodicBurst",
+                                 "burst_period_us": 0}},
+    "sdu-bytes": {"traffic": {"pattern": "PeriodicBurst", "sdu_bytes": 0}},
+    "xr-fps": {"traffic": {"pattern": "XrFrame", "fps": 2e6}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANG_CASES))
+def test_cli_rejects_inputs_that_would_hang_the_run(case, tmp_path,
+                                                   monkeypatch, capsys):
+    """Each input re-schedules an event at the same time forever; ``ransim
+    validate`` and ``ransim run`` exit 1 without building a run."""
+    from ransim import cli
+    here = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    with open(os.path.join(here, "smoke.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    edit = dict(HANG_CASES[case])
+    raw["bearers"][0]["traffic"].update(edit.pop("traffic", {}))
+    raw.update(edit)
+    path = tmp_path / "hang.yaml"
+    path.write_text(yaml.safe_dump(raw))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(cli, "Runtime", no_run)
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["run", str(path)]) == 1
+    assert "must be" in capsys.readouterr().out
+
+
+# Every ConfigError (or subclass) and ValueError raised in src/ransim/
+# outside config.py: (module, function, exception).  Each comes from a model
+# rule, not from the scenario schema, or guards the program itself.
+ALLOWED_RAISES = sorted([
+    # A bearer's QoS needs that no class can meet.
+    ("sched.py", "classify_qos", "ConfigError"),
+    ("sched.py", "classify_qos", "QosUnsatisfiable"),
+    ("sched.py", "classify_qos", "QosUnsatisfiable"),
+    ("sched.py", "classify_qos", "QosUnsatisfiable"),
+    # Auto-placement rejects a slice, or the placement breaks a rule.
+    ("runtime.py", "Runtime._build_placement", "ConfigError"),
+    ("runtime.py", "Runtime._build_placement", "ConfigError"),
+    # A bearer classified into a slice the scenario does not declare.
+    ("runtime.py", "Runtime._build_bearers", "ConfigError"),
+    # The module's own power profiles.
+    ("orchestrate.py", "PowerProfile.__post_init__", "ConfigError"),
+    ("orchestrate.py", "PowerProfile.__post_init__", "ConfigError"),
+    # The event core refuses to schedule into the past (a program bug).
+    ("core.py", "Simulator.schedule", "ConfigError"),
+    # A ``ransim sweep --axis`` key that the scenario does not have.
+    ("cli.py", "_apply_axis", "SchemaErrors"),
+])
+
+
+def _raises_outside_config():
+    import ast
+    import builtins
+    import importlib
+    from ransim.core import ConfigError
+    src = os.path.join(os.path.dirname(__file__), "..", "src", "ransim")
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        if name == "config.py":
+            continue
+        module = importlib.import_module(f"ransim.{name[:-3]}")
+        tree = ast.parse(open(path).read())
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Raise) and child.exc is not None:
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) \
+                        else child.exc
+                    first, *rest = ast.unparse(exc).split(".")
+                    cls = getattr(module, first, getattr(builtins, first, None))
+                    for part in rest:
+                        cls = getattr(cls, part, None)
+                    if isinstance(cls, type) \
+                            and issubclass(cls, (ConfigError, ValueError)):
+                        found.append((name, ".".join(scope), cls.__name__))
+                visit(child, scope)
+
+        visit(tree, [])
+    return sorted(found)
+
+
+def test_scenario_input_is_checked_only_in_config():
+    """A new ConfigError or ValueError outside config.py is a second check
+    of scenario input: move it into ``validate_scenario``, or add it here
+    if it comes from a model rule."""
+    assert _raises_outside_config() == ALLOWED_RAISES

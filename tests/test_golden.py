@@ -46,29 +46,29 @@ def _ecn_overload_raw():
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
-        # Moved only by config_hash: strict_anchor and record left the
-        # schema; the report minus config_hash is byte-identical.
-        "6589a99f2d3b915e14d3bf1048394e4db7d0d0804db4d5e8890a77e17fb8c55c"),
+        # Moved only by config_hash: min_slice_share left the resolved
+        # config; the report minus config_hash is byte-identical.
+        "c93643be2c16291ba4858c5ed874ef4befb7e8cec5e9e5b2786272b0522488ab"),
     "latency-budgets": (
         lambda: load_scenario("latency-budgets.yaml"),
-        # Moved only by config_hash: strict_anchor and record left the
-        # schema; the report minus config_hash is byte-identical.
-        "d743eba8c62326324e1a068ec282dce96725d636a03067cd67e32f84565764c4"),
+        # Moved only by config_hash: min_slice_share left the resolved
+        # config; the report minus config_hash is byte-identical.
+        "b9be48dccf4c52d70136e937a416e93ab789dc13133fd17bab2c1031823ac266"),
     "split-lossy": (
         lambda: build(_split_lossy_raw()),
-        # Moved only by config_hash: strict_anchor and record left the
-        # schema; the report minus config_hash is byte-identical.
-        "b34cee2ac36358f8f54cbba97bdd34acfe797b05ab40d51694e99d28c51d8b44"),
+        # Moved only by config_hash: min_slice_share left the resolved
+        # config; the report minus config_hash is byte-identical.
+        "8b27b9ec5f98b7f8a51d4c363282608b5dbc55184209dfbb8845debde00fbf4a"),
     "handover": (
         lambda: build(_handover_raw()),
-        # Moved only by config_hash: strict_anchor and record left the
-        # schema; the report minus config_hash is byte-identical.
-        "b989e5a684f8558c7aae184398abf37bf35bbb4d555ce22dfa9a962d12961441"),
+        # Moved only by config_hash: min_slice_share left the resolved
+        # config; the report minus config_hash is byte-identical.
+        "c3bae9140858fbba2da49f3dec2e6aa1169b73ad394b044ae427313951793a39"),
     "ecn-overload": (
         lambda: build(_ecn_overload_raw()),
-        # Moved only by config_hash: strict_anchor and record left the
-        # schema; the report minus config_hash is byte-identical.
-        "3318109b7a85a5bbab20eaa4fcaf9afd21c55bdd0689acf043903959dc85cc98"),
+        # Moved only by config_hash: min_slice_share left the resolved
+        # config; the report minus config_hash is byte-identical.
+        "9754480a5c5e042bb0f7d44774055d63d176edf27616b06b68f68d8155bf4ccf"),
 }
 
 

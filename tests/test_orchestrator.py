@@ -108,5 +108,3 @@ def test_policy_store_last_writer_wins():
     store.apply(orch.Policy("p3", "slice", orch.MIN_SLICE_SHARE,
                             {"slice": "I", "fraction": 0.2}), 6)
     assert store.min_slice_shares() == {"I": 0.2}
-    with pytest.raises(ConfigError):
-        store.apply(orch.Policy("p4", "global", "Bogus", {}), 7)

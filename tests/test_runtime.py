@@ -78,6 +78,19 @@ def test_auto_placed_slice():
     assert report["bearers"]["b1"]["delivered"] > 0
 
 
+def test_migration_of_an_auto_placed_instance():
+    raw = base_raw()
+    raw["slices"] = [{"id": "II", "auto_place": True,
+                      "latency_budget_us": 100_000}]
+    raw["placement"] = [p for p in raw["placement"]
+                        if p["id"] in ("rrm", "fhm1", "cpr")]
+    raw["script"] = [{"at_us": 200_000, "action": "migrate",
+                      "instance": "slice-II-up", "site": "edge-1"}]
+    [mig] = run_raw(raw)["migrations"]
+    assert (mig["instance"], mig["src"], mig["dst"], mig["accepted"]) \
+        == ("slice-II-up", "cell-a", "edge-1", True)
+
+
 def test_split_mode_with_finite_credit():
     raw = base_raw()
     raw["mode"] = "split_baseline"
@@ -633,8 +646,8 @@ def test_stale_request_in_old_ranf_pipe_gets_no_grant(monkeypatch):
     served_after = set()
     allocate = sched.stage2_allocate
 
-    def checked(requests, tti, pools, resources_for, **kwargs):
-        grants = allocate(requests, tti, pools, resources_for, **kwargs)
+    def checked(requests, pools, resources_for, **kwargs):
+        grants = allocate(requests, pools, resources_for, **kwargs)
         [pool_ranf] = {rt.ru_to_ranf[ru] for ru, _ in pools.total}
         for r in requests:
             ue = rt.ues[r.ue]
@@ -771,3 +784,25 @@ def test_handover_rejected_by_admission_releases_the_ue():
     assert rt.ues["u1"].released and rt.ues["u1"].ranf == "rf-a"
     assert [(e.at, e.event, e.ranf) for e in rt.trust_engine.audit_log
             if e.ue == "u1"] == [(0, "Admit", "rf-a"), (40_000, "Reject", "rf-b")]
+
+
+def test_handover_of_a_released_ue_is_refused():
+    """u1 is released by the rejected handover at 40 ms; its anomaly score
+    is then reset, but the handovers at 90 and 150 ms are refused before
+    any admission check and leave no audit entry."""
+    raw = three_cell_raw()
+    raw["ues"][0]["trust"] = {"auth": 0.5, "history": 0.5, "anomaly": 0.0}
+    raw["script"] += [{"at_us": 30_000, "action": "anomaly", "ue": "u1",
+                       "anomaly_score": 1.0},
+                      {"at_us": 60_000, "action": "anomaly", "ue": "u1",
+                       "anomaly_score": 0.0}]
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    report = rt.run()
+    assert [(h["at"], h["accepted"], h["reason"])
+            for h in report["handovers"] if h["ue"] == "u1"] \
+        == [(40_000, False, "admission rejected"),
+            (90_000, False, "UE released"), (150_000, False, "UE released")]
+    assert [(e.at, e.event, e.ranf) for e in rt.trust_engine.audit_log
+            if e.ue == "u1"] == [(0, "Admit", "rf-a"), (40_000, "Reject", "rf-b")]
+    assert rt.ues["u1"].released and rt.ues["u1"].ranf == "rf-a"
+    assert all(c["holds"] for c in report["conservation"].values())

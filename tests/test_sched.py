@@ -64,7 +64,7 @@ def test_stage2_priority_order_and_ca():
     pools = sched.PrbPools({("ru1", "c1"): (10, 100), ("ru2", "c2"): (10, 100)})
     reqs = [req("lo", "u1", "II", 1500, 1.0), req("hi", "u2", "I", 1500, 9.0)]
     grants = sched.stage2_allocate(
-        reqs, 1, pools, lambda r: [("ru1", "c1"), ("ru2", "c2")])
+        reqs, pools, lambda r: [("ru1", "c1"), ("ru2", "c2")])
     # High priority served first; demand spills across both pools (CA).
     first = [g for g in grants if g.bearer_id == "hi"]
     assert first and first[0].ru == "ru1"
@@ -76,7 +76,7 @@ def test_stage2_priority_order_and_ca():
 def test_stage2_deterministic_tiebreak():
     pools = sched.PrbPools({("ru1", "c1"): (10, 100)})
     reqs = [req("b", "u1", "I", 400, 5.0), req("a", "u2", "I", 400, 5.0)]
-    grants = sched.stage2_allocate(reqs, 1, pools, lambda r: [("ru1", "c1")])
+    grants = sched.stage2_allocate(reqs, pools, lambda r: [("ru1", "c1")])
     assert grants[0].bearer_id == "a"
 
 
@@ -84,7 +84,7 @@ def test_stage2_min_slice_share_reservation():
     pools = sched.PrbPools({("ru1", "c1"): (10, 100)})
     reqs = [req("big", "u1", "II", 5_000, 9.0), req("mc", "u2", "I", 200, 1.0)]
     grants = sched.stage2_allocate(
-        reqs, 1, pools, lambda r: [("ru1", "c1")], min_share={"I": 0.2})
+        reqs, pools, lambda r: [("ru1", "c1")], min_share={"I": 0.2})
     mc_prbs = sum(g.prbs for g in grants if g.bearer_id == "mc")
     assert mc_prbs >= 2  # reservation honored despite lower priority
 
@@ -92,14 +92,14 @@ def test_stage2_min_slice_share_reservation():
 def test_stage2_leftover_goes_to_best_spectral_efficiency():
     pools = sched.PrbPools({("ru1", "hi"): (10, 200), ("ru1", "lo"): (10, 50)})
     reqs = [req("only", "u1", "II", 100, 1.0)]
-    grants = sched.stage2_allocate(reqs, 1, pools,
+    grants = sched.stage2_allocate(reqs, pools,
                                    lambda r: [("ru1", "hi"), ("ru1", "lo")])
     # Entire capacity ends up granted (work conservation with one requester).
     assert sum(pools.free.values()) == 0
     assert grants[0].carrier == "hi"
 
 
-def reference_stage2_allocate(requests, tti, pools, resources_for,
+def reference_stage2_allocate(requests, pools, resources_for,
                               min_share=None, demand_overhead=16):
     """Test-only reference allocator: the plain form of ``stage2_allocate``,
     with dicts keyed by request and a min() over the takers of each leftover
@@ -134,7 +134,7 @@ def reference_stage2_allocate(requests, tti, pools, resources_for,
                 continue
             nbytes = got * bpp
             grants.append(sched.Grant(req.ue, req.bearer_id, key[0], key[1],
-                                      got, nbytes, tti))
+                                      got, nbytes))
             demand -= nbytes
             if req.slice in reserved:
                 reserved[req.slice] = max(0, reserved[req.slice] - got)
@@ -151,7 +151,7 @@ def reference_stage2_allocate(requests, tti, pools, resources_for,
         req = min(unmet or takers, key=lambda r: (-r.priority, r.bearer_id))
         got = pools.take(key, free)
         grants.append(sched.Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                                  got * pools.bytes_per_prb[key], tti))
+                                  got * pools.bytes_per_prb[key]))
         remaining[req] = max(0, remaining.get(req, 0)
                              - got * pools.bytes_per_prb[key])
 
@@ -194,11 +194,11 @@ def stage2_inputs(draw):
 def outcome(allocate, pool_map, requests, keys_of, min_share):
     pools = sched.PrbPools(pool_map)
     try:
-        grants = allocate(list(requests), 7, pools,
+        grants = allocate(list(requests), pools,
                           lambda r: keys_of[r.bearer_id], min_share=min_share)
     except ModelError as exc:
         return "error", str(exc), pools.free
-    return ([(g.ue, g.bearer_id, g.ru, g.carrier, g.prbs, g.bytes, g.tti)
+    return ([(g.ue, g.bearer_id, g.ru, g.carrier, g.prbs, g.bytes)
              for g in grants], pools.free)
 
 
@@ -216,10 +216,10 @@ def test_ul_anchor_check_detects_cross_ranf():
     """One call checks a whole TTI's grants, each against its own UE."""
     ru_to_ranf = {"ru1": "A", "ru2": "B"}
     ues = {"u1": SimpleNamespace(ranf="A"), "u2": SimpleNamespace(ranf="B")}
-    ok = [sched.Grant("u1", "b", "ru1", "c", 1, 0, 1),
-          sched.Grant("u2", "b2", "ru2", "c", 1, 0, 1)]
+    ok = [sched.Grant("u1", "b", "ru1", "c", 1, 0),
+          sched.Grant("u2", "b2", "ru2", "c", 1, 0)]
     assert sched.ul_anchor_check(ok, ru_to_ranf, ues) is None
-    bad = ok + [sched.Grant("u2", "b2", "ru1", "c", 1, 0, 1)]
+    bad = ok + [sched.Grant("u2", "b2", "ru1", "c", 1, 0)]
     with pytest.raises(sched.UlAnchorViolation,
                        match="UE u2 targets RU ru1 of RANF A.*RANF B"):
         sched.ul_anchor_check(bad, ru_to_ranf, ues)

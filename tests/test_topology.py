@@ -1,7 +1,7 @@
 import pytest
 
-from ransim.core import ConfigError
 from ransim import topology as topo
+from test_config import assert_rejected, edited
 
 
 def two_site_topology():
@@ -90,11 +90,12 @@ def test_capacity_check():
     assert any("exceeds capacity" in v for v in violations)
 
 
+# The references and the topology rules of a scenario are checked by
+# validate_scenario; Topology only makes links and neighbours symmetric.
+
 def test_unknown_site_raises_config_error():
-    plan = valid_plan()
-    plan.instances.append(topo.FunctionInstance("x", topo.UP, "nowhere", slice="I"))
-    with pytest.raises(ConfigError):
-        topo.validate_placement(plan, two_site_topology())
+    assert_rejected(edited([(("placement", 0, "site"), "nowhere")]),
+                    "placement[0].site")
 
 
 def test_path_latency_oracle():
@@ -109,29 +110,29 @@ def test_path_latency_oracle():
 
 
 def test_asymmetric_link_rejected():
-    a = topo.Site("a", topo.ONPREM)
-    b = topo.Site("b", topo.ONPREM)
-    a.link_latency_to["b"] = 100
-    b.link_latency_to["a"] = 200
-    ru = topo.RadioUnit("r", "a", ["c"])
-    with pytest.raises(ConfigError):
-        topo.Topology([a, b], [ru], [topo.Ranf("f", "a", {"r"})])
+    """Two links between the same sites, in either order, must agree."""
+    assert_rejected(edited([(("links", 1), {"a": "edge-1", "b": "cell-a",
+                                            "latency_us": 1000})]),
+                    "links[1].latency_us")
 
 
 def test_ru_must_attach_onprem():
-    edge = topo.Site("e", topo.FAREDGE)
-    cell = topo.Site("c", topo.ONPREM)
-    ru = topo.RadioUnit("r", "e", ["c1"])
-    with pytest.raises(ConfigError):
-        topo.Topology([edge, cell], [ru], [])
+    assert_rejected(edited([(("rus", 0, "site"), "edge-1")]), "rus[0].site")
 
 
 def test_ru_single_serving_ranf():
-    cell = topo.Site("c", topo.ONPREM)
-    ru = topo.RadioUnit("r", "c", ["c1"])
-    with pytest.raises(ConfigError):
-        topo.Topology([cell], [ru],
-                      [topo.Ranf("f1", "c", {"r"}), topo.Ranf("f2", "c", {"r"})])
+    assert_rejected(edited([(("ranfs", 1), {"id": "rf2", "site": "cell-a",
+                                            "rus": ["ru1"]})]),
+                    "ranfs[1].rus")
+
+
+def test_links_and_neighbours_made_symmetric():
+    t = two_site_topology()
+    assert t.latency("edge-1", "cell-a") == 2000
+    ranfs = [topo.Ranf("f1", "cell-a", {"ru1"}, {"f2"}),
+             topo.Ranf("f2", "cell-a", set())]
+    t = topo.Topology(list(t.sites.values()), list(t.rus.values()), ranfs)
+    assert t.ranfs["f2"].neighbor_ranfs == {"f1"}
 
 
 def test_migration_rejects_fixed_kinds_and_reverts_on_violation():

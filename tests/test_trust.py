@@ -1,7 +1,7 @@
 import pytest
 
 from ransim import trust as tru
-from ransim.core import ConfigError
+from test_config import assert_rejected, edited
 
 
 def test_score_is_weighted_sum_with_inverted_anomaly():
@@ -9,15 +9,20 @@ def test_score_is_weighted_sum_with_inverted_anomaly():
     assert tru.lotaf_score(f) == pytest.approx(0.5 * 1.0 + 0.3 * 0.5 + 0.2 * 0.8)
 
 
+# Weights and features come from the scenario; validate_scenario checks
+# them, and the engine trusts them.
+
 def test_bad_weights_rejected():
-    f = tru.TrustFeatures(1.0, 1.0, 0.0)
-    with pytest.raises(ConfigError):
-        tru.lotaf_score(f, weights=(0.5, 0.5, 0.5))
+    for weights in ([0.5, 0.5, 0.5], [1.2, -0.2, 0.0], [0.5, 0.5],
+                    ["a", 0.5, 0.5]):
+        assert_rejected(edited([(("trust",), {"weights": weights})]),
+                        "scenario.trust.weights")
 
 
 def test_features_validated():
-    with pytest.raises(ConfigError):
-        tru.TrustFeatures(auth_strength=1.5)
+    for key in ("auth", "history", "anomaly"):
+        assert_rejected(edited([(("ues", 0, "trust"), {key: 1.5})]),
+                        f"ues[0].trust.{key}")
 
 
 def test_default_deny_for_unknown_ue():
