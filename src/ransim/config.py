@@ -135,6 +135,19 @@ _POSITIVE = (lambda v: type(v) in _NUMBER and v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: type(v) in _NUMBER and v >= 0,
                  "must be non-negative")
 _FRACTION = (lambda v: type(v) in _NUMBER and 0 <= v <= 1, "must be in [0,1]")
+_INT = (lambda v: type(v) is int, "must be an integer")
+_POSITIVE_INT = (lambda v: type(v) is int and v > 0,
+                 "must be a positive integer")
+_NON_NEGATIVE_INT = (lambda v: type(v) is int and v >= 0,
+                     "must be a non-negative integer")
+_BOOL = (lambda v: type(v) is bool, "must be true or false")
+
+
+def _or_null(rule):
+    return (lambda v: v is None or rule[0](v), rule[1] + " or null")
+
+
+_TIME_OR_NULL = _or_null(_NON_NEGATIVE_INT)
 
 
 def _one_of(*values):
@@ -144,26 +157,48 @@ def _one_of(*values):
 # The checks of each entry kind (and of the scenario's top level), by key:
 # the kind of id the value names (each item of a list; None names nothing),
 # a (test, message) pair for the value, or the checks of a nested mapping.
-# Every value the run reschedules by or divides by must be positive.
+# Every value the run reschedules by or divides by must be positive, and
+# every time (a ``*_us`` key) is an integer, or null where its default is.
 _BLER_CHECKS = {"ue": "ues", "ru": "rus", "carrier": "carriers",
                 "bler": _FRACTION}
-_SUBNET_TRAFFIC_CHECKS = {"period_us": _POSITIVE, "start_us": _NON_NEGATIVE}
+_SUBNET_TRAFFIC_CHECKS = {"period_us": _POSITIVE_INT,
+                          "start_us": _NON_NEGATIVE_INT,
+                          "stop_us": _TIME_OR_NULL}
 _CHECKS = {
     "scenario": {
-        "duration_us": (lambda v: type(v) is int and v > 0,
-                        "must be a positive integer"),
+        "seed": _INT, "duration_us": _POSITIVE_INT,
         "mode": _one_of(MODE_SIXG, MODE_SPLIT),
-        "tti_us": (lambda v: type(v) in _NUMBER and 125 <= v <= 1000,
-                   "must be within [125, 1000]"),
-        "t_reordering_us": _POSITIVE,
+        "tti_us": (lambda v: type(v) is int and 125 <= v <= 1000,
+                   "must be an integer within [125, 1000]"),
+        **dict.fromkeys(("reliable_harq", "drop_indication", "dmimo",
+                         "energy"), _BOOL),
+        "t_reordering_us": _POSITIVE_INT,
+        "handover_interruption_us": _NON_NEGATIVE_INT,
+        "migration_downtime_us": _NON_NEGATIVE_INT,
         "cn_entry_site": "sites",
-        "rlc": {"status_interval_us": _POSITIVE},
-        "orchestrator": {"tick_us": _POSITIVE},
-        "trust": {"reassess_interval_us": _POSITIVE, "weights": (
+        "harq": {**dict.fromkeys(("processes", "rtt_ttis", "max_tx"),
+                                 _POSITIVE_INT),
+                 "feedback_error_rate": _FRACTION},
+        "aqm": dict.fromkeys(("mark_threshold_us", "drop_threshold_us"),
+                             _NON_NEGATIVE_INT),
+        "rlc": {"window": _POSITIVE_INT,
+                "max_retx": _or_null(_NON_NEGATIVE_INT),
+                "status_interval_us": _POSITIVE_INT},
+        "split": {"d_f1_us": _NON_NEGATIVE_INT,
+                  "credit_bytes": _or_null(_POSITIVE_INT)},
+        "class_weights": dict.fromkeys(_NESTED_DEFAULTS["class_weights"],
+                                       _NON_NEGATIVE),
+        "serving": {"quality_threshold": _FRACTION,
+                    "max_set_size": _POSITIVE_INT},
+        "orchestrator": {"scale_hi": _FRACTION, "scale_lo": _FRACTION,
+                         "hysteresis": _POSITIVE_INT, "tick_us": _POSITIVE_INT,
+                         "idle_sleep_interval_us": _NON_NEGATIVE_INT},
+        "trust": {"reassess_interval_us": _POSITIVE_INT, "weights": (
             lambda w: len(w) == 3 and all(type(x) in _NUMBER and x >= 0
                                           for x in w)
             and abs(sum(w) - 1.0) <= 1e-9,
-            "must be three non-negative weights that sum to 1")},
+            "must be three non-negative weights that sum to 1"),
+            "threshold": _FRACTION},
         "fronthaul": {"mode": _one_of(radio.CENTRALIZED_BF,
                                       radio.RU_LOCAL_BF)},
     },
@@ -171,24 +206,30 @@ _CHECKS = {
               "cpu_capacity": _POSITIVE},
     "links": {"a": "sites", "b": "sites", "latency_us": _NON_NEGATIVE},
     "carriers": {"prbs_per_tti": _POSITIVE, "bytes_per_prb": _POSITIVE},
-    "rus": {"site": "sites", "carriers": "carriers"},
+    "rus": {"site": "sites", "carriers": "carriers",
+            "fronthaul_latency_us": _NON_NEGATIVE_INT},
     "ranfs": {"site": "sites", "rus": "rus", "neighbors": "ranfs"},
-    "slices": {},
+    "slices": {"latency_budget_us": _TIME_OR_NULL, "auto_place": _BOOL},
     "placement": {"kind": _one_of(*topo.FUNCTION_KINDS), "site": "sites",
                   "slice": "slices", "bound_ru": "rus"},
-    "ues": {"ranf": "ranfs", "trust": dict.fromkeys(_UE_TRUST, _FRACTION)},
-    "bearers": {"ue": "ues", "traffic": {
+    "ues": {"ranf": "ranfs", "trust": dict.fromkeys(_UE_TRUST, _FRACTION),
+            "trust_threshold": _or_null(_FRACTION)},
+    "bearers": {"ue": "ues", "ecn_capable": _BOOL, "traffic": {
         "pattern": _one_of(tra.CBR, tra.POISSON, tra.PERIODIC_BURST,
                            tra.XR_FRAME),
         "congestion_law": _one_of(tra.NO_REACTION, tra.L4S, tra.CLASSIC),
         "rate_bytes_per_s": _NON_NEGATIVE, "sdu_bytes": _POSITIVE,
-        "burst_period_us": _POSITIVE, "rtt_window_us": _POSITIVE,
+        "burst_bytes": _POSITIVE, "frame_bytes": _POSITIVE,
+        "frame_jitter": _NON_NEGATIVE, "recovery_step": _NON_NEGATIVE,
+        "burst_period_us": _POSITIVE_INT, "rtt_window_us": _POSITIVE_INT,
         # XrFrame frames are int(1e6 / fps) us apart: at least 1 us.
         "fps": (lambda v: type(v) in _NUMBER and 0 < v <= US_PER_S,
                 f"must be in (0, {US_PER_S}]"),
-        "start_us": _NON_NEGATIVE}},
+        "start_us": _NON_NEGATIVE_INT, "stop_us": _TIME_OR_NULL}},
     "subnetworks": {"parent_ranf": "ranfs", "parent_ru": "rus",
-                    "grant_period_us": _POSITIVE},
+                    "grant_period_us": _POSITIVE_INT,
+                    "nonlocal_ttl_us": _NON_NEGATIVE_INT,
+                    "parent_latency_us": _NON_NEGATIVE_INT},
     "local_traffic": _SUBNET_TRAFFIC_CHECKS,
     "nonlocal_traffic": _SUBNET_TRAFFIC_CHECKS,
     "bler.entries": _BLER_CHECKS,
@@ -332,11 +373,11 @@ def validate_scenario(raw):
         cfg[section] = sub
 
     cfg["duration_us"] = raw.get("duration_us")
-    mark, drop = (cfg["aqm"][k] for k in ("mark_threshold_us",
-                                          "drop_threshold_us"))
-    if not (type(mark) in _NUMBER and type(drop) in _NUMBER and drop >= mark):
-        errors.append("aqm.drop_threshold_us: must be at least "
-                      "mark_threshold_us")
+    for sec, low, high in (("aqm", "mark_threshold_us", "drop_threshold_us"),
+                           ("orchestrator", "scale_lo", "scale_hi")):
+        lo, hi = cfg[sec][low], cfg[sec][high]
+        if not (type(lo) in _NUMBER and type(hi) in _NUMBER and lo <= hi):
+            errors.append(f"{sec}.{high}: must be at least {low}")
 
     # Each entry that meets its spec, as (path, entry), by entry kind; the
     # ids of each kind.

@@ -95,6 +95,19 @@ class Simulator:
         self._seq = seq + 1
         heappush(self._queue, (fire_at, seq, fn, kind, target))
 
+    def every(self, first, period, kind, target, fn, until):
+        """Run ``fn()`` at ``first``, then every ``period`` us while the next
+        time is ``<= until``.  Each next call is scheduled once ``fn``
+        returns, so it comes after the same-time events that ``fn``
+        scheduled."""
+        def tick():
+            fn()
+            nxt = self.now + period
+            if nxt <= until:
+                self.schedule(nxt, kind, target, tick)
+
+        self.schedule(first, kind, target, tick)
+
     def run_until(self, t_end):
         """Process every event with fire_at <= t_end; leave the clock at t_end.
         ``events_processed`` counts the handlers that returned."""

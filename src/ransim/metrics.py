@@ -6,8 +6,6 @@ migration, admission audit).  All times are microseconds, energy joules.
 import csv
 import json
 
-import numpy as np
-
 from .core import ModelError
 
 
@@ -160,20 +158,19 @@ class MetricsCollector:
 
 
 def latency_percentiles(latencies):
-    """(p50, p99, p100) of a non-empty list of ints, equal to
-    ``np.percentile(..., [50, 99]).astype(int)`` and ``max``: numpy's
-    "linear" method on the sorted values, without its per-call overhead."""
-    lat = np.array(latencies, dtype=np.int64)
-    lat.sort()
-    last = lat.size - 1
+    """(p50, p99, p100) of a non-empty list of ints, equal to numpy's
+    ``np.percentile(..., [50, 99]).astype(int)`` and ``max``: its "linear"
+    method on the sorted values."""
+    lat = sorted(latencies)
+    last = len(lat) - 1
     out = []
     for q in (0.5, 0.99):
         v = last * q
         i = int(v)
         g = v - i
-        a, b = int(lat[i]), int(lat[min(i + 1, last)])
+        a, b = lat[i], lat[min(i + 1, last)]
         out.append(int(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)))
-    return out + [int(lat[last])]
+    return out + [lat[last]]
 
 
 def write_summary(report, path):
@@ -197,12 +194,9 @@ def write_latency_cdf(collector, path):
     """Columnar plot data: one (latency, cdf) column pair per bearer."""
     cols = {}
     for bid in sorted(collector.bearers):
-        lat = np.sort(np.asarray(collector.bearers[bid].latencies,
-                                 dtype=np.int64))
-        if lat.size == 0:
-            continue
-        cdf = np.arange(1, lat.size + 1) / lat.size
-        cols[bid] = (lat, cdf)
+        lat = sorted(collector.bearers[bid].latencies)
+        if lat:
+            cols[bid] = lat
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = []
@@ -210,12 +204,12 @@ def write_latency_cdf(collector, path):
             header += [f"{bid}_latency_us", f"{bid}_cdf"]
         w.writerow(header)
         if cols:
-            n = max(lat.size for lat, _ in cols.values())
+            n = max(len(lat) for lat in cols.values())
             for i in range(n):
                 row = []
-                for lat, cdf in cols.values():
-                    if i < lat.size:
-                        row += [int(lat[i]), f"{cdf[i]:.8f}"]
+                for lat in cols.values():
+                    if i < len(lat):
+                        row += [lat[i], f"{(i + 1) / len(lat):.8f}"]
                     else:
                         row += ["", ""]
                 w.writerow(row)

@@ -107,9 +107,8 @@ class Scaler:
         self._high = {}
         self._low = {}
         self.replicas = {}
-        self.deferred_alarms = 0
 
-    def evaluate(self, instance_id, load, capacity_available=True):
+    def evaluate(self, instance_id, load):
         """One periodic tick; returns ScaleUp / ScaleDown / None."""
         replicas = self.replicas.setdefault(instance_id, 1)
         if load > self.hi:
@@ -123,9 +122,6 @@ class Scaler:
             self._low[instance_id] = 0
         if self._high.get(instance_id, 0) >= self.hysteresis:
             self._high[instance_id] = 0
-            if not capacity_available:
-                self.deferred_alarms += 1
-                return SCALE_NONE
             self.replicas[instance_id] = replicas + 1
             return SCALE_UP
         if self._low.get(instance_id, 0) >= self.hysteresis and replicas > 1:
@@ -191,6 +187,18 @@ class EnergyMeter:
 
     def profile(self, entity):
         return self._profile[entity]
+
+    def wake(self, entity, now):
+        """Set ``entity`` Active; returns its wake latency if it was asleep,
+        counted in ``wake_delays``, else 0."""
+        state = self._state[entity]
+        if state == "Active":
+            return 0
+        self.set_state(entity, "Active", now)
+        if state != "Sleep":
+            return 0
+        self.wake_delays += 1
+        return self._profile[entity].wake_latency
 
     def set_state(self, entity, state, now):
         old = self._state[entity]

@@ -18,13 +18,6 @@ CENTRALIZED_BF = "CentralizedBf"
 RU_LOCAL_BF = "RuLocalBf"
 
 
-@dataclass
-class Carrier:
-    id: str
-    prbs_per_tti: int
-    bytes_per_prb: int
-
-
 class BlerMap:
     """Per (ue, ru, carrier) block error probability; default applies elsewhere."""
 

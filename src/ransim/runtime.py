@@ -37,7 +37,7 @@ class BearerCtx:
     def __init__(self, bearer, buffer, rlc, reorder, source, metrics, ue_ctx):
         self.bearer = bearer
         self.buffer = buffer
-        self.cu_queue = deque()  # split-baseline PDCP-side queue at the CU
+        self.cu_queue = deque()  # split mode with F1 credit: held at the CU
         self.rlc = rlc
         self.reorder = reorder
         self.reassembly = stack.RxReassembly()
@@ -84,14 +84,6 @@ class UeCtx:
         return None
 
 
-class SubnetCtx:
-    __slots__ = ("controller", "nonlocal_delivered")
-
-    def __init__(self, controller):
-        self.controller = controller
-        self.nonlocal_delivered = 0
-
-
 class Runtime:
     def __init__(self, cfg, record_series=False):
         self.cfg = cfg
@@ -103,7 +95,6 @@ class Runtime:
         self.reliable = cfg["reliable_harq"]
         self.drop_indication = cfg["drop_indication"]
         self.dmimo = cfg["dmimo"]
-        self.energy_enabled = cfg["energy"]
         self.harq_rtt = cfg["harq"]["rtt_ttis"] * self.tti
         self.max_tx = cfg["harq"]["max_tx"]
         self.fb_error = cfg["harq"]["feedback_error_rate"]
@@ -133,15 +124,17 @@ class Runtime:
         self._build_subnets()
         self._build_energy()
         self._schedule_script()
-        self.sim.schedule(self.tti, "tti", "scheduler", self._on_tti)
+        every, end = self.sim.every, self.duration
+        every(self.tti, self.tti, "tti", "scheduler", self._on_tti, end)
         if self.trust_engine.records:
             iv = cfg["trust"]["reassess_interval_us"]
-            self.sim.schedule(iv, "trust-reassess", "lotaf", self._on_reassess)
+            every(iv, iv, "trust-reassess", "lotaf", self._on_reassess, end)
         self.scaler = orch.Scaler(cfg["orchestrator"]["scale_hi"],
                                   cfg["orchestrator"]["scale_lo"],
                                   cfg["orchestrator"]["hysteresis"])
-        self.sim.schedule(cfg["orchestrator"]["tick_us"], "orchestrator-tick",
-                          "orchestrator", self._on_orchestrator_tick)
+        tick = cfg["orchestrator"]["tick_us"]
+        every(tick, tick, "orchestrator-tick", "orchestrator",
+              self._on_orchestrator_tick, end)
 
     # ------------------------------------------------------------ build
 
@@ -152,9 +145,8 @@ class Runtime:
         site_by_id = {s.id: s for s in sites}
         for link in cfg["links"]:  # Topology adds the other direction
             site_by_id[link["a"]].link_latency_to[link["b"]] = link["latency_us"]
-        self.carriers = {c["id"]: radio.Carrier(c["id"], c["prbs_per_tti"],
-                                                c["bytes_per_prb"])
-                         for c in cfg["carriers"]}
+        carriers = {c["id"]: (c["prbs_per_tti"], c["bytes_per_prb"])
+                    for c in cfg["carriers"]}
         rus = [topo.RadioUnit(r["id"], r["site"], list(r["carriers"]),
                               r["fronthaul_latency_us"]) for r in cfg["rus"]]
         ranfs = [topo.Ranf(rf["id"], rf["site"], set(rf["rus"]),
@@ -169,8 +161,7 @@ class Runtime:
         self.pool_templates = {}
         for rf in ranfs:
             self.pool_templates[rf.id] = sched.PrbPools({
-                (ru_id, c_id): (self.carriers[c_id].prbs_per_tti,
-                                self.carriers[c_id].bytes_per_prb)
+                (ru_id, c_id): carriers[c_id]
                 for ru_id in sorted(rf.serving_rus)
                 for c_id in self.topology.rus[ru_id].carriers
             })
@@ -311,12 +302,13 @@ class Runtime:
             ctx.emit = partial(self._on_traffic, ctx, t["stop_us"])
             self.sim.schedule(t["start_us"], "traffic", b["id"], ctx.emit)
             if source.congestion_law != tra.NO_REACTION:
-                self.sim.schedule(source.rtt_window, "cc-window", b["id"],
-                                  partial(self._on_cc_window, ctx))
+                rtt = source.rtt_window
+                self.sim.every(rtt, rtt, "cc-window", b["id"],
+                               partial(self._on_cc_window, ctx), self.duration)
             if not self.reliable:
                 iv = self.cfg["rlc"]["status_interval_us"]
-                self.sim.schedule(iv, "rlc-status", b["id"],
-                                  partial(self._on_rlc_status, ctx))
+                self.sim.every(iv, iv, "rlc-status", b["id"],
+                               partial(self._on_rlc_status, ctx), self.duration)
 
     def _build_ranf_index(self):
         """Build each RANF's stage-1 active sets from the bearers' state.
@@ -346,24 +338,35 @@ class Runtime:
 
     def _build_subnets(self):
         self.subnets = {}
+        every, end = self.sim.every, self.duration
         for sn in self.cfg["subnetworks"]:
-            ctrl = subnet_controller_from_cfg(sn)
-            ctx = SubnetCtx(ctrl)
-            self.subnets[sn["id"]] = ctx
+            ctrl = subnet.SubnetworkController(
+                sn["id"], autonomous_prbs=sn["autonomous_prbs"],
+                local_bytes_per_prb=sn["local_bytes_per_prb"],
+                nonlocal_ttl=sn["nonlocal_ttl_us"],
+                parent_latency=sn["parent_latency_us"])
+            if sn["parent_ranf"] is not None:
+                ctrl.attach(sn["parent_ranf"], sn["parent_ru"])
+            for dev_id in sn["devices"]:
+                ctrl.add_device(subnet.SubnetworkDevice(dev_id, sn["id"]))
+            self.subnets[sn["id"]] = ctrl
+            period = sn["grant_period_us"]
             if ctrl.attached:
-                ctrl.request_grant(sn["grant_prbs"], 0, sn["grant_period_us"] * 2)
-                self.sim.schedule(sn["grant_period_us"], "subnet-grant", sn["id"],
-                                  partial(self._on_subnet_grant, ctx, sn))
-            for t in sn["local_traffic"]:
-                self.sim.schedule(t["start_us"], "subnet-traffic", sn["id"],
-                                  partial(self._on_subnet_traffic, ctx, t, True))
-            for t in sn["nonlocal_traffic"]:
-                self.sim.schedule(t["start_us"], "subnet-traffic", sn["id"],
-                                  partial(self._on_subnet_traffic, ctx, t, False))
+                ctrl.request_grant(sn["grant_prbs"], 0, period * 2)
+                every(period, period, "subnet-grant", sn["id"],
+                      partial(self._on_subnet_grant, ctrl, sn), end)
+            for key, local in (("local_traffic", True),
+                               ("nonlocal_traffic", False)):
+                for t in sn[key]:  # the last packet goes before ``stop_us``
+                    stop = t["stop_us"]
+                    until = end if stop is None else min(end, stop - 1)
+                    emit = partial(self._on_subnet_traffic, ctrl, t, local)
+                    every(t["start_us"], t["period_us"], "subnet-traffic",
+                          sn["id"], emit, until)
 
     def _build_energy(self):
         self.meter = orch.EnergyMeter()
-        self.energy_saving = self.energy_enabled
+        self.energy_saving = self.cfg["energy"]
         self.instance_activity = {}
         self.ru_entity = {ru: f"ru:{ru}" for ru in sorted(self.topology.rus)}
         for entity in self.ru_entity.values():
@@ -401,14 +404,10 @@ class Runtime:
         next_t, sizes = ctx.source.next_emission(now, rng)
         for size in sizes:
             self._ingress(ctx, size, now)
+        # ``next_t`` is None only for a source of rate 0, which stays at 0.
         if next_t is not None and next_t <= self.duration \
                 and (stop is None or next_t < stop):
             self.sim.schedule(next_t, "traffic", ctx.bearer.id, ctx.emit)
-        elif ctx.source.rate <= 0 and (stop is None or now < stop):
-            # A throttled source re-checks after a recovery window.
-            retry = now + ctx.source.rtt_window
-            if retry <= self.duration:
-                self.sim.schedule(retry, "traffic", ctx.bearer.id, ctx.emit)
 
     def _ingress(self, ctx, size, now):
         bearer = ctx.bearer
@@ -426,19 +425,14 @@ class Runtime:
         target = None if self.split_mode else ctx.buffer
         pdu = stack.pdcp_preprocess(size, bearer, now, buffer=target)
         ctx.live[pdu.sn] = pdu
-        if self.split_mode:
+        if not self.split_mode:
+            if not ctx.in_active_set:
+                self._activate(ctx)
+        elif self.credit_bytes is None:  # each PDU reaches the DU after d_f1
+            self.sim.schedule(now + self.d_f1, "split-forward", bearer.id,
+                              partial(self._du_arrival, ctx, [pdu]))
+        else:  # held at the CU until the DU grants credit
             ctx.cu_queue.append(pdu)
-            if self.credit_bytes is None:
-                self.sim.schedule(now + self.d_f1, "split-forward",
-                                  ctx.bearer.id,
-                                  partial(self._forward_one, ctx))
-        elif not ctx.in_active_set:
-            self._activate(ctx)
-
-    def _forward_one(self, ctx):
-        """Split mode without F1 credit: the CU's oldest PDU reaches the DU."""
-        if ctx.cu_queue:
-            self._du_arrival(ctx, [ctx.cu_queue.popleft()])
 
     def _du_arrival(self, ctx, pdus):
         for pdu in pdus:
@@ -461,10 +455,6 @@ class Runtime:
                 tra.recover_rate(src)
         elif src.congestion_law == tra.CLASSIC:
             tra.recover_rate(src)
-        nxt = now + src.rtt_window
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, "cc-window", ctx.bearer.id,
-                              partial(self._on_cc_window, ctx))
 
     # ------------------------------------------------------------ TTI loop
 
@@ -472,15 +462,12 @@ class Runtime:
         now = self.sim.now
         for ranf in self.ranf_order:
             self._tti_for_ranf(ranf, now)
-        for ctx in self.subnets.values():
-            self._tti_for_subnet(ctx, now)
+        for ctrl in self.subnets.values():
+            self._tti_for_subnet(ctrl, now)
         if self.split_mode and self.credit_bytes is not None:
             for ctx in self.bearers.values():
                 if ctx.cu_queue:
                     self._du_status(ctx, now)
-        nxt = now + self.tti
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, "tti", "scheduler", self._on_tti)
 
     def _tti_for_ranf(self, ranf, now):
         pools = self.pool_templates[ranf.id].fresh()
@@ -503,8 +490,7 @@ class Runtime:
                     pools.free[key] = pools.free.get(key, 0) + got
                     still.append((proc, ue_id))
                     continue
-                self._transmit(proc.tb, proc, ue, key, now,
-                               retransmission=True)
+                self._transmit(proc.tb, proc, ue, key, now)
             self.pending_retx[ranf.id] = still
 
         # Stage 1 per slice at the UP site, over the bearers with something
@@ -594,6 +580,8 @@ class Runtime:
 
     def _serve_grant(self, ctx, grant, now):
         ue = ctx.ue_ctx
+        # Stage 1 ran AQM at this ``now`` too, but an earlier grant in this
+        # TTI (another carrier) may have sent the head it saw.
         self._apply_aqm(ctx, now)
         proc = ue.free_process()
         if proc is None:
@@ -610,12 +598,12 @@ class Runtime:
         proc.load(tb, meta={"pool": key, "prbs": grant.prbs, "bearer": ctx})
         self.metrics.tb_transmitted += 1
         self._mark_instance_active(ctx.slice, now)
-        self._transmit(tb, proc, ue, key, now, retransmission=False)
+        self._transmit(tb, proc, ue, key, now)
 
-    def _transmit(self, tb, proc, ue, key, now, retransmission):
+    def _transmit(self, tb, proc, ue, key, now):
         ru_id, carrier_id = key
         ctx = proc.meta["bearer"]
-        wake_delay = self._wake_ru(ru_id, now)
+        wake_delay = self.meter.wake(self.ru_entity[ru_id], now)
         rng = ue.link_rng
         if rng is None:
             rng = ue.link_rng = self.rng.stream(f"link:{ue.id}")
@@ -691,14 +679,14 @@ class Runtime:
                 elif sn in reorder.stash:
                     ctx.stashed_at.setdefault(sn, now)
                 if timer is not None:
-                    self._timer_action(ctx, timer, now)
+                    self._timer_action(ctx, timer)
         for sn in drops:
             delivered, gap_closed, timer = \
                 reorder.receive_drop_indication(sn, now)
             if delivered:
                 self._deliver_sdus(ctx, delivered, now)
             if timer is not None:
-                self._timer_action(ctx, timer, now)
+                self._timer_action(ctx, timer)
             self._signal_source(ctx, tra.DropEcho(), now)
 
     def _deliver_sdus(self, ctx, sns, now):
@@ -720,10 +708,13 @@ class Runtime:
                 ctx.window_marked += 1
                 self._signal_source(ctx, "ce", now)
 
+    def _uplink_latency(self, ctx):
+        """Receiver-to-source latency: the path of the UE's first RU."""
+        return self.path_lat[(ctx.slice, ctx.ue_ctx.serving_set.rus[0])]
+
     def _signal_source(self, ctx, signal, now):
         bid = ctx.bearer.id
-        ru = ctx.ue_ctx.serving_set.rus[0]
-        echo_at = now + self.path_lat[(ctx.slice, ru)]
+        echo_at = now + self._uplink_latency(ctx)
         if isinstance(signal, tra.DropEcho):
             if bid not in self.metrics.drop_echo_times:
                 self.metrics.drop_echo_times[bid] = echo_at
@@ -736,7 +727,7 @@ class Runtime:
             if bid not in self.metrics.ce_signal_times:
                 self.metrics.ce_signal_times[bid] = echo_at
 
-    def _timer_action(self, ctx, action, now):
+    def _timer_action(self, ctx, action):
         if action == "start":
             reorder = ctx.reorder
             self.sim.schedule(reorder.timer_deadline, "t-reordering",
@@ -753,14 +744,11 @@ class Runtime:
         if self.reliable:
             # With reliable feedback cross-wired into RLC, anything still held
             # by the transmitter will arrive; re-arm instead of skipping it.
-            sn = ctx.reorder.expected_sn
-            if sn in ctx.live:
-                ctx.reorder.timer_deadline = now + ctx.reorder.t_reordering
-                ctx.reorder.timer_generation += 1
-                gen = ctx.reorder.timer_generation
-                self.sim.schedule(ctx.reorder.timer_deadline, "t-reordering",
-                                  ctx.bearer.id,
-                                  partial(self._on_reorder_timer, ctx, gen))
+            reorder = ctx.reorder
+            if reorder.expected_sn in ctx.live:
+                reorder.timer_deadline = now + reorder.t_reordering
+                reorder.timer_generation += 1
+                self._timer_action(ctx, "start")
                 return
         delivered, lost, _ = ctx.reorder.timer_expired(now)
         self._abandon(ctx, lost)
@@ -784,14 +772,9 @@ class Runtime:
                         and sn not in ctx.reorder.skipped:
                     missing.append(sn)
                 sn = (sn + 1) % stack.SN_SPACE
-        ru = ctx.ue_ctx.serving_set.rus[0]
-        delay = self.path_lat[(ctx.slice, ru)]
-        self.sim.schedule(now + delay, "rlc-status-rx", ctx.bearer.id,
+        self.sim.schedule(now + self._uplink_latency(ctx), "rlc-status-rx",
+                          ctx.bearer.id,
                           partial(self._apply_status, ctx, expected, missing))
-        nxt = now + self.cfg["rlc"]["status_interval_us"]
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, "rlc-status", ctx.bearer.id,
-                              partial(self._on_rlc_status, ctx))
 
     def _apply_status(self, ctx, ack_point, missing):
         rlc = ctx.rlc
@@ -833,38 +816,22 @@ class Runtime:
 
     # ------------------------------------------------------------ energy
 
-    # The meter is called only on a state change, so that each call logs
-    # exactly one transition.
-
-    def _wake_ru(self, ru_id, now):
-        entity = self.ru_entity[ru_id]
-        state = self.meter.state(entity)
-        if state == "Active":
-            return 0
-        delay = 0
-        if state == "Sleep":
-            delay = self.meter.profile(entity).wake_latency
-            self.meter.wake_delays += 1
-        self.meter.set_state(entity, "Active", now)
-        return delay
+    # The meter's ``set_state`` is called only on a state change, so that
+    # each call logs exactly one transition.
 
     def _energy_tti(self, ranf, active_rus, now):
         target = "Sleep" if self.energy_saving else "Idle"
         meter = self.meter
         for ru_id, entity in self.ranf_ru_entities[ranf.id]:
-            # An RU in ``active_rus`` was set Active by _wake_ru.
+            # An RU in ``active_rus`` was set Active by ``meter.wake``.
             if ru_id not in active_rus and meter.state(entity) != target:
                 meter.set_state(entity, target, now)
 
     def _mark_instance_active(self, slice_id, now):
-        meter = self.meter
+        wake = self.meter.wake
         activity = self.instance_activity
         for inst_id, entity in self.user_plane_instances[slice_id]:
-            state = meter.state(entity)
-            if state != "Active":
-                if state == "Sleep":
-                    meter.wake_delays += 1
-                meter.set_state(entity, "Active", now)
+            wake(entity, now)
             activity[inst_id] = now
 
     def _on_orchestrator_tick(self):
@@ -885,10 +852,6 @@ class Runtime:
             action = self.scaler.evaluate(inst.id, load)
             if action != orch.SCALE_NONE:
                 self.metrics.scale_events.append((now, inst.id, action))
-        nxt = now + self.cfg["orchestrator"]["tick_us"]
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, "orchestrator-tick", "orchestrator",
-                              self._on_orchestrator_tick)
 
     # ------------------------------------------------------------ trust
 
@@ -901,9 +864,6 @@ class Runtime:
             if self.trust_engine.reassess(ue_id, now, ranf=ue.ranf) \
                     == tru.RELEASE:
                 self._release_ue(ue, now)
-        nxt = now + self.cfg["trust"]["reassess_interval_us"]
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, "trust-reassess", "lotaf", self._on_reassess)
 
     def _release_ue(self, ue, now):
         ue.released = True
@@ -939,13 +899,12 @@ class Runtime:
             if policy.directive == orch.ENERGY_SAVING:
                 self.energy_saving = bool(policy.params.get("on", False))
         elif action == "detach_subnet":
-            self.subnets[ev["subnet"]].controller.detach()
+            self.subnets[ev["subnet"]].detach()
         elif action == "attach_subnet":
-            ctrl = self.subnets[ev["subnet"]].controller
-            ctrl.attach(ev["ranf"], ev["ru"])
+            self.subnets[ev["subnet"]].attach(ev["ranf"], ev["ru"])
         elif action == "device_handover":
-            src = self.subnets[ev["src"]].controller
-            dst = self.subnets[ev["dst"]].controller if ev["dst"] else None
+            src = self.subnets[ev["src"]]
+            dst = self.subnets[ev["dst"]] if ev["dst"] else None
             dev = src.devices.get(ev["device"])
             if dev is not None:
                 subnet.device_handover(dev, src, dst, now)
@@ -1006,37 +965,24 @@ class Runtime:
 
     # ------------------------------------------------------------ subnet
 
-    def _on_subnet_traffic(self, ctx, t, local):
+    def _on_subnet_traffic(self, ctrl, t, local):
         now = self.sim.now
         pkt = subnet.SubnetPacket(t["src"], t.get("dst"), t["size"], now,
                                   local)
-        ctx.controller.offer(pkt, now)
-        nxt = now + t["period_us"]
-        if nxt <= self.duration and (t["stop_us"] is None or nxt < t["stop_us"]):
-            self.sim.schedule(nxt, "subnet-traffic", ctx.controller.id,
-                              partial(self._on_subnet_traffic, ctx, t, local))
+        ctrl.offer(pkt, now)
 
-    def _on_subnet_grant(self, ctx, sn_cfg):
-        now = self.sim.now
-        if ctx.controller.attached:
-            ctx.controller.request_grant(sn_cfg["grant_prbs"], now,
-                                         sn_cfg["grant_period_us"] * 2)
-        nxt = now + sn_cfg["grant_period_us"]
-        if nxt <= self.duration:
-            self.sim.schedule(nxt, "subnet-grant", ctx.controller.id,
-                              partial(self._on_subnet_grant, ctx, sn_cfg))
+    def _on_subnet_grant(self, ctrl, sn_cfg):
+        if ctrl.attached:
+            ctrl.request_grant(sn_cfg["grant_prbs"], self.sim.now,
+                               sn_cfg["grant_period_us"] * 2)
 
-    def _tti_for_subnet(self, ctx, now):
-        ctrl = ctx.controller
+    def _tti_for_subnet(self, ctrl, now):
         ctrl.schedule_local(now)
         sent = ctrl.relay_tick(now)
         if sent:
             arrive = now + ctrl.parent_latency
             self.sim.schedule(arrive, "subnet-relay", ctrl.id,
-                              partial(self._subnet_delivered, ctx, len(sent)))
-
-    def _subnet_delivered(self, ctx, n):
-        ctx.nonlocal_delivered += n
+                              partial(ctrl.relay_delivered, len(sent)))
 
     # ------------------------------------------------------------ run
 
@@ -1049,14 +995,13 @@ class Runtime:
             ctx = self.bearers[bid]
             self.metrics.finalize_conservation(bid, len(ctx.live))
         for sn_id in sorted(self.subnets):
-            ctx = self.subnets[sn_id]
-            c = ctx.controller
+            c = self.subnets[sn_id]
             self.metrics.subnets[sn_id] = {
                 "local_delivered": c.local_delivered,
                 "local_delivered_times": c.local_delivered_times,
                 "nonlocal_in": c.nonlocal_in,
                 "nonlocal_out": c.nonlocal_out,
-                "nonlocal_delivered": ctx.nonlocal_delivered,
+                "nonlocal_delivered": c.nonlocal_delivered,
                 "nonlocal_ttl_dropped": c.nonlocal_ttl_dropped,
                 "nonlocal_queued": len(c.relay_queue),
                 "unknown_dropped": c.unknown_dropped,
@@ -1081,24 +1026,9 @@ def stage1_with_extras(items, now, class_weights):
         w = class_weights.get(bearer.qos_class, 1.0)
         req = sched.SchedulingRequest(
             bearer.id, bearer.ue, bearer.slice, buffer.bytes + extra,
-            sojourn, w * urgency)
+            w * urgency)
         requests.append(req)
     return requests
-
-
-def subnet_controller_from_cfg(sn):
-    ctrl = subnet.SubnetworkController(
-        sn["id"],
-        autonomous_prbs=sn["autonomous_prbs"],
-        local_bytes_per_prb=sn["local_bytes_per_prb"],
-        nonlocal_ttl=sn["nonlocal_ttl_us"],
-        parent_latency=sn["parent_latency_us"],
-    )
-    if sn["parent_ranf"] is not None:
-        ctrl.attach(sn["parent_ranf"], sn["parent_ru"])
-    for dev_id in sn["devices"]:
-        ctrl.add_device(subnet.SubnetworkDevice(dev_id, sn["id"]))
-    return ctrl
 
 
 def run_scenario(cfg):

@@ -65,16 +65,13 @@ def classify_qos(latency_req, reliability_req):
 
 
 class SchedulingRequest:
-    __slots__ = ("bearer_id", "ue", "slice", "buffered_bytes", "head_sojourn",
-                 "priority")
+    __slots__ = ("bearer_id", "ue", "slice", "buffered_bytes", "priority")
 
-    def __init__(self, bearer_id, ue, slice_id, buffered_bytes, head_sojourn,
-                 priority):
+    def __init__(self, bearer_id, ue, slice_id, buffered_bytes, priority):
         self.bearer_id = bearer_id
         self.ue = ue
         self.slice = slice_id
         self.buffered_bytes = buffered_bytes
-        self.head_sojourn = head_sojourn
         self.priority = priority
 
 

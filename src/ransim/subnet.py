@@ -55,6 +55,7 @@ class SubnetworkController:
         self.local_delivered_times = []
         self.nonlocal_in = 0
         self.nonlocal_out = 0
+        self.nonlocal_delivered = 0
         self.nonlocal_ttl_dropped = 0
         self.unknown_dropped = 0
         self.grant_renewals = 0
@@ -146,6 +147,10 @@ class SubnetworkController:
                 relayed.append(pkt)
         return delivered, relayed
 
+    def relay_delivered(self, n):
+        """``n`` packets sent by ``relay_tick`` reached the parent."""
+        self.nonlocal_delivered += n
+
     def relay_tick(self, now):
         """Forward queued non-local traffic while attached; expire on TTL.
 
@@ -176,7 +181,7 @@ class DeviceHandoverRecord:
     reason: str = ""
 
 
-def device_handover(device, src, dst, now, interruption=5_000):
+def device_handover(device, src, dst, now):
     """Move a device between sub-networks (or to the parent, dst=None target).
 
     Bearers re-establish at the destination (SN reset is permitted at the

@@ -297,6 +297,84 @@ SUBNET = ("subnetworks", 0)
     ([(("script", 7, "ru"), "ghost")], "script[7].ru"),
     ([(("script", 7, "carrier"), "ghost")], "script[7].carrier"),
     ([(("script", 7, "bler"), 2.0)], "script[7].bler"),
+    # Times are integer us (null only where the default is null).
+    ([(("tti_us",), 250.5)], "scenario.tti_us"),
+    ([(("t_reordering_us",), 0.5)], "scenario.t_reordering_us"),
+    ([(("handover_interruption_us",), 1.5)],
+     "scenario.handover_interruption_us"),
+    ([(("migration_downtime_us",), "x")], "scenario.migration_downtime_us"),
+    ([(("aqm",), {"mark_threshold_us": 1.5})],
+     "scenario.aqm.mark_threshold_us"),
+    ([(("aqm",), {"drop_threshold_us": None})],
+     "scenario.aqm.drop_threshold_us"),
+    ([(("rlc",), {"status_interval_us": 2.5})],
+     "scenario.rlc.status_interval_us"),
+    ([(("split",), {"d_f1_us": 0.5})], "scenario.split.d_f1_us"),
+    ([(("trust",), {"reassess_interval_us": 1e5})],
+     "scenario.trust.reassess_interval_us"),
+    ([(("orchestrator",), {"tick_us": 1.5})], "scenario.orchestrator.tick_us"),
+    ([(("orchestrator",), {"idle_sleep_interval_us": None})],
+     "scenario.orchestrator.idle_sleep_interval_us"),
+    ([(("rus", 0, "fronthaul_latency_us"), 1.5)],
+     "rus[0].fronthaul_latency_us"),
+    ([(("slices", 1, "latency_budget_us"), 1e5)],
+     "slices[1].latency_budget_us"),
+    ([(TRAFFIC + ("burst_period_us",), 1.5)],
+     "bearers[0].traffic.burst_period_us"),
+    ([(TRAFFIC + ("rtt_window_us",), 1.5)],
+     "bearers[0].traffic.rtt_window_us"),
+    ([(TRAFFIC + ("start_us",), 0.5)], "bearers[0].traffic.start_us"),
+    ([(TRAFFIC + ("stop_us",), "x")], "bearers[0].traffic.stop_us"),
+    ([(TRAFFIC + ("stop_us",), -1)], "bearers[0].traffic.stop_us"),
+    ([(SUBNET + ("grant_period_us",), 1.5)], "subnetworks[0].grant_period_us"),
+    ([(SUBNET + ("nonlocal_ttl_us",), 1.5)], "subnetworks[0].nonlocal_ttl_us"),
+    ([(SUBNET + ("parent_latency_us",), -1)],
+     "subnetworks[0].parent_latency_us"),
+    ([(SUBNET + ("local_traffic", 0, "stop_us"), 1.5)],
+     "subnetworks[0].local_traffic[0].stop_us"),
+    ([(SUBNET + ("nonlocal_traffic", 0, "stop_us"), -1)],
+     "subnetworks[0].nonlocal_traffic[0].stop_us"),
+    ([(SUBNET + ("nonlocal_traffic", 0, "start_us"), 0.5)],
+     "subnetworks[0].nonlocal_traffic[0].start_us"),
+    # Counts are positive integers.
+    ([(("harq",), {"processes": 0})], "scenario.harq.processes"),
+    ([(("harq",), {"rtt_ttis": 0})], "scenario.harq.rtt_ttis"),
+    ([(("harq",), {"max_tx": 1.5})], "scenario.harq.max_tx"),
+    ([(("rlc",), {"window": 0})], "scenario.rlc.window"),
+    ([(("rlc",), {"max_retx": -1})], "scenario.rlc.max_retx"),
+    ([(("split",), {"credit_bytes": -5})], "scenario.split.credit_bytes"),
+    ([(("serving",), {"max_set_size": 0})], "scenario.serving.max_set_size"),
+    ([(("orchestrator",), {"hysteresis": 0})],
+     "scenario.orchestrator.hysteresis"),
+    # Probabilities and thresholds are in [0,1].
+    ([(("harq",), {"feedback_error_rate": 1.5})],
+     "scenario.harq.feedback_error_rate"),
+    ([(("serving",), {"quality_threshold": -0.1})],
+     "scenario.serving.quality_threshold"),
+    ([(("trust",), {"threshold": 2})], "scenario.trust.threshold"),
+    ([(("ues", 0, "trust_threshold"), 1.5)], "ues[0].trust_threshold"),
+    ([(("orchestrator",), {"scale_hi": 1.5})],
+     "scenario.orchestrator.scale_hi"),
+    ([(("orchestrator",), {"scale_lo": -0.1})],
+     "scenario.orchestrator.scale_lo"),
+    ([(("orchestrator",), {"scale_lo": 0.9, "scale_hi": 0.5})],
+     "orchestrator.scale_hi"),
+    ([(("class_weights",), {"Moderate": "x"})],
+     "scenario.class_weights.Moderate"),
+    ([(("class_weights",), {"MissionCritical": -1})],
+     "scenario.class_weights.MissionCritical"),
+    ([(TRAFFIC + ("burst_bytes",), 0)], "bearers[0].traffic.burst_bytes"),
+    ([(TRAFFIC + ("frame_bytes",), -1)], "bearers[0].traffic.frame_bytes"),
+    ([(TRAFFIC + ("frame_jitter",), -0.1)], "bearers[0].traffic.frame_jitter"),
+    ([(TRAFFIC + ("recovery_step",), -0.05)],
+     "bearers[0].traffic.recovery_step"),
+    ([(("seed",), 1.5)], "scenario.seed"),
+    ([(("reliable_harq",), "yes")], "scenario.reliable_harq"),
+    ([(("drop_indication",), 1)], "scenario.drop_indication"),
+    ([(("dmimo",), 0)], "scenario.dmimo"),
+    ([(("energy",), "false")], "scenario.energy"),
+    ([(("slices", 1, "auto_place"), 1)], "slices[1].auto_place"),
+    ([(("bearers", 0, "ecn_capable"), "yes")], "bearers[0].ecn_capable"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_rule_rejected_at_validation(edits, path):
     assert_rejected(edited(edits), path)

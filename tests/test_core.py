@@ -160,3 +160,59 @@ def test_handler_error_names_kind_time_and_target():
     assert "kind=harq-feedback" in msg and "t=42us" in msg \
         and "target=ue-7" in msg
     assert isinstance(exc.value.__cause__, ValueError)
+
+
+# ---------------------------------------------------------------- every
+
+def test_every_fires_after_the_same_time_events_its_handler_scheduled():
+    sim = Simulator()
+    log = []
+
+    def tick():
+        log.append(("tick", sim.now))
+        sim.schedule(sim.now + 10, "child", "x",
+                     partial(log.append, ("child", sim.now + 10)))
+
+    sim.every(0, 10, "tick", "x", tick, until=30)
+    sim.run_until(100)
+    assert log == [("tick", 0), ("child", 10), ("tick", 10), ("child", 20),
+                   ("tick", 20), ("child", 30), ("tick", 30), ("child", 40)]
+
+
+def test_every_until_is_inclusive_and_nothing_fires_after_it():
+    sim = Simulator()
+    times = []
+    sim.every(5, 10, "tick", "x", lambda: times.append(sim.now), until=35)
+    sim.run_until(1000)
+    assert times == [5, 15, 25, 35]
+    assert sim._queue == []
+    # An ``until`` between two firings stops at the one before it.
+    sim = Simulator()
+    times = []
+    sim.every(5, 10, "tick", "x", lambda: times.append(sim.now), until=34)
+    sim.run_until(1000)
+    assert times == [5, 15, 25]
+
+
+def test_every_runs_its_first_call_even_past_until():
+    sim = Simulator()
+    times = []
+    sim.every(50, 10, "tick", "x", lambda: times.append(sim.now), until=40)
+    sim.run_until(1000)
+    assert times == [50]
+
+
+def test_every_names_kind_and_target_in_handler_errors():
+    sim = Simulator()
+    calls = []
+
+    def tick():
+        calls.append(sim.now)
+        if len(calls) == 3:
+            raise ValueError("third")
+
+    sim.every(1, 2, "rlc-status", "b7", tick, until=100)
+    with pytest.raises(ModelError) as exc:
+        sim.run_until(100)
+    assert "kind=rlc-status" in str(exc.value) and "t=5us" in str(exc.value) \
+        and "target=b7" in str(exc.value)

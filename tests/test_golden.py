@@ -8,13 +8,18 @@ that moves one is a behaviour change and must say why next to the new hash.
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 import yaml
 
-from ransim.runtime import run_scenario
-from test_acceptance import (SCENARIO_DIR, _handover_raw, build,
-                             load_scenario, single_cell_raw)
+if __name__ == "__main__":  # run as a script: find ransim beside tests/
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from ransim.runtime import run_scenario  # noqa: E402
+from test_acceptance import (SCENARIO_DIR, _handover_raw,  # noqa: E402
+                             _subnet_raw, _trust_raw, build, load_scenario,
+                             single_cell_raw)
 
 
 def _split_lossy_raw():
@@ -43,6 +48,22 @@ def _ecn_overload_raw():
     return raw
 
 
+def _split_uncredited_raw():
+    """Criterion 06's split run with F1 delay and no F1 credit: each PDU
+    is forwarded to the DU on its own."""
+    return single_cell_raw(seed=31, mode="split_baseline",
+                           split={"d_f1_us": 1_000, "credit_bytes": None})
+
+
+def _set_bler_raw():
+    """``test_runtime.base_raw`` whose link degrades mid-run (reliable
+    HARQ, so the reorder timer re-arms while a PDU is still held)."""
+    from test_runtime import base_raw
+    return base_raw(script=[{"at_us": 250_000, "action": "set_bler",
+                             "ue": "u1", "ru": "ru1", "carrier": "c1",
+                             "bler": 0.9}])
+
+
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
@@ -69,6 +90,20 @@ CASES = {
         # Moved only by config_hash: min_slice_share left the resolved
         # config; the report minus config_hash is byte-identical.
         "9754480a5c5e042bb0f7d44774055d63d176edf27616b06b68f68d8155bf4ccf"),
+    # The four below pin the paths that Simulator.every and the merged
+    # event paths rewired; recorded before that change.
+    "split-uncredited": (
+        lambda: build(_split_uncredited_raw()),
+        "f0eb0dc9a01c0c165b5c30d25ee1cef4fecb03171e3c9f6836570f3cee5aaf03"),
+    "subnet": (
+        lambda: build(_subnet_raw(500_000)),
+        "94a0f371b0b77235eaa107eb641d78f6a35478aad399db28bdfd62d1d5865ade"),
+    "trust": (
+        lambda: build(_trust_raw()),
+        "b57b9b8d47f024b90fd1604b695e8de8ac09475068918609f538ec2a5d24eb92"),
+    "set-bler": (
+        lambda: build(_set_bler_raw()),
+        "31631a7c68537b15601e94bf704413252c0c3d69c665ca84ce68bb9b3da7c740"),
 }
 
 
@@ -80,3 +115,8 @@ def fingerprint(report):
 def test_golden_fingerprint(name):
     make_cfg, expected = CASES[name]
     assert fingerprint(run_scenario(make_cfg())) == expected
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        print(name, fingerprint(run_scenario(CASES[name][0]())))

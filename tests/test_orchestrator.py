@@ -76,12 +76,6 @@ def test_scaler_hysteresis():
         assert s.evaluate("up", 0.0) == orch.SCALE_NONE
 
 
-def test_scaler_defers_alarm_without_capacity():
-    s = orch.Scaler(hysteresis=1)
-    assert s.evaluate("up", 0.9, capacity_available=False) == orch.SCALE_NONE
-    assert s.deferred_alarms == 1
-
-
 def test_power_profile_ordering_enforced():
     with pytest.raises(ConfigError):
         orch.PowerProfile(active_w=1.0, idle_w=2.0, sleep_w=0.5)

@@ -2,6 +2,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -9,10 +11,11 @@ import yaml
 from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
 from ransim import orchestrate as orch
-from ransim.core import ModelError, RngRegistry
+from ransim.core import ModelError, RngRegistry, Simulator
 from ransim.metrics import MetricsCollector, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
-from test_golden import _ecn_overload_raw, _split_lossy_raw
+from test_acceptance import _subnet_raw
+from test_golden import _ecn_overload_raw, _set_bler_raw, _split_lossy_raw
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                      "smoke.yaml")
@@ -197,14 +200,76 @@ def test_energy_policy_injection_mid_run():
 
 
 def test_set_bler_script_degrades_link():
-    raw = base_raw()
-    raw["script"] = [{"at_us": 250_000, "action": "set_bler", "ue": "u1",
-                      "ru": "ru1", "carrier": "c1", "bler": 0.9}]
-    report = run_raw(raw)
+    report = run_raw(_set_bler_raw())
     assert report["tb_transmitted"] > 0
     # Heavy retransmission kicks in after the degradation.
     assert report["bearers"]["b1"]["latency_us"]["p100"] > \
         report["bearers"]["b1"]["latency_us"]["p50"]
+
+
+def test_zero_rate_bearer_schedules_one_traffic_event(monkeypatch):
+    """A source of rate 0 stays at 0 (no congestion law raises a rate above
+    its nominal one), so its first ``traffic`` event is its last."""
+    kinds = []
+    schedule = Simulator.schedule
+
+    def counting(sim, fire_at, kind, target, fn):
+        kinds.append(kind)
+        schedule(sim, fire_at, kind, target, fn)
+
+    monkeypatch.setattr(Simulator, "schedule", counting)
+    raw = base_raw()
+    raw["bearers"][0]["traffic"].update(rate_bytes_per_s=0,
+                                        congestion_law="Classic")
+    report = run_raw(raw)
+    assert kinds.count("traffic") == 1
+    assert report["bearers"]["b1"]["packets_in"] == 0
+    assert kinds.count("cc-window") == 500_000 // 50_000
+
+
+def test_subnet_traffic_stops_before_stop_us():
+    """A sub-network source sends at ``start_us + k * period_us`` while
+    that time is before ``stop_us``."""
+    for stop, sent in ((10_000, 10), (10_001, 11)):
+        raw = _subnet_raw()
+        raw["subnetworks"][0]["local_traffic"][0]["stop_us"] = stop
+        raw["subnetworks"][0]["nonlocal_traffic"] = []
+        assert run_raw(raw)["subnetworks"]["sn1"]["local_delivered"] == sent
+
+
+def _carrier_aggregation_raw():
+    """One RU with two 10-PRB carriers, overloaded by a 6 MB/s bearer, so
+    that the bearer often gets a grant on each carrier in one TTI."""
+    raw = base_raw(duration_us=300_000)
+    raw["carriers"] = [{"id": c, "prbs_per_tti": 10, "bytes_per_prb": 100}
+                       for c in ("c1", "c2")]
+    raw["rus"][0]["carriers"] = ["c1", "c2"]
+    raw["bearers"][0]["traffic"]["rate_bytes_per_s"] = 6_000_000
+    return raw
+
+
+def test_each_grant_runs_aqm_on_the_head_it_finds():
+    """The first grant of a TTI sends the head that stage 1's AQM pass saw;
+    the AQM pass of the second grant acts on the new head.  Without that
+    pass the same runs read 597 marks and 53 drops."""
+    raw = _carrier_aggregation_raw()
+    raw["bearers"][0]["ecn_capable"] = True
+    ecn = run_raw(raw)["bearers"]["b1"]
+    raw = _carrier_aggregation_raw()
+    raw["aqm"] = {"drop_threshold_us": 2_000}
+    dropping = run_raw(raw)["bearers"]["b1"]
+    assert (ecn["ce_marks"], ecn["delivered"]) == (1193, 2358)
+    assert (dropping["aqm_drops"], dropping["delivered"]) == (112, 2358)
+
+
+def test_cli_does_not_import_numpy():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ransim.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------- CLI

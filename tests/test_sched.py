@@ -57,7 +57,7 @@ def test_stage1_priority_formula():
 # ---------------------------------------------------------------- stage 2
 
 def req(bid, ue, sl, nbytes, prio):
-    return sched.SchedulingRequest(bid, ue, sl, nbytes, 0, prio)
+    return sched.SchedulingRequest(bid, ue, sl, nbytes, prio)
 
 
 def test_stage2_priority_order_and_ca():
