@@ -64,8 +64,8 @@ _NESTED_DEFAULTS = {
     "serving": {"quality_threshold": 0.1, "max_set_size": 1},
     "trust": {"weights": [0.5, 0.3, 0.2], "threshold": 0.6,
               "reassess_interval_us": 1_000_000},
-    "orchestrator": {"scale_hi": 0.8, "scale_lo": 0.2, "hysteresis": 3,
-                     "tick_us": 100_000, "idle_sleep_interval_us": 10_000},
+    "orchestrator": {"hysteresis": 3, "tick_us": 100_000,
+                     "idle_sleep_interval_us": 10_000},
     "bler": {"default": 0.0, "entries": []},
 }
 
@@ -190,8 +190,7 @@ _CHECKS = {
                                        _NON_NEGATIVE),
         "serving": {"quality_threshold": _FRACTION,
                     "max_set_size": _POSITIVE_INT},
-        "orchestrator": {"scale_hi": _FRACTION, "scale_lo": _FRACTION,
-                         "hysteresis": _POSITIVE_INT, "tick_us": _POSITIVE_INT,
+        "orchestrator": {"hysteresis": _POSITIVE_INT, "tick_us": _POSITIVE_INT,
                          "idle_sleep_interval_us": _NON_NEGATIVE_INT},
         "trust": {"reassess_interval_us": _POSITIVE_INT, "weights": (
             lambda w: len(w) == 3 and all(type(x) in _NUMBER and x >= 0
@@ -373,11 +372,10 @@ def validate_scenario(raw):
         cfg[section] = sub
 
     cfg["duration_us"] = raw.get("duration_us")
-    for sec, low, high in (("aqm", "mark_threshold_us", "drop_threshold_us"),
-                           ("orchestrator", "scale_lo", "scale_hi")):
-        lo, hi = cfg[sec][low], cfg[sec][high]
-        if not (type(lo) in _NUMBER and type(hi) in _NUMBER and lo <= hi):
-            errors.append(f"{sec}.{high}: must be at least {low}")
+    lo, hi = cfg["aqm"]["mark_threshold_us"], cfg["aqm"]["drop_threshold_us"]
+    if not (type(lo) in _NUMBER and type(hi) in _NUMBER and lo <= hi):
+        errors.append("aqm.drop_threshold_us: must be at least "
+                      "mark_threshold_us")
 
     # Each entry that meets its spec, as (path, entry), by entry kind; the
     # ids of each kind.
@@ -470,8 +468,7 @@ def _entries(items, spec, what, errors, ids=None):
 
 
 def _check_policy(policy, path, slice_ids, errors):
-    if not _check_keys(policy, {"id", "scope", "directive", "params"}, path,
-                       errors):
+    if not _check_keys(policy, {"id", "directive", "params"}, path, errors):
         return
     _require(policy, "id", path, errors, (str,))
     directive = _require(policy, "directive", path, errors, (str,))

@@ -1,10 +1,11 @@
 """Orchestration: slice admission with automatic placement, hysteresis-based
-scaling, energy/sleep accounting, and the policy/report hook surface a
-near-real-time controller application would use.
+scaling and energy/sleep accounting.  The policies a controller may apply
+(``POLICY_PARAMS``) are carried out by the runtime: the last one applied
+decides.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import topology as topo
 from .core import ConfigError
@@ -98,37 +99,27 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
 
 
 class Scaler:
-    """Load-driven replica scaling with consecutive-tick hysteresis."""
+    """Replica scaling with consecutive-tick hysteresis: ``hysteresis`` busy
+    ticks in a row add a replica, as many idle ticks remove one, and an
+    instance never drops below one replica."""
 
-    def __init__(self, hi=0.8, lo=0.2, hysteresis=3):
-        self.hi = hi
-        self.lo = lo
+    def __init__(self, hysteresis=3):
         self.hysteresis = hysteresis
-        self._high = {}
-        self._low = {}
+        self._runs = {}  # instance -> (busy, ticks in a row of that kind)
         self.replicas = {}
 
-    def evaluate(self, instance_id, load):
+    def evaluate(self, instance_id, busy):
         """One periodic tick; returns ScaleUp / ScaleDown / None."""
         replicas = self.replicas.setdefault(instance_id, 1)
-        if load > self.hi:
-            self._high[instance_id] = self._high.get(instance_id, 0) + 1
-            self._low[instance_id] = 0
-        elif load < self.lo:
-            self._low[instance_id] = self._low.get(instance_id, 0) + 1
-            self._high[instance_id] = 0
-        else:
-            self._high[instance_id] = 0
-            self._low[instance_id] = 0
-        if self._high.get(instance_id, 0) >= self.hysteresis:
-            self._high[instance_id] = 0
-            self.replicas[instance_id] = replicas + 1
-            return SCALE_UP
-        if self._low.get(instance_id, 0) >= self.hysteresis and replicas > 1:
-            self._low[instance_id] = 0
-            self.replicas[instance_id] = replicas - 1
-            return SCALE_DOWN
-        return SCALE_NONE
+        last, run = self._runs.get(instance_id, (busy, 0))
+        run = run + 1 if last == busy else 1
+        action = SCALE_NONE
+        if run >= self.hysteresis and (busy or replicas > 1):
+            run = 0
+            self.replicas[instance_id] = replicas + (1 if busy else -1)
+            action = SCALE_UP if busy else SCALE_DOWN
+        self._runs[instance_id] = (busy, run)
+        return action
 
 
 @dataclass
@@ -233,43 +224,3 @@ def replay_energy(transitions, profiles, t_end):
             total += profiles[entity].power(state) * (t1 - t0) / 1e6
         energy[entity] = total
     return energy
-
-
-@dataclass
-class Policy:
-    id: str
-    scope: str  # slice | site | global
-    directive: str  # EnergySaving | MinSliceShare
-    params: dict = field(default_factory=dict)
-
-
-class PolicyStore:
-    """Last-writer-wins policy state with an audit trail.
-
-    Minimum slice shares are read from here.  Energy saving is not: the
-    runtime follows the last ``EnergySaving`` policy applied, whatever its
-    scope, so there is one owner of that decision.
-    """
-
-    def __init__(self):
-        self._by_key = {}
-        self._shares = None  # min_slice_shares(), until the next apply
-        self.audit = []
-
-    def apply(self, policy, now):
-        key = (policy.directive, policy.scope, policy.params.get("slice"))
-        if key in self._by_key:
-            self.audit.append((now, policy.id, "overrides",
-                               self._by_key[key].id))
-        else:
-            self.audit.append((now, policy.id, "applied", None))
-        self._by_key[key] = policy
-        self._shares = None
-
-    def min_slice_shares(self):
-        """Slice id -> reserved fraction; the dict is shared, do not edit."""
-        if self._shares is None:
-            self._shares = {p.params["slice"]: p.params["fraction"]
-                            for p in self._by_key.values()
-                            if p.directive == MIN_SLICE_SHARE}
-        return self._shares

@@ -116,7 +116,7 @@ class Runtime:
         # (ready_at, requests) per RANF and slice, in the order sent.
         self.stage1_pipes = {rf_id: {sl: deque() for sl in self.slice_ids}
                              for rf_id in self.topology.ranfs}
-        self.policies = orch.PolicyStore()
+        self.min_slice_share = {}  # slice -> reserved fraction, by policy
         self._build_trust()
         self._build_ues()
         self._build_bearers()
@@ -129,9 +129,7 @@ class Runtime:
         if self.trust_engine.records:
             iv = cfg["trust"]["reassess_interval_us"]
             every(iv, iv, "trust-reassess", "lotaf", self._on_reassess, end)
-        self.scaler = orch.Scaler(cfg["orchestrator"]["scale_hi"],
-                                  cfg["orchestrator"]["scale_lo"],
-                                  cfg["orchestrator"]["hysteresis"])
+        self.scaler = orch.Scaler(cfg["orchestrator"]["hysteresis"])
         tick = cfg["orchestrator"]["tick_us"]
         every(tick, tick, "orchestrator-tick", "orchestrator",
               self._on_orchestrator_tick, end)
@@ -340,21 +338,20 @@ class Runtime:
         self.subnets = {}
         every, end = self.sim.every, self.duration
         for sn in self.cfg["subnetworks"]:
+            period = sn["grant_period_us"]
             ctrl = subnet.SubnetworkController(
                 sn["id"], autonomous_prbs=sn["autonomous_prbs"],
+                grant_prbs=sn["grant_prbs"], grant_period=period,
                 local_bytes_per_prb=sn["local_bytes_per_prb"],
                 nonlocal_ttl=sn["nonlocal_ttl_us"],
                 parent_latency=sn["parent_latency_us"])
             if sn["parent_ranf"] is not None:
-                ctrl.attach(sn["parent_ranf"], sn["parent_ru"])
+                ctrl.attach(sn["parent_ranf"], sn["parent_ru"], 0)
             for dev_id in sn["devices"]:
                 ctrl.add_device(subnet.SubnetworkDevice(dev_id, sn["id"]))
             self.subnets[sn["id"]] = ctrl
-            period = sn["grant_period_us"]
-            if ctrl.attached:
-                ctrl.request_grant(sn["grant_prbs"], 0, period * 2)
-                every(period, period, "subnet-grant", sn["id"],
-                      partial(self._on_subnet_grant, ctrl, sn), end)
+            every(period, period, "subnet-grant", sn["id"],
+                  partial(self._on_subnet_grant, ctrl), end)
             for key, local in (("local_traffic", True),
                                ("nonlocal_traffic", False)):
                 for t in sn[key]:  # the last packet goes before ``stop_us``
@@ -549,7 +546,7 @@ class Runtime:
 
         grants = sched.stage2_allocate(
             requests, pools, resources_for,
-            min_share=self.policies.min_slice_shares())
+            min_share=self.min_slice_share)
         trust = self.trust_engine
         metrics = self.metrics
         for g in grants:
@@ -836,20 +833,19 @@ class Runtime:
 
     def _on_orchestrator_tick(self):
         now = self.sim.now
-        idle_after = self.cfg["orchestrator"]["idle_sleep_interval_us"]
+        ocfg = self.cfg["orchestrator"]
+        activity = self.instance_activity
         for inst in self.plan.instances:
             entity = f"fn:{inst.id}"
-            last = self.instance_activity.get(inst.id, 0)
-            if now - last >= idle_after:
+            if now - activity[inst.id] >= ocfg["idle_sleep_interval_us"]:
                 target = "Sleep" if (self.energy_saving and inst.kind in
                                      (topo.UP, topo.RRC, topo.PHY)) else "Idle"
                 if self.meter.state(entity) != target:
                     self.meter.set_state(entity, target, now)
-        # Load-driven scaling of UP instances (PRB utilization proxy).
+        # Scaling of UP instances: busy if it carried data in the last tick.
         for inst in self.plan.of_kind(topo.UP):
-            load = 1.0 if now - self.instance_activity.get(inst.id, 0) \
-                < self.cfg["orchestrator"]["tick_us"] else 0.0
-            action = self.scaler.evaluate(inst.id, load)
+            busy = now - activity[inst.id] < ocfg["tick_us"]
+            action = self.scaler.evaluate(inst.id, busy)
             if action != orch.SCALE_NONE:
                 self.metrics.scale_events.append((now, inst.id, action))
 
@@ -892,22 +888,22 @@ class Runtime:
             self.trust_engine.records[ev["ue"]].features.anomaly_score = \
                 ev["anomaly_score"]
         elif action == "policy":
-            p = ev["policy"]
-            policy = orch.Policy(p["id"], p.get("scope", "global"),
-                                 p["directive"], p.get("params", {}))
-            self.policies.apply(policy, now)
-            if policy.directive == orch.ENERGY_SAVING:
-                self.energy_saving = bool(policy.params.get("on", False))
+            # The last policy applied decides.
+            params = ev["policy"].get("params", {})
+            if ev["policy"]["directive"] == orch.ENERGY_SAVING:
+                self.energy_saving = bool(params.get("on", False))
+            else:
+                self.min_slice_share[params["slice"]] = params["fraction"]
         elif action == "detach_subnet":
             self.subnets[ev["subnet"]].detach()
         elif action == "attach_subnet":
-            self.subnets[ev["subnet"]].attach(ev["ranf"], ev["ru"])
+            self.subnets[ev["subnet"]].attach(ev["ranf"], ev["ru"], now)
         elif action == "device_handover":
             src = self.subnets[ev["src"]]
             dst = self.subnets[ev["dst"]] if ev["dst"] else None
             dev = src.devices.get(ev["device"])
             if dev is not None:
-                subnet.device_handover(dev, src, dst, now)
+                subnet.device_handover(dev, src, dst)
         elif action == "set_bler":
             self.bler.set(ev["ue"], ev["ru"], ev["carrier"], ev["bler"])
 
@@ -966,15 +962,12 @@ class Runtime:
     # ------------------------------------------------------------ subnet
 
     def _on_subnet_traffic(self, ctrl, t, local):
-        now = self.sim.now
-        pkt = subnet.SubnetPacket(t["src"], t.get("dst"), t["size"], now,
-                                  local)
-        ctrl.offer(pkt, now)
+        ctrl.offer(subnet.SubnetPacket(t["src"], t.get("dst"), t["size"],
+                                       self.sim.now, local))
 
-    def _on_subnet_grant(self, ctrl, sn_cfg):
+    def _on_subnet_grant(self, ctrl):
         if ctrl.attached:
-            ctrl.request_grant(sn_cfg["grant_prbs"], self.sim.now,
-                               sn_cfg["grant_period_us"] * 2)
+            ctrl.request_grant(self.sim.now)
 
     def _tti_for_subnet(self, ctrl, now):
         ctrl.schedule_local(now)
@@ -982,7 +975,7 @@ class Runtime:
         if sent:
             arrive = now + ctrl.parent_latency
             self.sim.schedule(arrive, "subnet-relay", ctrl.id,
-                              partial(ctrl.relay_delivered, len(sent)))
+                              partial(ctrl.relay_delivered, sent))
 
     # ------------------------------------------------------------ run
 

@@ -8,9 +8,6 @@ from dataclasses import dataclass, field
 
 from .core import ModelError
 
-LOCAL = "Local"
-NON_LOCAL = "NonLocal"
-
 
 class SubnetPacket:
     __slots__ = ("src", "dst", "size", "created", "local")
@@ -37,15 +34,22 @@ class SubnetworkDevice:
 
 
 class SubnetworkController:
-    """Schedules local transmissions and relays non-local traffic at L3."""
+    """Schedules local transmissions and relays non-local traffic at L3.
 
-    def __init__(self, ctrl_id, *, autonomous_prbs=0, local_bytes_per_prb=64,
+    While attached it holds a parent grant of ``grant_prbs`` per TTI, valid
+    for two grant periods: requested on attachment and renewed each period.
+    """
+
+    def __init__(self, ctrl_id, *, autonomous_prbs=0, grant_prbs=10,
+                 grant_period=100_000, local_bytes_per_prb=64,
                  nonlocal_ttl=1_000_000, parent_latency=2_000):
         self.id = ctrl_id
         self.parent_attachment = None  # (ranf_id, ru_id) or None
         self.devices = {}
         self.grant = None  # ResourceGrant
         self.autonomous_prbs = autonomous_prbs
+        self.grant_prbs = grant_prbs
+        self.grant_period = grant_period
         self.local_bytes_per_prb = local_bytes_per_prb
         self.nonlocal_ttl = nonlocal_ttl
         self.parent_latency = parent_latency
@@ -68,43 +72,31 @@ class SubnetworkController:
         device.controller = self.id
         self.devices[device.id] = device
 
-    def remove_device(self, device_id):
-        return self.devices.pop(device_id, None)
-
-    def attach(self, ranf_id, ru_id):
+    def attach(self, ranf_id, ru_id, now):
+        """Attach to the parent and obtain its grant at once."""
         self.parent_attachment = (ranf_id, ru_id)
+        self.request_grant(now)
 
     def detach(self):
         self.parent_attachment = None
         self.grant = None
 
-    def route(self, pkt):
-        """Classify a packet; unknown local destinations are dropped."""
-        if pkt.local:
-            if pkt.dst not in self.devices:
-                self.unknown_dropped += 1
-                return None
-            return LOCAL
-        return NON_LOCAL
-
-    def offer(self, pkt, now):
-        """A device hands a packet to the sub-network."""
+    def offer(self, pkt):
+        """A device hands a packet to the sub-network; a packet from or (if
+        local) to a device not in it is dropped."""
         src = self.devices.get(pkt.src)
-        if src is None:
+        if src is None or (pkt.local and pkt.dst not in self.devices):
             self.unknown_dropped += 1
-            return
-        kind = self.route(pkt)
-        if kind is None:
             return
         src.queue.append(pkt)
 
-    def request_grant(self, prbs, now, duration):
+    def request_grant(self, now):
         """Obtain a parent resource grant; only meaningful while attached."""
         if not self.attached:
             raise ModelError(f"sub-network {self.id}: grant request while detached")
-        self.grant = ResourceGrant(prbs, now + duration)
+        self.grant = ResourceGrant(self.grant_prbs,
+                                   now + 2 * self.grant_period)
         self.grant_renewals += 1
-        return self.grant
 
     def pool_for_tti(self, now):
         """Active pool: unexpired parent grant when attached, else autonomous."""
@@ -115,12 +107,10 @@ class SubnetworkController:
     def schedule_local(self, now):
         """Greedy oldest-head-first local scheduling within the TTI pool.
 
-        Returns (local deliveries, non-local packets handed to the relay).
-        Both kinds of device transmission consume local PRBs.
+        Local packets are delivered, non-local ones handed to the relay;
+        both kinds of device transmission consume local PRBs.
         """
         prbs = self.pool_for_tti(now)
-        delivered = []
-        relayed = []
         while prbs > 0:
             heads = [
                 (d.queue[0].created, d.id, d)
@@ -140,12 +130,9 @@ class SubnetworkController:
             if pkt.local:
                 self.local_delivered += 1
                 self.local_delivered_times.append(now)
-                delivered.append(pkt)
             else:
                 self.nonlocal_in += 1
                 self.relay_queue.append(pkt)
-                relayed.append(pkt)
-        return delivered, relayed
 
     def relay_delivered(self, n):
         """``n`` packets sent by ``relay_tick`` reached the parent."""
@@ -154,15 +141,15 @@ class SubnetworkController:
     def relay_tick(self, now):
         """Forward queued non-local traffic while attached; expire on TTL.
 
-        Returns the packets sent toward the parent this tick (the caller
-        delivers them after the parent Uu latency).
+        Returns how many packets went toward the parent this tick (the
+        caller delivers them after the parent Uu latency).
         """
-        sent = []
+        sent = 0
         keep = []
         for pkt in self.relay_queue:
             if self.attached:
                 self.nonlocal_out += 1
-                sent.append(pkt)
+                sent += 1
             elif now - pkt.created > self.nonlocal_ttl:
                 self.nonlocal_ttl_dropped += 1
             else:
@@ -171,32 +158,18 @@ class SubnetworkController:
         return sent
 
 
-@dataclass
-class DeviceHandoverRecord:
-    device: str
-    src: str
-    dst: str
-    at: int
-    accepted: bool
-    reason: str = ""
-
-
-def device_handover(device, src, dst, now):
-    """Move a device between sub-networks (or to the parent, dst=None target).
+def device_handover(device, src, dst):
+    """Move a device between sub-networks (or to the parent, dst=None);
+    returns whether it moved.
 
     Bearers re-establish at the destination (SN reset is permitted at the
     sub-network boundary); an unreachable destination fails the handover and
     leaves the device where it is.
     """
-    if dst is None:
-        src.remove_device(device.id)
-        return DeviceHandoverRecord(device.id, src.id, "parent", now, True)
-    reachable = dst.attached or dst.autonomous_prbs > 0
-    if not reachable:
-        return DeviceHandoverRecord(
-            device.id, src.id, dst.id, now, False, "destination unreachable"
-        )
-    src.remove_device(device.id)
-    device.queue = []
-    dst.add_device(device)
-    return DeviceHandoverRecord(device.id, src.id, dst.id, now, True)
+    if dst is not None and not (dst.attached or dst.autonomous_prbs > 0):
+        return False
+    del src.devices[device.id]
+    if dst is not None:
+        device.queue = []
+        dst.add_device(device)
+    return True

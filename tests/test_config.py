@@ -7,6 +7,8 @@ import pytest
 import yaml
 
 from ransim import config as cfgmod
+from ransim.runtime import run_scenario
+from test_acceptance import SCENARIO_DIR, _subnet_raw
 
 
 def minimal_raw():
@@ -353,12 +355,15 @@ SUBNET = ("subnetworks", 0)
      "scenario.serving.quality_threshold"),
     ([(("trust",), {"threshold": 2})], "scenario.trust.threshold"),
     ([(("ues", 0, "trust_threshold"), 1.5)], "ues[0].trust_threshold"),
-    ([(("orchestrator",), {"scale_hi": 1.5})],
-     "scenario.orchestrator.scale_hi"),
-    ([(("orchestrator",), {"scale_lo": -0.1})],
-     "scenario.orchestrator.scale_lo"),
-    ([(("orchestrator",), {"scale_lo": 0.9, "scale_hi": 0.5})],
-     "orchestrator.scale_hi"),
+    # Keys that no run reads are unknown.
+    ([(("script", 0), {"at_us": 0, "action": "policy",
+                       "policy": {"id": "p", "scope": "global",
+                                  "directive": "EnergySaving"}})],
+     "script[0].policy: unknown key 'scope'"),
+    ([(("orchestrator",), {"scale_hi": 0.8})],
+     "orchestrator: unknown key 'scale_hi'"),
+    ([(("orchestrator",), {"scale_lo": 0.2})],
+     "orchestrator: unknown key 'scale_lo'"),
     ([(("class_weights",), {"Moderate": "x"})],
      "scenario.class_weights.Moderate"),
     ([(("class_weights",), {"MissionCritical": -1})],
@@ -571,3 +576,72 @@ def test_scenario_input_is_checked_only_in_config():
     of scenario input: move it into ``validate_scenario``, or add it here
     if it comes from a model rule."""
     assert _raises_outside_config() == ALLOWED_RAISES
+
+
+# ---------------------------------------------------------------- knobs
+
+def _orchestrator_knob_raw():
+    """``smoke.yaml`` whose traffic stops at 400 ms, so the slices' UP and
+    PHY functions go idle and scale down after it."""
+    with open(os.path.join(SCENARIO_DIR, "smoke.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["duration_us"] = 800_000
+    for b in raw["bearers"]:
+        b["traffic"]["stop_us"] = 400_000
+    return raw
+
+
+def _subnet_knob_raw():
+    """``_subnet_raw`` for 300 ms, out of parent coverage from 100 to
+    200 ms: autonomous pool and relay TTL while detached, a grant on the
+    way back, and relays in flight at the end."""
+    raw = _subnet_raw(100_000)
+    raw["duration_us"] = 300_000
+    raw["script"].append({"at_us": 200_000, "action": "attach_subnet",
+                          "subnet": "sn1", "ranf": "rf-a", "ru": "ru1"})
+    return raw
+
+
+# A changed value of each knob, and the run in which it shows.
+KNOB_CHANGES = {
+    ("orchestrator", "hysteresis"): 2,
+    ("orchestrator", "tick_us"): 50_000,
+    ("orchestrator", "idle_sleep_interval_us"): 150_000,
+    ("subnetworks", "autonomous_prbs"): 2,
+    ("subnetworks", "grant_prbs"): 2,
+    ("subnetworks", "grant_period_us"): 30_000,
+    ("subnetworks", "local_bytes_per_prb"): 50,
+    ("subnetworks", "nonlocal_ttl_us"): 20_000,
+    # Relays take effect on arrival: only the ones in flight at the end of
+    # the run show a longer latency.
+    ("subnetworks", "parent_latency_us"): 20_000,
+}
+KNOB_RUNS = {"orchestrator": _orchestrator_knob_raw,
+             "subnetworks": _subnet_knob_raw}
+
+
+def test_knob_changes_the_report():
+    """Each orchestrator and sub-network knob changes the report of a run
+    where it matters.  A knob that is read but ignored fails here, and so
+    does a new knob of these sections until it has a value above."""
+    knobs = {("orchestrator", k)
+             for k in cfgmod._NESTED_DEFAULTS["orchestrator"]}
+    knobs |= {("subnetworks", k)
+              for k, v in cfgmod._ENTRIES["subnetworks"].items()
+              if type(v) in (int, float)}
+    assert knobs == set(KNOB_CHANGES)
+
+    def report(section, key=None, value=None):
+        raw = KNOB_RUNS[section]()
+        if key is not None:
+            node = raw[section][0] if section == "subnetworks" \
+                else raw.setdefault(section, {})
+            node[key] = value
+        out = run_scenario(cfgmod.validate_scenario(raw))
+        del out["config_hash"]
+        return out
+
+    base = {section: report(section) for section in KNOB_RUNS}
+    unchanged = [key for (section, key), value in sorted(KNOB_CHANGES.items())
+                 if report(section, key, value) == base[section]]
+    assert unchanged == []

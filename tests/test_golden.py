@@ -64,46 +64,91 @@ def _set_bler_raw():
                              "bler": 0.9}])
 
 
+def _min_share_raw():
+    """``smoke.yaml`` with two ``MinSliceShare`` policies for slice I: the
+    later one decides the reservation stage 2 makes.  Slice I is served
+    first anyway, so the reservation never binds here and the report
+    equals ``smoke``'s apart from config_hash."""
+    with open(os.path.join(SCENARIO_DIR, "smoke.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["script"] = [
+        {"at_us": at, "action": "policy",
+         "policy": {"id": f"share-{at}", "directive": "MinSliceShare",
+                    "params": {"slice": "I", "fraction": fraction}}}
+        for at, fraction in ((200_000, 0.3), (600_000, 0.1))]
+    return raw
+
+
+def _device_handover_raw():
+    """``_subnet_raw(500_000)`` plus a second sub-network, on its own
+    autonomous pool, that ``d1`` moves to; ``d2`` then moves to the parent.
+    ``sn2``'s local traffic names ``d1`` before it arrives."""
+    raw = _subnet_raw(500_000)
+    raw["subnetworks"].append({
+        "id": "sn2", "autonomous_prbs": 3, "local_bytes_per_prb": 100,
+        "devices": ["d3"],
+        "local_traffic": [{"src": "d3", "dst": "d1", "size": 200,
+                           "period_us": 2_000, "start_us": 1_000}]})
+    raw["script"] += [
+        {"at_us": 300_000, "action": "device_handover", "device": "d1",
+         "src": "sn1", "dst": "sn2"},
+        {"at_us": 700_000, "action": "device_handover", "device": "d2",
+         "src": "sn1", "dst": None}]
+    return raw
+
+
+# Each hash below moved only by config_hash when orchestrator.scale_hi and
+# scale_lo left the resolved config: every report minus config_hash is
+# byte-identical to the one recorded before.
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
-        # Moved only by config_hash: min_slice_share left the resolved
-        # config; the report minus config_hash is byte-identical.
-        "c93643be2c16291ba4858c5ed874ef4befb7e8cec5e9e5b2786272b0522488ab"),
+        # Moved only by config_hash.
+        "389ee26e963884c3bb06f3decb24fb00c500ebc7830c2d7cce4246e46f688f7f"),
     "latency-budgets": (
         lambda: load_scenario("latency-budgets.yaml"),
-        # Moved only by config_hash: min_slice_share left the resolved
-        # config; the report minus config_hash is byte-identical.
-        "b9be48dccf4c52d70136e937a416e93ab789dc13133fd17bab2c1031823ac266"),
+        # Moved only by config_hash.
+        "880c49ab7e4229d09c71ff0bdf134fbe43ca23de952f5636dfd4972ed5c22ced"),
     "split-lossy": (
         lambda: build(_split_lossy_raw()),
-        # Moved only by config_hash: min_slice_share left the resolved
-        # config; the report minus config_hash is byte-identical.
-        "8b27b9ec5f98b7f8a51d4c363282608b5dbc55184209dfbb8845debde00fbf4a"),
+        # Moved only by config_hash.
+        "6279e5f265b26c6e58ca10a78f79401aed777b36c21e8f5c880bb3680c8d1404"),
     "handover": (
         lambda: build(_handover_raw()),
-        # Moved only by config_hash: min_slice_share left the resolved
-        # config; the report minus config_hash is byte-identical.
-        "c3bae9140858fbba2da49f3dec2e6aa1169b73ad394b044ae427313951793a39"),
+        # Moved only by config_hash.
+        "e6fbe0138ce7d4d6bbef6819eb4ac478820d9a0a7d742d686992d093b2c8f582"),
     "ecn-overload": (
         lambda: build(_ecn_overload_raw()),
-        # Moved only by config_hash: min_slice_share left the resolved
-        # config; the report minus config_hash is byte-identical.
-        "9754480a5c5e042bb0f7d44774055d63d176edf27616b06b68f68d8155bf4ccf"),
+        # Moved only by config_hash.
+        "eb2d8279d65df1d0bad199cd801caef3833e6bdb537fa3481cef77b19a3f7d64"),
     # The four below pin the paths that Simulator.every and the merged
     # event paths rewired; recorded before that change.
     "split-uncredited": (
         lambda: build(_split_uncredited_raw()),
-        "f0eb0dc9a01c0c165b5c30d25ee1cef4fecb03171e3c9f6836570f3cee5aaf03"),
+        # Moved only by config_hash.
+        "eb198cf976ddbd1c041169300387521d80a30d0cbc351ee6850d4637aefc42f7"),
     "subnet": (
         lambda: build(_subnet_raw(500_000)),
-        "94a0f371b0b77235eaa107eb641d78f6a35478aad399db28bdfd62d1d5865ade"),
+        # Moved only by config_hash.
+        "be9c9c96cb5e171ea698091261da28319dfaa71f3e1b9685216b96b104d90fa0"),
     "trust": (
         lambda: build(_trust_raw()),
-        "b57b9b8d47f024b90fd1604b695e8de8ac09475068918609f538ec2a5d24eb92"),
+        # Moved only by config_hash.
+        "0d8d50afee6de0fe70fd31778996534dfa8b633d4f601d09098ad4fb034cfb19"),
     "set-bler": (
         lambda: build(_set_bler_raw()),
-        "31631a7c68537b15601e94bf704413252c0c3d69c665ca84ce68bb9b3da7c740"),
+        # Moved only by config_hash.
+        "b0145cf6e70243ea8c96819850e89f538cbbdaa935bfd705660b88b119a23598"),
+    # The two below pin the policy and sub-network paths whose rules were
+    # merged; recorded before that change.
+    "min-share": (
+        lambda: build(_min_share_raw()),
+        # Moved only by config_hash.
+        "40a10ce505a6e063de8a64d4288719b78537fc88a12887170077d114b255e870"),
+    "device-handover": (
+        lambda: build(_device_handover_raw()),
+        # Moved only by config_hash.
+        "2c019d0059a8f503b1fdd3c51b932e2d327bee3ba95c2779ea8807ecaa21eadf"),
 }
 
 

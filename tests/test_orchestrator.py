@@ -59,21 +59,21 @@ def test_admit_rejects_on_capacity():
 
 
 def test_scaler_hysteresis():
-    s = orch.Scaler(hi=0.8, lo=0.2, hysteresis=3)
-    assert s.evaluate("up", 0.9) == orch.SCALE_NONE
-    assert s.evaluate("up", 0.9) == orch.SCALE_NONE
-    assert s.evaluate("up", 0.9) == orch.SCALE_UP
+    s = orch.Scaler(hysteresis=3)
+    assert s.evaluate("up", True) == orch.SCALE_NONE
+    assert s.evaluate("up", True) == orch.SCALE_NONE
+    assert s.evaluate("up", True) == orch.SCALE_UP
     assert s.replicas["up"] == 2
-    # A dip resets the counter.
-    assert s.evaluate("up", 0.9) == orch.SCALE_NONE
-    assert s.evaluate("up", 0.5) == orch.SCALE_NONE
-    assert s.evaluate("up", 0.9) == orch.SCALE_NONE
+    # An idle tick resets the count of busy ones.
+    assert s.evaluate("up", True) == orch.SCALE_NONE
+    assert s.evaluate("up", False) == orch.SCALE_NONE
+    assert s.evaluate("up", True) == orch.SCALE_NONE
     # Scale down needs hysteresis too and never drops below one replica.
     for _ in range(3):
-        action = s.evaluate("up", 0.0)
+        action = s.evaluate("up", False)
     assert action == orch.SCALE_DOWN and s.replicas["up"] == 1
     for _ in range(6):
-        assert s.evaluate("up", 0.0) == orch.SCALE_NONE
+        assert s.evaluate("up", False) == orch.SCALE_NONE
 
 
 def test_power_profile_ordering_enforced():
@@ -93,12 +93,3 @@ def test_energy_meter_and_replay_oracle_agree():
     replay = orch.replay_energy(meter.transitions, {"ru:x": profile}, 5_000_000)
     assert replay == meter.energy_j
 
-
-def test_policy_store_last_writer_wins():
-    store = orch.PolicyStore()
-    store.apply(orch.Policy("p1", "global", orch.ENERGY_SAVING, {"on": True}), 0)
-    store.apply(orch.Policy("p2", "global", orch.ENERGY_SAVING, {"on": False}), 5)
-    assert store.audit[-1] == (5, "p2", "overrides", "p1")
-    store.apply(orch.Policy("p3", "slice", orch.MIN_SLICE_SHARE,
-                            {"slice": "I", "fraction": 0.2}), 6)
-    assert store.min_slice_shares() == {"I": 0.2}

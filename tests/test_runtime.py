@@ -192,8 +192,7 @@ def test_migration_script_changes_path_and_pauses():
 def test_energy_policy_injection_mid_run():
     raw = base_raw()
     raw["script"] = [{"at_us": 100_000, "action": "policy",
-                      "policy": {"id": "pol-1", "scope": "global",
-                                 "directive": "EnergySaving",
+                      "policy": {"id": "pol-1", "directive": "EnergySaving",
                                  "params": {"on": True}}}]
     report = run_raw(raw)
     assert report["bearers"]["b1"]["delivered"] > 0
@@ -591,19 +590,57 @@ def test_last_energy_saving_policy_applied_decides_ru_states():
     raw["bearers"][0]["traffic"]["stop_us"] = 50_000
     raw["script"] = [
         {"at_us": 100_000, "action": "policy",
-         "policy": {"id": "es-on", "scope": "global",
-                    "directive": "EnergySaving", "params": {"on": True}}},
+         "policy": {"id": "es-on", "directive": "EnergySaving",
+                    "params": {"on": True}}},
         {"at_us": 200_000, "action": "policy",
-         "policy": {"id": "es-off", "scope": "site",
-                    "directive": "EnergySaving", "params": {"on": False}}},
+         "policy": {"id": "es-off", "directive": "EnergySaving",
+                    "params": {"on": False}}},
     ]
     rt = Runtime(cfgmod.validate_scenario(raw))
     rt.sim.run_until(150_000)
     assert rt.meter.state("ru:ru1") == "Sleep"
     rt.sim.run_until(250_000)
     assert rt.meter.state("ru:ru1") == "Idle"
-    # Different scopes: both policies stay stored, neither overrides.
-    assert [a[2] for a in rt.policies.audit] == ["applied", "applied"]
+
+
+def test_last_min_slice_share_policy_decides(monkeypatch):
+    """Stage 2 reserves the fraction of the last ``MinSliceShare`` policy
+    applied for a slice, whatever came before it."""
+    with open(SMOKE) as fh:
+        raw = yaml.safe_load(fh)
+    raw["duration_us"] = 400_000
+    raw["script"] = [
+        {"at_us": at, "action": "policy",
+         "policy": {"id": pid, "directive": "MinSliceShare",
+                    "params": {"slice": "I", "fraction": fraction}}}
+        for at, pid, fraction in ((100_000, "p1", 0.3), (200_000, "p2", 0.1),
+                                  (300_000, "p3", 0.5))]
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    seen = {}  # fraction reserved for slice I -> first time stage 2 saw it
+    allocate = sched.stage2_allocate
+
+    def recording(requests, pools, resources_for, min_share=None):
+        seen.setdefault((min_share or {}).get("I"), rt.sim.now)
+        return allocate(requests, pools, resources_for, min_share=min_share)
+
+    monkeypatch.setattr(sched, "stage2_allocate", recording)
+    rt.run()
+    assert seen == {None: 500, 0.3: 100_000, 0.1: 200_000, 0.5: 300_000}
+
+
+def test_attach_by_script_gets_the_grant_at_once():
+    """A sub-network attached by script gets its parent grant when it
+    attaches and renews it each grant period, as one attached at set-up
+    does.  Its packets need 2 PRBs or more: the 1-PRB autonomous pool
+    alone delivers none of them."""
+    raw = _subnet_raw()
+    sn = raw["subnetworks"][0]
+    sn.update(parent_ranf=None, parent_ru=None, autonomous_prbs=1)
+    raw["script"] = [{"at_us": 100_000, "action": "attach_subnet",
+                      "subnet": "sn1", "ranf": "rf-a", "ru": "ru1"}]
+    report = run_raw(raw)["subnetworks"]["sn1"]
+    assert report["grant_renewals"] == 10  # at 100 ms, then each 100 ms
+    assert report["local_delivered"] == 1_000
 
 
 def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):

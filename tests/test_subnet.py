@@ -15,77 +15,84 @@ def make_controller(**kw):
 
 
 def test_grant_pool_when_attached_autonomous_when_not():
-    ctrl = make_controller(autonomous_prbs=3)
-    ctrl.attach("ranf-a", "ru1")
-    ctrl.request_grant(8, now=0, duration=100)
+    # A grant lasts two grant periods.
+    ctrl = make_controller(autonomous_prbs=3, grant_prbs=8, grant_period=50)
+    ctrl.attach("ranf-a", "ru1", now=0)
+    assert ctrl.grant_renewals == 1
     assert ctrl.pool_for_tti(50) == 8
     assert ctrl.pool_for_tti(150) == 3  # grant expired
     ctrl.detach()
     assert ctrl.pool_for_tti(50) == 3
     # Pools never add up.
-    ctrl.attach("ranf-a", "ru1")
-    ctrl.request_grant(8, now=200, duration=100)
+    ctrl.attach("ranf-a", "ru1", now=200)
+    assert ctrl.grant_renewals == 2
     assert ctrl.pool_for_tti(250) == 8
 
 
 def test_grant_request_while_detached_is_an_error():
     ctrl = make_controller()
     with pytest.raises(ModelError):
-        ctrl.request_grant(5, 0, 100)
+        ctrl.request_grant(0)
 
 
 def test_local_scheduling_oldest_head_first():
-    ctrl = make_controller(autonomous_prbs=2)
-    ctrl.offer(sn.SubnetPacket("d1", "d2", 100, created=5, local=True), 5)
-    ctrl.offer(sn.SubnetPacket("d2", "d1", 100, created=3, local=True), 5)
-    delivered, _ = ctrl.schedule_local(10)
-    assert [p.created for p in delivered] == [3, 5]
-    assert ctrl.local_delivered == 2
+    ctrl = make_controller(autonomous_prbs=1)
+    ctrl.offer(sn.SubnetPacket("d1", "d2", 100, created=5, local=True))
+    ctrl.offer(sn.SubnetPacket("d2", "d1", 100, created=3, local=True))
+    ctrl.schedule_local(10)  # one packet per TTI: d2's, the older head
+    assert ctrl.devices["d2"].queue == []
+    assert [p.created for p in ctrl.devices["d1"].queue] == [5]
+    ctrl.schedule_local(11)
+    assert ctrl.local_delivered_times == [10, 11]
 
 
 def test_local_capacity_limits_per_tti():
     ctrl = make_controller(autonomous_prbs=1)
     for i in range(3):
-        ctrl.offer(sn.SubnetPacket("d1", "d2", 100, created=i, local=True), i)
-    delivered, _ = ctrl.schedule_local(10)
-    assert len(delivered) == 1
+        ctrl.offer(sn.SubnetPacket("d1", "d2", 100, created=i, local=True))
+    ctrl.schedule_local(10)
+    assert ctrl.local_delivered == 1
+    assert len(ctrl.devices["d1"].queue) == 2
 
 
 def test_unknown_destination_dropped():
     ctrl = make_controller()
-    ctrl.offer(sn.SubnetPacket("d1", "ghost", 100, 0, local=True), 0)
-    assert ctrl.unknown_dropped == 1
-    delivered, _ = ctrl.schedule_local(10)
-    assert delivered == []
+    ctrl.offer(sn.SubnetPacket("d1", "ghost", 100, 0, local=True))
+    ctrl.offer(sn.SubnetPacket("ghost", "d1", 100, 0, local=True))
+    assert ctrl.unknown_dropped == 2
+    ctrl.schedule_local(10)
+    assert ctrl.local_delivered == 0
 
 
 def test_nonlocal_relays_while_attached_queues_and_ttl_drops_detached():
     ctrl = make_controller(nonlocal_ttl=500)
-    ctrl.attach("ranf-a", "ru1")
-    ctrl.offer(sn.SubnetPacket("d1", None, 100, 0, local=False), 0)
+    ctrl.attach("ranf-a", "ru1", now=0)
+    ctrl.offer(sn.SubnetPacket("d1", None, 100, 0, local=False))
     ctrl.schedule_local(1)
-    assert ctrl.relay_tick(2) != []  # forwarded toward parent
+    assert ctrl.nonlocal_in == 1
+    assert ctrl.relay_tick(2) == 1  # forwarded toward parent
+    assert ctrl.nonlocal_out == 1
     # Detached: queues until TTL.
     ctrl.detach()
-    ctrl.offer(sn.SubnetPacket("d1", None, 100, 10, local=False), 10)
+    ctrl.offer(sn.SubnetPacket("d1", None, 100, 10, local=False))
     ctrl.schedule_local(11)
-    assert ctrl.relay_tick(12) == []
+    assert ctrl.relay_tick(12) == 0
     assert len(ctrl.relay_queue) == 1
-    assert ctrl.relay_tick(600) == []
+    assert ctrl.relay_tick(600) == 0
     assert ctrl.nonlocal_ttl_dropped == 1 and ctrl.relay_queue == []
+    assert ctrl.nonlocal_out == 1
 
 
 def test_local_traffic_survives_detach():
-    ctrl = make_controller(autonomous_prbs=5)
-    ctrl.attach("ranf-a", "ru1")
-    ctrl.request_grant(5, 0, 10_000)
-    ctrl.offer(sn.SubnetPacket("d1", "d2", 100, 0, local=True), 0)
+    ctrl = make_controller(autonomous_prbs=5, grant_prbs=5,
+                           grant_period=5_000)
+    ctrl.attach("ranf-a", "ru1", now=0)
+    ctrl.offer(sn.SubnetPacket("d1", "d2", 100, 0, local=True))
     ctrl.schedule_local(1)
     ctrl.detach()
-    ctrl.offer(sn.SubnetPacket("d2", "d1", 100, 2, local=True), 2)
-    delivered, _ = ctrl.schedule_local(3)
-    assert len(delivered) == 1
-    assert ctrl.local_delivered == 2
+    ctrl.offer(sn.SubnetPacket("d2", "d1", 100, 2, local=True))
+    ctrl.schedule_local(3)
+    assert ctrl.local_delivered_times == [1, 3]
 
 
 def test_device_handover():
@@ -93,12 +100,14 @@ def test_device_handover():
     dst = sn.SubnetworkController("s2", autonomous_prbs=1,
                                   local_bytes_per_prb=100,
                                   nonlocal_ttl=1000, parent_latency=0)
-    rec = sn.device_handover(src.devices["d1"], src, dst, 10)
-    assert rec.accepted
+    assert sn.device_handover(src.devices["d1"], src, dst)
     assert "d1" in dst.devices and "d1" not in src.devices
 
     unreachable = sn.SubnetworkController("s3", autonomous_prbs=0,
                                           local_bytes_per_prb=100,
                                           nonlocal_ttl=1000, parent_latency=0)
-    rec = sn.device_handover(src.devices["d2"], src, unreachable, 11)
-    assert not rec.accepted and "d2" in src.devices
+    assert not sn.device_handover(src.devices["d2"], src, unreachable)
+    assert "d2" in src.devices
+    # To the parent network: always accepted.
+    assert sn.device_handover(src.devices["d2"], src, None)
+    assert src.devices == {}
