@@ -225,10 +225,12 @@ _CHECKS = {
         "fps": (lambda v: type(v) in _NUMBER and 0 < v <= US_PER_S,
                 f"must be in (0, {US_PER_S}]"),
         "start_us": _NON_NEGATIVE_INT, "stop_us": _TIME_OR_NULL}},
-    "subnetworks": {"parent_ranf": "ranfs", "parent_ru": "rus",
-                    "grant_period_us": _POSITIVE_INT,
-                    "nonlocal_ttl_us": _NON_NEGATIVE_INT,
-                    "parent_latency_us": _NON_NEGATIVE_INT},
+    "subnetworks": {
+        "parent_ranf": "ranfs", "parent_ru": "rus",
+        **dict.fromkeys(("grant_period_us", "local_bytes_per_prb"),
+                        _POSITIVE_INT),
+        **dict.fromkeys(("autonomous_prbs", "grant_prbs", "nonlocal_ttl_us",
+                         "parent_latency_us"), _NON_NEGATIVE_INT)},
     "local_traffic": _SUBNET_TRAFFIC_CHECKS,
     "nonlocal_traffic": _SUBNET_TRAFFIC_CHECKS,
     "bler.entries": _BLER_CHECKS,

@@ -29,10 +29,10 @@ from .metrics import MetricsCollector
 
 
 class BearerCtx:
-    __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "reassembly",
-                 "source", "live", "stashed_at", "metrics", "ue", "slice",
-                 "window_marked", "window_delivered", "active_set",
-                 "in_active_set", "traffic_rng", "ue_ctx", "emit")
+    __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "source",
+                 "live", "metrics", "ue", "slice", "window_marked",
+                 "window_delivered", "active_set", "in_active_set",
+                 "traffic_rng", "ue_ctx", "emit")
 
     def __init__(self, bearer, buffer, rlc, reorder, source, metrics, ue_ctx):
         self.bearer = bearer
@@ -40,10 +40,8 @@ class BearerCtx:
         self.cu_queue = deque()  # split mode with F1 credit: held at the CU
         self.rlc = rlc
         self.reorder = reorder
-        self.reassembly = stack.RxReassembly()
         self.source = source
         self.live = {}  # sn -> PdcpPdu, every non-terminal PDU in the system
-        self.stashed_at = {}  # sn -> receiver stash time, for stall metrics
         self.metrics = metrics
         self.ue = bearer.ue
         self.slice = bearer.slice
@@ -280,7 +278,7 @@ class Runtime:
                 sched.CLASS_LATENCY_BUDGET[qos_class], qos_class,
                 ecn_capable=b["ecn_capable"],
             )
-            buffer = stack.TransmitBuffer(b["id"], aqm)
+            buffer = stack.TransmitBuffer(aqm)
             rlc = stack.RlcTxState(self.cfg["rlc"]["window"],
                                    self.cfg["rlc"]["max_retx"])
             reorder = stack.ReorderState(self.t_reordering)
@@ -565,15 +563,17 @@ class Runtime:
     def _apply_aqm(self, ctx, now):
         if not ctx.buffer.queue:
             return  # AQM acts on the head of the queue only
-        actions = stack.aqm_inspect(ctx.buffer, now, ctx.bearer.ecn_capable)
-        for act in actions:
-            if isinstance(act, stack.FrontDrop):
-                ctx.live.pop(act.sn, None)
-                ctx.metrics.aqm_drops += 1
-                if self.drop_indication:
-                    ctx.rlc.pending_drop_indications.append(act.sn)
-            else:
+        ecn = ctx.bearer.ecn_capable
+        acted = stack.aqm_inspect(ctx.buffer, now, ecn)
+        if ecn:
+            if acted:  # it CE-marked the head
                 ctx.metrics.ce_marks += 1
+        elif acted:  # the SNs it front-dropped
+            for sn in acted:
+                ctx.live.pop(sn, None)
+            ctx.metrics.aqm_drops += len(acted)
+            if self.drop_indication:
+                ctx.rlc.pending_drop_indications.extend(acted)
 
     def _serve_grant(self, ctx, grant, now):
         ue = ctx.ue_ctx
@@ -666,32 +666,27 @@ class Runtime:
 
     def _on_deliver(self, ctx, payload, drops):
         now = self.sim.now
-        add = ctx.reassembly.add
         reorder = ctx.reorder
         for sn, start, end, size in payload:
-            if add(sn, start, end, size):
-                delivered, gap_closed, timer = reorder.receive(sn, now)
-                if delivered:
-                    self._deliver_sdus(ctx, delivered, now)
-                elif sn in reorder.stash:
-                    ctx.stashed_at.setdefault(sn, now)
-                if timer is not None:
-                    self._timer_action(ctx, timer)
+            self._receive(ctx, reorder.segment(sn, start, end, size, now), now)
         for sn in drops:
-            delivered, gap_closed, timer = \
-                reorder.receive_drop_indication(sn, now)
-            if delivered:
-                self._deliver_sdus(ctx, delivered, now)
-            if timer is not None:
-                self._timer_action(ctx, timer)
-            self._signal_source(ctx, tra.DropEcho(), now)
+            self._receive(ctx, reorder.receive_drop_indication(sn, now), now)
+            self._echo_drop(ctx, now)
 
-    def _deliver_sdus(self, ctx, sns, now):
+    def _receive(self, ctx, received, now):
+        """Act on a receive's ``(delivered, timer_started)``."""
+        delivered, timer_started = received
+        if delivered:
+            self._deliver_sdus(ctx, delivered, now)
+        if timer_started:
+            self._schedule_reorder_timer(ctx)
+
+    def _deliver_sdus(self, ctx, delivered, now):
+        """Hand the receiver's ``(sn, stashed_at)`` pairs to the application."""
         live = ctx.live
-        stashed_at = ctx.stashed_at
         m = ctx.metrics
         latencies = m.latencies
-        for sn in sns:
+        for sn, stashed_at in delivered:
             pdu = live.pop(sn, None)
             if pdu is None:
                 m.duplicates += 1
@@ -699,95 +694,62 @@ class Runtime:
             m.delivered += 1
             latencies.append(now - pdu.arrival_time)
             ctx.window_delivered += 1
-            if sn in stashed_at:
-                m.reorder_stalls.append((sn, now - stashed_at.pop(sn)))
+            if stashed_at is not None:
+                m.reorder_stalls.append((sn, now - stashed_at))
             if pdu.ce_marked:
                 ctx.window_marked += 1
-                self._signal_source(ctx, "ce", now)
+                self.metrics.ce_signal_times.setdefault(
+                    ctx.bearer.id, now + self._uplink_latency(ctx))
 
     def _uplink_latency(self, ctx):
         """Receiver-to-source latency: the path of the UE's first RU."""
         return self.path_lat[(ctx.slice, ctx.ue_ctx.serving_set.rus[0])]
 
-    def _signal_source(self, ctx, signal, now):
+    def _echo_drop(self, ctx, now):
+        """Echo a loss to the bearer's source after the uplink latency."""
         bid = ctx.bearer.id
         echo_at = now + self._uplink_latency(ctx)
-        if isinstance(signal, tra.DropEcho):
-            if bid not in self.metrics.drop_echo_times:
-                self.metrics.drop_echo_times[bid] = echo_at
-            if ctx.source.congestion_law == tra.CLASSIC:
-                # Fires at echo_at, the clock the handler would read.
-                self.sim.schedule(echo_at, "drop-echo", bid,
-                                  partial(tra.on_congestion_signal, ctx.source,
-                                          tra.DropEcho(), echo_at))
-        else:
-            if bid not in self.metrics.ce_signal_times:
-                self.metrics.ce_signal_times[bid] = echo_at
+        self.metrics.drop_echo_times.setdefault(bid, echo_at)
+        if ctx.source.congestion_law == tra.CLASSIC:
+            # Fires at echo_at, the clock the handler would read.
+            self.sim.schedule(echo_at, "drop-echo", bid,
+                              partial(tra.on_congestion_signal, ctx.source,
+                                      tra.DropEcho(), echo_at))
 
-    def _timer_action(self, ctx, action):
-        if action == "start":
-            reorder = ctx.reorder
-            self.sim.schedule(reorder.timer_deadline, "t-reordering",
-                              ctx.bearer.id,
-                              partial(self._on_reorder_timer, ctx,
-                                      reorder.timer_generation))
-        # cancel: the generation bump already invalidates the pending event
+    def _schedule_reorder_timer(self, ctx):
+        reorder = ctx.reorder
+        self.sim.schedule(reorder.timer_deadline, "t-reordering", ctx.bearer.id,
+                          partial(self._on_reorder_timer, ctx,
+                                  reorder.timer_generation))
 
     def _on_reorder_timer(self, ctx, gen):
-        if ctx.reorder.timer_generation != gen \
-                or ctx.reorder.timer_deadline is None:
-            return
+        reorder = ctx.reorder
+        if reorder.timer_generation != gen:
+            return  # stopped or re-armed since
         now = self.sim.now
-        if self.reliable:
+        if self.reliable and reorder.expected_sn in ctx.live:
             # With reliable feedback cross-wired into RLC, anything still held
             # by the transmitter will arrive; re-arm instead of skipping it.
-            reorder = ctx.reorder
-            if reorder.expected_sn in ctx.live:
-                reorder.timer_deadline = now + reorder.t_reordering
-                reorder.timer_generation += 1
-                self._timer_action(ctx, "start")
-                return
-        delivered, lost, _ = ctx.reorder.timer_expired(now)
+            reorder.restart_timer(now)
+            self._schedule_reorder_timer(ctx)
+            return
+        delivered, lost = reorder.timer_expired(now)
         self._abandon(ctx, lost)
         for sn in lost:
             ctx.rlc.discard(sn)
-            self._signal_source(ctx, tra.DropEcho(), now)
+            self._echo_drop(ctx, now)
         self._deliver_sdus(ctx, delivered, now)
 
     def _on_rlc_status(self, ctx):
         """Receiver status report in the non-reliable baseline."""
-        now = self.sim.now
-        expected = ctx.reorder.expected_sn
-        missing = []
-        if ctx.reorder.stash:
-            sn = expected
-            horizon = max(ctx.reorder.stash,
-                          key=lambda s: stack.sn_delta(expected, s))
-            while sn != horizon and len(missing) < 16:
-                if sn not in ctx.reorder.stash \
-                        and sn not in ctx.reassembly.partial \
-                        and sn not in ctx.reorder.skipped:
-                    missing.append(sn)
-                sn = (sn + 1) % stack.SN_SPACE
-        self.sim.schedule(now + self._uplink_latency(ctx), "rlc-status-rx",
-                          ctx.bearer.id,
-                          partial(self._apply_status, ctx, expected, missing))
+        self.sim.schedule(self.sim.now + self._uplink_latency(ctx),
+                          "rlc-status-rx", ctx.bearer.id,
+                          partial(self._apply_status, ctx,
+                                  *ctx.reorder.status_report()))
 
     def _apply_status(self, ctx, ack_point, missing):
-        rlc = ctx.rlc
-        for sn in list(rlc.window):
-            if stack.sn_lt(sn, ack_point):
-                del rlc.window[sn]
-        queued = set(s.sn for s in rlc.retx_queue)
-        segs = []
-        for sn in missing:
-            entry = rlc.window.get(sn)
-            if entry is None or sn in queued:
-                continue
-            for s, e in entry.pending:
-                segs.append(stack.Segment(sn, s, e, is_retx=True))
-        self._abandon(ctx, rlc.queue_retx(segs))
-        if rlc.retx_queue:
+        self._abandon(ctx, ctx.rlc.apply_status(ack_point, missing))
+        if ctx.rlc.retx_queue:
             self._activate(ctx)
 
     # ------------------------------------------------------------ split mode

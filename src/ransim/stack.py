@@ -6,13 +6,19 @@ buffer.  AQM works on head-of-queue sojourn there; front drops are
 announced to the receiver through an L2 drop indication carried in the
 next transport block, which closes the SN gap without waiting for the
 reordering timer.  HARQ feedback, when configured reliable, doubles as
-the RLC ACK/NACK so no separate status procedure is needed.
+the RLC ACK/NACK; otherwise ``RlcTxState.apply_status`` applies the
+receiver's ``ReorderState.status_report``.
+
+A bearer's receiver is one ``ReorderState`` holding its ``RxReassembly``.
+Receiving returns ``(delivered, timer_started)`` and t-reordering expiry
+``(delivered, lost)``, where ``delivered`` lists ``(sn, stashed_at)`` in SN
+order (``stashed_at`` is None for an SN delivered on arrival).
 """
 
 import hashlib
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SN_SPACE = 4096
 SN_WINDOW = SN_SPACE // 2
@@ -87,8 +93,7 @@ class AqmState:
 class TransmitBuffer:
     """The single per-bearer queue of PDUs awaiting first transmission."""
 
-    def __init__(self, bearer_id, aqm=None):
-        self.bearer_id = bearer_id
+    def __init__(self, aqm=None):
         self.queue = deque()
         self.bytes = 0
         self.aqm = aqm if aqm is not None else AqmState()
@@ -101,9 +106,6 @@ class TransmitBuffer:
         if not self.queue:
             return 0
         return now - self.queue[0].arrival_time
-
-    def __len__(self):
-        return len(self.queue)
 
 
 def pdcp_preprocess(sdu_size, bearer, now, payload=None, buffer=None):
@@ -123,29 +125,15 @@ def pdcp_preprocess(sdu_size, bearer, now, payload=None, buffer=None):
     return pdu
 
 
-class MarkCE:
-    __slots__ = ("sn",)
-
-    def __init__(self, sn):
-        self.sn = sn
-
-
-class FrontDrop:
-    __slots__ = ("sn",)
-
-    def __init__(self, sn):
-        self.sn = sn
-
-
 def aqm_inspect(buffer, now, ecn_capable):
-    """Head-sojourn step AQM; returns the actions applied.
+    """Head-sojourn step AQM; returns what it did.
 
-    ECN-capable (ECT(1)) traffic gets a CE mark above the mark threshold;
-    classic traffic loses the head PDU above the drop threshold.  Partially
-    transmitted heads are never dropped (their bytes are already committed
-    to the air interface).
+    ECN-capable (ECT(1)) traffic gets a CE mark above the mark threshold,
+    and the result says whether the head was marked now; classic traffic
+    loses the head PDU above the drop threshold, and the result lists the
+    dropped SNs.  Partially transmitted heads are never dropped (their bytes
+    are already committed to the air interface).
     """
-    actions = []
     aqm = buffer.aqm
     q = buffer.queue
     if ecn_capable:
@@ -153,40 +141,38 @@ def aqm_inspect(buffer, now, ecn_capable):
             head = q[0]
             if now - head.arrival_time > aqm.mark_threshold and not head.ce_marked:
                 head.ce_marked = True
-                actions.append(MarkCE(head.sn))
-    else:
-        while q:
-            head = q[0]
-            if now - head.arrival_time <= aqm.drop_threshold or head.sent > 0:
-                break
-            q.popleft()
-            buffer.bytes -= head.size
-            actions.append(FrontDrop(head.sn))
-    return actions
+                return True
+        return False
+    dropped = []
+    while q:
+        head = q[0]
+        if now - head.arrival_time <= aqm.drop_threshold or head.sent > 0:
+            break
+        q.popleft()
+        buffer.bytes -= head.size
+        dropped.append(head.sn)
+    return dropped
 
 
 class Segment:
-    __slots__ = ("sn", "start", "end", "is_retx")
+    __slots__ = ("sn", "start", "end")
 
-    def __init__(self, sn, start, end, is_retx=False):
+    def __init__(self, sn, start, end):
         self.sn = sn
         self.start = start
         self.end = end
-        self.is_retx = is_retx
 
     def __repr__(self):
-        return f"Seg(sn={self.sn}, {self.start}..{self.end}{', retx' if self.is_retx else ''})"
+        return f"Seg(sn={self.sn}, {self.start}..{self.end})"
 
 
 class TransportBlock:
-    __slots__ = ("bearer_id", "segments", "drop_indications", "bytes", "padding")
+    __slots__ = ("segments", "drop_indications", "bytes")
 
-    def __init__(self, bearer_id):
-        self.bearer_id = bearer_id
+    def __init__(self):
         self.segments = []
         self.drop_indications = []
         self.bytes = 0
-        self.padding = 0
 
     @property
     def empty(self):
@@ -194,13 +180,12 @@ class TransportBlock:
 
 
 class WindowEntry:
-    """A transmitted-but-not-ACKed PDU copy in the RLC retransmission window."""
+    """The unACKed byte ranges of a transmitted PDU in the RLC window."""
 
-    __slots__ = ("pdu", "pending", "retx_count")
+    __slots__ = ("pending", "retx_count")
 
-    def __init__(self, pdu):
-        self.pdu = pdu
-        self.pending = [(0, pdu.size)]  # unACKed byte ranges
+    def __init__(self, size):
+        self.pending = [(0, size)]  # unACKed byte ranges
         self.retx_count = 0
 
 
@@ -215,7 +200,7 @@ class RlcTxState:
         self.pending_drop_indications = deque()
 
     def enter_window(self, pdu):
-        self.window[pdu.sn] = WindowEntry(pdu)
+        self.window[pdu.sn] = WindowEntry(pdu.size)
 
     def ack_segment(self, sn, start, end):
         """Mark a delivered byte range; frees the window entry when complete."""
@@ -255,8 +240,19 @@ class RlcTxState:
                 del self.window[seg.sn]
                 abandoned.append(seg.sn)
                 continue
-            self.retx_queue.append(Segment(seg.sn, seg.start, seg.end, is_retx=True))
+            self.retx_queue.append(Segment(seg.sn, seg.start, seg.end))
         return abandoned
+
+    def apply_status(self, ack_point, missing):
+        """ACK every SN before ``ack_point`` and queue the unACKed ranges of
+        each ``missing`` one not queued yet; returns the SNs abandoned."""
+        window = self.window
+        for sn in [sn for sn in window if sn_lt(sn, ack_point)]:
+            del window[sn]
+        queued = {s.sn for s in self.retx_queue}
+        return self.queue_retx([Segment(sn, s, e) for sn in missing
+                                if sn in window and sn not in queued
+                                for s, e in window[sn].pending])
 
     def discard(self, sn):
         self.window.pop(sn, None)
@@ -271,10 +267,9 @@ def build_transport_block(buffer, rlc, grant_bytes):
     window; they leave it only on RLC ACK.  A grant too small for any header
     yields an empty TB (wasted, counted by the caller).
     """
-    tb = TransportBlock(buffer.bearer_id)
+    tb = TransportBlock()
     budget = grant_bytes - TB_HEADER_BYTES
     if budget <= 0:
-        tb.padding = grant_bytes
         return tb
 
     while rlc.pending_drop_indications and budget >= DROP_IND_BYTES:
@@ -285,7 +280,7 @@ def build_transport_block(buffer, rlc, grant_bytes):
         seg = rlc.retx_queue[0]
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, seg.end - seg.start)
-        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take, is_retx=True))
+        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take))
         budget -= SEG_HEADER_BYTES + take
         if take == seg.end - seg.start:
             rlc.retx_queue.popleft()
@@ -312,9 +307,6 @@ def build_transport_block(buffer, rlc, grant_bytes):
 
     if segments or tb.drop_indications:
         tb.bytes = grant_bytes - budget
-        tb.padding = budget
-    else:
-        tb.padding = grant_bytes
     return tb
 
 
@@ -385,10 +377,9 @@ class RxReassembly:
         """Returns True when the PDU just became complete."""
         if start == 0 and end == size and sn not in self.partial:
             return True  # a whole PDU in one segment
-        size_known, ranges = self.partial.get(sn, (size, []))
+        ranges = self.partial.get(sn, (size, []))[1]
         merged = []
-        new = (start, end)
-        for r in sorted(ranges + [new]):
+        for r in sorted(ranges + [(start, end)]):
             if merged and r[0] <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], r[1]))
             else:
@@ -404,95 +395,119 @@ class RxReassembly:
 
 
 class ReorderState:
-    """PDCP receiver: in-order delivery with t_reordering and drop-indication gaps."""
+    """PDCP receiver: reassembly, in-order delivery, t_reordering and
+    drop-indication gaps.  ``timer_started`` asks the caller to schedule
+    ``timer_deadline`` under ``timer_generation``.  As in TS 38.323 5.2.2,
+    a segment of an SN behind ``expected_sn`` or stashed is a duplicate, and
+    expiry forgets the partial PDUs of the SNs it gives up."""
 
     def __init__(self, t_reordering=20_000):
         self.expected_sn = 0
         self.stash = {}  # sn -> receive time
         self.skipped = set()  # SNs announced dropped (gap closed, no wait)
+        self.reassembly = RxReassembly()
         self.t_reordering = t_reordering
         self.timer_deadline = None
         self.timer_generation = 0
         self.duplicates = 0
 
-    def _drain(self):
-        """Advance expected_sn through stashed and skipped SNs."""
-        delivered = []
-        skipped = []
+    def _drain(self, delivered):
+        """Advance expected_sn through stashed and skipped SNs, appending
+        the stashed ones to ``delivered``; returns it."""
+        sn = self.expected_sn
         while True:
-            sn = self.expected_sn
             if sn in self.stash:
-                del self.stash[sn]
-                delivered.append(sn)
+                delivered.append((sn, self.stash.pop(sn)))
             elif sn in self.skipped:
                 self.skipped.discard(sn)
-                skipped.append(sn)
             else:
                 break
-            self.expected_sn = (sn + 1) % SN_SPACE
-        return delivered, skipped
+            sn = (sn + 1) % SN_SPACE
+        self.expected_sn = sn
+        return delivered
 
-    def _timer_action(self, now):
-        if self.stash:
-            if self.timer_deadline is None:
-                self.timer_deadline = now + self.t_reordering
-                self.timer_generation += 1
-                return "start"
-            return None
-        if self.timer_deadline is not None:
+    def restart_timer(self, now):
+        """Arm t-reordering from ``now``; an earlier arming is void."""
+        self.timer_deadline = now + self.t_reordering
+        self.timer_generation += 1
+
+    def _update_timer(self, now):
+        """Run t-reordering while SNs wait in the stash; True if it started."""
+        if self.stash and self.timer_deadline is None:
+            self.restart_timer(now)
+            return True
+        if not self.stash and self.timer_deadline is not None:
             self.timer_deadline = None
             self.timer_generation += 1
-            return "cancel"
-        return None
+        return False
+
+    def segment(self, sn, start, end, size, now):
+        """Take one received segment of a PDU of ``size`` bytes; a duplicate
+        is counted and never reaches reassembly."""
+        if sn != self.expected_sn \
+                and (sn_lt(sn, self.expected_sn) or sn in self.stash):
+            self.duplicates += 1
+            return [], False
+        if self.reassembly.add(sn, start, end, size):
+            return self.receive(sn, now)
+        return [], False
 
     def receive(self, sn, now):
-        """Process a completed PDU; returns (delivered sns, skipped sns, timer action)."""
-        if sn == self.expected_sn:
-            self.expected_sn = (sn + 1) % SN_SPACE
-            if not self.stash and not self.skipped:  # nothing to drain
-                if self.timer_deadline is None:
-                    return [sn], [], None
-                return [sn], [], self._timer_action(now)
-            delivered, skipped = self._drain()
-            delivered.insert(0, sn)
-            return delivered, skipped, self._timer_action(now)
-        if sn_lt(sn, self.expected_sn) or sn in self.stash:
-            self.duplicates += 1
-            return [], [], None
-        self.stash[sn] = now
-        return [], [], self._timer_action(now)
+        """Process a completed PDU that ``segment`` found no duplicate."""
+        if sn != self.expected_sn:
+            self.stash[sn] = now
+            return [], self._update_timer(now)
+        self.expected_sn = (sn + 1) % SN_SPACE
+        if self.stash or self.skipped:
+            return self._drain([(sn, None)]), self._update_timer(now)
+        if self.timer_deadline is None:  # nothing to drain or to stop
+            return [(sn, None)], False
+        return [(sn, None)], self._update_timer(now)
 
     def receive_drop_indication(self, sn, now):
-        """Close the SN gap at sn; returns (delivered sns, skipped sns, timer action)."""
+        """Close the SN gap at sn."""
         if sn_lt(sn, self.expected_sn):
-            return [], [], None
-        self.skipped.add(sn)
-        if sn == self.expected_sn:
-            delivered, skipped = self._drain()
-            return delivered, skipped, self._timer_action(now)
-        return [], [], self._timer_action(now)
+            return [], False
+        self.skipped.add(sn)  # drained at once when it is expected_sn
+        return self._drain([]), self._update_timer(now)
 
     def timer_expired(self, now):
-        """Deliver everything stashed, skipping the SNs still missing."""
+        """Deliver everything stashed, giving up the SNs still missing."""
         self.timer_deadline = None
         self.timer_generation += 1
         delivered = []
-        skipped = []
+        lost = []
+        sn = self.expected_sn
         while self.stash:
-            # Closest stashed SN ahead of expected_sn in modular order.
-            target = min(self.stash, key=lambda s: sn_delta(self.expected_sn, s))
-            while self.expected_sn != target:
-                if self.expected_sn in self.skipped:
-                    self.skipped.discard(self.expected_sn)
+            # Closest stashed SN ahead of sn in modular order.
+            target = min(self.stash, key=lambda s: sn_delta(sn, s))
+            while sn != target:
+                if sn in self.skipped:
+                    self.skipped.discard(sn)
                 else:
-                    skipped.append(self.expected_sn)
-                self.expected_sn = (self.expected_sn + 1) % SN_SPACE
-            del self.stash[target]
-            delivered.append(target)
-            self.expected_sn = (self.expected_sn + 1) % SN_SPACE
+                    lost.append(sn)
+                sn = (sn + 1) % SN_SPACE
+            delivered.append((sn, self.stash.pop(sn)))
+            sn = (sn + 1) % SN_SPACE
+        self.expected_sn = sn
+        for sn in lost:
+            self.reassembly.discard(sn)
         # Anything the drop indications already closed at the frontier; those
         # SNs were already accounted for at the AQM drop, so they are not
         # reported as lost here.
-        more, _ = self._drain()
-        delivered.extend(more)
-        return delivered, skipped, None
+        return self._drain(delivered), lost
+
+    def status_report(self, limit=16):
+        """``(ack_point, missing)``: up to ``limit`` SNs before the furthest
+        stashed one of which nothing was received or announced dropped."""
+        expected = self.expected_sn
+        missing = []
+        if self.stash:
+            horizon = max(self.stash, key=lambda s: sn_delta(expected, s))
+            sn = expected
+            while sn != horizon and len(missing) < limit:
+                if sn not in self.stash and sn not in self.skipped \
+                        and sn not in self.reassembly.partial:
+                    missing.append(sn)
+                sn = (sn + 1) % SN_SPACE
+        return expected, missing

@@ -9,6 +9,7 @@ import yaml
 from ransim import config as cfgmod
 from ransim.runtime import run_scenario
 from test_acceptance import SCENARIO_DIR, _subnet_raw
+from test_golden import _split_lossy_raw
 
 
 def minimal_raw():
@@ -380,6 +381,14 @@ SUBNET = ("subnetworks", 0)
     ([(("energy",), "false")], "scenario.energy"),
     ([(("slices", 1, "auto_place"), 1)], "slices[1].auto_place"),
     ([(("bearers", 0, "ecn_capable"), "yes")], "bearers[0].ecn_capable"),
+    # Sub-network PRB counts and bytes per PRB.
+    ([(SUBNET + ("local_bytes_per_prb",), 0)],
+     "subnetworks[0].local_bytes_per_prb"),
+    ([(SUBNET + ("local_bytes_per_prb",), 1.5)],
+     "subnetworks[0].local_bytes_per_prb"),
+    ([(SUBNET + ("grant_prbs",), -1)], "subnetworks[0].grant_prbs"),
+    ([(SUBNET + ("grant_prbs",), 2.5)], "subnetworks[0].grant_prbs"),
+    ([(SUBNET + ("autonomous_prbs",), -3)], "subnetworks[0].autonomous_prbs"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_rule_rejected_at_validation(edits, path):
     assert_rejected(edited(edits), path)
@@ -602,46 +611,78 @@ def _subnet_knob_raw():
     return raw
 
 
-# A changed value of each knob, and the run in which it shows.
+def _ecn_knob_raw():
+    """``_split_lossy_raw`` with its bearer ECN-capable, so that the AQM
+    CE-marks heads instead of dropping them."""
+    raw = _split_lossy_raw()
+    raw["bearers"][0]["ecn_capable"] = True
+    return raw
+
+
+# The run in which each knob shows, and a changed value of it.
 KNOB_CHANGES = {
-    ("orchestrator", "hysteresis"): 2,
-    ("orchestrator", "tick_us"): 50_000,
-    ("orchestrator", "idle_sleep_interval_us"): 150_000,
-    ("subnetworks", "autonomous_prbs"): 2,
-    ("subnetworks", "grant_prbs"): 2,
-    ("subnetworks", "grant_period_us"): 30_000,
-    ("subnetworks", "local_bytes_per_prb"): 50,
-    ("subnetworks", "nonlocal_ttl_us"): 20_000,
+    ("orchestrator", "hysteresis"): ("orchestrator", 2),
+    ("orchestrator", "tick_us"): ("orchestrator", 50_000),
+    ("orchestrator", "idle_sleep_interval_us"): ("orchestrator", 150_000),
+    ("subnetworks", "autonomous_prbs"): ("subnetworks", 2),
+    ("subnetworks", "grant_prbs"): ("subnetworks", 2),
+    ("subnetworks", "grant_period_us"): ("subnetworks", 30_000),
+    ("subnetworks", "local_bytes_per_prb"): ("subnetworks", 50),
+    ("subnetworks", "nonlocal_ttl_us"): ("subnetworks", 20_000),
     # Relays take effect on arrival: only the ones in flight at the end of
     # the run show a longer latency.
-    ("subnetworks", "parent_latency_us"): 20_000,
+    ("subnetworks", "parent_latency_us"): ("subnetworks", 20_000),
+    ("harq", "processes"): ("stack", 2),
+    ("harq", "rtt_ttis"): ("stack", 8),
+    ("harq", "max_tx"): ("stack", 2),
+    ("harq", "feedback_error_rate"): ("stack", 0.2),
+    ("aqm", "drop_threshold_us"): ("stack", 10_000),
+    # Only an ECN-capable bearer is marked.
+    ("aqm", "mark_threshold_us"): ("ecn", 2_000),
+    ("rlc", "window"): ("stack", 16),
+    # Any limit from 1 up gives this run's report: no SN in it is queued
+    # for retransmission twice.
+    ("rlc", "max_retx"): ("stack", 0),
+    ("rlc", "status_interval_us"): ("stack", 10_000),
+    ("scenario", "t_reordering_us"): ("stack", 5_000),
+    ("scenario", "drop_indication"): ("stack", False),
+    ("scenario", "reliable_harq"): ("stack", True),
 }
 KNOB_RUNS = {"orchestrator": _orchestrator_knob_raw,
-             "subnetworks": _subnet_knob_raw}
+             "subnetworks": _subnet_knob_raw,
+             "stack": _split_lossy_raw,
+             "ecn": _ecn_knob_raw}
+STACK_SECTIONS = ("harq", "aqm", "rlc")
+STACK_KEYS = ("t_reordering_us", "drop_indication", "reliable_harq")
 
 
 def test_knob_changes_the_report():
-    """Each orchestrator and sub-network knob changes the report of a run
-    where it matters.  A knob that is read but ignored fails here, and so
-    does a new knob of these sections until it has a value above."""
-    knobs = {("orchestrator", k)
-             for k in cfgmod._NESTED_DEFAULTS["orchestrator"]}
+    """Each orchestrator, sub-network and user-plane stack knob changes the
+    report of a run where it matters.  A knob that is read but ignored
+    fails here, and so does a new knob of these sections until it has a
+    value above."""
+    knobs = {(section, k) for section in ("orchestrator",) + STACK_SECTIONS
+             for k in cfgmod._NESTED_DEFAULTS[section]}
     knobs |= {("subnetworks", k)
               for k, v in cfgmod._ENTRIES["subnetworks"].items()
               if type(v) in (int, float)}
+    knobs |= {("scenario", k) for k in STACK_KEYS}
     assert knobs == set(KNOB_CHANGES)
 
-    def report(section, key=None, value=None):
-        raw = KNOB_RUNS[section]()
-        if key is not None:
-            node = raw[section][0] if section == "subnetworks" \
-                else raw.setdefault(section, {})
-            node[key] = value
+    def report(run, section=None, key=None, value=None):
+        raw = KNOB_RUNS[run]()
+        if section == "scenario":
+            raw[key] = value
+        elif section == "subnetworks":
+            raw[section][0][key] = value
+        elif section is not None:
+            raw.setdefault(section, {})[key] = value
         out = run_scenario(cfgmod.validate_scenario(raw))
         del out["config_hash"]
         return out
 
-    base = {section: report(section) for section in KNOB_RUNS}
-    unchanged = [key for (section, key), value in sorted(KNOB_CHANGES.items())
-                 if report(section, key, value) == base[section]]
+    base = {run: report(run) for run in KNOB_RUNS}
+    unchanged = [(section, key) for (section, key), (run, value)
+                 in sorted(KNOB_CHANGES.items())
+                 if report(run, section, key, value) == base[run]]
     assert unchanged == []

@@ -1,10 +1,19 @@
 """The whole-PDU fast paths in ``stack`` against the general code.
 
 ``RefRxReassembly``, ``RefReorderState``, ``ref_ack_segment`` and
-``ref_build_transport_block`` are verbatim copies of the code before the
-fast paths were added (``window_full()`` spelled out as the length test it
-was).  Each property feeds one random operation sequence to both versions
-and compares every return value and the full object state after each step.
+``ref_build_transport_block`` are copies of the code before the fast paths
+were added (``window_full()`` spelled out as the length test it was); the
+transport block's write-only ``padding``, ``bearer_id`` and ``is_retx`` are
+left out of the last.  Each property feeds one random operation sequence to
+both versions and compares every return value and the full object state
+after each step.
+
+The receiver references are verbatim, from before ``ReorderState`` took
+segments itself.  The harness applies to them the two receiver rules added
+then: a segment of an SN behind ``expected_sn`` or stashed is a counted
+duplicate that never reaches reassembly, and timer expiry discards the
+partial ranges of the SNs it gives up.  It also maps their returns onto the
+new shapes, so the property shows that these rules are the only change.
 """
 
 import copy
@@ -144,10 +153,9 @@ def ref_ack_segment(rlc, sn, start, end):
 
 
 def ref_build_transport_block(buffer, rlc, grant_bytes):
-    tb = TransportBlock(buffer.bearer_id)
+    tb = TransportBlock()
     budget = grant_bytes - TB_HEADER_BYTES
     if budget <= 0:
-        tb.padding = grant_bytes
         return tb
 
     while rlc.pending_drop_indications and budget >= DROP_IND_BYTES:
@@ -158,7 +166,7 @@ def ref_build_transport_block(buffer, rlc, grant_bytes):
         seg = rlc.retx_queue[0]
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, seg.end - seg.start)
-        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take, is_retx=True))
+        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take))
         budget -= SEG_HEADER_BYTES + take
         if take == seg.end - seg.start:
             rlc.retx_queue.popleft()
@@ -180,14 +188,40 @@ def ref_build_transport_block(buffer, rlc, grant_bytes):
             rlc.enter_window(pdu)
 
     tb.bytes = grant_bytes - budget if not tb.empty else 0
-    tb.padding = grant_bytes - tb.bytes if not tb.empty else grant_bytes
     return tb
 
 
 # ---------------------------------------------------------------- receiver
 
 def receiver_state(rx, reorder):
-    return rx.partial, vars(reorder)
+    return rx.partial, {k: v for k, v in vars(reorder).items()
+                        if k != "reassembly"}
+
+
+def ref_result(reorder, call):
+    """A reference receive as ``(delivered, timer_started)``, each delivered
+    SN paired with its stash time before the call."""
+    stashed = dict(reorder.stash)
+    delivered, _, timer = call()
+    return [(sn, stashed.get(sn)) for sn in delivered], timer == "start"
+
+
+def ref_segment(rx, reorder, sn, start, end, size, now):
+    expected = reorder.expected_sn
+    if sn != expected and (sn_lt(sn, expected) or sn in reorder.stash):
+        reorder.duplicates += 1
+        return [], False
+    if rx.add(sn, start, end, size):
+        return ref_result(reorder, lambda: reorder.receive(sn, now))
+    return [], False
+
+
+def ref_timer_expired(rx, reorder, now):
+    stashed = dict(reorder.stash)
+    delivered, lost, _ = reorder.timer_expired(now)
+    for sn in lost:
+        rx.discard(sn)
+    return [(sn, stashed.get(sn)) for sn in delivered], lost
 
 
 # An SN is drawn as an offset from the receiver's next expected SN: a
@@ -220,58 +254,58 @@ def receiver_ops(draw):
 
 @given(st.sampled_from([0, 7, SN_SPACE - 3, SN_WINDOW]), receiver_ops())
 def test_reassembly_and_reordering_match_reference(first_sn, ops):
-    new = (stack.RxReassembly(), stack.ReorderState(t_reordering=50))
-    ref = (RefRxReassembly(), RefReorderState(t_reordering=50))
-    for rx, reorder in (new, ref):
-        reorder.expected_sn = first_sn
+    new = stack.ReorderState(t_reordering=50)
+    rx, ref = RefRxReassembly(), RefReorderState(t_reordering=50)
+    new.expected_sn = ref.expected_sn = first_sn
     now = 0
     for op in ops:
         now += 10
-        results = []
-        expected = ref[1].expected_sn
-        for rx, reorder in (new, ref):
-            kind = op[0]
-            if kind == "seg":
-                _, off, start, end, size = op
-                sn = (expected + off) % SN_SPACE
-                if start is None:
-                    start, end = 0, size
-                done = rx.add(sn, start, end, size)
-                out = (done, reorder.receive(sn, now) if done else None)
-            elif kind == "drop":
-                sn = (expected + op[1]) % SN_SPACE
-                out = reorder.receive_drop_indication(sn, now)
-            elif kind == "discard":
-                out = rx.discard((expected + op[1]) % SN_SPACE)
-            elif kind == "expire":
-                out = reorder.timer_expired(now)
-            else:
-                # The runtime's reliable-mode re-arm, done on any state.
-                reorder.timer_deadline = now + reorder.t_reordering
-                reorder.timer_generation += 1
-                out = None
-            results.append(out)
-        assert results[0] == results[1], op
-        assert receiver_state(*new) == receiver_state(*ref), op
+        expected = ref.expected_sn
+        kind = op[0]
+        if kind == "seg":
+            _, off, start, end, size = op
+            sn = (expected + off) % SN_SPACE
+            if start is None:
+                start, end = 0, size
+            got = new.segment(sn, start, end, size, now)
+            want = ref_segment(rx, ref, sn, start, end, size, now)
+        elif kind == "drop":
+            sn = (expected + op[1]) % SN_SPACE
+            got = new.receive_drop_indication(sn, now)
+            want = ref_result(ref, lambda: ref.receive_drop_indication(sn, now))
+        elif kind == "discard":
+            sn = (expected + op[1]) % SN_SPACE
+            got, want = new.reassembly.discard(sn), rx.discard(sn)
+        elif kind == "expire":
+            got = new.timer_expired(now)
+            want = ref_timer_expired(rx, ref, now)
+        else:
+            # The runtime's reliable-mode re-arm, done on any state.
+            got = new.restart_timer(now)
+            ref.timer_deadline = now + ref.t_reordering
+            ref.timer_generation += 1
+            want = None
+        assert got == want, op
+        assert receiver_state(new.reassembly, new) \
+            == receiver_state(rx, ref), op
 
 
 # ---------------------------------------------------------------- transmitter
 
 def window_state(rlc):
-    return {sn: (e.pdu.sn, e.pdu.size, e.pending, e.retx_count)
-            for sn, e in rlc.window.items()}
+    return {sn: (e.pending, e.retx_count) for sn, e in rlc.window.items()}
 
 
 def tx_state(buffer, rlc):
     return ([(p.sn, p.size, p.sent) for p in buffer.queue], buffer.bytes,
             window_state(rlc),
-            [(s.sn, s.start, s.end, s.is_retx) for s in rlc.retx_queue],
+            [(s.sn, s.start, s.end) for s in rlc.retx_queue],
             list(rlc.pending_drop_indications))
 
 
 def tb_state(tb):
-    return ([(s.sn, s.start, s.end, s.is_retx) for s in tb.segments],
-            tb.drop_indications, tb.bytes, tb.padding, tb.empty)
+    return ([(s.sn, s.start, s.end) for s in tb.segments],
+            tb.drop_indications, tb.bytes, tb.empty)
 
 
 @st.composite
@@ -310,7 +344,7 @@ def tx_setups(draw):
     rlc = stack.RlcTxState(window_size=window_size)
     for sn in draw(st.lists(st.integers(0, 7), max_size=window_size)):
         rlc.enter_window(stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0))
-    buffer = stack.TransmitBuffer("b1")
+    buffer = stack.TransmitBuffer()
     for i, sn in enumerate(draw(st.lists(st.integers(0, 7), max_size=10))):
         pdu = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
         if i == 0:
@@ -319,8 +353,7 @@ def tx_setups(draw):
         buffer.push(pdu)
     for sn in draw(st.lists(st.integers(0, 7), max_size=3)):
         a = draw(st.integers(0, 100))
-        rlc.retx_queue.append(
-            Segment(sn, a, draw(st.integers(a + 1, 120)), is_retx=True))
+        rlc.retx_queue.append(Segment(sn, a, draw(st.integers(a + 1, 120))))
     rlc.pending_drop_indications.extend(
         draw(st.lists(st.integers(0, SN_SPACE - 1), max_size=3)))
     grants = draw(st.lists(st.integers(0, 400), min_size=1, max_size=6))

@@ -524,6 +524,20 @@ def test_active_sets_hold_every_bearer_with_data_after_each_event(make_raw):
     assert sum(b["delivered"] for b in report["bearers"].values()) > 0
 
 
+def test_receiver_holds_no_partial_pdu_of_a_passed_or_stashed_sn():
+    """Segments of SNs already delivered, stashed or given up at
+    t-reordering do not stay in reassembly."""
+    rt = Runtime(cfgmod.validate_scenario(_split_lossy_raw()))
+    rt.run()
+    stale = {}
+    for bid, ctx in rt.bearers.items():
+        reorder = ctx.reorder
+        stale[bid] = [sn for sn in reorder.reassembly.partial
+                      if stack.sn_lt(sn, reorder.expected_sn)
+                      or sn in reorder.stash]
+    assert stale == dict.fromkeys(rt.bearers, [])
+
+
 def test_empty_buffer_with_retx_or_drop_indication_still_requests(
         monkeypatch):
     original = runtime.stage1_with_extras

@@ -36,8 +36,8 @@ def test_qos_unsatisfiable():
 def test_stage1_priority_formula():
     mc = stack.Bearer("mc", "u", "I", 10_000, qos_class=sched.MISSION_CRITICAL)
     mod = stack.Bearer("mod", "u", "II", 1_100_000, qos_class=sched.MODERATE)
-    bmc = stack.TransmitBuffer("mc")
-    bmod = stack.TransmitBuffer("mod")
+    bmc = stack.TransmitBuffer()
+    bmod = stack.TransmitBuffer()
     bmc.push(stack.PdcpPdu(0, 100, 0))
     bmod.push(stack.PdcpPdu(0, 100, 0))
     weights = {sched.MISSION_CRITICAL: 100.0, sched.MODERATE: 1.0}

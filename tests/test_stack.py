@@ -41,11 +41,11 @@ def test_sn_wraparound():
 
 def test_pdcp_assigns_consecutive_sns_and_enqueues():
     bearer = make_bearer()
-    buf = stack.TransmitBuffer("b1")
+    buf = stack.TransmitBuffer()
     p0 = stack.pdcp_preprocess(100, bearer, 0, buffer=buf)
     p1 = stack.pdcp_preprocess(100, bearer, 1, buffer=buf)
     assert (p0.sn, p1.sn) == (0, 1)
-    assert len(buf) == 2 and buf.bytes == 200
+    assert len(buf.queue) == 2 and buf.bytes == 200
 
 
 def test_pdcp_released_bearer_drops():
@@ -56,27 +56,26 @@ def test_pdcp_released_bearer_drops():
 # ---------------------------------------------------------------- AQM
 
 def test_aqm_marks_ecn_head_once():
-    buf = stack.TransmitBuffer("b1", stack.AqmState(1000, 50_000))
+    buf = stack.TransmitBuffer(stack.AqmState(1000, 50_000))
     buf.push(stack.PdcpPdu(0, 100, 0))
-    assert stack.aqm_inspect(buf, 500, ecn_capable=True) == []
-    acts = stack.aqm_inspect(buf, 2000, ecn_capable=True)
-    assert len(acts) == 1 and isinstance(acts[0], stack.MarkCE)
+    assert stack.aqm_inspect(buf, 500, ecn_capable=True) is False
+    assert stack.aqm_inspect(buf, 2000, ecn_capable=True) is True
+    assert buf.queue[0].ce_marked
     # Already marked: no second mark.
-    assert stack.aqm_inspect(buf, 3000, ecn_capable=True) == []
-    assert len(buf) == 1  # ECN never drops
+    assert stack.aqm_inspect(buf, 3000, ecn_capable=True) is False
+    assert len(buf.queue) == 1  # ECN never drops
 
 
 def test_aqm_front_drops_classic_until_threshold():
-    buf = stack.TransmitBuffer("b1", stack.AqmState(1000, 50_000))
+    buf = stack.TransmitBuffer(stack.AqmState(1000, 50_000))
     for sn, t in [(0, 0), (1, 10), (2, 60_000)]:
         buf.push(stack.PdcpPdu(sn, 100, t))
-    acts = stack.aqm_inspect(buf, 60_000, ecn_capable=False)
-    assert [a.sn for a in acts] == [0, 1]
-    assert len(buf) == 1 and buf.bytes == 100
+    assert stack.aqm_inspect(buf, 60_000, ecn_capable=False) == [0, 1]
+    assert len(buf.queue) == 1 and buf.bytes == 100
 
 
 def test_aqm_never_drops_partially_sent_head():
-    buf = stack.TransmitBuffer("b1", stack.AqmState(1000, 50_000))
+    buf = stack.TransmitBuffer(stack.AqmState(1000, 50_000))
     pdu = stack.PdcpPdu(0, 100, 0)
     pdu.sent = 10
     buf.push(pdu)
@@ -86,7 +85,7 @@ def test_aqm_never_drops_partially_sent_head():
 # ---------------------------------------------------------------- TB building
 
 def setup_tx(n_pdus=3, size=100):
-    buf = stack.TransmitBuffer("b1")
+    buf = stack.TransmitBuffer()
     rlc = stack.RlcTxState()
     for sn in range(n_pdus):
         buf.push(stack.PdcpPdu(sn, size, 0))
@@ -98,10 +97,9 @@ def test_tb_pulls_head_data_and_enters_window():
     tb = stack.build_transport_block(buf, rlc, 1000)
     assert [s.sn for s in tb.segments] == [0, 1, 2]
     assert sorted(rlc.window) == [0, 1, 2]
-    assert len(buf) == 0 and buf.bytes == 0
+    assert len(buf.queue) == 0 and buf.bytes == 0
     payload = 3 * 100
     assert tb.bytes == stack.TB_HEADER_BYTES + 3 * stack.SEG_HEADER_BYTES + payload
-    assert tb.padding == 1000 - tb.bytes
 
 
 def test_tb_segments_across_grants():
@@ -127,24 +125,26 @@ def test_tb_retx_precede_new_data():
     stack.build_transport_block(buf, rlc, 104 + 2)  # pulls sn 0
     rlc.queue_retx([stack.Segment(0, 0, 100)])
     tb = stack.build_transport_block(buf, rlc, 1000)
-    assert tb.segments[0].sn == 0 and tb.segments[0].is_retx
+    first = tb.segments[0]
+    assert (first.sn, first.start, first.end) == (0, 0, 100)
+    assert not rlc.retx_queue
     assert tb.segments[1].sn == 1
 
 
 def test_tb_window_full_blocks_new_data():
-    buf = stack.TransmitBuffer("b1")
+    buf = stack.TransmitBuffer()
     rlc = stack.RlcTxState(window_size=1)
     buf.push(stack.PdcpPdu(0, 50, 0))
     buf.push(stack.PdcpPdu(1, 50, 0))
     tb = stack.build_transport_block(buf, rlc, 1000)
     assert [s.sn for s in tb.segments] == [0]
-    assert len(buf) == 1
+    assert len(buf.queue) == 1
 
 
 def test_tiny_grant_yields_empty_tb():
     buf, rlc = setup_tx(1)
     tb = stack.build_transport_block(buf, rlc, 2)
-    assert tb.empty and tb.padding == 2
+    assert tb.empty and tb.bytes == 0
 
 
 # ---------------------------------------------------------------- RLC window
@@ -167,11 +167,27 @@ def test_queue_retx_abandons_at_max():
     assert 0 not in rlc.window
 
 
+def test_apply_status_acks_and_queues_missing():
+    rlc = stack.RlcTxState(max_retx=1)
+    for sn in range(4):
+        rlc.enter_window(stack.PdcpPdu(sn, 100, 0))
+    rlc.ack_segment(2, 0, 40)
+    rlc.discard(3)
+    assert rlc.apply_status(1, [2, 3]) == []
+    assert sorted(rlc.window) == [1, 2]  # 0 ACKed
+    assert [(s.sn, s.start, s.end) for s in rlc.retx_queue] == [(2, 40, 100)]
+    rlc.window[1].retx_count = 1
+    # SN 2 is queued already; SN 1 is given up at max_retx.
+    assert rlc.apply_status(1, [1, 2]) == [1]
+    assert sorted(rlc.window) == [2] and rlc.window[2].retx_count == 1
+    assert len(rlc.retx_queue) == 1
+
+
 # ---------------------------------------------------------------- HARQ
 
 def test_harq_ack_nack_cycle():
     p = stack.HarqProcess(0, max_tx=2)
-    tb = stack.TransportBlock("b1")
+    tb = stack.TransportBlock()
     tb.segments.append(stack.Segment(0, 0, 100))
     p.load(tb)
     assert stack.harq_on_feedback(p, False, True) == stack.HARQ_RETRANSMIT
@@ -184,7 +200,7 @@ def test_harq_ack_nack_cycle():
 
 def test_harq_nonreliable_final_failure():
     p = stack.HarqProcess(0, max_tx=1)
-    p.load(stack.TransportBlock("b1"))
+    p.load(stack.TransportBlock())
     assert stack.harq_on_feedback(p, False, False) == stack.HARQ_FAILED
 
 
@@ -203,27 +219,52 @@ def test_reassembly_merges_ranges():
     assert 0 not in rx.partial
 
 
+def test_segments_reassemble_before_reordering():
+    r = stack.ReorderState()
+    assert r.segment(0, 0, 40, 100, 10) == ([], False)
+    assert r.reassembly.partial == {0: (100, [(0, 40)])}
+    assert r.segment(0, 40, 100, 100, 20) == ([(0, None)], False)
+    assert r.reassembly.partial == {} and r.expected_sn == 1
+
+
+def test_segment_of_delivered_or_stashed_sn_is_dropped():
+    r = stack.ReorderState()
+    r.segment(0, 0, 100, 100, 10)  # delivered
+    r.segment(2, 0, 100, 100, 11)  # stashed
+    assert r.segment(0, 0, 40, 100, 12) == ([], False)
+    assert r.segment(2, 0, 40, 100, 13) == ([], False)
+    assert r.reassembly.partial == {} and r.duplicates == 2
+    assert r.stash == {2: 11}
+
+
 # ---------------------------------------------------------------- reordering
 
 def test_inorder_delivery():
     r = stack.ReorderState()
-    assert r.receive(0, 10) == ([0], [], None)
-    assert r.receive(1, 20) == ([1], [], None)
+    assert r.receive(0, 10) == ([(0, None)], False)
+    assert r.receive(1, 20) == ([(1, None)], False)
 
 
 def test_gap_stash_and_timer_lifecycle():
     r = stack.ReorderState(t_reordering=20_000)
-    delivered, _, timer = r.receive(1, 10)
-    assert delivered == [] and timer == "start"
-    delivered, _, timer = r.receive(0, 30)
-    assert delivered == [0, 1] and timer == "cancel"
+    assert r.receive(1, 10) == ([], True)
+    assert (r.timer_deadline, r.timer_generation) == (20_010, 1)
+    assert r.receive(3, 20) == ([], False)  # already running
+    r.restart_timer(25)
+    assert (r.timer_deadline, r.timer_generation) == (20_025, 2)
+    delivered, started = r.receive(0, 30)
+    assert delivered == [(0, None), (1, 10)] and not started
+    assert r.timer_deadline == 20_025  # 3 still waits
+    assert r.receive(2, 40) == ([(2, None), (3, 20)], False)
+    assert r.timer_deadline is None and r.timer_generation == 3
 
 
 def test_drop_indication_closes_gap_without_timer():
     r = stack.ReorderState()
     r.receive(1, 10)  # gap at 0
-    delivered, _, timer = r.receive_drop_indication(0, 12)
-    assert delivered == [1] and timer == "cancel"
+    delivered, started = r.receive_drop_indication(0, 12)
+    assert delivered == [(1, 10)] and not started
+    assert r.timer_deadline is None
     assert r.expected_sn == 2
 
 
@@ -231,19 +272,41 @@ def test_timer_expiry_skips_missing():
     r = stack.ReorderState(t_reordering=20_000)
     r.receive(2, 10)
     r.receive(4, 11)
-    delivered, lost, _ = r.timer_expired(20_010)
-    assert delivered == [2, 4]
+    delivered, lost = r.timer_expired(20_010)
+    assert delivered == [(2, 10), (4, 11)]
     assert lost == [0, 1, 3]
     assert r.expected_sn == 5
 
 
+def test_timer_expiry_forgets_partial_pdus_it_gives_up():
+    r = stack.ReorderState()
+    r.segment(1, 0, 40, 100, 10)  # partial, given up below
+    r.segment(2, 0, 100, 100, 11)  # stashed
+    r.segment(5, 0, 40, 100, 12)  # partial, ahead of the stash
+    delivered, lost = r.timer_expired(20_011)
+    assert delivered == [(2, 11)] and lost == [0, 1]
+    assert list(r.reassembly.partial) == [5]
+    # A late segment of a given-up SN is a duplicate.
+    assert r.segment(1, 40, 100, 100, 20_020) == ([], False)
+    assert list(r.reassembly.partial) == [5]
+
+
+def test_status_report_lists_sns_with_nothing_received():
+    r = stack.ReorderState()
+    assert r.status_report() == (0, [])
+    r.segment(1, 0, 40, 100, 10)  # partly received
+    r.receive_drop_indication(2, 11)
+    r.receive(6, 12)
+    assert r.status_report() == (0, [0, 3, 4, 5])
+    assert r.status_report(limit=2) == (0, [0, 3])
+
+
 def test_duplicates_detected():
     r = stack.ReorderState()
-    r.receive(0, 10)
-    delivered, _, _ = r.receive(0, 11)
-    assert delivered == [] and r.duplicates == 1
-    r.receive(2, 12)
-    r.receive(2, 13)
+    r.segment(0, 0, 100, 100, 10)
+    assert r.segment(0, 0, 100, 100, 11) == ([], False) and r.duplicates == 1
+    r.segment(2, 0, 100, 100, 12)
+    r.segment(2, 0, 100, 100, 13)
     assert r.duplicates == 2
 
 
@@ -252,6 +315,6 @@ def test_reorder_delivers_in_order_any_arrival_order(order):
     r = stack.ReorderState()
     out = []
     for i, sn in enumerate(order):
-        delivered, _, _ = r.receive(sn, i)
-        out.extend(delivered)
+        delivered, _ = r.receive(sn, i)
+        out.extend(sn for sn, _ in delivered)
     assert out == list(range(8))
