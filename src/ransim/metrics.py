@@ -31,8 +31,9 @@ class MetricsCollector:
         self.bearers = {}
         # Per-TTI rows are kept only for an output that writes them.
         self.record_series = record_series
-        self.prb_granted = {}  # (ru, carrier) -> prbs
-        self.prb_offered = {}  # (ru, carrier) -> prbs
+        self.prb_granted = {}  # (ru, carrier) -> prbs, added by the runtime
+        # ranf -> [its pools' PRBs per (ru, carrier), RANF-TTIs accounted]
+        self.ranf_ttis = {}
         self.slice_prbs = {}  # slice -> prbs
         self.tti_series = {}  # ranf -> [(t, util, max_head_sojourn)]
         self.fronthaul_bytes = {}  # ru -> bytes
@@ -59,16 +60,11 @@ class MetricsCollector:
             self.bearers[bearer_id] = bm
         return bm
 
-    def on_grant(self, grant, slice_id):
-        key = (grant.ru, grant.carrier)
-        self.prb_granted[key] = self.prb_granted.get(key, 0) + grant.prbs
-        self.slice_prbs[slice_id] = self.slice_prbs.get(slice_id, 0) + grant.prbs
-
     def on_tti(self, t, ranf, pools, max_head_sojourn):
-        """Account one RANF-TTI of ``pools`` (a ``sched.PrbPools``)."""
-        offered = self.prb_offered
-        for key, total in pools.total.items():
-            offered[key] = offered.get(key, 0) + total
+        """Account one RANF-TTI of ``pools`` (a ``sched.PrbPools``).  A
+        RANF's pool totals never change during a run, so the PRBs offered
+        are its totals times its RANF-TTIs, summed up by ``to_report``."""
+        self.ranf_ttis.setdefault(ranf, [pools.total, 0])[1] += 1
         if self.record_series:
             total = pools.total_prbs
             # A key outside ``pools.total`` in ``free`` only ever holds 0.
@@ -117,9 +113,13 @@ class MetricsCollector:
                 "latency_us": {"p50": p50, "p99": p99, "p100": p100},
                 "reorder_stalls": bm.reorder_stalls,
             }
+        prb_offered = {}
+        for totals, ttis in self.ranf_ttis.values():
+            for key, total in totals.items():
+                prb_offered[key] = prb_offered.get(key, 0) + total * ttis
         util = {}
-        for key in sorted(self.prb_offered):
-            offered = self.prb_offered[key]
+        for key in sorted(prb_offered):
+            offered = prb_offered[key]
             granted = self.prb_granted.get(key, 0)
             util["/".join(key)] = {
                 "offered_prbs": offered,

@@ -69,7 +69,7 @@ class UeCtx:
         self.ranf = ranf_id
         self.serving_set = serving_set
         self.pool_keys = None  # its stage-2 (ru, carrier) keys, on first use
-        self.harq = [stack.HarqProcess(i, max_tx) for i in range(n_harq)]
+        self.harq = [stack.HarqProcess(max_tx) for _ in range(n_harq)]
         self.resume_at = 0
         self.released = False
         self.bearers = []
@@ -363,6 +363,7 @@ class Runtime:
         self.meter = orch.EnergyMeter()
         self.energy_saving = self.cfg["energy"]
         self.instance_activity = {}
+        self.slice_woken_at = {}  # slice -> TTI its instances were woken
         self.ru_entity = {ru: f"ru:{ru}" for ru in sorted(self.topology.rus)}
         for entity in self.ru_entity.values():
             self.meter.register(entity, orch.DEFAULT_POWER_PROFILES["RU"],
@@ -491,7 +492,9 @@ class Runtime:
         # Stage 1 per slice at the UP site, over the bearers with something
         # to send; requests reach the RRM after the control-plane latency and
         # are used as-is (stale) once visible.
-        max_sojourn = 0
+        metrics = self.metrics
+        series = metrics.record_series
+        max_sojourn = 0  # kept only for the TTI series
         requests = []
         active_sets = self.active_sets[ranf.id]
         pipes = self.stage1_pipes[ranf.id]
@@ -500,26 +503,36 @@ class Runtime:
             items = []
             active = active_sets.get(sl)
             if active and now >= self.slice_paused_until.get(sl, 0):
-                for ctx in list(active):
+                idle = []
+                for ctx in active:
                     # Buffers live at the UP function, which keeps reporting
                     # through a handover interruption; only the radio grant
                     # waits for the UE to resume (see resources_for below).
-                    if ctx.ue_ctx.released or not ctx.has_data():
-                        del active[ctx]
-                        ctx.in_active_set = False
-                        continue
-                    self._apply_aqm(ctx, now)
+                    buffer = ctx.buffer
+                    queue = buffer.queue
                     rlc = ctx.rlc
+                    if ctx.ue_ctx.released or not (
+                            queue or rlc.retx_queue
+                            or rlc.pending_drop_indications):
+                        idle.append(ctx)
+                        continue
+                    if queue:
+                        self._apply_aqm(ctx, now)
                     extra = (len(rlc.pending_drop_indications)
                              * stack.DROP_IND_BYTES)
                     if rlc.retx_queue:
                         extra += sum(s.end - s.start + stack.SEG_HEADER_BYTES
                                      for s in rlc.retx_queue)
-                    max_sojourn = max(max_sojourn,
-                                      ctx.buffer.head_sojourn(now))
-                    if ctx.buffer.queue or extra:
-                        items.append((ctx.bearer, ctx.buffer, extra))
-            reqs = stage1_with_extras(items, now, self.class_weights)
+                    sojourn = now - queue[0].arrival_time if queue else 0
+                    if series and sojourn > max_sojourn:
+                        max_sojourn = sojourn
+                    if queue or extra:
+                        items.append((ctx.bearer, buffer.bytes, sojourn,
+                                      extra))
+                for ctx in idle:
+                    del active[ctx]
+                    ctx.in_active_set = False
+            reqs = stage1_with_extras(items, self.class_weights)
             pipe = pipes[sl]
             pipe.append((now + ctrl_lat[sl], reqs))
             visible = None
@@ -528,13 +541,20 @@ class Runtime:
             if visible:
                 requests.extend(visible)
 
+        records = self.trust_engine.records
+
         def resources_for(req):
-            ue = ues[req.ue]
+            ue = ues[req[2]]
             # Released with requests still in the pipe, not yet resumed, or
             # a stale request from before a handover out of this RANF (the
             # UE's serving set lies within its own RANF, the one caching it).
             if ue.released or now < ue.resume_at or ue.ranf != ranf.id:
                 return ()
+            # Every path that clears admission also releases the UE, so
+            # this never fires on a working run.
+            if not records[ue.id].admitted:
+                raise ModelError(f"request of unadmitted UE {ue.id} "
+                                 f"reached stage 2")
             keys = ue.pool_keys
             if keys is None:
                 keys = ue.pool_keys = [
@@ -545,16 +565,22 @@ class Runtime:
         grants = sched.stage2_allocate(
             requests, pools, resources_for,
             min_share=self.min_slice_share)
-        trust = self.trust_engine
-        metrics = self.metrics
-        for g in grants:
-            ctx = self.bearers[g.bearer_id]
-            if trust.records and not trust.is_admitted(ctx.ue):
-                raise ModelError(f"grant issued to unadmitted UE {ctx.ue}")
-            metrics.on_grant(g, ctx.slice)
-            active_rus.add(g.ru)
-            self._serve_grant(ctx, g, now)
         if grants:
+            bearers = self.bearers
+            prb_granted = metrics.prb_granted
+            slice_prbs = metrics.slice_prbs
+            for _ue, bearer_id, ru, carrier, prbs, nbytes in grants:
+                ctx = bearers[bearer_id]
+                key = (ru, carrier)
+                prb_granted[key] = prb_granted.get(key, 0) + prbs
+                slice_prbs[ctx.slice] = slice_prbs.get(ctx.slice, 0) + prbs
+                active_rus.add(ru)
+                if ctx.has_data():
+                    self._serve_grant(ctx, key, prbs, nbytes, now)
+                elif ctx.ue_ctx.free_process() is None:
+                    # A padding grant: a stale request or the stage-2
+                    # leftover pass granted a bearer with nothing to send.
+                    metrics.wasted_grants += 1
             sched.ul_anchor_check(grants, self.ru_to_ranf, ues)
 
         self._energy_tti(ranf, active_rus, now)
@@ -575,7 +601,8 @@ class Runtime:
             if self.drop_indication:
                 ctx.rlc.pending_drop_indications.extend(acted)
 
-    def _serve_grant(self, ctx, grant, now):
+    def _serve_grant(self, ctx, key, prbs, nbytes, now):
+        """Serve a grant on pool ``key`` to a bearer with data to send."""
         ue = ctx.ue_ctx
         # Stage 1 ran AQM at this ``now`` too, but an earlier grant in this
         # TTI (another carrier) may have sent the head it saw.
@@ -585,14 +612,11 @@ class Runtime:
             self.metrics.wasted_grants += 1
             return
         if not ctx.has_data():
-            # A stale request or the stage-2 leftover pass granted a drained
-            # bearer: the whole grant is padding.
-            return
-        tb = stack.build_transport_block(ctx.buffer, ctx.rlc, grant.bytes)
+            return  # AQM dropped all it had: the grant is padding
+        tb = stack.build_transport_block(ctx.buffer, ctx.rlc, nbytes)
         if tb.empty:
             return
-        key = (grant.ru, grant.carrier)
-        proc.load(tb, meta={"pool": key, "prbs": grant.prbs, "bearer": ctx})
+        proc.load(tb, meta={"pool": key, "prbs": prbs, "bearer": ctx})
         self.metrics.tb_transmitted += 1
         self._mark_instance_active(ctx.slice, now)
         self._transmit(tb, proc, ue, key, now)
@@ -787,6 +811,11 @@ class Runtime:
                 meter.set_state(entity, target, now)
 
     def _mark_instance_active(self, slice_id, now):
+        """Wake the slice's user-plane instances, once per TTI: only the
+        TTI event serves grants, so a second call in it changes nothing."""
+        if self.slice_woken_at.get(slice_id) == now:
+            return
+        self.slice_woken_at[slice_id] = now
         wake = self.meter.wake
         activity = self.instance_activity
         for inst_id, entity in self.user_plane_instances[slice_id]:
@@ -966,23 +995,22 @@ class Runtime:
         return self.metrics.to_report(self.seed, cfg_hash, self.duration)
 
 
-def stage1_with_extras(items, now, class_weights):
+def stage1_with_extras(items, class_weights):
     """Stage-1 requests including control/retransmission demand.
 
-    ``items`` holds (bearer, buffer, extra_bytes) triples; a non-zero extra
-    forces a request even for an empty buffer and bumps its urgency.
+    ``items`` holds (bearer, buffered_bytes, head_sojourn, extra_bytes)
+    tuples; a non-zero extra forces a request even for an empty buffer and
+    bumps its urgency.  Each request is ``(-priority, bearer_id, ue, slice,
+    buffered_bytes + extra_bytes)`` (see ``sched``).
     """
     requests = []
-    for bearer, buffer, extra in items:
-        sojourn = buffer.head_sojourn(now)
+    for bearer, buffered, sojourn, extra in items:
         urgency = sojourn / bearer.latency_budget
         if extra:
             urgency += 1.0  # control PDUs and retransmissions are urgent
         w = class_weights.get(bearer.qos_class, 1.0)
-        req = sched.SchedulingRequest(
-            bearer.id, bearer.ue, bearer.slice, buffer.bytes + extra,
-            w * urgency)
-        requests.append(req)
+        requests.append((-(w * urgency), bearer.id, bearer.ue, bearer.slice,
+                         buffered + extra))
     return requests
 
 

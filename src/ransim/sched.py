@@ -10,6 +10,12 @@ are simulated.  Uplink is anchored to a single RANF by keeping every UE's
 serving set inside its RANF (checked at set-up and handover), and the
 runtime checks each RANF-TTI's grants with ``ul_anchor_check`` so that
 none leaves the UE's RANF; either check firing is a bug, never a result.
+
+Requests and grants are plain tuples: a stage-1 request is ``(-priority,
+bearer_id, ue, slice, buffered_bytes)``, so sorting orders requests by
+descending priority, ties by bearer id; a grant is ``(ue, bearer_id, ru,
+carrier, prbs, bytes)``.  Stage 2 counts the free PRBs as it grants them
+and stops once none is left.
 """
 
 from .core import ConfigError, ModelError, US_PER_MS
@@ -64,33 +70,6 @@ def classify_qos(latency_req, reliability_req):
     return MODERATE, SLICE_II
 
 
-class SchedulingRequest:
-    __slots__ = ("bearer_id", "ue", "slice", "buffered_bytes", "priority")
-
-    def __init__(self, bearer_id, ue, slice_id, buffered_bytes, priority):
-        self.bearer_id = bearer_id
-        self.ue = ue
-        self.slice = slice_id
-        self.buffered_bytes = buffered_bytes
-        self.priority = priority
-
-
-class Grant:
-    __slots__ = ("ue", "bearer_id", "ru", "carrier", "prbs", "bytes")
-
-    def __init__(self, ue, bearer_id, ru, carrier, prbs, nbytes):
-        self.ue = ue
-        self.bearer_id = bearer_id
-        self.ru = ru
-        self.carrier = carrier
-        self.prbs = prbs
-        self.bytes = nbytes
-
-    def __repr__(self):
-        return (f"Grant(ue={self.ue} b={self.bearer_id} "
-                f"ru={self.ru}/{self.carrier} prbs={self.prbs})")
-
-
 class PrbPools:
     """Per-(RU, carrier) PRB budgets for one TTI."""
 
@@ -125,11 +104,18 @@ def stage2_allocate(requests, pools, resources_for, min_share=None,
                     demand_overhead=16):
     """Greedy central allocation by descending priority, ties by bearer id.
 
-    ``resources_for(request)`` returns the (ru, carrier) keys the request's
-    UE may use, in deterministic order (its serving set within one RANF); the
-    sequence is only read.  A request may be filled from several pools in
-    one TTI (carrier aggregation).  ``min_share`` optionally maps slice id ->
-    fraction of total PRBs reserved while that slice has demand.
+    ``requests`` are stage-1 request tuples; bearer ids are unique within
+    one call, so plain tuple order is the priority order.  Returns grant
+    tuples.  ``resources_for(request)`` returns the (ru, carrier) keys the
+    request's UE may use, in deterministic order (its serving set within
+    one RANF); the sequence is only read.  A request may be filled from
+    several pools in one TTI (carrier aggregation).  ``min_share``
+    optionally maps slice id -> fraction of total PRBs reserved while that
+    slice has demand.
+
+    Once no PRB is free, the requests still to come stay unmet without a
+    ``resources_for`` call, and the leftover pass and the work-conservation
+    check are skipped: neither can act on empty pools.
 
     Leftover rule: each pool still free afterwards, best bytes per PRB first
     (ties by key), goes whole to the first request in priority order that
@@ -137,26 +123,32 @@ def stage2_allocate(requests, pools, resources_for, min_share=None,
     use it at all.
     """
     grants = []
-    order = sorted(requests, key=lambda r: (-r.priority, r.bearer_id))
+    order = sorted(requests)
     free = pools.free
+    left = sum(free.values())  # free PRBs over all pools
     bytes_per_prb = pools.bytes_per_prb
 
     reserved = {}
     if min_share:
         total_prbs = pools.total_prbs
-        demand_slices = {r.slice for r in requests}
+        demand_slices = {r[3] for r in requests}
         for sl, frac in min_share.items():
             if sl in demand_slices:
                 reserved[sl] = int(total_prbs * frac)
 
-    keys_of = [resources_for(req) for req in order]
+    keys_of = []  # parallel to ``order``
     remaining = []  # unmet byte demand, parallel to ``order``
-    for req, keys in zip(order, keys_of):
-        demand = req.buffered_bytes + demand_overhead
+    for req in order:
+        if not left:
+            return grants
+        _, bearer_id, ue, slice_id, buffered = req
+        keys = resources_for(req)
+        keys_of.append(keys)
+        demand = buffered + demand_overhead
         # Honor reservations of other slices: hold back PRBs still owed to
         # them.  Only this request's own slice entry changes below.
         holdback = reserved and sum(v for sl, v in reserved.items()
-                                    if sl != req.slice)
+                                    if sl != slice_id)
         for key in keys:
             if demand <= 0:
                 break
@@ -164,18 +156,20 @@ def stage2_allocate(requests, pools, resources_for, min_share=None,
             want = -(-demand // bpp)  # ceil
             avail = free[key]
             if holdback:
-                avail = max(0, min(avail, sum(free.values()) - holdback))
+                avail = max(0, min(avail, left - holdback))
             got = min(want, avail)
             if got == 0:
                 continue
             free[key] -= got
+            left -= got
             nbytes = got * bpp
-            grants.append(Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                                nbytes))
+            grants.append((ue, bearer_id, key[0], key[1], got, nbytes))
             demand -= nbytes
-            if req.slice in reserved:
-                reserved[req.slice] = max(0, reserved[req.slice] - got)
+            if slice_id in reserved:
+                reserved[slice_id] = max(0, reserved[slice_id] - got)
         remaining.append(max(0, demand))
+    if not left:
+        return grants
 
     # Leftovers, by the rule in the docstring.
     for key in pools.by_efficiency:
@@ -195,8 +189,7 @@ def stage2_allocate(requests, pools, resources_for, min_share=None,
         req = order[pick]
         free[key] = 0
         nbytes = got * bytes_per_prb[key]
-        grants.append(Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                            nbytes))
+        grants.append((req[2], req[1], key[0], key[1], got, nbytes))
         remaining[pick] = max(0, remaining[pick] - nbytes)
 
     # Work conservation: an unmet request alongside a free compatible PRB is a bug.
@@ -205,7 +198,7 @@ def stage2_allocate(requests, pools, resources_for, min_share=None,
             for key in keys:
                 if free.get(key, 0) > 0:
                     raise ModelError(
-                        f"work conservation violated: request {req.bearer_id} "
+                        f"work conservation violated: request {req[1]} "
                         f"unmet with {key} free"
                     )
     return grants
@@ -218,10 +211,10 @@ class UlAnchorViolation(ModelError):
 def ul_anchor_check(grants, ru_to_ranf, ues):
     """Raise if a grant targets an RU outside its UE's RANF.  ``ues`` maps
     UE ids to contexts with a ``ranf``; ``ru_to_ranf`` maps RUs to RANFs."""
-    for g in grants:
-        ranf = ru_to_ranf.get(g.ru)
-        own = ues[g.ue].ranf
+    for ue, _bearer_id, ru, _carrier, _prbs, _bytes in grants:
+        ranf = ru_to_ranf.get(ru)
+        own = ues[ue].ranf
         if ranf != own:
             raise UlAnchorViolation(
-                f"grant for UE {g.ue} targets RU {g.ru} of RANF {ranf}, "
+                f"grant for UE {ue} targets RU {ru} of RANF {ranf}, "
                 f"but the UE is anchored to RANF {own}")

@@ -102,11 +102,6 @@ class TransmitBuffer:
         self.queue.append(pdu)
         self.bytes += pdu.size
 
-    def head_sojourn(self, now):
-        if not self.queue:
-            return 0
-        return now - self.queue[0].arrival_time
-
 
 def pdcp_preprocess(sdu_size, bearer, now, payload=None, buffer=None):
     """Assign the next SN, cipher, and enqueue into the transmit buffer.
@@ -322,10 +317,9 @@ HARQ_PROTOCOL_ERROR = "protocol_error"
 
 
 class HarqProcess:
-    __slots__ = ("id", "tb", "tx_count", "max_tx", "state", "meta")
+    __slots__ = ("tb", "tx_count", "max_tx", "state", "meta")
 
-    def __init__(self, proc_id, max_tx=4):
-        self.id = proc_id
+    def __init__(self, max_tx=4):
         self.tb = None
         self.tx_count = 0
         self.max_tx = max_tx
@@ -371,23 +365,22 @@ class RxReassembly:
     """Receiver-side per-SN byte-range collection until PDUs complete."""
 
     def __init__(self):
-        self.partial = {}  # sn -> (size, merged list of (start, end))
+        self.partial = {}  # sn -> merged list of (start, end)
 
     def add(self, sn, start, end, size):
         """Returns True when the PDU just became complete."""
         if start == 0 and end == size and sn not in self.partial:
             return True  # a whole PDU in one segment
-        ranges = self.partial.get(sn, (size, []))[1]
         merged = []
-        for r in sorted(ranges + [(start, end)]):
+        for r in sorted(self.partial.get(sn, []) + [(start, end)]):
             if merged and r[0] <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], r[1]))
             else:
                 merged.append(r)
-        self.partial[sn] = (size, merged)
         if merged == [(0, size)]:
-            del self.partial[sn]
+            self.partial.pop(sn, None)
             return True
+        self.partial[sn] = merged
         return False
 
     def discard(self, sn):

@@ -195,7 +195,7 @@ def test_criterion_04_harq_residual_rate():
     rng = RngRegistry(99).stream("harq-accept")
     bmap = radio.BlerMap(default=bler)
     ss = radio.ServingSet("u1", ["ru1"])
-    proc = stack.HarqProcess(0, max_tx=max_tx)
+    proc = stack.HarqProcess(max_tx=max_tx)
     failures = 0
     for _ in range(n):
         proc.load(object())
@@ -355,11 +355,11 @@ def test_criterion_09_ul_anchor():
         build(single_cell_raw(strict_anchor=False))
     ues = {"u1": Runtime(build(single_cell_raw())).ues["u1"]}
     ru_to_ranf = {"ru1": "rf-a", "ru-b": "rf-b"}
-    own = sched.Grant("u1", "b1", "ru1", "c1", 2, 200)
+    own = ("u1", "b1", "ru1", "c1", 2, 200)  # (ue, bearer, ru, carrier, ...)
     sched.ul_anchor_check([own], ru_to_ranf, ues)
     # Negative: a corrupted scheduler output with a grant on another RANF's
     # RU trips the assertion.
-    foreign = sched.Grant("u1", "b1", "ru-b", "c1", 2, 200)
+    foreign = ("u1", "b1", "ru-b", "c1", 2, 200)
     with pytest.raises(sched.UlAnchorViolation,
                        match="UE u1 targets RU ru-b of RANF rf-b.*RANF rf-a"):
         sched.ul_anchor_check([own, foreign], ru_to_ranf, ues)
@@ -570,22 +570,23 @@ def _trust_raw():
     return raw
 
 
-def record_grants(rt):
-    """(time, UE) of every grant ``rt`` accounts, in order."""
+def record_grants(rt, monkeypatch):
+    """(time, UE) of every grant stage 2 issues to ``rt``, in order."""
     grants = []
-    on_grant = rt.metrics.on_grant
+    allocate = sched.stage2_allocate
 
-    def recording(grant, slice_id):
-        grants.append((rt.sim.now, grant.ue))
-        on_grant(grant, slice_id)
+    def recording(*args, **kwargs):
+        issued = allocate(*args, **kwargs)
+        grants.extend((rt.sim.now, g[0]) for g in issued)
+        return issued
 
-    rt.metrics.on_grant = recording
+    monkeypatch.setattr(sched, "stage2_allocate", recording)
     return grants
 
 
-def test_criterion_13_zero_trust():
+def test_criterion_13_zero_trust(monkeypatch):
     rt = Runtime(build(_trust_raw()))
-    grants = record_grants(rt)
+    grants = record_grants(rt, monkeypatch)
     report = rt.run()
     audit = report["audit_log"]
     # Below-threshold UE rejected at attach, with an audit entry; it never

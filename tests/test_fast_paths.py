@@ -12,8 +12,10 @@ The receiver references are verbatim, from before ``ReorderState`` took
 segments itself.  The harness applies to them the two receiver rules added
 then: a segment of an SN behind ``expected_sn`` or stashed is a counted
 duplicate that never reaches reassembly, and timer expiry discards the
-partial ranges of the SNs it gives up.  It also maps their returns onto the
-new shapes, so the property shows that these rules are the only change.
+partial ranges of the SNs it gives up.  It also maps their returns, and
+the reference reassembly's ``sn -> (size, ranges)`` map, onto the new
+shapes (``RxReassembly.partial`` keeps only the ranges), so the property
+shows that these rules are the only change.
 """
 
 import copy
@@ -193,9 +195,14 @@ def ref_build_transport_block(buffer, rlc, grant_bytes):
 
 # ---------------------------------------------------------------- receiver
 
-def receiver_state(rx, reorder):
-    return rx.partial, {k: v for k, v in vars(reorder).items()
-                        if k != "reassembly"}
+def receiver_state(partial, reorder):
+    return partial, {k: v for k, v in vars(reorder).items()
+                     if k != "reassembly"}
+
+
+def ref_partial(rx):
+    """The reference's partial map without the size it stores unread."""
+    return {sn: ranges for sn, (_size, ranges) in rx.partial.items()}
 
 
 def ref_result(reorder, call):
@@ -286,8 +293,8 @@ def test_reassembly_and_reordering_match_reference(first_sn, ops):
             ref.timer_generation += 1
             want = None
         assert got == want, op
-        assert receiver_state(new.reassembly, new) \
-            == receiver_state(rx, ref), op
+        assert receiver_state(new.reassembly.partial, new) \
+            == receiver_state(ref_partial(rx), ref), op
 
 
 # ---------------------------------------------------------------- transmitter

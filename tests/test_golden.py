@@ -16,7 +16,7 @@ import yaml
 if __name__ == "__main__":  # run as a script: find ransim beside tests/
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from ransim.runtime import run_scenario  # noqa: E402
+from ransim.runtime import Runtime, run_scenario  # noqa: E402
 from test_acceptance import (SCENARIO_DIR, _handover_raw,  # noqa: E402
                              _subnet_raw, _trust_raw, build, load_scenario,
                              single_cell_raw)
@@ -97,6 +97,68 @@ def _device_handover_raw():
     return raw
 
 
+def _dmimo_ranfs_raw():
+    """Two RANFs of two RUs each, D-MIMO, 16 UEs with a Poisson slice-I
+    bearer and a bursty slice-II bearer, and one handover (``ue-3`` to
+    ``rf-0``).  Slice II reports over a 2 ms control path, so its requests
+    are stale: about a quarter of the RANF-TTIs run out of PRBs before the
+    last request, others hand leftover pools to drained bearers, and most
+    grants carry only padding, some of them wasted for want of a free HARQ
+    process (4 per UE)."""
+    cells = ["cell-0", "cell-1"]
+    raw = {
+        "seed": 17, "duration_us": 200_000, "tti_us": 500, "dmimo": True,
+        "cn_entry_site": "cell-0", "handover_interruption_us": 2_000,
+        "harq": {"processes": 4, "rtt_ttis": 4, "max_tx": 4},
+        "bler": {"default": 0.05},
+        "sites": [{"id": c, "kind": "OnPrem", "cpu_capacity": 100}
+                  for c in cells]
+        + [{"id": "edge", "kind": "FarEdge", "cpu_capacity": 200}],
+        "links": [{"a": "cell-0", "b": "cell-1", "latency_us": 1_000},
+                  {"a": "cell-0", "b": "edge", "latency_us": 2_000},
+                  {"a": "cell-1", "b": "edge", "latency_us": 2_000}],
+        "carriers": [{"id": "c1", "prbs_per_tti": 30, "bytes_per_prb": 100}],
+        "rus": [{"id": f"ru-{i}-{j}", "site": c, "carriers": ["c1"],
+                 "fronthaul_latency_us": 50}
+                for i, c in enumerate(cells) for j in range(2)],
+        "ranfs": [{"id": f"rf-{i}", "site": c,
+                   "rus": [f"ru-{i}-0", f"ru-{i}-1"],
+                   "neighbors": [f"rf-{1 - i}"]} for i, c in enumerate(cells)],
+        "slices": [{"id": "I"}, {"id": "II"}],
+        "placement": [
+            {"id": "cpr", "kind": "CpRouting", "site": "edge"},
+            {"id": "rrc-i", "kind": "RRC", "site": "cell-0", "slice": "I"},
+            {"id": "up-i", "kind": "UP", "site": "cell-0", "slice": "I"},
+            {"id": "phy-i", "kind": "PHY", "site": "cell-0", "slice": "I"},
+            {"id": "rrc-ii", "kind": "RRC", "site": "edge", "slice": "II"},
+            {"id": "up-ii", "kind": "UP", "site": "edge", "slice": "II"},
+            {"id": "phy-ii", "kind": "PHY", "site": "cell-0", "slice": "II"},
+            {"id": "phy-cell-1", "kind": "PHY", "site": "cell-1",
+             "slice": "I"},
+        ] + [{"id": f"rrm-{i}", "kind": "RRM", "site": c}
+             for i, c in enumerate(cells)]
+        + [{"id": f"fhm-ru-{i}-{j}", "kind": "FHM", "site": c,
+            "bound_ru": f"ru-{i}-{j}"}
+           for i, c in enumerate(cells) for j in range(2)],
+        "ues": [{"id": f"ue-{k}", "ranf": f"rf-{k % 2}"} for k in range(16)],
+        "bearers": [],
+        "script": [{"at_us": 80_250, "action": "handover", "ue": "ue-3",
+                    "dst": "rf-0"}],
+    }
+    for k in range(16):
+        raw["bearers"] += [
+            {"id": f"mc-{k}", "ue": f"ue-{k}", "latency_req_us": 5_000,
+             "reliability_req": 0.99999,
+             "traffic": {"pattern": "Poisson", "rate_bytes_per_s": 40_000,
+                         "sdu_bytes": 200}},
+            {"id": f"mod-{k}", "ue": f"ue-{k}", "latency_req_us": 100_000,
+             "reliability_req": 0.999,
+             "traffic": {"pattern": "PeriodicBurst",
+                         "burst_period_us": 20_000, "burst_bytes": 3_600,
+                         "sdu_bytes": 1_200, "start_us": 1_000 * k}}]
+    return raw
+
+
 # Each hash below moved only by config_hash when orchestrator.scale_hi and
 # scale_lo left the resolved config: every report minus config_hash is
 # byte-identical to the one recorded before.
@@ -149,6 +211,14 @@ CASES = {
         lambda: build(_device_handover_raw()),
         # Moved only by config_hash.
         "2c019d0059a8f503b1fdd3c51b932e2d327bee3ba95c2779ea8807ecaa21eadf"),
+    # Pins the RANF-TTI scheduler path: several RANFs in TTI order, carrier
+    # aggregation over two RUs, pools that run out, leftover and wasted
+    # padding grants, and a handover's stale requests.  Recorded before
+    # requests and grants became plain tuples, stage 2 stopped at empty
+    # pools and padding grants stopped entering the serve path.
+    "dmimo-ranfs": (
+        lambda: build(_dmimo_ranfs_raw()),
+        "290c4722d13e2286b031ee077e68c92501fea3ed5dc738aaaa58f011069896c6"),
 }
 
 
@@ -162,6 +232,25 @@ def test_golden_fingerprint(name):
     assert fingerprint(run_scenario(make_cfg())) == expected
 
 
+# ``smoke.yaml``'s per-RANF TTI series (time, PRB utilization, largest
+# head-of-line sojourn), which only a run with ``record_series`` keeps and
+# no report holds.  Pins the record-only sojourn and utilization that
+# stage 1 and ``MetricsCollector.on_tti`` compute.  Recorded before the
+# scheduler path was rewritten.
+TTI_SERIES = "6ca0dd9dcf989705c623439ef5dd3681f9b302f59f802029a98e8ae64aad1855"
+
+
+def tti_series_fingerprint():
+    rt = Runtime(load_scenario("smoke.yaml"), record_series=True)
+    rt.run()
+    return fingerprint(rt.metrics.tti_series)
+
+
+def test_golden_tti_series():
+    assert tti_series_fingerprint() == TTI_SERIES
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(name, fingerprint(run_scenario(CASES[name][0]())))
+    print("tti-series", tti_series_fingerprint())

@@ -12,7 +12,7 @@ from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
 from ransim import orchestrate as orch
 from ransim.core import ModelError, RngRegistry, Simulator
-from ransim.metrics import MetricsCollector, write_tti_series_csv
+from ransim.metrics import write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from test_acceptance import _subnet_raw
 from test_golden import _ecn_overload_raw, _set_bler_raw, _split_lossy_raw
@@ -543,9 +543,9 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     original = runtime.stage1_with_extras
     requests = []
 
-    def recording(items, now, class_weights):
-        reqs = original(items, now, class_weights)
-        requests.append({r.bearer_id: r for r in reqs})
+    def recording(items, class_weights):
+        reqs = original(items, class_weights)
+        requests.append({r[1]: r for r in reqs})
         return reqs
 
     monkeypatch.setattr(runtime, "stage1_with_extras", recording)
@@ -569,7 +569,7 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     assert list(ctx.rlc.window) == [0]
     rt._apply_status(ctx, 0, [0])
     rt._tti_for_ranf(ranf, 2000)
-    assert requests[-1]["b1"].buffered_bytes == 300 + stack.SEG_HEADER_BYTES
+    assert requests[-1]["b1"][4] == 300 + stack.SEG_HEADER_BYTES
     assert not ctx.rlc.retx_queue
 
     # A head PDU past the AQM drop threshold is front-dropped; its drop
@@ -577,7 +577,7 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     rt._ingress(ctx, 300, 2500)
     rt._tti_for_ranf(ranf, 2500 + rt.cfg["aqm"]["drop_threshold_us"] + 500)
     assert ctx.metrics.aqm_drops == 1 and not ctx.buffer.queue
-    assert requests[-1]["b1"].buffered_bytes == stack.DROP_IND_BYTES
+    assert requests[-1]["b1"][4] == stack.DROP_IND_BYTES
 
 
 def test_serving_set_outside_the_ranf_is_an_anchor_violation(monkeypatch):
@@ -658,17 +658,16 @@ def test_attach_by_script_gets_the_grant_at_once():
 
 
 def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
-    """Call counts, not timings: no grant objects besides the ones the
-    report accounts, no transport block built for a bearer with nothing to
-    send, and stage 1 never touches a bearer that never had data."""
+    """Call counts, not timings: no grants besides the ones the report
+    accounts, no transport block built for a bearer with nothing to send,
+    and stage 1 never touches a bearer that never had data."""
     grants = []
+    allocate = sched.stage2_allocate
 
-    class CountingGrant(sched.Grant):
-        __slots__ = ()
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            grants.append(self)
+    def counting(*args, **kwargs):
+        result = allocate(*args, **kwargs)
+        grants.extend(result)
+        return result
 
     built = []
     build = stack.build_transport_block
@@ -679,7 +678,7 @@ def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
         built.append(tb)
         return tb
 
-    monkeypatch.setattr(sched, "Grant", CountingGrant)
+    monkeypatch.setattr(sched, "stage2_allocate", counting)
     monkeypatch.setattr(stack, "build_transport_block", checked_build)
 
     raw = three_cell_raw()
@@ -706,7 +705,7 @@ def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
         ctx.buffer = TouchCounter(ctx.buffer)
     report = rt.run()
 
-    assert grants and sum(g.prbs for g in grants) == sum(
+    assert grants and sum(g[4] for g in grants) == sum(
         u["granted_prbs"] for u in report["prb_utilization"].values())
     assert len(built) == report["tb_transmitted"] > 0
     assert all(not tb.empty for tb in built)
@@ -766,13 +765,14 @@ def test_stale_request_in_old_ranf_pipe_gets_no_grant(monkeypatch):
         grants = allocate(requests, pools, resources_for, **kwargs)
         [pool_ranf] = {rt.ru_to_ranf[ru] for ru, _ in pools.total}
         for r in requests:
-            ue = rt.ues[r.ue]
+            _, bearer_id, ue_id, _, _ = r
+            ue = rt.ues[ue_id]
             if ue.ranf != pool_ranf and rt.sim.now >= ue.resume_at:
-                stale_seen.append((rt.sim.now, r.bearer_id, pool_ranf))
+                stale_seen.append((rt.sim.now, bearer_id, pool_ranf))
                 assert list(resources_for(r)) == []
-                assert r.bearer_id not in {g.bearer_id for g in grants}
+                assert bearer_id not in {g[1] for g in grants}
         if rt.sim.now > 60_000:
-            served_after.update((pool_ranf, g.bearer_id) for g in grants)
+            served_after.update((pool_ranf, g[1]) for g in grants)
         return grants
 
     monkeypatch.setattr(sched, "stage2_allocate", checked)
@@ -846,13 +846,15 @@ def released_mid_run_raw():
 
 def test_released_ue_in_flight_requests_get_no_grant(monkeypatch):
     granted = []  # (time, UE, released) of every grant
-    on_grant = MetricsCollector.on_grant
+    allocate = sched.stage2_allocate
 
-    def spy(metrics, grant, *args):
-        granted.append((rt.sim.now, grant.ue, rt.ues[grant.ue].released))
-        on_grant(metrics, grant, *args)
+    def spy(*args, **kwargs):
+        grants = allocate(*args, **kwargs)
+        granted.extend((rt.sim.now, g[0], rt.ues[g[0]].released)
+                       for g in grants)
+        return grants
 
-    monkeypatch.setattr(MetricsCollector, "on_grant", spy)
+    monkeypatch.setattr(sched, "stage2_allocate", spy)
     rt = Runtime(cfgmod.validate_scenario(released_mid_run_raw()))
     assert rt.ctrl_lat["ranf-a"]["II"] == 2000
     report = rt.run()
@@ -862,6 +864,22 @@ def test_released_ue_in_flight_requests_get_no_grant(monkeypatch):
     assert granted and all(t <= release["at"] and not released
                            for t, _, released in granted)
     assert all(c["holds"] for c in report["conservation"].values())
+
+
+def test_request_of_an_unadmitted_ue_not_released_raises():
+    """Every path that clears admission also releases the UE, and stage 2
+    grants a released UE nothing, so stage 2 checks admission only for the
+    requests of UEs not released.  A UE unadmitted behind the runtime's
+    back, while its CBR bearer has data every TTI, trips that check at the
+    next TTI."""
+    rt = Runtime(cfgmod.validate_scenario(base_raw()))
+    assert rt.ctrl_lat["rf-a"]["II"] == 0  # requests reach stage 2 at once
+    rt.sim.run_until(50_000)
+    assert rt.metrics.tb_transmitted > 0
+    rt.trust_engine.records["u1"].admitted = False
+    with pytest.raises(ModelError, match="unadmitted UE u1"):
+        rt.sim.run_until(60_000)
+    assert rt.sim.now == 50_500 and not rt.ues["u1"].released
 
 
 def handover_branch_run(raw):

@@ -1,7 +1,7 @@
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ransim import sched, stack
@@ -36,35 +36,40 @@ def test_qos_unsatisfiable():
 def test_stage1_priority_formula():
     mc = stack.Bearer("mc", "u", "I", 10_000, qos_class=sched.MISSION_CRITICAL)
     mod = stack.Bearer("mod", "u", "II", 1_100_000, qos_class=sched.MODERATE)
-    bmc = stack.TransmitBuffer()
-    bmod = stack.TransmitBuffer()
-    bmc.push(stack.PdcpPdu(0, 100, 0))
-    bmod.push(stack.PdcpPdu(0, 100, 0))
     weights = {sched.MISSION_CRITICAL: 100.0, sched.MODERATE: 1.0}
-    reqs = stage1_with_extras([(mc, bmc, 0), (mod, bmod, 0)], 1_000, weights)
-    by_id = {r.bearer_id: r for r in reqs}
-    assert by_id["mc"].priority == pytest.approx(100.0 * 1_000 / 10_000)
-    assert by_id["mod"].priority == pytest.approx(1.0 * 1_000 / 1_100_000)
-    assert by_id["mc"].buffered_bytes == 100
+    # Each buffer holds one 100-byte PDU that arrived 1 ms ago.
+    reqs = stage1_with_extras([(mc, 100, 1_000, 0), (mod, 100, 1_000, 0)],
+                              weights)
+    by_id = {bid: (-neg_prio, ue, sl, nbytes)
+             for neg_prio, bid, ue, sl, nbytes in reqs}
+    assert by_id["mc"][0] == pytest.approx(100.0 * 1_000 / 10_000)
+    assert by_id["mod"][0] == pytest.approx(1.0 * 1_000 / 1_100_000)
+    assert by_id["mc"][1:] == ("u", "I", 100)
     # Pending control or retransmission bytes add to the demand and make the
     # request urgent: +1.0 before weighting.  (The runtime skips bearers with
     # nothing to send before stage 1; test_runtime checks that filter.)
-    [urgent] = stage1_with_extras([(mc, bmc, 30)], 1_000, weights)
-    assert urgent.buffered_bytes == 130
-    assert urgent.priority == pytest.approx(100.0 * (1_000 / 10_000 + 1.0))
+    [urgent] = stage1_with_extras([(mc, 100, 1_000, 30)], weights)
+    assert urgent[4] == 130
+    assert -urgent[0] == pytest.approx(100.0 * (1_000 / 10_000 + 1.0))
 
 
 # ---------------------------------------------------------------- stage 2
 
 def req(bid, ue, sl, nbytes, prio):
-    return sched.SchedulingRequest(bid, ue, sl, nbytes, prio)
+    return (-prio, bid, ue, sl, nbytes)
+
+
+def grant_fields(g):
+    ue, bid, ru, carrier, prbs, nbytes = g
+    return SimpleNamespace(ue=ue, bearer_id=bid, ru=ru, carrier=carrier,
+                           prbs=prbs, bytes=nbytes)
 
 
 def test_stage2_priority_order_and_ca():
     pools = sched.PrbPools({("ru1", "c1"): (10, 100), ("ru2", "c2"): (10, 100)})
     reqs = [req("lo", "u1", "II", 1500, 1.0), req("hi", "u2", "I", 1500, 9.0)]
-    grants = sched.stage2_allocate(
-        reqs, pools, lambda r: [("ru1", "c1"), ("ru2", "c2")])
+    grants = [grant_fields(g) for g in sched.stage2_allocate(
+        reqs, pools, lambda r: [("ru1", "c1"), ("ru2", "c2")])]
     # High priority served first; demand spills across both pools (CA).
     first = [g for g in grants if g.bearer_id == "hi"]
     assert first and first[0].ru == "ru1"
@@ -77,7 +82,7 @@ def test_stage2_deterministic_tiebreak():
     pools = sched.PrbPools({("ru1", "c1"): (10, 100)})
     reqs = [req("b", "u1", "I", 400, 5.0), req("a", "u2", "I", 400, 5.0)]
     grants = sched.stage2_allocate(reqs, pools, lambda r: [("ru1", "c1")])
-    assert grants[0].bearer_id == "a"
+    assert grants[0][1] == "a"
 
 
 def test_stage2_min_slice_share_reservation():
@@ -85,7 +90,7 @@ def test_stage2_min_slice_share_reservation():
     reqs = [req("big", "u1", "II", 5_000, 9.0), req("mc", "u2", "I", 200, 1.0)]
     grants = sched.stage2_allocate(
         reqs, pools, lambda r: [("ru1", "c1")], min_share={"I": 0.2})
-    mc_prbs = sum(g.prbs for g in grants if g.bearer_id == "mc")
+    mc_prbs = sum(prbs for _, bid, _, _, prbs, _ in grants if bid == "mc")
     assert mc_prbs >= 2  # reservation honored despite lower priority
 
 
@@ -96,7 +101,7 @@ def test_stage2_leftover_goes_to_best_spectral_efficiency():
                                    lambda r: [("ru1", "hi"), ("ru1", "lo")])
     # Entire capacity ends up granted (work conservation with one requester).
     assert sum(pools.free.values()) == 0
-    assert grants[0].carrier == "hi"
+    assert grants[0][3] == "hi"
 
 
 def reference_stage2_allocate(requests, pools, resources_for,
@@ -105,12 +110,12 @@ def reference_stage2_allocate(requests, pools, resources_for,
     with dicts keyed by request and a min() over the takers of each leftover
     pool."""
     grants = []
-    order = sorted(requests, key=lambda r: (-r.priority, r.bearer_id))
+    order = sorted(requests, key=lambda r: (r[0], r[1]))
 
     reserved = {}
     if min_share:
         total_prbs = sum(pools.total.values())
-        demand_slices = {r.slice for r in requests}
+        demand_slices = {r[3] for r in requests}
         for sl, frac in min_share.items():
             if sl in demand_slices:
                 reserved[sl] = int(total_prbs * frac)
@@ -118,14 +123,14 @@ def reference_stage2_allocate(requests, pools, resources_for,
     keys_of = {req: list(resources_for(req)) for req in order}
     remaining = {}  # request -> unmet byte demand
     for req in order:
-        demand = req.buffered_bytes + demand_overhead
+        demand = req[4] + demand_overhead
         for key in keys_of[req]:
             if demand <= 0:
                 break
             bpp = pools.bytes_per_prb[key]
             want = -(-demand // bpp)  # ceil
             avail = pools.free.get(key, 0)
-            holdback = sum(v for sl, v in reserved.items() if sl != req.slice)
+            holdback = sum(v for sl, v in reserved.items() if sl != req[3])
             if holdback:
                 total_free = sum(pools.free.values())
                 avail = max(0, min(avail, total_free - holdback))
@@ -133,11 +138,10 @@ def reference_stage2_allocate(requests, pools, resources_for,
             if got == 0:
                 continue
             nbytes = got * bpp
-            grants.append(sched.Grant(req.ue, req.bearer_id, key[0], key[1],
-                                      got, nbytes))
+            grants.append((req[2], req[1], key[0], key[1], got, nbytes))
             demand -= nbytes
-            if req.slice in reserved:
-                reserved[req.slice] = max(0, reserved[req.slice] - got)
+            if req[3] in reserved:
+                reserved[req[3]] = max(0, reserved[req[3]] - got)
         remaining[req] = max(0, demand)
 
     for key in sorted(pools.free, key=lambda k: (-pools.bytes_per_prb[k], k)):
@@ -148,10 +152,10 @@ def reference_stage2_allocate(requests, pools, resources_for,
         if not takers:
             continue
         unmet = [r for r in takers if remaining.get(r, 0) > 0]
-        req = min(unmet or takers, key=lambda r: (-r.priority, r.bearer_id))
+        req = min(unmet or takers, key=lambda r: (r[0], r[1]))
         got = pools.take(key, free)
-        grants.append(sched.Grant(req.ue, req.bearer_id, key[0], key[1], got,
-                                  got * pools.bytes_per_prb[key]))
+        grants.append((req[2], req[1], key[0], key[1], got,
+                       got * pools.bytes_per_prb[key]))
         remaining[req] = max(0, remaining.get(req, 0)
                              - got * pools.bytes_per_prb[key])
 
@@ -160,7 +164,7 @@ def reference_stage2_allocate(requests, pools, resources_for,
             for key in keys_of[req]:
                 if pools.free.get(key, 0) > 0:
                     raise ModelError(
-                        f"work conservation violated: request {req.bearer_id} "
+                        f"work conservation violated: request {req[1]} "
                         f"unmet with {key} free"
                     )
     return grants
@@ -195,19 +199,32 @@ def outcome(allocate, pool_map, requests, keys_of, min_share):
     pools = sched.PrbPools(pool_map)
     try:
         grants = allocate(list(requests), pools,
-                          lambda r: keys_of[r.bearer_id], min_share=min_share)
+                          lambda r: keys_of[r[1]], min_share=min_share)
     except ModelError as exc:
         return "error", str(exc), pools.free
-    return ([(g.ue, g.bearer_id, g.ru, g.carrier, g.prbs, g.bytes)
-             for g in grants], pools.free)
+    return grants, pools.free
+
+
+EXAMPLE_KEYS = [("ru1", "a"), ("ru2", "a")]
 
 
 @settings(max_examples=300, deadline=None)
 @given(stage2_inputs())
+# Every pool starts empty: stage 2 stops before the first request.
+@example(({("ru1", "a"): (0, 100), ("ru2", "a"): (0, 50)},
+          [req("b0", "u0", "I", 500, 3.0), req("b1", "u1", "II", 0, 0.0)],
+          {"b0": EXAMPLE_KEYS, "b1": EXAMPLE_KEYS[1:]}, None))
+# The pools run out part-way: b1 and b2 empty them, b0 and b3 come after.
+@example(({("ru1", "a"): (4, 100), ("ru2", "a"): (3, 50)},
+          [req("b0", "u0", "I", 900, 0.5), req("b1", "u1", "II", 300, 3.0),
+           req("b2", "u2", "I", 2_000, 1.0), req("b3", "u3", "II", 10, 0.0)],
+          {"b0": EXAMPLE_KEYS, "b1": EXAMPLE_KEYS[:1], "b2": EXAMPLE_KEYS,
+           "b3": EXAMPLE_KEYS[1:]}, {"II": 0.25}))
 def test_stage2_matches_reference_allocator(inputs):
     """Same grants, same free PRBs and the same error as the reference, on
     random pools, requests with priority ties, key lists (some empty) and
-    slice shares."""
+    slice shares, and on pools that are empty from the start or run out
+    before the last request."""
     assert outcome(sched.stage2_allocate, *inputs) \
         == outcome(reference_stage2_allocate, *inputs)
 
@@ -216,10 +233,9 @@ def test_ul_anchor_check_detects_cross_ranf():
     """One call checks a whole TTI's grants, each against its own UE."""
     ru_to_ranf = {"ru1": "A", "ru2": "B"}
     ues = {"u1": SimpleNamespace(ranf="A"), "u2": SimpleNamespace(ranf="B")}
-    ok = [sched.Grant("u1", "b", "ru1", "c", 1, 0),
-          sched.Grant("u2", "b2", "ru2", "c", 1, 0)]
+    ok = [("u1", "b", "ru1", "c", 1, 0), ("u2", "b2", "ru2", "c", 1, 0)]
     assert sched.ul_anchor_check(ok, ru_to_ranf, ues) is None
-    bad = ok + [sched.Grant("u2", "b2", "ru1", "c", 1, 0)]
+    bad = ok + [("u2", "b2", "ru1", "c", 1, 0)]
     with pytest.raises(sched.UlAnchorViolation,
                        match="UE u2 targets RU ru1 of RANF A.*RANF B"):
         sched.ul_anchor_check(bad, ru_to_ranf, ues)

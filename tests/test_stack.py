@@ -186,7 +186,7 @@ def test_apply_status_acks_and_queues_missing():
 # ---------------------------------------------------------------- HARQ
 
 def test_harq_ack_nack_cycle():
-    p = stack.HarqProcess(0, max_tx=2)
+    p = stack.HarqProcess(max_tx=2)
     tb = stack.TransportBlock()
     tb.segments.append(stack.Segment(0, 0, 100))
     p.load(tb)
@@ -199,13 +199,13 @@ def test_harq_ack_nack_cycle():
 
 
 def test_harq_nonreliable_final_failure():
-    p = stack.HarqProcess(0, max_tx=1)
+    p = stack.HarqProcess(max_tx=1)
     p.load(stack.TransportBlock())
     assert stack.harq_on_feedback(p, False, False) == stack.HARQ_FAILED
 
 
 def test_harq_feedback_on_free_process_is_protocol_error():
-    p = stack.HarqProcess(0)
+    p = stack.HarqProcess()
     assert stack.harq_on_feedback(p, True, True) == stack.HARQ_PROTOCOL_ERROR
 
 
@@ -222,7 +222,7 @@ def test_reassembly_merges_ranges():
 def test_segments_reassemble_before_reordering():
     r = stack.ReorderState()
     assert r.segment(0, 0, 40, 100, 10) == ([], False)
-    assert r.reassembly.partial == {0: (100, [(0, 40)])}
+    assert r.reassembly.partial == {0: [(0, 40)]}
     assert r.segment(0, 40, 100, 100, 20) == ([(0, None)], False)
     assert r.reassembly.partial == {} and r.expected_sn == 1
 
