@@ -42,7 +42,6 @@ class MetricsCollector:
         self.wasted_grants = 0
         self.tb_transmitted = 0
         self.tb_failed_final = 0
-        self.harq_protocol_errors = 0
         self.handovers = []
         self.migrations = []
         self.scale_events = []
@@ -142,7 +141,6 @@ class MetricsCollector:
             "wasted_grants": self.wasted_grants,
             "tb_transmitted": self.tb_transmitted,
             "tb_failed_final": self.tb_failed_final,
-            "harq_protocol_errors": self.harq_protocol_errors,
             "handovers": [vars(h) for h in self.handovers],
             "migrations": [vars(m) for m in self.migrations],
             "scale_events": self.scale_events,

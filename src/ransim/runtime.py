@@ -64,22 +64,16 @@ class UeCtx:
     __slots__ = ("id", "ranf", "serving_set", "pool_keys", "harq", "resume_at",
                  "released", "bearers", "link_rng")
 
-    def __init__(self, ue_id, ranf_id, serving_set, n_harq, max_tx):
+    def __init__(self, ue_id, ranf_id, serving_set, n_harq):
         self.id = ue_id
         self.ranf = ranf_id
         self.serving_set = serving_set
         self.pool_keys = None  # its stage-2 (ru, carrier) keys, on first use
-        self.harq = [stack.HarqProcess(max_tx) for _ in range(n_harq)]
+        self.harq = [None] * n_harq  # HARQ slots: the process in flight
         self.resume_at = 0
         self.released = False
         self.bearers = []
         self.link_rng = None  # its ``link:`` stream, fetched on first use
-
-    def free_process(self):
-        for p in self.harq:
-            if p.state == stack.FREE:
-                return p
-        return None
 
 
 class Runtime:
@@ -226,11 +220,11 @@ class Runtime:
             )
             serving = self._select_serving(u["id"], u["ranf"])
             ue = UeCtx(u["id"], u["ranf"], serving,
-                       self.cfg["harq"]["processes"], self.max_tx)
+                       self.cfg["harq"]["processes"])
             self._check_ul_anchor(ue)
             self.ues[u["id"]] = ue
-            self.trust_engine.admission_check(u["id"], 0, ranf=u["ranf"])
-            if not self.trust_engine.is_admitted(u["id"]):
+            if self.trust_engine.admission_check(u["id"], 0, ranf=u["ranf"]) \
+                    == tru.REJECT:
                 ue.released = True
 
     def _check_ul_anchor(self, ue):
@@ -414,7 +408,7 @@ class Runtime:
         # live SN within the window, so that one lookup is the whole check.
         full = (bearer.tx_sn_next - stack.SN_WINDOW) % stack.SN_SPACE \
             in ctx.live
-        if ctx.ue_ctx.released or not bearer.active or full:
+        if ctx.ue_ctx.released or full:
             ctx.metrics.ingress_dropped += 1
             return
         ctx.metrics.packets_in += 1
@@ -475,18 +469,17 @@ class Runtime:
         if pending:
             still = deque()
             while pending:
-                proc, ue_id = pending.popleft()
-                ue = ues[ue_id]
-                if proc.state != stack.AWAITING_FEEDBACK or proc.meta is None \
-                        or ue.released or ue.ranf != ranf.id:
+                proc = pending.popleft()
+                ue = proc.ctx.ue_ctx
+                if ue.harq[proc.slot] is not proc:
                     continue  # flushed by handover or release
-                key = proc.meta["pool"]
-                got = pools.take(key, proc.meta["prbs"])
-                if got < proc.meta["prbs"]:
+                key = proc.pool
+                got = pools.take(key, proc.prbs)
+                if got < proc.prbs:
                     pools.free[key] = pools.free.get(key, 0) + got
-                    still.append((proc, ue_id))
+                    still.append(proc)
                     continue
-                self._transmit(proc.tb, proc, ue, key, now)
+                self._transmit(proc, now)
             self.pending_retx[ranf.id] = still
 
         # Stage 1 per slice at the UP site, over the bearers with something
@@ -577,7 +570,7 @@ class Runtime:
                 active_rus.add(ru)
                 if ctx.has_data():
                     self._serve_grant(ctx, key, prbs, nbytes, now)
-                elif ctx.ue_ctx.free_process() is None:
+                elif None not in ctx.ue_ctx.harq:
                     # A padding grant: a stale request or the stage-2
                     # leftover pass granted a bearer with nothing to send.
                     metrics.wasted_grants += 1
@@ -607,8 +600,8 @@ class Runtime:
         # Stage 1 ran AQM at this ``now`` too, but an earlier grant in this
         # TTI (another carrier) may have sent the head it saw.
         self._apply_aqm(ctx, now)
-        proc = ue.free_process()
-        if proc is None:
+        harq = ue.harq
+        if None not in harq:
             self.metrics.wasted_grants += 1
             return
         if not ctx.has_data():
@@ -616,14 +609,17 @@ class Runtime:
         tb = stack.build_transport_block(ctx.buffer, ctx.rlc, nbytes)
         if tb.empty:
             return
-        proc.load(tb, meta={"pool": key, "prbs": prbs, "bearer": ctx})
+        slot = harq.index(None)  # the first free slot
+        proc = harq[slot] = stack.HarqProcess(tb, slot, key, prbs, ctx)
         self.metrics.tb_transmitted += 1
         self._mark_instance_active(ctx.slice, now)
-        self._transmit(tb, proc, ue, key, now)
+        self._transmit(proc, now)
 
-    def _transmit(self, tb, proc, ue, key, now):
-        ru_id, carrier_id = key
-        ctx = proc.meta["bearer"]
+    def _transmit(self, proc, now):
+        tb = proc.tb
+        ctx = proc.ctx
+        ue = ctx.ue_ctx
+        ru_id, carrier_id = proc.pool
         wake_delay = self.meter.wake(self.ru_entity[ru_id], now)
         rng = ue.link_rng
         if rng is None:
@@ -648,37 +644,31 @@ class Runtime:
                               partial(self._on_deliver, ctx, payload,
                                       tb.drop_indications))
         self.sim.schedule(now + self.harq_rtt, "harq-feedback", ue.id,
-                          partial(self._on_feedback, ue, proc, tb,
-                                  proc.tx_count, success))
+                          partial(self._on_feedback, ue, proc, success))
 
-    def _on_feedback(self, ue, proc, tb, tx_count, success):
-        if proc.tb is not tb or proc.tx_count != tx_count \
-                or proc.state != stack.AWAITING_FEEDBACK:
-            return  # stale (flushed by handover or release)
+    def _on_feedback(self, ue, proc, success):
+        if ue.harq[proc.slot] is not proc:
+            return  # stale: a handover or release emptied the slot
         ack = success
         if not self.reliable and not success and self.fb_error > 0:
             if self.rng.stream(f"fb:{ue.id}").draw() < self.fb_error:
                 ack = True  # corrupted NACK read as ACK
-        result = stack.harq_on_feedback(proc, ack, self.reliable)
-        ctx = proc.meta["bearer"]
+        result = stack.harq_on_feedback(proc, ack, self.max_tx)
+        if result == stack.HARQ_RETRANSMIT:
+            self.pending_retx.setdefault(ue.ranf, deque()).append(proc)
+            return
+        ue.harq[proc.slot] = None
+        ctx = proc.ctx
         if result == stack.HARQ_ACKED:
-            proc.free()
             if self.reliable:
                 ack = ctx.rlc.ack_segment
-                for seg in tb.segments:
+                for seg in proc.tb.segments:
                     ack(seg.sn, seg.start, seg.end)
-        elif result == stack.HARQ_RETRANSMIT:
-            self.pending_retx.setdefault(ue.ranf, deque()).append((proc, ue.id))
-        elif result == stack.HARQ_FAILED_TO_RLC:
-            proc.free()
-            self.metrics.tb_failed_final += 1
-            self._abandon(ctx, ctx.rlc.queue_retx(tb.segments))
-            self._activate(ctx)
-        elif result == stack.HARQ_FAILED:
-            proc.free()
-            self.metrics.tb_failed_final += 1
         else:
-            self.metrics.harq_protocol_errors += 1
+            self.metrics.tb_failed_final += 1
+            if self.reliable:  # the segments go straight to RLC retx
+                self._abandon(ctx, ctx.rlc.queue_retx(proc.tb.segments))
+                self._activate(ctx)
 
     def _abandon(self, ctx, sns):
         """Count each SN still live as a residual loss and forget it."""
@@ -855,16 +845,13 @@ class Runtime:
     def _release_ue(self, ue, now):
         ue.released = True
         for ctx in ue.bearers:
-            ctx.bearer.active = False
             ctx.metrics.residual += len(ctx.live)
             ctx.live.clear()
             ctx.buffer.queue.clear()
             ctx.buffer.bytes = 0
             ctx.rlc.window.clear()
             ctx.rlc.retx_queue.clear()
-        for proc in ue.harq:
-            if proc.state != stack.FREE:
-                proc.free()
+        ue.harq = [None] * len(ue.harq)
 
     # ------------------------------------------------------------ script
 
@@ -918,12 +905,11 @@ class Runtime:
         # In-flight TBs are treated as lost and re-queued for RLC retx at the
         # target; the un-ACKed window and buffer are forwarded as-is.
         for proc in ue.harq:
-            if proc.state == stack.FREE:
-                continue
-            bctx = proc.meta["bearer"]
-            tb = proc.free()
-            self._abandon(bctx, bctx.rlc.queue_retx(
-                [s for s in tb.segments if s.sn in bctx.rlc.window]))
+            if proc is not None:
+                rlc = proc.ctx.rlc
+                self._abandon(proc.ctx, rlc.queue_retx(
+                    [s for s in proc.tb.segments if s.sn in rlc.window]))
+        ue.harq = [None] * len(ue.harq)
         forwarded = sum(len(ctx.rlc.window) + len(ctx.buffer.queue)
                         for ctx in ue.bearers)
         link = self.topology.latency(src.site, dst.site)

@@ -9,6 +9,10 @@ reordering timer.  HARQ feedback, when configured reliable, doubles as
 the RLC ACK/NACK; otherwise ``RlcTxState.apply_status`` applies the
 receiver's ``ReorderState.status_report``.
 
+A ``HarqProcess`` is one transport block in flight in one of its UE's HARQ
+slots, from its first transmission until HARQ acknowledges or gives it up;
+a process whose slot no longer holds it is stale.
+
 A bearer's receiver is one ``ReorderState`` holding its ``RxReassembly``.
 Receiving returns ``(delivered, timer_started)`` and t-reordering expiry
 ``(delivered, lost)``, where ``delivered`` lists ``(sn, stashed_at)`` in SN
@@ -66,7 +70,6 @@ class Bearer:
     key: bytes = b"\x00" * 16
     ecn_capable: bool = False
     tx_sn_next: int = 0
-    active: bool = True
 
 
 class PdcpPdu:
@@ -104,13 +107,8 @@ class TransmitBuffer:
 
 
 def pdcp_preprocess(sdu_size, bearer, now, payload=None, buffer=None):
-    """Assign the next SN, cipher, and enqueue into the transmit buffer.
-
-    Returns the PDU, or None when the bearer is released (ingress drop,
-    counted by the caller).
-    """
-    if not bearer.active:
-        return None
+    """Assign the next SN, cipher, and enqueue into the transmit buffer;
+    returns the PDU."""
     sn = bearer.tx_sn_next
     bearer.tx_sn_next = (sn + 1) % SN_SPACE
     ciphered = cipher(payload, bearer.key, sn) if payload is not None else None
@@ -305,60 +303,42 @@ def build_transport_block(buffer, rlc, grant_bytes):
     return tb
 
 
-FREE = "Free"
-AWAITING_FEEDBACK = "AwaitingFeedback"
-
 # harq_on_feedback outcomes
 HARQ_ACKED = "acked"
 HARQ_RETRANSMIT = "retransmit"
 HARQ_FAILED = "failed"
-HARQ_FAILED_TO_RLC = "failed_to_rlc"
-HARQ_PROTOCOL_ERROR = "protocol_error"
 
 
 class HarqProcess:
-    __slots__ = ("tb", "tx_count", "max_tx", "state", "meta")
+    """One TB in flight, held in slot ``slot`` of its UE until HARQ
+    releases it; a new TB gets a new process.  ``pool`` and ``prbs`` are the
+    resources each (re)transmission takes, ``ctx`` the runtime's bearer."""
 
-    def __init__(self, max_tx=4):
-        self.tb = None
-        self.tx_count = 0
-        self.max_tx = max_tx
-        self.state = FREE
-        self.meta = None  # carrier/RU context owned by the runtime
+    __slots__ = ("tb", "tx_count", "slot", "pool", "prbs", "ctx")
 
-    def load(self, tb, meta=None):
-        assert self.state == FREE
+    def __init__(self, tb, slot, pool, prbs, ctx):
         self.tb = tb
         self.tx_count = 1
-        self.state = AWAITING_FEEDBACK
-        self.meta = meta
-
-    def free(self):
-        tb = self.tb
-        self.tb = None
-        self.tx_count = 0
-        self.state = FREE
-        self.meta = None
-        return tb
+        self.slot = slot
+        self.pool = pool
+        self.prbs = prbs
+        self.ctx = ctx
 
 
-def harq_on_feedback(process, ack, reliable_mode):
-    """Advance the HARQ state machine on (possibly corrupted) feedback.
+def harq_on_feedback(process, ack, max_tx):
+    """Advance a process on (possibly corrupted) feedback.
 
-    ACK frees the process; in reliable mode this is simultaneously the RLC
-    ACK for the carried segments.  NACK retransmits until max_tx; at max_tx
-    the process is freed and, in reliable mode, the segments go straight to
-    RLC retransmission.  In the non-reliable baseline RLC must discover the
+    ACK ends it.  NACK retransmits until ``max_tx`` transmissions, after
+    which the TB has failed; the caller decides whether its segments go
+    straight to RLC retransmission (reliable mode) or RLC must discover the
     loss itself via status reporting.
     """
-    if process.state != AWAITING_FEEDBACK:
-        return HARQ_PROTOCOL_ERROR
     if ack:
         return HARQ_ACKED
-    if process.tx_count < process.max_tx:
+    if process.tx_count < max_tx:
         process.tx_count += 1
         return HARQ_RETRANSMIT
-    return HARQ_FAILED_TO_RLC if reliable_mode else HARQ_FAILED
+    return HARQ_FAILED
 
 
 class RxReassembly:

@@ -93,7 +93,3 @@ class TrustEngine:
             return RELEASE
         self._log(now, ue, KEEP, score, ranf)
         return KEEP
-
-    def is_admitted(self, ue):
-        record = self.records.get(ue)
-        return record is not None and record.admitted

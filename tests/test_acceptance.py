@@ -195,20 +195,16 @@ def test_criterion_04_harq_residual_rate():
     rng = RngRegistry(99).stream("harq-accept")
     bmap = radio.BlerMap(default=bler)
     ss = radio.ServingSet("u1", ["ru1"])
-    proc = stack.HarqProcess(max_tx=max_tx)
     failures = 0
     for _ in range(n):
-        proc.load(object())
+        proc = stack.HarqProcess(object(), 0, ("ru1", "c1"), 1, None)
         while True:
             success = radio.transmit(ss, "c1", bmap, rng)
-            outcome = stack.harq_on_feedback(proc, success,
-                                             reliable_mode=False)
+            outcome = stack.harq_on_feedback(proc, success, max_tx)
             if outcome == stack.HARQ_ACKED:
-                proc.free()
                 break
             if outcome == stack.HARQ_FAILED:
                 failures += 1
-                proc.free()
                 break
             assert outcome == stack.HARQ_RETRANSMIT
     rate = failures / n

@@ -5,6 +5,7 @@ one run.  A refactor or speed-up must leave every hash unchanged; a change
 that moves one is a behaviour change and must say why next to the new hash.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -159,58 +160,74 @@ def _dmimo_ranfs_raw():
     return raw
 
 
-# Each hash below moved only by config_hash when orchestrator.scale_hi and
-# scale_lo left the resolved config: every report minus config_hash is
-# byte-identical to the one recorded before.
+def _harq_churn_raw():
+    """``_handover_raw`` with a lossy link, 4 HARQ processes of up to 3
+    transmissions and 1.5 MB/s, handed over three times while TBs are in
+    flight: pins which slot a new TB takes and the order in which a
+    handover flushes the slots' TBs back to RLC."""
+    raw = _handover_raw()
+    raw["bler"] = {"default": 0.3}
+    raw["harq"] = {"processes": 4, "rtt_ttis": 4, "max_tx": 3}
+    raw["bearers"][0]["traffic"]["rate_bytes_per_s"] = 1_500_000
+    raw["script"] = [
+        {"at_us": at, "action": "handover", "ue": "u1", "dst": dst}
+        for at, dst in ((60_250, "rf-b"), (140_250, "rf-a"),
+                        (220_250, "rf-b"))]
+    return raw
+
+
+# Each hash below moved only when the never-raised harq_protocol_errors
+# left the report: ``python tests/test_golden.py --without
+# harq_protocol_errors`` prints the same fingerprints before and after.
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
-        # Moved only by config_hash.
-        "389ee26e963884c3bb06f3decb24fb00c500ebc7830c2d7cce4246e46f688f7f"),
+        # Moved only by harq_protocol_errors.
+        "04e5845a7c0138f77e00d9b41f90a203da9c0629d907bf2d7b6110c68c66940c"),
     "latency-budgets": (
         lambda: load_scenario("latency-budgets.yaml"),
-        # Moved only by config_hash.
-        "880c49ab7e4229d09c71ff0bdf134fbe43ca23de952f5636dfd4972ed5c22ced"),
+        # Moved only by harq_protocol_errors.
+        "18897d3e7ac7410ecf88833988a5b8c0d38e912fcdb12859269a82e4c408ce58"),
     "split-lossy": (
         lambda: build(_split_lossy_raw()),
-        # Moved only by config_hash.
-        "6279e5f265b26c6e58ca10a78f79401aed777b36c21e8f5c880bb3680c8d1404"),
+        # Moved only by harq_protocol_errors.
+        "42773a0a80ea6f2d9fb705280b123b260fbfb5a6e1dc74193e5cbc8d16eb0f40"),
     "handover": (
         lambda: build(_handover_raw()),
-        # Moved only by config_hash.
-        "e6fbe0138ce7d4d6bbef6819eb4ac478820d9a0a7d742d686992d093b2c8f582"),
+        # Moved only by harq_protocol_errors.
+        "14bd1e76694f8054a068426d2380fecfaed3b684317ce32b57a2809d445b8721"),
     "ecn-overload": (
         lambda: build(_ecn_overload_raw()),
-        # Moved only by config_hash.
-        "eb2d8279d65df1d0bad199cd801caef3833e6bdb537fa3481cef77b19a3f7d64"),
+        # Moved only by harq_protocol_errors.
+        "4266dc82d1c6df34b7c8d1d33e799194d1c1d32727936f54d8e2e6996094c6e3"),
     # The four below pin the paths that Simulator.every and the merged
     # event paths rewired; recorded before that change.
     "split-uncredited": (
         lambda: build(_split_uncredited_raw()),
-        # Moved only by config_hash.
-        "eb198cf976ddbd1c041169300387521d80a30d0cbc351ee6850d4637aefc42f7"),
+        # Moved only by harq_protocol_errors.
+        "8e205e611cd1aafdbde4fc1776d70320c9eadf1d6bc332c530b931551a8c39a4"),
     "subnet": (
         lambda: build(_subnet_raw(500_000)),
-        # Moved only by config_hash.
-        "be9c9c96cb5e171ea698091261da28319dfaa71f3e1b9685216b96b104d90fa0"),
+        # Moved only by harq_protocol_errors.
+        "39a6d16c22b3e304db5372ddff77a4fb60215a6d050a5dd04bd9ec81a34e621a"),
     "trust": (
         lambda: build(_trust_raw()),
-        # Moved only by config_hash.
-        "0d8d50afee6de0fe70fd31778996534dfa8b633d4f601d09098ad4fb034cfb19"),
+        # Moved only by harq_protocol_errors.
+        "b125c87e8e7c024f255f4c8d7dd0aa1d5d71cd91c8e68e31f2c3f992f842b9b6"),
     "set-bler": (
         lambda: build(_set_bler_raw()),
-        # Moved only by config_hash.
-        "b0145cf6e70243ea8c96819850e89f538cbbdaa935bfd705660b88b119a23598"),
+        # Moved only by harq_protocol_errors.
+        "f3bac59e0e9e42bd09b9a44204e5a1084a9ae138557b26bb9de7c94e34f6bc8b"),
     # The two below pin the policy and sub-network paths whose rules were
     # merged; recorded before that change.
     "min-share": (
         lambda: build(_min_share_raw()),
-        # Moved only by config_hash.
-        "40a10ce505a6e063de8a64d4288719b78537fc88a12887170077d114b255e870"),
+        # Moved only by harq_protocol_errors.
+        "8f48d10db62a091177e658712e123e1a0f58811538755525b4cbbe68548a6cf3"),
     "device-handover": (
         lambda: build(_device_handover_raw()),
-        # Moved only by config_hash.
-        "2c019d0059a8f503b1fdd3c51b932e2d327bee3ba95c2779ea8807ecaa21eadf"),
+        # Moved only by harq_protocol_errors.
+        "c064e25f6c8d86ea5d924f8309f4d8bb1a3f08b2254e6519046a8f476613df53"),
     # Pins the RANF-TTI scheduler path: several RANFs in TTI order, carrier
     # aggregation over two RUs, pools that run out, leftover and wasted
     # padding grants, and a handover's stale requests.  Recorded before
@@ -218,7 +235,17 @@ CASES = {
     # pools and padding grants stopped entering the serve path.
     "dmimo-ranfs": (
         lambda: build(_dmimo_ranfs_raw()),
-        "290c4722d13e2286b031ee077e68c92501fea3ed5dc738aaaa58f011069896c6"),
+        # Moved only by harq_protocol_errors.
+        "34a833c1a83016a67816f96051f2d503b6b5aeaf18215416cf2d97695b2dda63"),
+    # Pins the HARQ slot order: which free slot a new TB takes, and the
+    # order in which each of three handovers flushes the in-flight TBs
+    # back to RLC (loading into the last free slot or flushing in reverse
+    # moves it; no other pin sees either).  Recorded before a HARQ process
+    # became one TB in flight.
+    "harq-churn": (
+        lambda: build(_harq_churn_raw()),
+        # Moved only by harq_protocol_errors.
+        "9a84d546bb5dfd5abaf01a04d108e56ee5d9a4fbab3118125dec248e014dee6b"),
 }
 
 
@@ -250,7 +277,21 @@ def test_golden_tti_series():
     assert tti_series_fingerprint() == TTI_SERIES
 
 
-if __name__ == "__main__":
+def main(argv):
+    """Print every pin's fingerprint.  ``--without KEY`` (repeatable) drops
+    the top-level report key ``KEY`` first, so that two trees whose reports
+    differ only by that key print the same lines."""
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--without", action="append", default=[],
+                        metavar="KEY")
+    args = parser.parse_args(argv)
     for name in sorted(CASES):
-        print(name, fingerprint(run_scenario(CASES[name][0]())))
+        report = run_scenario(CASES[name][0]())
+        for key in args.without:
+            report.pop(key, None)
+        print(name, fingerprint(report))
     print("tti-series", tti_series_fingerprint())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -14,7 +14,7 @@ from ransim import orchestrate as orch
 from ransim.core import ModelError, RngRegistry, Simulator
 from ransim.metrics import write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
-from test_acceptance import _subnet_raw
+from test_acceptance import _handover_raw, _subnet_raw
 from test_golden import _ecn_overload_raw, _set_bler_raw, _split_lossy_raw
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
@@ -880,6 +880,105 @@ def test_request_of_an_unadmitted_ue_not_released_raises():
     with pytest.raises(ModelError, match="unadmitted UE u1"):
         rt.sim.run_until(60_000)
     assert rt.sim.now == 50_500 and not rt.ues["u1"].released
+
+
+def counters(rt):
+    """Every counter of the run: the collector's and each bearer's."""
+    m = rt.metrics
+    return ({k: v for k, v in vars(m).items() if isinstance(v, int)},
+            {b: [getattr(bm, k) if isinstance(getattr(bm, k), int)
+                 else len(getattr(bm, k)) for k in bm.__slots__]
+             for b, bm in m.bearers.items()})
+
+
+def test_stale_feedback_after_handover_is_ignored():
+    """The target RANF loads a new TB into a slot before the feedback of
+    the TB that the handover flushed from it fires (interruption and link
+    both 0.5 ms, below the 2 ms HARQ RTT).  That feedback must change no
+    counter, leave the new process alone and queue no retransmission, and
+    no flushed process may be sent again."""
+    raw = _handover_raw()
+    raw["links"][0]["latency_us"] = 500
+    raw["handover_interruption_us"] = 500
+    raw["bler"] = {"default": 0.3}  # NACKs too, which would queue a retx
+    raw["harq"] = {"processes": 4}
+    # At this time the last two flushed slots are refilled before their
+    # feedback fires, one ACK and one NACK.
+    raw["script"][0]["at_us"] = 55_250
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    assert rt.harq_rtt == 2_000
+    ue = rt.ues["u1"]
+    flushed = []  # the processes in flight at the handover
+    stale = []  # (slot held a new process, ACK) of each stale feedback
+
+    do_handover = rt._do_handover
+
+    def handover(*args):
+        flushed.extend(p for p in ue.harq if p is not None)
+        do_handover(*args)
+
+    on_feedback = rt._on_feedback
+
+    def feedback(ue_, proc, success):
+        if not any(proc is p for p in flushed):
+            return on_feedback(ue_, proc, success)
+        slots = list(ue.harq)
+        tx = [p.tx_count for p in slots if p is not None]
+        pending = {rf: list(q) for rf, q in rt.pending_retx.items()}
+        before = counters(rt)
+        on_feedback(ue_, proc, success)
+        assert all(a is b for a, b in zip(ue.harq, slots))
+        assert [p.tx_count for p in ue.harq if p is not None] == tx
+        assert {rf: list(q) for rf, q in rt.pending_retx.items()} == pending
+        assert counters(rt) == before
+        stale.append((slots[proc.slot] is not None, success))
+
+    transmit = rt._transmit
+
+    def checked_transmit(proc, now):
+        assert not any(proc is p for p in flushed), now
+        transmit(proc, now)
+
+    rt._do_handover = handover
+    rt._on_feedback = feedback
+    rt._transmit = checked_transmit
+    report = rt.run()
+    assert report["handovers"][0]["accepted"] and flushed
+    assert len(stale) == len(flushed)
+    assert (True, True) in stale and (True, False) in stale, stale
+    assert all(c["holds"] for c in report["conservation"].values())
+
+
+def test_retransmission_queued_before_a_release_is_not_sent():
+    """Reassessment every 1 ms runs after the feedback of the 2 ms HARQ RTT
+    and before the TTI at the same time, so the release at 104 ms comes
+    while two NACKed TBs wait in the retransmission queue.  The release
+    empties their slots, and neither is sent."""
+    raw = base_raw(bler={"default": 0.5}, duration_us=150_000,
+                   trust={"reassess_interval_us": 1_000})
+    raw["ues"][0]["trust"] = {"auth": 0.5, "history": 0.5, "anomaly": 0.0}
+    raw["script"] = [{"at_us": 103_250, "action": "anomaly", "ue": "u1",
+                      "anomaly_score": 1.0}]
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    queued = []  # the time of each retransmission queued at the release
+    release_ue = rt._release_ue
+
+    def release(ue, now):
+        queued.extend(now for _ in rt.pending_retx.get("rf-a", ()))
+        release_ue(ue, now)
+
+    sent = []  # the time of each transmission
+    transmit = rt._transmit
+
+    def recording(proc, now):
+        sent.append(now)
+        transmit(proc, now)
+
+    rt._release_ue = release
+    rt._transmit = recording
+    rt.run()
+    assert queued == [104_000, 104_000]
+    assert max(sent) < 104_000
 
 
 def handover_branch_run(raw):

@@ -36,13 +36,13 @@ def test_admit_and_release_flow():
     eng = tru.TrustEngine(threshold=0.6)
     eng.register("u1", tru.TrustFeatures(1.0, 1.0, 0.0))
     assert eng.admission_check("u1", 10, ranf="A") == tru.ADMIT
-    assert eng.is_admitted("u1")
+    assert eng.records["u1"].admitted
     # Anomaly raises; next reassessment releases.
     eng.records["u1"].features.anomaly_score = 1.0
     eng.records["u1"].features.auth_strength = 0.2
     eng.records["u1"].features.history_score = 0.2
     assert eng.reassess("u1", 20, ranf="A") == tru.RELEASE
-    assert not eng.is_admitted("u1")
+    assert not eng.records["u1"].admitted
     events = [e.event for e in eng.audit_log]
     assert events == [tru.ADMIT, tru.RELEASE]
 
@@ -51,7 +51,7 @@ def test_below_threshold_rejected():
     eng = tru.TrustEngine(threshold=0.9)
     eng.register("u1", tru.TrustFeatures(0.5, 0.5, 0.5))
     assert eng.admission_check("u1", 0) == tru.REJECT
-    assert not eng.is_admitted("u1")
+    assert not eng.records["u1"].admitted
 
 
 def test_audit_log_append_only_ordering():
