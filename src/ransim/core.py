@@ -77,11 +77,10 @@ class Simulator:
     generation counter and no-op when stale.
     """
 
-    def __init__(self, rng=None):
+    def __init__(self):
         self.now = 0
         self._queue = []
         self._seq = 0
-        self.rng = rng if rng is not None else RngRegistry(0)
         self.events_processed = 0
 
     def schedule(self, fire_at, kind, target, fn):

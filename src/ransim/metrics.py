@@ -46,11 +46,10 @@ class MetricsCollector:
         self.migrations = []
         self.scale_events = []
         self.audit_log = []
-        self.drop_echo_times = {}  # bearer -> first DropEcho arrival at source
+        self.drop_echo_times = {}  # bearer -> first drop echo arrival at source
         self.ce_signal_times = {}  # bearer -> first CE signal arrival
         self.subnets = {}
         self.conservation = {}
-        self.in_flight_at_end = {}
 
     def bearer(self, bearer_id):
         bm = self.bearers.get(bearer_id)
@@ -77,7 +76,6 @@ class MetricsCollector:
 
     def finalize_conservation(self, bearer_id, in_flight):
         bm = self.bearer(bearer_id)
-        self.in_flight_at_end[bearer_id] = in_flight
         lhs = bm.packets_in
         rhs = bm.delivered + bm.aqm_drops + bm.residual + in_flight
         ok = lhs == rhs

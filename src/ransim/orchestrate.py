@@ -56,13 +56,11 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
         (s for s in topology.sites.values() if s.kind == topo.FAREDGE),
         key=lambda s: s.id,
     )
+    # Every RU attaches to an OnPrem site, so there is at least one.
     onprem = sorted(
         (s for s in topology.sites.values() if s.kind == topo.ONPREM),
         key=lambda s: s.id,
     )
-    if not onprem:
-        return Reject("capacity", "no OnPrem site in topology")
-
     candidates = []  # site choices for (RRC, UP, PHY), cheapest first
     if faredge:
         candidates.append(faredge[0])
@@ -192,9 +190,7 @@ class EnergyMeter:
         return self._profile[entity].wake_latency
 
     def set_state(self, entity, state, now):
-        old = self._state[entity]
-        if old == state:
-            return
+        """One transition: every caller checks that ``state`` differs."""
         self._accumulate(entity, now)
         self._state[entity] = state
         self.transitions.append((now, entity, state))

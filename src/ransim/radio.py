@@ -9,8 +9,6 @@ reliability gain of serving a UE from several RUs at once.
 
 from dataclasses import dataclass, field
 
-from .core import ModelError
-
 SINGLE_RU = "SingleRu"
 DMIMO_JOINT = "DMimoJoint"
 
@@ -38,10 +36,6 @@ class ServingSet:
     rus: list = field(default_factory=list)  # ordered, best first
     mode: str = SINGLE_RU
 
-    def __post_init__(self):
-        if not self.rus:
-            raise ModelError(f"serving set for {self.ue} must be non-empty")
-
 
 def transmit(serving_set, carrier_id, bler_map, rng):
     """One transmission attempt; returns True on success.
@@ -63,11 +57,9 @@ def select_serving_set(ue, candidate_rus, bler_of, quality_threshold,
                        max_set_size, mode=SINGLE_RU):
     """Pick the best RUs under the BLER threshold, capped at max_set_size.
 
-    Falls back to the single best RU when none meets the threshold; raises
-    on an empty candidate list (UE outage).
+    Falls back to the single best RU when none meets the threshold, so the
+    set is never empty: every RANF serves at least one RU.
     """
-    if not candidate_rus:
-        raise ModelError(f"{ue}: no candidate RUs, UE in outage")
     ranked = sorted(candidate_rus, key=lambda r: (bler_of(r), r))
     chosen = [r for r in ranked if bler_of(r) <= quality_threshold][:max_set_size]
     if not chosen:

@@ -100,7 +100,7 @@ class Runtime:
 
         self.metrics = MetricsCollector(record_series)
         self.rng = RngRegistry(self.seed)
-        self.sim = Simulator(self.rng)
+        self.sim = Simulator()
         self.pending_retx = {}
 
         self._build_topology()
@@ -430,20 +430,16 @@ class Runtime:
         self._activate(ctx)
 
     def _on_cc_window(self, ctx):
-        """Per-RTT congestion window for reactive sources."""
-        now = self.sim.now
+        """Per-RTT window of a reactive source: cut if L4S and CE-marked."""
         delivered = ctx.window_delivered
         marked = ctx.window_marked
         ctx.window_delivered = 0
         ctx.window_marked = 0
         src = ctx.source
-        if src.congestion_law == tra.L4S:
-            fraction = marked / delivered if delivered else 0.0
-            if fraction > 0:
-                tra.on_congestion_signal(src, tra.CeMarkFraction(fraction), now)
-            else:
-                tra.recover_rate(src)
-        elif src.congestion_law == tra.CLASSIC:
+        # A marked SDU is also counted delivered, so ``delivered`` > 0 here.
+        if marked and src.congestion_law == tra.L4S:
+            tra.on_congestion_signal(src, marked / delivered, self.sim.now)
+        else:
             tra.recover_rate(src)
 
     # ------------------------------------------------------------ TTI loop
@@ -464,23 +460,16 @@ class Runtime:
         ues = self.ues
         active_rus = set()
 
-        # HARQ retransmissions take resources first.
-        pending = self.pending_retx.get(ranf.id)
-        if pending:
-            still = deque()
-            while pending:
-                proc = pending.popleft()
-                ue = proc.ctx.ue_ctx
-                if ue.harq[proc.slot] is not proc:
-                    continue  # flushed by handover or release
-                key = proc.pool
-                got = pools.take(key, proc.prbs)
-                if got < proc.prbs:
-                    pools.free[key] = pools.free.get(key, 0) + got
-                    still.append(proc)
-                    continue
-                self._transmit(proc, now)
-            self.pending_retx[ranf.id] = still
+        # HARQ retransmissions take resources first; each fits, as all were
+        # sent one HARQ RTT ago from fresh pools of the same size.
+        for proc in self.pending_retx.pop(ranf.id, ()):
+            ue = proc.ctx.ue_ctx
+            if ue.harq[proc.slot] is not proc:
+                continue  # flushed by handover or release
+            if pools.take(proc.pool, proc.prbs) < proc.prbs:
+                raise ModelError(f"HARQ retransmission of UE {ue.id} does "
+                                 f"not fit pool {proc.pool}")
+            self._transmit(proc, now)
 
         # Stage 1 per slice at the UP site, over the bearers with something
         # to send; requests reach the RRM after the control-plane latency and
@@ -655,7 +644,7 @@ class Runtime:
                 ack = True  # corrupted NACK read as ACK
         result = stack.harq_on_feedback(proc, ack, self.max_tx)
         if result == stack.HARQ_RETRANSMIT:
-            self.pending_retx.setdefault(ue.ranf, deque()).append(proc)
+            self.pending_retx.setdefault(ue.ranf, []).append(proc)
             return
         ue.harq[proc.slot] = None
         ctx = proc.ctx
@@ -725,10 +714,10 @@ class Runtime:
         echo_at = now + self._uplink_latency(ctx)
         self.metrics.drop_echo_times.setdefault(bid, echo_at)
         if ctx.source.congestion_law == tra.CLASSIC:
-            # Fires at echo_at, the clock the handler would read.
+            # Fires at echo_at, the clock the handler would read; halves.
             self.sim.schedule(echo_at, "drop-echo", bid,
                               partial(tra.on_congestion_signal, ctx.source,
-                                      tra.DropEcho(), echo_at))
+                                      1.0, echo_at))
 
     def _schedule_reorder_timer(self, ctx):
         reorder = ctx.reorder

@@ -35,6 +35,9 @@ MOD_LATENCY_MAX = 1_100_000  # 1100 ms
 # Latency budget used for urgency normalization (class upper bound).
 CLASS_LATENCY_BUDGET = {MISSION_CRITICAL: MC_LATENCY_MAX, MODERATE: MOD_LATENCY_MAX}
 
+# Bytes stage 2 adds to each request's buffered bytes for headers.
+DEMAND_OVERHEAD = 16
+
 
 class QosUnsatisfiable(ConfigError):
     """Requirements stricter than the mission-critical class bounds."""
@@ -100,8 +103,7 @@ class PrbPools:
         return got
 
 
-def stage2_allocate(requests, pools, resources_for, min_share=None,
-                    demand_overhead=16):
+def stage2_allocate(requests, pools, resources_for, min_share=None):
     """Greedy central allocation by descending priority, ties by bearer id.
 
     ``requests`` are stage-1 request tuples; bearer ids are unique within
@@ -144,7 +146,7 @@ def stage2_allocate(requests, pools, resources_for, min_share=None,
         _, bearer_id, ue, slice_id, buffered = req
         keys = resources_for(req)
         keys_of.append(keys)
-        demand = buffered + demand_overhead
+        demand = buffered + DEMAND_OVERHEAD
         # Honor reservations of other slices: hold back PRBs still owed to
         # them.  Only this request's own slice entry changes below.
         holdback = reserved and sum(v for sl, v in reserved.items()

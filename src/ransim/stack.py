@@ -17,6 +17,7 @@ A bearer's receiver is one ``ReorderState`` holding its ``RxReassembly``.
 Receiving returns ``(delivered, timer_started)`` and t-reordering expiry
 ``(delivered, lost)``, where ``delivered`` lists ``(sn, stashed_at)`` in SN
 order (``stashed_at`` is None for an SN delivered on arrival).
+t-reordering runs exactly while SNs wait in the stash.
 """
 
 import hashlib
@@ -433,9 +434,8 @@ class ReorderState:
         self.expected_sn = (sn + 1) % SN_SPACE
         if self.stash or self.skipped:
             return self._drain([(sn, None)]), self._update_timer(now)
-        if self.timer_deadline is None:  # nothing to drain or to stop
-            return [(sn, None)], False
-        return [(sn, None)], self._update_timer(now)
+        # Nothing to drain, and t-reordering runs only while SNs are stashed.
+        return [(sn, None)], False
 
     def receive_drop_indication(self, sn, now):
         """Close the SN gap at sn."""

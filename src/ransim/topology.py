@@ -13,7 +13,7 @@ Function kinds and where they may run:
 
 from dataclasses import dataclass, field
 
-from .core import ModelError
+from .core import ConfigError, ModelError
 
 ONPREM = "OnPrem"
 FAREDGE = "FarEdge"
@@ -92,12 +92,15 @@ class Topology:
                 self.ranfs[nb].neighbor_ranfs.add(rf.id)
 
     def latency(self, a, b):
-        """One-way latency in us between two sites; zero within a site."""
+        """One-way latency in us between two sites; zero within a site.  The
+        pairs a run joins depend on placement, migrations and handovers, so
+        this lookup is the check that a link exists."""
         if a == b:
             return 0
         lat = self.sites[a].link_latency_to.get(b)
         if lat is None:
-            raise ModelError(f"no link between sites {a} and {b}")
+            raise ConfigError(f"no link between sites {a} and {b}: "
+                              f"add one to scenario.links")
         return lat
 
 

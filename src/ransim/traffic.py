@@ -1,9 +1,10 @@
 """Traffic sources and their congestion reaction.
 
-Sources stand in for the transport endpoints: ECN-capable (L4S-style)
-sources scale their rate down with the CE-mark fraction once per RTT
-window, classic sources halve on a drop echo; both recover additively back
-toward the nominal rate.
+Sources stand in for the transport endpoints.  A congestion signal cuts
+the rate by half its fraction, at most once per RTT window: an L4S source
+signals its window's CE-mark fraction, a Classic one 1.0 on a drop echo.
+Recovery is additive, back toward the nominal rate, at each window without
+a CE mark (every window for Classic).
 """
 
 from dataclasses import dataclass, field
@@ -68,36 +69,17 @@ class TrafficSource:
         return sizes
 
 
-class CeMarkFraction:
-    __slots__ = ("fraction",)
-
-    def __init__(self, fraction):
-        self.fraction = fraction
-
-
-class DropEcho:
-    __slots__ = ()
-
-
-def on_congestion_signal(source, signal, now):
-    """Apply the congestion law; returns the new rate."""
-    if source.congestion_law == NO_REACTION:
-        return source.rate
-    if now - source._last_reaction < source.rtt_window:
-        return source.rate
-    if source.congestion_law == L4S and isinstance(signal, CeMarkFraction):
-        source.rate *= 1.0 - signal.fraction / 2.0
-        source._last_reaction = now
-    elif source.congestion_law == CLASSIC and isinstance(signal, DropEcho):
-        source.rate /= 2.0
+def on_congestion_signal(source, fraction, now):
+    """Cut the rate by ``fraction / 2``, at most once per RTT window;
+    returns the new rate.  A fraction of 1.0 halves it exactly."""
+    if now - source._last_reaction >= source.rtt_window:
+        source.rate *= 1.0 - fraction / 2.0
         source._last_reaction = now
     return source.rate
 
 
 def recover_rate(source):
     """Additive recovery, once per RTT window, up to the nominal rate."""
-    if source.congestion_law == NO_REACTION:
-        return source.rate
     source.rate = min(
         source.nominal_rate,
         source.rate + source.recovery_step * source.nominal_rate,

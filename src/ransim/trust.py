@@ -82,10 +82,8 @@ class TrustEngine:
         return REJECT
 
     def reassess(self, ue, now, ranf=None):
-        """Continuous assessment; a score fallen below threshold releases the UE."""
-        record = self.records.get(ue)
-        if record is None or not record.admitted:
-            return RELEASE if record is None else KEEP
+        """Reassess an admitted UE; a score below threshold releases it."""
+        record = self.records[ue]
         score = lotaf_score(record.features, self.weights)
         if score < record.threshold:
             record.admitted = False

@@ -97,11 +97,12 @@ def test_rng_stream_reproducible(seed, name):
 
 def test_same_seed_same_event_trace():
     def build():
-        sim = Simulator(RngRegistry(7))
+        sim = Simulator()
+        rng = RngRegistry(7)
         trace = []
 
         def tick(i):
-            trace.append((sim.now, round(sim.rng.stream("s").draw(), 12)))
+            trace.append((sim.now, round(rng.stream("s").draw(), 12)))
             if i < 20:
                 sim.schedule(sim.now + 10, "tick", "x", lambda: tick(i + 1))
 

@@ -20,7 +20,7 @@ shows that these rules are the only change.
 
 import copy
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ransim import stack
 from ransim.stack import (DROP_IND_BYTES, SEG_HEADER_BYTES, SN_SPACE,
@@ -286,8 +286,10 @@ def test_reassembly_and_reordering_match_reference(first_sn, ops):
         elif kind == "expire":
             got = new.timer_expired(now)
             want = ref_timer_expired(rx, ref, now)
+        elif not ref.stash:
+            continue  # the runtime re-arms only while t-reordering runs
         else:
-            # The runtime's reliable-mode re-arm, done on any state.
+            # The runtime's reliable-mode re-arm, with SNs stashed.
             got = new.restart_timer(now)
             ref.timer_deadline = now + ref.t_reordering
             ref.timer_generation += 1
@@ -329,6 +331,9 @@ def ack_ops(draw):
 
 
 @given(ack_ops())
+# An ACK spanning two pending ranges: the one input that takes the general
+# path of ``ack_segment``, which random draws rarely produce.
+@example([("enter", 0, 100), ("ack", 0, 40, 60), ("ack", 0, 0, 110)])
 def test_ack_segment_matches_reference(ops):
     new, ref = stack.RlcTxState(), stack.RlcTxState()
     for op in ops:

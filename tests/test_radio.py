@@ -1,7 +1,5 @@
-import pytest
-
 from ransim import radio
-from ransim.core import ModelError, RngRegistry
+from ransim.core import RngRegistry
 
 
 def test_single_ru_uses_primary_only():
@@ -41,11 +39,6 @@ def test_select_serving_set_falls_back_to_best_single():
     blers = {"r1": 0.4, "r2": 0.6}
     sset = radio.select_serving_set("u", ["r1", "r2"], blers.get, 0.1, 2)
     assert sset.rus == ["r1"] and sset.mode == radio.SINGLE_RU
-
-
-def test_select_serving_set_empty_candidates_raises():
-    with pytest.raises(ModelError):
-        radio.select_serving_set("u", [], lambda r: 0.0, 0.1, 1)
 
 
 def test_fronthaul_load_models():

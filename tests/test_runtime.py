@@ -337,6 +337,38 @@ def test_cli_run_exit_codes(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", SMOKE]) == 2
 
 
+def run_cli_on(raw, tmp_path):
+    """``ransim run`` on ``raw`` written to a file, after ``validate``
+    accepts it; the exit code."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", str(path)]) == 0
+    return cli.main(["run", str(path)])
+
+
+def test_missing_site_link_at_set_up_is_a_config_error(tmp_path, capsys):
+    """``smoke.yaml`` without links: slice II's UP at edge-1 needs the link
+    to cell-a for its path and its stage-1 latency."""
+    with open(SMOKE) as fh:
+        raw = yaml.safe_load(fh)
+    raw["links"] = []
+    assert run_cli_on(raw, tmp_path) == 1
+    assert "no link between sites cell-a and edge-1" in capsys.readouterr().err
+
+
+def test_missing_site_link_at_a_handover_is_a_config_error(tmp_path,
+                                                          capsys):
+    """``three_cell_raw`` without the cell-b <-> cell-c link: set-up needs
+    only the links to cell-a, but u3's handover from rf-b to its neighbour
+    rf-c at 60 ms needs that one."""
+    raw = three_cell_raw()
+    raw["links"] = [link for link in raw["links"]
+                    if {link["a"], link["b"]} != {"cell-b", "cell-c"}]
+    Runtime(cfgmod.validate_scenario(copy.deepcopy(raw)))  # set-up passes
+    assert run_cli_on(raw, tmp_path) == 1
+    assert "no link between sites cell-b and cell-c" in capsys.readouterr().err
+
+
 def test_cli_injected_policy_validated_before_run(tmp_path, monkeypatch,
                                                   capsys):
     policy = tmp_path / "prefer.yaml"
@@ -947,6 +979,21 @@ def test_stale_feedback_after_handover_is_ignored():
     assert len(stale) == len(flushed)
     assert (True, True) in stale and (True, False) in stale, stale
     assert all(c["holds"] for c in report["conservation"].values())
+
+
+def test_harq_retransmission_that_does_not_fit_its_pool_raises():
+    """The retransmissions due at a TTI were all sent one HARQ RTT earlier
+    from fresh pools of the same size, so each one fits.  One that does not
+    is a model error naming the UE and the pool, not a deferral."""
+    rt = Runtime(cfgmod.validate_scenario(base_raw()))
+    ue = rt.ues["u1"]
+    key = ("ru1", "c1")
+    oversized = rt.pool_templates["rf-a"].total[key] + 1
+    proc = ue.harq[0] = stack.HarqProcess(
+        stack.TransportBlock(), 0, key, oversized, rt.bearers["b1"])
+    rt._on_feedback(ue, proc, False)  # a NACK queues the retransmission
+    with pytest.raises(ModelError, match=r"UE u1 .* \('ru1', 'c1'\)"):
+        rt._tti_for_ranf(rt.topology.ranfs["rf-a"], 0)
 
 
 def test_retransmission_queued_before_a_release_is_not_sent():

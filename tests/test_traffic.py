@@ -51,17 +51,22 @@ def test_xr_frame_jitter_deterministic_per_seed():
 
 def test_l4s_scales_with_mark_fraction():
     src = make(congestion_law=tra.L4S, nominal_rate=1000.0)
-    tra.on_congestion_signal(src, tra.CeMarkFraction(0.5), 100)
+    tra.on_congestion_signal(src, 0.5, 100)
     assert src.rate == pytest.approx(750.0)  # rate * (1 - f/2)
     # Second signal inside the same RTT window is ignored.
-    tra.on_congestion_signal(src, tra.CeMarkFraction(1.0), 200)
+    tra.on_congestion_signal(src, 1.0, 200)
     assert src.rate == pytest.approx(750.0)
 
 
 def test_classic_halves_on_drop_echo():
+    """A drop echo is a signal of fraction 1.0, which halves the rate to
+    the bit, as dividing by two does."""
     src = make(congestion_law=tra.CLASSIC, nominal_rate=1000.0)
-    tra.on_congestion_signal(src, tra.DropEcho(), 100)
-    assert src.rate == pytest.approx(500.0)
+    tra.on_congestion_signal(src, 1.0, 100)
+    assert src.rate == 500.0
+    for rate in (1e6 / 3, 2.0 ** -1074, 1.7976931348623157e308, 123.456):
+        src.rate, src._last_reaction = rate, -(10**12)
+        assert tra.on_congestion_signal(src, 1.0, 100) == rate / 2.0
 
 
 def test_recovery_additive_capped_at_nominal():
@@ -72,8 +77,3 @@ def test_recovery_additive_capped_at_nominal():
     assert tra.recover_rate(src) == pytest.approx(1000.0)
     assert tra.recover_rate(src) == pytest.approx(1000.0)
 
-
-def test_no_reaction_law_ignores_signals():
-    src = make(congestion_law=tra.NO_REACTION, nominal_rate=1000.0)
-    tra.on_congestion_signal(src, tra.DropEcho(), 100)
-    assert src.rate == 1000.0
