@@ -38,7 +38,7 @@ def auto_instance_ids(slice_id):
 
 @dataclass
 class Reject:
-    reason: str  # "latency" | "capacity"
+    reason: str  # "placement", else "capacity", else "latency"
     detail: str = ""
 
 
@@ -49,7 +49,8 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
     delay + worst-case HARQ (max_tx x RTT).  If the FarEdge placement misses
     the slice's tightest budget, functions escalate to OnPrem; if even
     all-OnPrem misses it (or capacity runs out) the slice is rejected and
-    the plan is left unchanged.  Returns the new FunctionInstances or Reject.
+    the plan is left unchanged.  Returns the new FunctionInstances or the
+    last site's Reject: a broken rule, else capacity, else latency.
     """
     ids = auto_instance_ids(sla.slice_id)
     faredge = sorted(
@@ -67,7 +68,6 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
     candidates.append(onprem[0])
 
     overhead = tti + harq_max_tx * harq_rtt
-    last_detail = ""
     for site in candidates:
         instances = [
             topo.FunctionInstance(iid, kind, site.id, slice=sla.slice_id,
@@ -75,9 +75,11 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
             for iid, kind in zip(ids, (topo.RRC, topo.UP, topo.PHY))
         ]
         trial = topo.PlacementPlan(plan.instances + instances)
-        violations = topo.validate_placement(trial, topology)
-        if violations:
-            last_detail = "; ".join(violations)
+        rules = topo.rule_violations(trial, topology)
+        over = topo.capacity_violations(trial, topology)
+        if rules or over:
+            reject = Reject("placement" if rules else "capacity",
+                            "; ".join(rules + over))
             continue
         worst = 0
         for ru_id in topology.rus:
@@ -87,13 +89,9 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
             plan.instances.extend(instances)
             plan.by_id.update({i.id: i for i in instances})
             return instances
-        last_detail = (
-            f"worst-case latency {worst}us at {site.kind} exceeds "
-            f"budget {sla.latency_budget}us"
-        )
-    if "capacity" in last_detail or "exceeds capacity" in last_detail:
-        return Reject("capacity", last_detail)
-    return Reject("latency", last_detail)
+        reject = Reject("latency", f"worst-case latency {worst}us at "
+                        f"{site.kind} exceeds budget {sla.latency_budget}us")
+    return reject
 
 
 class Scaler:

@@ -10,6 +10,8 @@ or serving set is chosen (set-up and handover).
 Each TTI visits only the bearers that have something to send: a bearer
 joins its (RANF, slice) active set when data, a retransmission or a drop
 indication is queued for it, and stage 1 drops it once it finds it idle.
+A handover moves only its UE's bearers; with F1 credit the DU polls only the
+bearers with a CU backlog; a status report is sent only if it can act.
 """
 
 from collections import deque
@@ -111,8 +113,9 @@ class Runtime:
         self.min_slice_share = {}  # slice -> reserved fraction, by policy
         self._build_trust()
         self._build_ues()
+        self.active_sets = {rf_id: {} for rf_id in self.topology.ranfs}
+        self.cu_backlog = {}  # ordered set of the contexts with a cu_queue
         self._build_bearers()
-        self._build_ranf_index()
         self._build_subnets()
         self._build_energy()
         self._schedule_script()
@@ -287,6 +290,7 @@ class Runtime:
             ue = self.ues[bearer.ue]
             ctx = BearerCtx(bearer, buffer, rlc, reorder, source,
                             self.metrics.bearer(b["id"]), ue)
+            ctx.active_set = self.active_sets[ue.ranf].setdefault(slice_id, {})
             self.bearers[b["id"]] = ctx
             ue.bearers.append(ctx)
             ctx.emit = partial(self._on_traffic, ctx, t["stop_us"])
@@ -300,28 +304,11 @@ class Runtime:
                 self.sim.every(iv, iv, "rlc-status", b["id"],
                                partial(self._on_rlc_status, ctx), self.duration)
 
-    def _build_ranf_index(self):
-        """Build each RANF's stage-1 active sets from the bearers' state.
-
-        ``active_sets[ranf][slice]`` is a dict used as an ordered set of the
-        bearer contexts that may have something to send.  A bearer joins it
-        through ``_activate`` when data, a retransmission or a drop indication
-        is queued for it; stage 1 removes it once it finds it idle or its UE
-        released.  Only ``_do_handover`` changes a UE's RANF, and it rebuilds
-        the sets (O(bearers) per handover instead of per TTI).
-        """
-        self.active_sets = {rf_id: {} for rf_id in self.topology.ranfs}
-        for ctx in self.bearers.values():
-            ue = ctx.ue_ctx
-            ctx.active_set = self.active_sets[ue.ranf].setdefault(ctx.slice, {})
-            ctx.in_active_set = False
-            if not ue.released and ctx.has_data():
-                self._activate(ctx)
-
     def _activate(self, ctx):
-        """Put a bearer that has something to send into its active set.
-        The flag keeps the common case, a bearer already in it, to one
-        attribute read."""
+        """Put a bearer that has something to send into its active set,
+        ``active_sets[ranf][slice]``, a dict used as an ordered set; stage 1
+        drops it once idle or released.  The flag keeps the common case, a
+        bearer already in it, to one attribute read."""
         if not ctx.in_active_set:
             ctx.in_active_set = True
             ctx.active_set[ctx] = None
@@ -423,6 +410,7 @@ class Runtime:
                               partial(self._du_arrival, ctx, [pdu]))
         else:  # held at the CU until the DU grants credit
             ctx.cu_queue.append(pdu)
+            self.cu_backlog[ctx] = None
 
     def _du_arrival(self, ctx, pdus):
         for pdu in pdus:
@@ -450,10 +438,11 @@ class Runtime:
             self._tti_for_ranf(ranf, now)
         for ctrl in self.subnets.values():
             self._tti_for_subnet(ctrl, now)
-        if self.split_mode and self.credit_bytes is not None:
-            for ctx in self.bearers.values():
-                if ctx.cu_queue:
-                    self._du_status(ctx, now)
+        for ctx in self.cu_backlog:  # the DU asks the CU for its desired fill
+            desired = self.credit_bytes - ctx.buffer.bytes
+            if desired > 0:
+                self.sim.schedule(now + self.d_f1, "f1-status", ctx.bearer.id,
+                                  partial(self._cu_release, ctx, desired))
 
     def _tti_for_ranf(self, ranf, now):
         pools = self.pool_templates[ranf.id].fresh()
@@ -744,11 +733,22 @@ class Runtime:
         self._deliver_sdus(ctx, delivered, now)
 
     def _on_rlc_status(self, ctx):
-        """Receiver status report in the non-reliable baseline."""
-        self.sim.schedule(self.sim.now + self._uplink_latency(ctx),
-                          "rlc-status-rx", ctx.bearer.id,
-                          partial(self._apply_status, ctx,
-                                  *ctx.reorder.status_report()))
+        """Receiver status report in the non-reliable baseline, sent only if
+        it names a missing SN or an RLC window SN lies before ``ack_point``.
+        It acts only by deleting window SNs before ``ack_point`` and queueing
+        the missing ones (``_abandon``, ``_activate`` follow from the latter).
+        An SN behind ``ack_point`` when applied was in the window when built:
+        a PDU enters it when its last byte is pulled, and the receiver passes
+        an SN only on receipt (pulled before), by drop indication (AQM drops
+        only unsent heads) or by t-reordering (FIFO: every SN below a stashed
+        one was pulled first; the give-up discards it from the window).  No
+        SN re-enters the window."""
+        ack_point, missing = ctx.reorder.status_report()
+        if missing or any(stack.sn_lt(sn, ack_point) for sn in ctx.rlc.window):
+            self.sim.schedule(self.sim.now + self._uplink_latency(ctx),
+                              "rlc-status-rx", ctx.bearer.id,
+                              partial(self._apply_status, ctx, ack_point,
+                                      missing))
 
     def _apply_status(self, ctx, ack_point, missing):
         self._abandon(ctx, ctx.rlc.apply_status(ack_point, missing))
@@ -757,20 +757,14 @@ class Runtime:
 
     # ------------------------------------------------------------ split mode
 
-    def _du_status(self, ctx, now):
-        """DU advertises its desired buffer fill; CU sends down to the credit."""
-        desired = max(0, self.credit_bytes - ctx.buffer.bytes)
-        if desired <= 0 or not ctx.cu_queue:
-            return
-        self.sim.schedule(now + self.d_f1, "f1-status", ctx.bearer.id,
-                          partial(self._cu_release, ctx, desired))
-
     def _cu_release(self, ctx, credit):
         batch = []
         while ctx.cu_queue and credit > 0:
             pdu = ctx.cu_queue.popleft()
             batch.append(pdu)
             credit -= pdu.size
+        if not ctx.cu_queue:
+            self.cu_backlog.pop(ctx, None)
         if batch:
             self.sim.schedule(self.sim.now + self.d_f1, "f1-data",
                               ctx.bearer.id,
@@ -840,6 +834,9 @@ class Runtime:
             ctx.buffer.bytes = 0
             ctx.rlc.window.clear()
             ctx.rlc.retx_queue.clear()
+            ctx.rlc.pending_drop_indications.clear()
+            ctx.cu_queue.clear()
+            self.cu_backlog.pop(ctx, None)
         ue.harq = [None] * len(ue.harq)
 
     # ------------------------------------------------------------ script
@@ -909,7 +906,13 @@ class Runtime:
         self._check_ul_anchor(ue)
         # Moves the UE's bearers, with the retransmissions just queued, into
         # the target RANF's active sets.
-        self._build_ranf_index()
+        target = self.active_sets[dst_id]
+        for ctx in ue.bearers:
+            ctx.active_set.pop(ctx, None)
+            ctx.in_active_set = False
+            ctx.active_set = target.setdefault(ctx.slice, {})
+            if ctx.has_data():
+                self._activate(ctx)
         ue.resume_at = now + max(interruption, link)
         self.metrics.handovers.append(radio.HandoverRecord(
             ue_id, src.id, dst_id, now, interruption, forwarded, True))

@@ -13,7 +13,7 @@ Function kinds and where they may run:
 
 from dataclasses import dataclass, field
 
-from .core import ConfigError, ModelError
+from .core import ConfigError
 
 ONPREM = "OnPrem"
 FAREDGE = "FarEdge"
@@ -129,11 +129,15 @@ class PlacementPlan:
 
 
 def validate_placement(plan, topology, slices=None):
-    """Return every placement-rule violation (empty list means valid).
+    """Every placement-rule and capacity violation (empty means valid)."""
+    return (rule_violations(plan, topology, slices)
+            + capacity_violations(plan, topology))
 
+
+def rule_violations(plan, topology, slices=None):
+    """Every violation of the placement rules in the module docstring.
     Every instance's site and kind must exist (``validate_scenario`` checks
-    them for a scenario).
-    """
+    them for a scenario)."""
     violations = []
     if slices is None:
         slices = plan.slices()
@@ -188,8 +192,12 @@ def validate_placement(plan, topology, slices=None):
     if any(s.kind == FAREDGE for s in topology.sites.values()):
         if not plan.of_kind(CP_ROUTING):
             violations.append("deployment: missing CpRouting instance on FarEdge")
+    return violations
 
-    # Capacity: sum of cpu_load per site fits the site budget.
+
+def capacity_violations(plan, topology):
+    """Every site whose summed ``cpu_load`` exceeds its capacity."""
+    violations = []
     load = {}
     for inst in plan.instances:
         load[inst.site] = load.get(inst.site, 0.0) + inst.cpu_load
@@ -199,7 +207,6 @@ def validate_placement(plan, topology, slices=None):
             violations.append(
                 f"site {site_id}: cpu load {total} exceeds capacity {cap}"
             )
-
     return violations
 
 
@@ -208,26 +215,17 @@ def path_latency(plan, topology, slice_id, ru_id, cn_entry_site=None):
 
     UL traverses the same chain in reverse; links are symmetric so the value
     is identical.  Fronthaul latency of the RU is always included.
+    ``ru_id`` must be an RU of ``topology`` and ``plan`` one that
+    ``validate_placement`` accepts, so every hop exists.
     """
-    ru = topology.rus.get(ru_id)
-    if ru is None:
-        raise ModelError(f"unknown RU {ru_id!r}")
-    ups = plan.of_kind(UP, slice_id)
-    phys = plan.of_kind(PHY, slice_id)
-    fhm = plan.fhm_for_ru(ru_id)
-    if not ups or not phys or fhm is None:
-        raise ModelError(f"slice {slice_id}: disconnected chain for RU {ru_id}")
-    up = ups[0]
-    phy = phys[0]
+    ru = topology.rus[ru_id]
+    up = plan.of_kind(UP, slice_id)[0]
+    phy = plan.of_kind(PHY, slice_id)[0]
     if cn_entry_site is None:
         cn_entry_site = ru.attached_site
-    hops = [
-        (cn_entry_site, up.site),
-        (up.site, phy.site),
-        (phy.site, fhm.site),
-    ]
-    total = sum(topology.latency(a, b) for a, b in hops)
-    return total + ru.fronthaul_latency
+    hops = [(cn_entry_site, up.site), (up.site, phy.site),
+            (phy.site, plan.fhm_for_ru(ru_id).site)]
+    return sum(topology.latency(a, b) for a, b in hops) + ru.fronthaul_latency
 
 
 MIGRATABLE_KINDS = (RRC, UP, PHY, CP_ROUTING)

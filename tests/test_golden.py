@@ -6,6 +6,7 @@ that moves one is a behaviour change and must say why next to the new hash.
 """
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -176,6 +177,30 @@ def _harq_churn_raw():
     return raw
 
 
+def _split_handover_raw():
+    """``_handover_raw`` in the split baseline with F1 credit and lossy HARQ
+    feedback, plus a UE ``u2`` whose 5 MB/s slice-I bearer backs up at the
+    CU.  The handover at 100.25 ms finds CU backlogs of 1 and 92 PDUs, and
+    an anomaly releases ``u2`` at the 200 ms reassessment with 26 PDUs
+    still held at the CU: the only run in which a handover's re-homing of
+    active sets, the CU backlog and a release meet."""
+    raw = _handover_raw()
+    raw.update(mode="split_baseline", reliable_harq=False,
+               split={"d_f1_us": 1_000, "credit_bytes": 20_000},
+               harq={"feedback_error_rate": 0.05}, bler={"default": 0.1},
+               trust={"reassess_interval_us": 100_000})
+    raw["ues"].append({"id": "u2", "ranf": "rf-a",
+                       "trust": {"auth": 0.6, "history": 0.6, "anomaly": 0.0}})
+    raw["bearers"].append({
+        "id": "b2", "ue": "u2", "latency_req_us": 5_000,
+        "reliability_req": 1 - 1e-8,
+        "traffic": {"pattern": "ConstantBitRate",
+                    "rate_bytes_per_s": 5_000_000, "sdu_bytes": 1_000}})
+    raw["script"].append({"at_us": 150_000, "action": "anomaly", "ue": "u2",
+                          "anomaly_score": 1.0})
+    return raw
+
+
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
@@ -246,6 +271,14 @@ CASES = {
         lambda: build(_harq_churn_raw()),
         # Moved only by harq_protocol_errors.
         "9a84d546bb5dfd5abaf01a04d108e56ee5d9a4fbab3118125dec248e014dee6b"),
+    # Pins a handover's move of its UE's bearers between active sets, the
+    # DU's poll of the bearers with a CU backlog and a release of a UE with
+    # PDUs held at the CU.  Recorded before a handover stopped rebuilding
+    # every RANF's active sets, the DU stopped polling every bearer and a
+    # release started emptying the CU queue.
+    "split-handover": (
+        lambda: build(_split_handover_raw()),
+        "291f46eb3c27b27034b20ac0583caccae7e082fb42775d5fb1dae949708ff977"),
 }
 
 
@@ -277,20 +310,58 @@ def test_golden_tti_series():
     assert tti_series_fingerprint() == TTI_SERIES
 
 
+def wrap_each_event(rt, wrap):
+    """Replace each handler ``fn`` of kind ``kind``, queued now or scheduled
+    later, with ``wrap(kind, fn)``."""
+    # Heap entries are (fire_at, seq, fn, kind, target); replacing ``fn``
+    # keeps the (fire_at, seq) order, so the heap stays valid.
+    q = rt.sim._queue
+    q[:] = [entry[:2] + (wrap(entry[3], entry[2]),) + entry[3:]
+            for entry in q]
+    schedule = rt.sim.schedule
+    rt.sim.schedule = lambda fire_at, kind, target, fn: schedule(
+        fire_at, kind, target, wrap(kind, fn))
+
+
+def event_counts(cfg):
+    """Run ``cfg``; returns the number of handlers run, by event kind."""
+    counts = collections.Counter()
+
+    def counted(kind, fn):
+        def handler():
+            fn()
+            counts[kind] += 1
+        return handler
+
+    rt = Runtime(cfg)
+    wrap_each_event(rt, counted)
+    rt.run()
+    assert sum(counts.values()) == rt.sim.events_processed
+    return counts
+
+
 def main(argv):
     """Print every pin's fingerprint.  ``--without KEY`` (repeatable) drops
     the top-level report key ``KEY`` first, so that two trees whose reports
-    differ only by that key print the same lines."""
+    differ only by that key print the same lines.  ``--events`` prints each
+    pin's count of events run, in total and by kind, instead."""
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--without", action="append", default=[],
                         metavar="KEY")
+    parser.add_argument("--events", action="store_true")
     args = parser.parse_args(argv)
     for name in sorted(CASES):
+        if args.events:
+            counts = event_counts(CASES[name][0]())
+            print(name, sum(counts.values()), " ".join(
+                f"{kind}={n}" for kind, n in sorted(counts.items())))
+            continue
         report = run_scenario(CASES[name][0]())
         for key in args.without:
             report.pop(key, None)
         print(name, fingerprint(report))
-    print("tti-series", tti_series_fingerprint())
+    if not args.events:
+        print("tti-series", tti_series_fingerprint())
 
 
 if __name__ == "__main__":

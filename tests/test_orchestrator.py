@@ -1,8 +1,11 @@
 import pytest
 
+from ransim import config as cfgmod
 from ransim import orchestrate as orch
 from ransim import topology as topo
 from ransim.core import ConfigError
+from ransim.runtime import Runtime
+from test_runtime import base_raw
 
 
 def topo_with_edge(edge_latency=2_000):
@@ -55,7 +58,20 @@ def test_admit_rejects_on_capacity():
     t.sites["edge-1"].cpu_capacity = 1.0
     out = orch.admit_slice(
         orch.SlaSpec("s1", 50_000, cpu_load_per_instance=50.0), t, plan)
-    assert isinstance(out, orch.Reject)
+    assert isinstance(out, orch.Reject) and out.reason == "capacity"
+
+
+def test_admit_rejects_a_placement_rule_violation_as_placement():
+    """A plan without the cell's RRM breaks a placement rule at every
+    candidate site: the slice is rejected for that, not for its budget."""
+    raw = base_raw()
+    raw["slices"] = [{"id": "II", "auto_place": True,
+                      "latency_budget_us": 100_000}]
+    raw["placement"] = [p for p in raw["placement"]
+                        if p["id"] in ("fhm1", "cpr")]
+    with pytest.raises(ConfigError, match=r"^slice II rejected \(placement\): "
+                       r"site cell-a: missing RRM instance$"):
+        Runtime(cfgmod.validate_scenario(raw))
 
 
 def test_scaler_hysteresis():

@@ -15,7 +15,9 @@ from ransim.core import ModelError, RngRegistry, Simulator
 from ransim.metrics import write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from test_acceptance import _handover_raw, _subnet_raw
-from test_golden import _ecn_overload_raw, _set_bler_raw, _split_lossy_raw
+from test_golden import (_ecn_overload_raw, _set_bler_raw,
+                         _split_handover_raw, _split_lossy_raw,
+                         wrap_each_event)
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                      "smoke.yaml")
@@ -494,7 +496,12 @@ def has_data(ctx):
 
 def assert_active_sets_match_scan(rt):
     """Every live-UE bearer with data is in its RANF's active set for its
-    slice, and every member of a set belongs there (brute-force scan)."""
+    slice, and every member of a set belongs there (brute-force scan).
+    Likewise ``cu_backlog`` holds exactly the bearers with PDUs held at the
+    CU, and no released UE's bearer holds any."""
+    backlog = [ctx for ctx in rt.bearers.values() if ctx.cu_queue]
+    assert set(rt.cu_backlog) == set(backlog), rt.sim.now
+    assert not any(rt.ues[ctx.ue].released for ctx in backlog), rt.sim.now
     for rf_id, by_slice in rt.active_sets.items():
         for sl, members in by_slice.items():
             for ctx in members:
@@ -512,19 +519,13 @@ def assert_active_sets_match_scan(rt):
 
 def run_checking_each_event(rt, check):
     """Run to the end, calling ``check(rt)`` after every event handler."""
-    def checked(fn):
+    def checked(_kind, fn):
         def handler():
             fn()
             check(rt)
         return handler
 
-    # Heap entries are (fire_at, seq, fn, kind, target); replacing ``fn``
-    # keeps the (fire_at, seq) order, so the heap stays valid.
-    q = rt.sim._queue
-    q[:] = [entry[:2] + (checked(entry[2]),) + entry[3:] for entry in q]
-    schedule = rt.sim.schedule
-    rt.sim.schedule = lambda fire_at, kind, target, fn: schedule(
-        fire_at, kind, target, checked(fn))
+    wrap_each_event(rt, checked)
     return rt.run()
 
 
@@ -547,8 +548,36 @@ def test_ranf_index_follows_handovers():
     assert sum(b["delivered"] for b in report["bearers"].values()) > 0
 
 
-@pytest.mark.parametrize("make_raw", [_split_lossy_raw, lossy_reliable_raw],
-                         ids=["split-lossy", "reliable-lossy"])
+def test_handover_moves_only_its_ues_bearers():
+    """A handover leaves every active-set dict in place, and each one's
+    members other than the UE's own bearers, in their order."""
+    rt = Runtime(cfgmod.validate_scenario(three_cell_raw()))
+    moved = []
+    do_handover = rt._do_handover
+
+    def handover(ue_id, dst_id, now):
+        def others():
+            return {(rf, sl): (members, [c for c in members if c.ue != ue_id])
+                    for rf, by_slice in rt.active_sets.items()
+                    for sl, members in by_slice.items()}
+
+        before = others()
+        do_handover(ue_id, dst_id, now)
+        after = others()
+        assert set(before) <= set(after)
+        for key, (members, rest) in before.items():
+            assert after[key][0] is members and after[key][1] == rest, key
+        moved.append(sum(c.in_active_set for c in rt.ues[ue_id].bearers))
+
+    rt._do_handover = handover
+    run_checking_each_event(rt, assert_active_sets_match_scan)
+    assert len(moved) == 5 and any(moved), moved
+
+
+@pytest.mark.parametrize("make_raw", [_split_lossy_raw, lossy_reliable_raw,
+                                      _split_handover_raw],
+                         ids=["split-lossy", "reliable-lossy",
+                              "split-handover"])
 def test_active_sets_hold_every_bearer_with_data_after_each_event(make_raw):
     rt = Runtime(cfgmod.validate_scenario(make_raw()))
     report = run_checking_each_event(rt, assert_active_sets_match_scan)
@@ -568,6 +597,35 @@ def test_receiver_holds_no_partial_pdu_of_a_passed_or_stashed_sn():
                       if stack.sn_lt(sn, reorder.expected_sn)
                       or sn in reorder.stash]
     assert stale == dict.fromkeys(rt.bearers, [])
+
+
+def test_only_a_status_report_that_can_act_is_sent(monkeypatch):
+    """Each report sent names a missing SN or finds an SN of the RLC window
+    before its ack point when it is built; the others are not sent."""
+    built = []
+    status_report = stack.ReorderState.status_report
+
+    def counting(reorder, *args):
+        built.append(reorder)
+        return status_report(reorder, *args)
+
+    monkeypatch.setattr(stack.ReorderState, "status_report", counting)
+    rt = Runtime(cfgmod.validate_scenario(_split_lossy_raw()))
+    sent = []
+    schedule = rt.sim.schedule
+
+    def checked(fire_at, kind, target, fn):
+        if kind == "rlc-status-rx":
+            ctx, ack_point, missing = fn.args
+            assert missing or any(stack.sn_lt(sn, ack_point)
+                                  for sn in ctx.rlc.window), rt.sim.now
+            sent.append(bool(missing))
+        schedule(fire_at, kind, target, fn)
+
+    rt.sim.schedule = checked
+    rt.run()
+    assert 0 < len(sent) < len(built), (len(sent), len(built))
+    assert True in sent and False in sent
 
 
 def test_empty_buffer_with_retx_or_drop_indication_still_requests(
