@@ -10,8 +10,9 @@ or serving set is chosen (set-up and handover).
 Each TTI visits only the bearers that have something to send: a bearer
 joins its (RANF, slice) active set when data, a retransmission or a drop
 indication is queued for it, and stage 1 drops it once it finds it idle.
-A handover moves only its UE's bearers; with F1 credit the DU polls only the
-bearers with a CU backlog; a status report is sent only if it can act.
+A handover moves only its UE's bearers.  One event serves all the bearers
+of an RLC status tick, an F1 status (those with a CU backlog) or an F1 data
+message; a status report is sent only if it can act.
 """
 
 from collections import deque
@@ -82,8 +83,7 @@ class Runtime:
     def __init__(self, cfg, record_series=False):
         self.cfg = cfg
         self.seed = cfg["seed"]
-        self.mode = cfg["mode"]
-        self.split_mode = self.mode == cfgmod.MODE_SPLIT
+        self.split_mode = cfg["mode"] == cfgmod.MODE_SPLIT
         self.tti = cfg["tti_us"]
         self.duration = cfg["duration_us"]
         self.reliable = cfg["reliable_harq"]
@@ -299,10 +299,10 @@ class Runtime:
                 rtt = source.rtt_window
                 self.sim.every(rtt, rtt, "cc-window", b["id"],
                                partial(self._on_cc_window, ctx), self.duration)
-            if not self.reliable:
-                iv = self.cfg["rlc"]["status_interval_us"]
-                self.sim.every(iv, iv, "rlc-status", b["id"],
-                               partial(self._on_rlc_status, ctx), self.duration)
+        if not self.reliable:  # after every bearer's own set-up events
+            iv = self.cfg["rlc"]["status_interval_us"]
+            self.sim.every(iv, iv, "rlc-status", "rlc", self._on_rlc_status,
+                           self.duration)
 
     def _activate(self, ctx):
         """Put a bearer that has something to send into its active set,
@@ -327,7 +327,7 @@ class Runtime:
             if sn["parent_ranf"] is not None:
                 ctrl.attach(sn["parent_ranf"], sn["parent_ru"], 0)
             for dev_id in sn["devices"]:
-                ctrl.add_device(subnet.SubnetworkDevice(dev_id, sn["id"]))
+                ctrl.add_device(subnet.SubnetworkDevice(dev_id))
             self.subnets[sn["id"]] = ctrl
             every(period, period, "subnet-grant", sn["id"],
                   partial(self._on_subnet_grant, ctrl), end)
@@ -407,22 +407,21 @@ class Runtime:
                 self._activate(ctx)
         elif self.credit_bytes is None:  # each PDU reaches the DU after d_f1
             self.sim.schedule(now + self.d_f1, "split-forward", bearer.id,
-                              partial(self._du_arrival, ctx, [pdu]))
+                              partial(self._du_arrival, [(ctx, pdu)]))
         else:  # held at the CU until the DU grants credit
             ctx.cu_queue.append(pdu)
             self.cu_backlog[ctx] = None
 
-    def _du_arrival(self, ctx, pdus):
-        for pdu in pdus:
-            ctx.buffer.push(pdu)
-        self._activate(ctx)
+    def _du_arrival(self, pdus):
+        for ctx, pdu in pdus:  # a released UE's were counted residual
+            if not ctx.ue_ctx.released:
+                ctx.buffer.push(pdu)
+                self._activate(ctx)
 
     def _on_cc_window(self, ctx):
         """Per-RTT window of a reactive source: cut if L4S and CE-marked."""
-        delivered = ctx.window_delivered
-        marked = ctx.window_marked
-        ctx.window_delivered = 0
-        ctx.window_marked = 0
+        delivered, marked = ctx.window_delivered, ctx.window_marked
+        ctx.window_delivered = ctx.window_marked = 0
         src = ctx.source
         # A marked SDU is also counted delivered, so ``delivered`` > 0 here.
         if marked and src.congestion_law == tra.L4S:
@@ -438,11 +437,12 @@ class Runtime:
             self._tti_for_ranf(ranf, now)
         for ctrl in self.subnets.values():
             self._tti_for_subnet(ctrl, now)
-        for ctx in self.cu_backlog:  # the DU asks the CU for its desired fill
-            desired = self.credit_bytes - ctx.buffer.bytes
-            if desired > 0:
-                self.sim.schedule(now + self.d_f1, "f1-status", ctx.bearer.id,
-                                  partial(self._cu_release, ctx, desired))
+        if self.cu_backlog:  # one F1 status: each bearer's desired fill
+            credits = [(ctx, desired) for ctx in self.cu_backlog if (
+                desired := self.credit_bytes - ctx.buffer.bytes) > 0]
+            if credits:
+                self.sim.schedule(now + self.d_f1, "f1-status", "cu",
+                                  partial(self._cu_release, credits))
 
     def _tti_for_ranf(self, ranf, now):
         pools = self.pool_templates[ranf.id].fresh()
@@ -732,43 +732,53 @@ class Runtime:
             self._echo_drop(ctx, now)
         self._deliver_sdus(ctx, delivered, now)
 
-    def _on_rlc_status(self, ctx):
-        """Receiver status report in the non-reliable baseline, sent only if
-        it names a missing SN or an RLC window SN lies before ``ack_point``.
-        It acts only by deleting window SNs before ``ack_point`` and queueing
-        the missing ones (``_abandon``, ``_activate`` follow from the latter).
-        An SN behind ``ack_point`` when applied was in the window when built:
-        a PDU enters it when its last byte is pulled, and the receiver passes
-        an SN only on receipt (pulled before), by drop indication (AQM drops
-        only unsent heads) or by t-reordering (FIFO: every SN below a stashed
-        one was pulled first; the give-up discards it from the window).  No
-        SN re-enters the window."""
-        ack_point, missing = ctx.reorder.status_report()
-        if missing or any(stack.sn_lt(sn, ack_point) for sn in ctx.rlc.window):
-            self.sim.schedule(self.sim.now + self._uplink_latency(ctx),
-                              "rlc-status-rx", ctx.bearer.id,
-                              partial(self._apply_status, ctx, ack_point,
-                                      missing))
+    # A status tick or F1 message is one event that runs its bearers' steps
+    # in their per-bearer order, so no report moves: one handler's events for
+    # one time are adjacent in the FIFO heap, and a step touches only its own
+    # bearer's reorder, RLC, CU and DU state and the orders of ``cu_backlog``
+    # and the active sets, which the batch keeps.
+    def _on_rlc_status(self):
+        """Each bearer's status report in the non-reliable baseline, in config
+        order, sent only if it names a missing SN or an RLC window SN lies
+        before ``ack_point``.  It acts only by deleting window SNs before
+        ``ack_point`` and queueing the missing ones (``_abandon``,
+        ``_activate`` follow from the latter).  An SN behind ``ack_point`` when
+        applied was in the window when built: a PDU enters it when its last
+        byte is pulled, and the receiver passes an SN only on receipt (pulled
+        before), by drop indication (AQM drops only unsent heads) or by
+        t-reordering (FIFO: every SN below a stashed one was pulled first; the
+        give-up discards it from the window).  No SN re-enters the window."""
+        by_delay = {}  # uplink latency -> the reports that arrive after it
+        for ctx in self.bearers.values():
+            ack_point, missing = ctx.reorder.status_report()
+            if missing or any(stack.sn_lt(sn, ack_point)
+                              for sn in ctx.rlc.window):
+                by_delay.setdefault(self._uplink_latency(ctx), []).append(
+                    (ctx, ack_point, missing))
+        for delay, reports in by_delay.items():
+            self.sim.schedule(self.sim.now + delay, "rlc-status-rx", "rlc",
+                              partial(self._apply_status, reports))
 
-    def _apply_status(self, ctx, ack_point, missing):
-        self._abandon(ctx, ctx.rlc.apply_status(ack_point, missing))
-        if ctx.rlc.retx_queue:
-            self._activate(ctx)
+    def _apply_status(self, reports):
+        for ctx, ack_point, missing in reports:
+            self._abandon(ctx, ctx.rlc.apply_status(ack_point, missing))
+            if ctx.rlc.retx_queue:
+                self._activate(ctx)
 
     # ------------------------------------------------------------ split mode
 
-    def _cu_release(self, ctx, credit):
-        batch = []
-        while ctx.cu_queue and credit > 0:
-            pdu = ctx.cu_queue.popleft()
-            batch.append(pdu)
-            credit -= pdu.size
-        if not ctx.cu_queue:
-            self.cu_backlog.pop(ctx, None)
-        if batch:
-            self.sim.schedule(self.sim.now + self.d_f1, "f1-data",
-                              ctx.bearer.id,
-                              partial(self._du_arrival, ctx, batch))
+    def _cu_release(self, credits):
+        moved = []  # sent to the DU in one F1 data message
+        for ctx, credit in credits:
+            while ctx.cu_queue and credit > 0:
+                pdu = ctx.cu_queue.popleft()
+                moved.append((ctx, pdu))
+                credit -= pdu.size
+            if not ctx.cu_queue:
+                self.cu_backlog.pop(ctx, None)
+        if moved:
+            self.sim.schedule(self.sim.now + self.d_f1, "f1-data", "du",
+                              partial(self._du_arrival, moved))
 
     # ------------------------------------------------------------ energy
 

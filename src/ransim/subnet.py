@@ -29,7 +29,6 @@ class ResourceGrant:
 @dataclass
 class SubnetworkDevice:
     id: str
-    controller: str
     queue: list = field(default_factory=list)  # packets awaiting local PRBs
 
 
@@ -69,7 +68,6 @@ class SubnetworkController:
         return self.parent_attachment is not None
 
     def add_device(self, device):
-        device.controller = self.id
         self.devices[device.id] = device
 
     def attach(self, ranf_id, ru_id, now):

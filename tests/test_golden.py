@@ -201,6 +201,21 @@ def _split_handover_raw():
     return raw
 
 
+def _split_ranfs_raw():
+    """``_dmimo_ranfs_raw`` in the split baseline with F1 credit, lossy HARQ
+    feedback, RLC retx and AQM drops: 32 bearers over two slices and four
+    RUs whose uplink delays differ, so a status tick sends reports at
+    several delays, and each F1 message carries many bearers."""
+    raw = _dmimo_ranfs_raw()
+    raw.update(mode="split_baseline", reliable_harq=False,
+               split={"d_f1_us": 1_000, "credit_bytes": 2_400},
+               harq={"processes": 4, "rtt_ttis": 4, "max_tx": 2,
+                     "feedback_error_rate": 0.05},
+               rlc={"max_retx": 2}, bler={"default": 0.3},
+               aqm={"drop_threshold_us": 20_000})
+    return raw
+
+
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
@@ -279,6 +294,14 @@ CASES = {
     "split-handover": (
         lambda: build(_split_handover_raw()),
         "291f46eb3c27b27034b20ac0583caccae7e082fb42775d5fb1dae949708ff977"),
+    # Pins the batches of many bearers in the split baseline: the RLC
+    # status reports of a tick, sent at each uplink delay, and the
+    # F1 status and data messages of a TTI.  Recorded before each of those
+    # became one event for all its bearers; evaluating the credit at the CU
+    # instead of at the DU's TTI moves it.
+    "split-ranfs": (
+        lambda: build(_split_ranfs_raw()),
+        "b458e59e76c561f0e0092a9e844193901bac9de5d64c9e8bef39de43eca9f384"),
 }
 
 

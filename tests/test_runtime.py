@@ -17,7 +17,7 @@ from ransim.runtime import Runtime, run_scenario
 from test_acceptance import _handover_raw, _subnet_raw
 from test_golden import (_ecn_overload_raw, _set_bler_raw,
                          _split_handover_raw, _split_lossy_raw,
-                         wrap_each_event)
+                         _split_ranfs_raw, event_counts, wrap_each_event)
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                      "smoke.yaml")
@@ -498,10 +498,13 @@ def assert_active_sets_match_scan(rt):
     """Every live-UE bearer with data is in its RANF's active set for its
     slice, and every member of a set belongs there (brute-force scan).
     Likewise ``cu_backlog`` holds exactly the bearers with PDUs held at the
-    CU, and no released UE's bearer holds any."""
+    CU, and no released UE's bearer holds any, at the CU or in its DU
+    buffer."""
     backlog = [ctx for ctx in rt.bearers.values() if ctx.cu_queue]
     assert set(rt.cu_backlog) == set(backlog), rt.sim.now
     assert not any(rt.ues[ctx.ue].released for ctx in backlog), rt.sim.now
+    assert not any(ctx.buffer.queue for ctx in rt.bearers.values()
+                   if rt.ues[ctx.ue].released), rt.sim.now
     for rf_id, by_slice in rt.active_sets.items():
         for sl, members in by_slice.items():
             for ctx in members:
@@ -616,16 +619,31 @@ def test_only_a_status_report_that_can_act_is_sent(monkeypatch):
 
     def checked(fire_at, kind, target, fn):
         if kind == "rlc-status-rx":
-            ctx, ack_point, missing = fn.args
-            assert missing or any(stack.sn_lt(sn, ack_point)
-                                  for sn in ctx.rlc.window), rt.sim.now
-            sent.append(bool(missing))
+            for ctx, ack_point, missing in fn.args[0]:
+                assert missing or any(stack.sn_lt(sn, ack_point)
+                                      for sn in ctx.rlc.window), rt.sim.now
+                sent.append(bool(missing))
         schedule(fire_at, kind, target, fn)
 
     rt.sim.schedule = checked
     rt.run()
     assert 0 < len(sent) < len(built), (len(sent), len(built))
     assert True in sent and False in sent
+
+
+def test_status_tick_and_f1_messages_are_one_event_for_all_bearers():
+    """32 bearers: one RLC status event per interval, not one per bearer;
+    at most one F1 status per TTI and one F1 data per status; one status
+    arrival per tick and uplink latency at most."""
+    cfg = cfgmod.validate_scenario(_split_ranfs_raw())
+    delays = set(Runtime(cfg).path_lat.values())
+    assert len(delays) > 1
+    counts = event_counts(cfgmod.validate_scenario(_split_ranfs_raw()))
+    ticks = cfg["duration_us"] // cfg["rlc"]["status_interval_us"]
+    assert counts["rlc-status"] == ticks == 40
+    assert 0 < counts["f1-status"] <= counts["tti"]
+    assert 0 < counts["f1-data"] <= counts["f1-status"]
+    assert 0 < counts["rlc-status-rx"] <= ticks * len(delays)
 
 
 def test_empty_buffer_with_retx_or_drop_indication_still_requests(
@@ -657,7 +675,7 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     rt._tti_for_ranf(ranf, 1500)
     assert requests[-1] == {} and not ctx.buffer.queue
     assert list(ctx.rlc.window) == [0]
-    rt._apply_status(ctx, 0, [0])
+    rt._apply_status([(ctx, 0, [0])])
     rt._tti_for_ranf(ranf, 2000)
     assert requests[-1]["b1"][4] == 300 + stack.SEG_HEADER_BYTES
     assert not ctx.rlc.retx_queue

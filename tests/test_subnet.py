@@ -9,8 +9,8 @@ def make_controller(**kw):
                     nonlocal_ttl=1_000, parent_latency=2_000)
     defaults.update(kw)
     ctrl = sn.SubnetworkController("s1", **defaults)
-    ctrl.add_device(sn.SubnetworkDevice("d1", "s1"))
-    ctrl.add_device(sn.SubnetworkDevice("d2", "s1"))
+    ctrl.add_device(sn.SubnetworkDevice("d1"))
+    ctrl.add_device(sn.SubnetworkDevice("d2"))
     return ctrl
 
 
