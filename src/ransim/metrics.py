@@ -3,27 +3,37 @@ utilization, fronthaul load, energy, and the event logs (handover,
 migration, admission audit).  All times are microseconds, energy joules.
 """
 
+import bisect
 import csv
+import itertools
 import json
 
 from .core import ModelError
 
 
 class BearerMetrics:
-    __slots__ = ("packets_in", "ingress_dropped", "delivered", "latencies",
-                 "aqm_drops", "residual", "duplicates", "ce_marks",
-                 "reorder_stalls")
+    __slots__ = ("packets_in", "ingress_dropped", "delivered",
+                 "latency_counts", "aqm_drops", "residual", "duplicates",
+                 "ce_marks", "reorder_stalls")
 
     def __init__(self):
         self.packets_in = 0
         self.ingress_dropped = 0
         self.delivered = 0
-        self.latencies = []
+        # latency (us) -> SDUs delivered with it: an exact histogram, whose
+        # size follows the distinct latencies, not the SDUs delivered.
+        self.latency_counts = {}
         self.aqm_drops = 0
         self.residual = 0
         self.duplicates = 0
         self.ce_marks = 0
         self.reorder_stalls = []  # (sn, stall_us)
+
+    @property
+    def latencies(self):
+        """Every delivered SDU's latency, ascending (a new list)."""
+        counts = self.latency_counts
+        return [v for v in sorted(counts) for _ in range(counts[v])]
 
 
 class MetricsCollector:
@@ -95,8 +105,8 @@ class MetricsCollector:
         bearers = {}
         for bid in sorted(self.bearers):
             bm = self.bearers[bid]
-            if bm.latencies:
-                p50, p99, p100 = latency_percentiles(bm.latencies)
+            if bm.latency_counts:
+                p50, p99, p100 = latency_percentiles(bm.latency_counts)
             else:
                 p50 = p99 = p100 = None
             bearers[bid] = {
@@ -153,20 +163,24 @@ class MetricsCollector:
         }
 
 
-def latency_percentiles(latencies):
-    """(p50, p99, p100) of a non-empty list of ints, equal to numpy's
-    ``np.percentile(..., [50, 99]).astype(int)`` and ``max``: its "linear"
-    method on the sorted values."""
-    lat = sorted(latencies)
-    last = len(lat) - 1
+def latency_percentiles(counts):
+    """(p50, p99, p100) of the values that a non-empty histogram ``counts``
+    (value -> count) holds, equal to numpy's ``np.percentile(values, [50,
+    99]).astype(int)`` and ``max``: its "linear" method on the sorted
+    values.  The value at rank ``r`` of that sorted list is the first one
+    whose cumulative count exceeds ``r``, so no list is built."""
+    lat = sorted(counts)
+    cum = list(itertools.accumulate(counts[v] for v in lat))
+    last = cum[-1] - 1
     out = []
     for q in (0.5, 0.99):
         v = last * q
         i = int(v)
         g = v - i
-        a, b = lat[i], lat[min(i + 1, last)]
+        a = lat[bisect.bisect_right(cum, i)]
+        b = lat[bisect.bisect_right(cum, min(i + 1, last))]
         out.append(int(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)))
-    return out + [lat[last]]
+    return out + [lat[-1]]
 
 
 def write_summary(report, path):
@@ -186,26 +200,28 @@ def write_tti_series_csv(series, path):
             w.writerow([t, ranf, f"{util:.6f}", sojourn])
 
 
+def _cdf_cells(counts):
+    """``(latency, cdf)`` per SDU of a histogram, by ascending latency."""
+    n = sum(counts.values())
+    rank = 0
+    for v in sorted(counts):
+        for _ in range(counts[v]):
+            rank += 1
+            yield v, f"{rank / n:.8f}"
+
+
 def write_latency_cdf(collector, path):
-    """Columnar plot data: one (latency, cdf) column pair per bearer."""
-    cols = {}
-    for bid in sorted(collector.bearers):
-        lat = sorted(collector.bearers[bid].latencies)
-        if lat:
-            cols[bid] = lat
+    """Columnar plot data: one (latency, cdf) column pair per bearer and
+    one row per delivered SDU, streamed from the histograms."""
+    cols = {bid: bm.latency_counts
+            for bid, bm in sorted(collector.bearers.items())
+            if bm.latency_counts}
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         header = []
         for bid in cols:
             header += [f"{bid}_latency_us", f"{bid}_cdf"]
         w.writerow(header)
-        if cols:
-            n = max(len(lat) for lat in cols.values())
-            for i in range(n):
-                row = []
-                for lat in cols.values():
-                    if i < len(lat):
-                        row += [lat[i], f"{(i + 1) / len(lat):.8f}"]
-                    else:
-                        row += ["", ""]
-                w.writerow(row)
+        for cells in itertools.zip_longest(*map(_cdf_cells, cols.values()),
+                                           fillvalue=("", "")):
+            w.writerow([x for cell in cells for x in cell])

@@ -677,14 +677,17 @@ class Runtime:
         """Hand the receiver's ``(sn, stashed_at)`` pairs to the application."""
         live = ctx.live
         m = ctx.metrics
-        latencies = m.latencies
+        counts = m.latency_counts
         for sn, stashed_at in delivered:
             pdu = live.pop(sn, None)
             if pdu is None:
-                m.duplicates += 1
+                # A released UE's SNs were counted residual at the release.
+                if not ctx.ue_ctx.released:
+                    m.duplicates += 1
                 continue
             m.delivered += 1
-            latencies.append(now - pdu.arrival_time)
+            latency = now - pdu.arrival_time
+            counts[latency] = counts.get(latency, 0) + 1
             ctx.window_delivered += 1
             if stashed_at is not None:
                 m.reorder_stalls.append((sn, now - stashed_at))
@@ -747,9 +750,15 @@ class Runtime:
         byte is pulled, and the receiver passes an SN only on receipt (pulled
         before), by drop indication (AQM drops only unsent heads) or by
         t-reordering (FIFO: every SN below a stashed one was pulled first; the
-        give-up discards it from the window).  No SN re-enters the window."""
+        give-up discards it from the window).  No SN re-enters the window.
+        A bearer with nothing stashed names no missing SN and one with an
+        empty window has no SN before ``ack_point``, so a bearer with both
+        empty is skipped before a report is built: the reports sent are the
+        same."""
         by_delay = {}  # uplink latency -> the reports that arrive after it
         for ctx in self.bearers.values():
+            if not ctx.reorder.stash and not ctx.rlc.window:
+                continue
             ack_point, missing = ctx.reorder.status_report()
             if missing or any(stack.sn_lt(sn, ack_point)
                               for sn in ctx.rlc.window):

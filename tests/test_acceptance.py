@@ -5,6 +5,7 @@ hold, so `pytest -v -s tests/test_acceptance.py` reads as a checklist.
 Tolerances are pinned inline next to the assertion they guard.
 """
 
+import collections
 import copy
 import json
 import math
@@ -261,7 +262,7 @@ def test_criterion_06_split_baseline_overhead():
     base = single_cell_raw(seed=31)
     rt6 = Runtime(build(base))
     rt6.run()
-    lat6 = sorted(rt6.metrics.bearers["b1"].latencies)
+    lat6 = rt6.metrics.bearers["b1"].latencies  # ascending
 
     p99s = []
     for d_f1 in (0, 1000, 2000):
@@ -271,7 +272,7 @@ def test_criterion_06_split_baseline_overhead():
         report = rts.run()
         p99s.append(report["bearers"]["b1"]["latency_us"]["p99"])
         if d_f1 == 0:
-            lat_split = sorted(rts.metrics.bearers["b1"].latencies)
+            lat_split = rts.metrics.bearers["b1"].latencies
             assert len(lat_split) == len(lat6)
             worst = max(abs(a - b) for a, b in zip(lat6, lat_split))
             assert worst <= TTI, worst   # d_f1=0 matches 6G within 1 TTI
@@ -506,11 +507,30 @@ def _energy_raw(energy):
     return raw
 
 
+def _run_recording_latencies(rt, bearer_id):
+    """Run ``rt``; returns the report and the latency of each SDU of
+    ``bearer_id`` in delivery order, which the histogram does not keep."""
+    latencies = []
+    deliver = rt._deliver_sdus
+
+    def recording(ctx, delivered, now):
+        if ctx.bearer.id == bearer_id:
+            latencies.extend(now - ctx.live[sn].arrival_time
+                             for sn, _ in delivered if sn in ctx.live)
+        deliver(ctx, delivered, now)
+
+    rt._deliver_sdus = recording
+    report = rt.run()
+    assert collections.Counter(latencies) \
+        == rt.metrics.bearers[bearer_id].latency_counts
+    return report, latencies
+
+
 def test_criterion_12_energy_saving():
     rt_on = Runtime(build(_energy_raw(True)))
-    rep_on = rt_on.run()
+    rep_on, lat_on = _run_recording_latencies(rt_on, "b1")
     rt_off = Runtime(build(_energy_raw(False)))
-    rep_off = rt_off.run()
+    rep_off, lat_off = _run_recording_latencies(rt_off, "b1")
     e_on = sum(rep_on["energy_j"].values())
     e_off = sum(rep_off["energy_j"].values())
     assert e_on < e_off, (e_on, e_off)
@@ -526,8 +546,6 @@ def test_criterion_12_energy_saving():
     # First-TB wake delays: saving may defer each delivery by at most the
     # RU wake latency, never accelerate it.
     wake = orch.DEFAULT_POWER_PROFILES["RU"].wake_latency
-    lat_on = rt_on.metrics.bearers["b1"].latencies
-    lat_off = rt_off.metrics.bearers["b1"].latencies
     assert len(lat_on) == len(lat_off)
     diffs = [a - b for a, b in zip(lat_on, lat_off)]
     assert all(0 <= d <= wake for d in diffs), (min(diffs), max(diffs))

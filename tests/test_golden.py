@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 import yaml
@@ -18,6 +19,7 @@ import yaml
 if __name__ == "__main__":  # run as a script: find ransim beside tests/
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from ransim.metrics import write_latency_cdf  # noqa: E402
 from ransim.runtime import Runtime, run_scenario  # noqa: E402
 from test_acceptance import (SCENARIO_DIR, _handover_raw,  # noqa: E402
                              _subnet_raw, _trust_raw, build, load_scenario,
@@ -293,7 +295,11 @@ CASES = {
     # release started emptying the CU queue.
     "split-handover": (
         lambda: build(_split_handover_raw()),
-        "291f46eb3c27b27034b20ac0583caccae7e082fb42775d5fb1dae949708ff977"),
+        # Moved when a released UE's SDUs stopped counting as duplicates on
+        # delivery (``_release_ue`` counts them residual): ``b2``'s
+        # duplicates 3 -> 0, the three delivered at 200,050 us after
+        # ``u2``'s release at 200,000 us; no other byte moved.
+        "96e8c61484a14b6b5082673f0436121b327ae837e368a718e9139a05f2c5f9d7"),
     # Pins the batches of many bearers in the split baseline: the RLC
     # status reports of a tick, sent at each uplink delay, and the
     # F1 status and data messages of a TTI.  Recorded before each of those
@@ -331,6 +337,41 @@ def tti_series_fingerprint():
 
 def test_golden_tti_series():
     assert tti_series_fingerprint() == TTI_SERIES
+
+
+def _latency_budgets_raw(duration_us):
+    with open(os.path.join(SCENARIO_DIR, "latency-budgets.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["duration_us"] = duration_us
+    return raw
+
+
+# The bytes of ``latency-cdf.csv`` (one row per delivered SDU), which no
+# report holds.  Recorded while each bearer still kept a list of every
+# latency, before the histogram replaced it.
+LATENCY_CDF = {
+    "smoke": (
+        lambda: load_scenario("smoke.yaml"),
+        "e51a8b6a5fe3711e7a3688f2be015c94563b4d505984a476332d54bda7dcd912"),
+    "latency-budgets-2s": (
+        lambda: build(_latency_budgets_raw(2_000_000)),
+        "8e38ee20949a0c581ee38939aa2503187868b0db3f169ffe532334373d65b0b9"),
+}
+
+
+def latency_cdf_fingerprint(cfg, path):
+    rt = Runtime(cfg)
+    rt.run()
+    write_latency_cdf(rt.metrics, path)
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LATENCY_CDF))
+def test_golden_latency_cdf(name, tmp_path):
+    make_cfg, expected = LATENCY_CDF[name]
+    assert latency_cdf_fingerprint(make_cfg(), tmp_path / "cdf.csv") \
+        == expected
 
 
 def wrap_each_event(rt, wrap):
@@ -385,6 +426,10 @@ def main(argv):
         print(name, fingerprint(report))
     if not args.events:
         print("tti-series", tti_series_fingerprint())
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in sorted(LATENCY_CDF):
+                print(f"latency-cdf {name}", latency_cdf_fingerprint(
+                    LATENCY_CDF[name][0](), os.path.join(tmp, "cdf.csv")))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
 from ransim import orchestrate as orch
 from ransim.core import ModelError, RngRegistry, Simulator
-from ransim.metrics import write_tti_series_csv
+from ransim.metrics import BearerMetrics, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from test_acceptance import _handover_raw, _subnet_raw
 from test_golden import (_ecn_overload_raw, _set_bler_raw,
@@ -311,6 +311,40 @@ def test_run_without_output_keeps_no_tti_series():
     rt = Runtime(cfgmod.validate_scenario(base_raw()))
     rt.run()
     assert rt.metrics.tti_series == {}
+
+
+def test_latencies_are_kept_as_a_histogram():
+    """Each bearer's histogram counts every delivered SDU once, and no
+    container in its metrics holds an entry per delivered SDU."""
+    rt = Runtime(cfgmod.parse_scenario(SMOKE))
+    rt.run()
+    for bm in rt.metrics.bearers.values():
+        assert bm.delivered > 100
+        assert sum(bm.latency_counts.values()) == bm.delivered
+        assert len(bm.latencies) == bm.delivered
+        for name in BearerMetrics.__slots__:
+            value = getattr(bm, name)
+            if hasattr(value, "__len__"):
+                assert len(value) < bm.delivered / 10, name
+
+
+def test_sdus_of_a_released_ue_are_residual_not_duplicates():
+    """``u2``'s release counts its live SDUs residual; those still on the
+    air are delivered afterwards and are not counted again."""
+    rt = Runtime(cfgmod.validate_scenario(_split_handover_raw()))
+    late = []
+    deliver = rt._deliver_sdus
+
+    def recording(ctx, delivered, now):
+        if ctx.ue_ctx.released:
+            late.extend(sn for sn, _ in delivered)
+        deliver(ctx, delivered, now)
+
+    rt._deliver_sdus = recording
+    report = rt.run()
+    assert late and rt.ues["u2"].released
+    assert report["bearers"]["b2"]["duplicates"] == 0
+    assert report["bearers"]["b2"]["residual"] > 0
 
 
 def test_run_scenario_writes_nothing_to_stdout_or_stderr(capfd):
