@@ -1,10 +1,9 @@
 """Orchestration: slice admission with automatic placement, hysteresis-based
-scaling and energy/sleep accounting.  The policies a controller may apply
+scaling and power-state metering.  The policies a controller may apply
 (``POLICY_PARAMS``) are carried out by the runtime: the last one applied
 decides.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import topology as topo
@@ -148,32 +147,35 @@ DEFAULT_POWER_PROFILES = {
 
 
 class EnergyMeter:
-    """Integrates power x time per entity from explicit state transitions.
+    """Integrates power x time per entity over its power states, and owns
+    the choice of an entity's rest state: Sleep if energy saving is on and
+    the entity may sleep, else Idle.  ``saving`` is set at build and by the
+    ``EnergySaving`` policy.
 
-    The transition log is kept verbatim so an independent replay can verify
-    the accumulated joules.
+    ``set_state`` is called only when the state changes, so the calls the
+    benchmark traces as ``orchestrate.set_state`` count state changes.
     """
 
-    def __init__(self):
+    def __init__(self, saving=False):
+        self.saving = saving
         self._profile = {}
         self._state = {}
         self._since = {}
+        self._sleepers = set()  # the entities that may sleep
         self.energy_j = {}
-        self.transitions = []  # (t_us, entity, new_state)
         self.wake_delays = 0
 
-    def register(self, entity, profile, state="Idle", now=0):
+    def register(self, entity, profile, may_sleep):
+        """Add ``entity``, Idle from time 0."""
         self._profile[entity] = profile
-        self._state[entity] = state
-        self._since[entity] = now
+        self._state[entity] = "Idle"
+        self._since[entity] = 0
+        if may_sleep:
+            self._sleepers.add(entity)
         self.energy_j[entity] = 0.0
-        self.transitions.append((now, entity, state))
 
     def state(self, entity):
         return self._state[entity]
-
-    def profile(self, entity):
-        return self._profile[entity]
 
     def wake(self, entity, now):
         """Set ``entity`` Active; returns its wake latency if it was asleep,
@@ -187,11 +189,18 @@ class EnergyMeter:
         self.wake_delays += 1
         return self._profile[entity].wake_latency
 
+    def rest(self, entity, now):
+        """Put ``entity`` at rest: Sleep if saving is on and it may sleep,
+        else Idle."""
+        state = "Sleep" if self.saving and entity in self._sleepers \
+            else "Idle"
+        if self._state[entity] != state:
+            self.set_state(entity, state, now)
+
     def set_state(self, entity, state, now):
         """One transition: every caller checks that ``state`` differs."""
         self._accumulate(entity, now)
         self._state[entity] = state
-        self.transitions.append((now, entity, state))
 
     def _accumulate(self, entity, now):
         dt = now - self._since[entity]
@@ -201,20 +210,5 @@ class EnergyMeter:
         self._since[entity] = now
 
     def finalize(self, now):
-        for entity in list(self._state):
+        for entity in self._state:
             self._accumulate(entity, now)
-        return dict(self.energy_j)
-
-
-def replay_energy(transitions, profiles, t_end):
-    """Independent oracle: recompute joules per entity from the transition log."""
-    energy = {}
-    by_entity = {}
-    for t, entity, state in transitions:
-        by_entity.setdefault(entity, []).append((t, state))
-    for entity, events in by_entity.items():
-        total = 0.0
-        for (t0, state), (t1, _next) in itertools.pairwise(events + [(t_end, None)]):
-            total += profiles[entity].power(state) * (t1 - t0) / 1e6
-        energy[entity] = total
-    return energy

@@ -32,7 +32,7 @@ from .metrics import MetricsCollector
 
 
 class BearerCtx:
-    __slots__ = ("bearer", "buffer", "cu_queue", "rlc", "reorder", "source",
+    __slots__ = ("bearer", "buffer", "rlc", "reorder", "source",
                  "live", "metrics", "ue", "slice", "window_marked",
                  "window_delivered", "active_set", "in_active_set",
                  "traffic_rng", "ue_ctx", "emit")
@@ -40,7 +40,6 @@ class BearerCtx:
     def __init__(self, bearer, buffer, rlc, reorder, source, metrics, ue_ctx):
         self.bearer = bearer
         self.buffer = buffer
-        self.cu_queue = deque()  # split mode with F1 credit: held at the CU
         self.rlc = rlc
         self.reorder = reorder
         self.source = source
@@ -114,7 +113,9 @@ class Runtime:
         self._build_trust()
         self._build_ues()
         self.active_sets = {rf_id: {} for rf_id in self.topology.ranfs}
-        self.cu_backlog = {}  # ordered set of the contexts with a cu_queue
+        # Split mode with F1 credit: each context with PDUs held at the CU
+        # -> its deque of them, never empty.
+        self.cu_backlog = {}
         self._build_bearers()
         self._build_subnets()
         self._build_energy()
@@ -341,18 +342,16 @@ class Runtime:
                           sn["id"], emit, until)
 
     def _build_energy(self):
-        self.meter = orch.EnergyMeter()
-        self.energy_saving = self.cfg["energy"]
-        self.instance_activity = {}
-        self.slice_woken_at = {}  # slice -> TTI its instances were woken
+        self.meter = orch.EnergyMeter(saving=self.cfg["energy"])
+        self.slice_woken_at = {}  # slice -> TTI its UP and PHY were woken
         self.ru_entity = {ru: f"ru:{ru}" for ru in sorted(self.topology.rus)}
         for entity in self.ru_entity.values():
             self.meter.register(entity, orch.DEFAULT_POWER_PROFILES["RU"],
-                                "Idle")
+                                may_sleep=True)
         for inst in self.plan.instances:
-            self.meter.register(f"fn:{inst.id}",
-                                orch.DEFAULT_POWER_PROFILES[inst.kind], "Idle")
-            self.instance_activity[inst.id] = 0
+            self.meter.register(
+                f"fn:{inst.id}", orch.DEFAULT_POWER_PROFILES[inst.kind],
+                may_sleep=inst.kind in (topo.UP, topo.RRC, topo.PHY))
         self.ranf_ru_entities = {  # RUs in id order, with entity names
             rf.id: [(ru_id, self.ru_entity[ru_id])
                     for ru_id in sorted(rf.serving_rus)]
@@ -360,7 +359,7 @@ class Runtime:
         # A slice's UP and PHY instances are fixed after placement (migration
         # moves only their site): UP first, then PHY, each in plan order.
         self.user_plane_instances = {
-            sl: [(i.id, f"fn:{i.id}") for kind in (topo.UP, topo.PHY)
+            sl: [f"fn:{i.id}" for kind in (topo.UP, topo.PHY)
                  for i in self.plan.of_kind(kind, sl)]
             for sl in self.slice_ids}
 
@@ -409,8 +408,10 @@ class Runtime:
             self.sim.schedule(now + self.d_f1, "split-forward", bearer.id,
                               partial(self._du_arrival, [(ctx, pdu)]))
         else:  # held at the CU until the DU grants credit
-            ctx.cu_queue.append(pdu)
-            self.cu_backlog[ctx] = None
+            queue = self.cu_backlog.get(ctx)
+            if queue is None:
+                queue = self.cu_backlog[ctx] = deque()
+            queue.append(pdu)
 
     def _du_arrival(self, pdus):
         for ctx, pdu in pdus:  # a released UE's were counted residual
@@ -778,29 +779,31 @@ class Runtime:
 
     def _cu_release(self, credits):
         moved = []  # sent to the DU in one F1 data message
+        backlog = self.cu_backlog
         for ctx, credit in credits:
-            while ctx.cu_queue and credit > 0:
-                pdu = ctx.cu_queue.popleft()
+            queue = backlog.get(ctx)
+            if queue is None:  # drained by an earlier status, or released
+                continue
+            while queue and credit > 0:
+                pdu = queue.popleft()
                 moved.append((ctx, pdu))
                 credit -= pdu.size
-            if not ctx.cu_queue:
-                self.cu_backlog.pop(ctx, None)
+            if not queue:
+                del backlog[ctx]
         if moved:
             self.sim.schedule(self.sim.now + self.d_f1, "f1-data", "du",
                               partial(self._du_arrival, moved))
 
     # ------------------------------------------------------------ energy
 
-    # The meter's ``set_state`` is called only on a state change, so that
-    # each call logs exactly one transition.
-
     def _energy_tti(self, ranf, active_rus, now):
-        target = "Sleep" if self.energy_saving else "Idle"
-        meter = self.meter
+        """Put each RU granted no PRBs this TTI at rest.  A granted RU keeps
+        its state, awake only if a TB woke it: a grant that carried only
+        padding wakes nothing."""
+        rest = self.meter.rest
         for ru_id, entity in self.ranf_ru_entities[ranf.id]:
-            # An RU in ``active_rus`` was set Active by ``meter.wake``.
-            if ru_id not in active_rus and meter.state(entity) != target:
-                meter.set_state(entity, target, now)
+            if ru_id not in active_rus:
+                rest(entity, now)
 
     def _mark_instance_active(self, slice_id, now):
         """Wake the slice's user-plane instances, once per TTI: only the
@@ -809,25 +812,23 @@ class Runtime:
             return
         self.slice_woken_at[slice_id] = now
         wake = self.meter.wake
-        activity = self.instance_activity
-        for inst_id, entity in self.user_plane_instances[slice_id]:
+        for entity in self.user_plane_instances[slice_id]:
             wake(entity, now)
-            activity[inst_id] = now
 
     def _on_orchestrator_tick(self):
         now = self.sim.now
         ocfg = self.cfg["orchestrator"]
-        activity = self.instance_activity
+        woken = self.slice_woken_at
+        # A UP or PHY instance was last active when its slice's were last
+        # woken; no other instance is ever woken.
         for inst in self.plan.instances:
-            entity = f"fn:{inst.id}"
-            if now - activity[inst.id] >= ocfg["idle_sleep_interval_us"]:
-                target = "Sleep" if (self.energy_saving and inst.kind in
-                                     (topo.UP, topo.RRC, topo.PHY)) else "Idle"
-                if self.meter.state(entity) != target:
-                    self.meter.set_state(entity, target, now)
+            last = woken.get(inst.slice, 0) \
+                if inst.kind in (topo.UP, topo.PHY) else 0
+            if now - last >= ocfg["idle_sleep_interval_us"]:
+                self.meter.rest(f"fn:{inst.id}", now)
         # Scaling of UP instances: busy if it carried data in the last tick.
         for inst in self.plan.of_kind(topo.UP):
-            busy = now - activity[inst.id] < ocfg["tick_us"]
+            busy = now - woken.get(inst.slice, 0) < ocfg["tick_us"]
             action = self.scaler.evaluate(inst.id, busy)
             if action != orch.SCALE_NONE:
                 self.metrics.scale_events.append((now, inst.id, action))
@@ -854,7 +855,6 @@ class Runtime:
             ctx.rlc.window.clear()
             ctx.rlc.retx_queue.clear()
             ctx.rlc.pending_drop_indications.clear()
-            ctx.cu_queue.clear()
             self.cu_backlog.pop(ctx, None)
         ue.harq = [None] * len(ue.harq)
 
@@ -874,7 +874,7 @@ class Runtime:
             # The last policy applied decides.
             params = ev["policy"].get("params", {})
             if ev["policy"]["directive"] == orch.ENERGY_SAVING:
-                self.energy_saving = bool(params.get("on", False))
+                self.meter.saving = bool(params.get("on", False))
             else:
                 self.min_slice_share[params["slice"]] = params["fraction"]
         elif action == "detach_subnet":

@@ -20,6 +20,7 @@ from ransim import radio, sched, stack
 from ransim import topology as topo
 from ransim.core import RngRegistry
 from ransim.runtime import Runtime, run_scenario
+from energy_oracle import record_transitions, replay_energy
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 TTI = 500
@@ -526,7 +527,8 @@ def _run_recording_latencies(rt, bearer_id):
     return report, latencies
 
 
-def test_criterion_12_energy_saving():
+def test_criterion_12_energy_saving(monkeypatch):
+    logs = record_transitions(monkeypatch)
     rt_on = Runtime(build(_energy_raw(True)))
     rep_on, lat_on = _run_recording_latencies(rt_on, "b1")
     rt_off = Runtime(build(_energy_raw(False)))
@@ -534,14 +536,9 @@ def test_criterion_12_energy_saving():
     e_on = sum(rep_on["energy_j"].values())
     e_off = sum(rep_off["energy_j"].values())
     assert e_on < e_off, (e_on, e_off)
-    # Independent replay of the transition log matches the accumulated
-    # joules exactly (identical term order per entity).
-    profiles = {f"ru:{r}": orch.DEFAULT_POWER_PROFILES["RU"]
-                for r in rt_on.topology.rus}
-    for inst in rt_on.plan.instances:
-        profiles[f"fn:{inst.id}"] = orch.DEFAULT_POWER_PROFILES[inst.kind]
-    replayed = orch.replay_energy(rt_on.meter.transitions, profiles,
-                                  rt_on.duration)
+    # Independent replay of the recorded transitions matches the
+    # accumulated joules exactly (identical term order per entity).
+    replayed = replay_energy(logs[rt_on.meter], rt_on.duration)
     assert replayed == rt_on.meter.energy_j
     # First-TB wake delays: saving may defer each delivery by at most the
     # RU wake latency, never accelerate it.

@@ -218,6 +218,26 @@ def _split_ranfs_raw():
     return raw
 
 
+def _energy_policy_raw():
+    """``test_runtime.dmimo_handover_raw`` (D-MIMO, energy saving on) with
+    a lossy link that still qualifies both RUs of a cell for joint
+    transmission, so HARQ retransmissions wake sleeping RUs, a 20 ms
+    orchestrator tick, and an ``EnergySaving`` policy that turns saving off
+    at 70 ms and back on at 130 ms, so RUs and functions go from Sleep to
+    Idle and back."""
+    from test_runtime import dmimo_handover_raw
+    raw = dmimo_handover_raw()
+    raw["bler"] = {"default": 0.2}
+    raw["serving"] = {"quality_threshold": 0.2}
+    raw["orchestrator"] = {"tick_us": 20_000}
+    raw["script"] += [
+        {"at_us": at, "action": "policy",
+         "policy": {"id": f"es-{at}", "directive": "EnergySaving",
+                    "params": {"on": on}}}
+        for at, on in ((70_000, False), (130_000, True))]
+    return raw
+
+
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
@@ -308,6 +328,16 @@ CASES = {
     "split-ranfs": (
         lambda: build(_split_ranfs_raw()),
         "b458e59e76c561f0e0092a9e844193901bac9de5d64c9e8bef39de43eca9f384"),
+    # Pins the power states with energy saving on: RUs that sleep, are woken
+    # by new TBs (some sent jointly over two RUs) and by HARQ
+    # retransmissions and go back to rest, RRC functions that sleep, and a
+    # policy that moves every resting entity from Sleep to Idle and back.
+    # No other pin runs with ``energy: true``.  Recorded before the energy
+    # meter became the one owner of the Idle-or-Sleep choice and stopped
+    # keeping a transition log.
+    "energy": (
+        lambda: build(_energy_policy_raw()),
+        "f0a632c32cc75a3d7681e3c15a39f76a51b2ce98289b809dc33d94f26fdd0bc1"),
 }
 
 

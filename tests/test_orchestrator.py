@@ -5,6 +5,7 @@ from ransim import orchestrate as orch
 from ransim import topology as topo
 from ransim.core import ConfigError
 from ransim.runtime import Runtime
+from energy_oracle import record_transitions, replay_energy
 from test_runtime import base_raw
 
 
@@ -97,15 +98,40 @@ def test_power_profile_ordering_enforced():
         orch.PowerProfile(active_w=1.0, idle_w=2.0, sleep_w=0.5)
 
 
-def test_energy_meter_and_replay_oracle_agree():
+def test_energy_meter_and_replay_oracle_agree(monkeypatch):
+    logs = record_transitions(monkeypatch)
     profile = orch.PowerProfile(10.0, 4.0, 1.0)
-    meter = orch.EnergyMeter()
-    meter.register("ru:x", profile, "Idle")
+    meter = orch.EnergyMeter(saving=True)
+    meter.register("ru:x", profile, may_sleep=True)
     meter.set_state("ru:x", "Active", 1_000_000)
-    meter.set_state("ru:x", "Sleep", 3_000_000)
+    meter.rest("ru:x", 3_000_000)
     meter.finalize(5_000_000)
     # 1s idle + 2s active + 2s sleep.
     assert meter.energy_j["ru:x"] == pytest.approx(4.0 + 20.0 + 2.0)
-    replay = orch.replay_energy(meter.transitions, {"ru:x": profile}, 5_000_000)
-    assert replay == meter.energy_j
+    assert replay_energy(logs[meter], 5_000_000) == meter.energy_j
+
+
+def test_energy_meter_decides_the_rest_state(monkeypatch):
+    """Sleep only with saving on and only for an entity that may sleep;
+    ``set_state`` (checked by the log) only when the state changes."""
+    logs = record_transitions(monkeypatch)
+    profile = orch.PowerProfile(10.0, 4.0, 1.0)
+    meter = orch.EnergyMeter(saving=True)
+    meter.register("ru:x", profile, may_sleep=True)
+    meter.register("fn:rrm", profile, may_sleep=False)
+    for now in (1, 2):
+        meter.rest("ru:x", now)
+        meter.rest("fn:rrm", now)
+    assert (meter.state("ru:x"), meter.state("fn:rrm")) == ("Sleep", "Idle")
+    assert meter.wake("ru:x", 3) == profile.wake_latency
+    assert meter.wake("fn:rrm", 3) == 0
+    meter.saving = False
+    for now in (4, 5):
+        meter.rest("ru:x", now)
+        meter.rest("fn:rrm", now)
+    assert (meter.state("ru:x"), meter.state("fn:rrm")) == ("Idle", "Idle")
+    assert meter.wake_delays == 1
+    assert logs[meter].transitions[2:] == [
+        (1, "ru:x", "Sleep"), (3, "ru:x", "Active"), (3, "fn:rrm", "Active"),
+        (4, "ru:x", "Idle"), (4, "fn:rrm", "Idle")]
 

@@ -10,12 +10,13 @@ import yaml
 
 from ransim import config as cfgmod
 from ransim import cli, radio, runtime, sched, stack
-from ransim import orchestrate as orch
+from ransim import topology as topo
 from ransim.core import ModelError, RngRegistry, Simulator
 from ransim.metrics import BearerMetrics, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
+from energy_oracle import record_transitions, replay_energy
 from test_acceptance import _handover_raw, _subnet_raw
-from test_golden import (_ecn_overload_raw, _set_bler_raw,
+from test_golden import (_ecn_overload_raw, _energy_policy_raw, _set_bler_raw,
                          _split_handover_raw, _split_lossy_raw,
                          _split_ranfs_raw, event_counts, wrap_each_event)
 
@@ -531,12 +532,11 @@ def has_data(ctx):
 def assert_active_sets_match_scan(rt):
     """Every live-UE bearer with data is in its RANF's active set for its
     slice, and every member of a set belongs there (brute-force scan).
-    Likewise ``cu_backlog`` holds exactly the bearers with PDUs held at the
-    CU, and no released UE's bearer holds any, at the CU or in its DU
-    buffer."""
-    backlog = [ctx for ctx in rt.bearers.values() if ctx.cu_queue]
-    assert set(rt.cu_backlog) == set(backlog), rt.sim.now
-    assert not any(rt.ues[ctx.ue].released for ctx in backlog), rt.sim.now
+    Likewise every queue in ``cu_backlog`` holds PDUs, and no released UE's
+    bearer holds any, at the CU or in its DU buffer."""
+    assert all(rt.cu_backlog.values()), rt.sim.now
+    assert not any(rt.ues[ctx.ue].released for ctx in rt.cu_backlog), \
+        rt.sim.now
     assert not any(ctx.buffer.queue for ctx in rt.bearers.values()
                    if rt.ues[ctx.ue].released), rt.sim.now
     for rf_id, by_slice in rt.active_sets.items():
@@ -949,28 +949,29 @@ def latency_budgets_short_raw():
 
 
 @pytest.mark.parametrize("make_raw", [latency_budgets_short_raw,
-                                      dmimo_handover_raw],
-                         ids=["latency-budgets", "dmimo-handover"])
+                                      dmimo_handover_raw, _energy_policy_raw],
+                         ids=["latency-budgets", "dmimo-handover", "energy"])
 def test_energy_meter_is_called_only_on_transitions(make_raw, monkeypatch):
-    appended = []
-    original = orch.EnergyMeter.set_state
-
-    def counting(meter, entity, state, now):
-        before = len(meter.transitions)
-        original(meter, entity, state, now)
-        appended.append(len(meter.transitions) - before)
-
-    monkeypatch.setattr(orch.EnergyMeter, "set_state", counting)
+    """The recording wrapper asserts that each ``set_state`` call changes
+    the state; the replayed joules equal the meter's.  Only RUs and UP, RRC
+    and PHY functions ever sleep."""
+    logs = record_transitions(monkeypatch)
     rt = Runtime(cfgmod.validate_scenario(make_raw()))
     report = rt.run()
-    assert appended and set(appended) == {1}
-    if make_raw is dmimo_handover_raw:
+    log = logs[rt.meter]
+    assert len(log.transitions) > len(log.profiles)
+    if make_raw is not latency_budgets_short_raw:
         assert all(h["accepted"] for h in report["handovers"])
         assert report["wake_delays"] > 0
         assert any(len(ue.serving_set.rus) == 2 for ue in rt.ues.values())
-    profiles = {entity: rt.meter.profile(entity) for entity in rt.meter.energy_j}
-    assert orch.replay_energy(rt.meter.transitions, profiles, rt.duration) \
-        == rt.meter.energy_j
+    sleepers = set(rt.ru_entity.values()) | {
+        f"fn:{inst.id}" for inst in rt.plan.instances
+        if inst.kind in (topo.UP, topo.RRC, topo.PHY)}
+    slept = {entity for _t, entity, state in log.transitions
+             if state == "Sleep"}
+    assert slept <= sleepers
+    assert bool(slept) == rt.cfg["energy"]
+    assert replay_energy(log, rt.duration) == rt.meter.energy_j
 
 
 def released_mid_run_raw():
