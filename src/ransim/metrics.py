@@ -42,8 +42,10 @@ class MetricsCollector:
         # Per-TTI rows are kept only for an output that writes them.
         self.record_series = record_series
         self.prb_granted = {}  # (ru, carrier) -> prbs, added by the runtime
-        # ranf -> [its pools' PRBs per (ru, carrier), RANF-TTIs accounted]
-        self.ranf_ttis = {}
+        # (ru, carrier) -> PRBs offered each TTI, set at build: every RANF
+        # offers its full pools every TTI, so ``ttis`` times this is offered.
+        self.prbs_per_tti = {}
+        self.ttis = 0
         self.slice_prbs = {}  # slice -> prbs
         self.tti_series = {}  # ranf -> [(t, util, max_head_sojourn)]
         self.fronthaul_bytes = {}  # ru -> bytes
@@ -69,17 +71,13 @@ class MetricsCollector:
         return bm
 
     def on_tti(self, t, ranf, pools, max_head_sojourn):
-        """Account one RANF-TTI of ``pools`` (a ``sched.PrbPools``).  A
-        RANF's pool totals never change during a run, so the PRBs offered
-        are its totals times its RANF-TTIs, summed up by ``to_report``."""
-        self.ranf_ttis.setdefault(ranf, [pools.total, 0])[1] += 1
-        if self.record_series:
-            total = pools.total_prbs
-            # A key outside ``pools.total`` in ``free`` only ever holds 0.
-            used = total - sum(pools.free.values())
-            util = used / total if total else 0.0
-            self.tti_series.setdefault(ranf, []).append(
-                (t, util, max_head_sojourn))
+        """Record one RANF-TTI row of the TTI series: the share of ``pools``
+        (a ``sched.PrbPools``) taken, and the largest head sojourn."""
+        total = pools.total_prbs
+        # A key outside ``pools.total`` in ``free`` only ever holds 0.
+        used = total - sum(pools.free.values())
+        util = used / total if total else 0.0
+        self.tti_series.setdefault(ranf, []).append((t, util, max_head_sojourn))
 
     def on_fronthaul(self, ru, nbytes):
         self.fronthaul_bytes[ru] = self.fronthaul_bytes.get(ru, 0) + nbytes
@@ -120,13 +118,10 @@ class MetricsCollector:
                 "latency_us": {"p50": p50, "p99": p99, "p100": p100},
                 "reorder_stalls": bm.reorder_stalls,
             }
-        prb_offered = {}
-        for totals, ttis in self.ranf_ttis.values():
-            for key, total in totals.items():
-                prb_offered[key] = prb_offered.get(key, 0) + total * ttis
         util = {}
-        for key in sorted(prb_offered):
-            offered = prb_offered[key]
+        # A run shorter than one TTI offers no PRBs.
+        for key in sorted(self.prbs_per_tti) if self.ttis else ():
+            offered = self.prbs_per_tti[key] * self.ttis
             granted = self.prb_granted.get(key, 0)
             util["/".join(key)] = {
                 "offered_prbs": offered,

@@ -2,15 +2,14 @@
 fronthaul load accounting.
 
 There is no PHY math here.  Per-(UE, RU, carrier) block error rates are
-scenario inputs; joint transmission from a serving set fails only when all
-RUs fail independently, which is the simplest model exhibiting the
-reliability gain of serving a UE from several RUs at once.
+scenario inputs.  A serving set is a UE's RU list, best first.  A TB is
+carried by every RU of the set when D-MIMO serves the UE from more than one
+RU (joint transmission), and by its grant's RU otherwise.  It fails only
+when every carrying RU fails independently, which is the simplest model
+exhibiting the reliability gain of serving a UE from several RUs at once.
 """
 
-from dataclasses import dataclass, field
-
-SINGLE_RU = "SingleRu"
-DMIMO_JOINT = "DMimoJoint"
+from dataclasses import dataclass
 
 CENTRALIZED_BF = "CentralizedBf"
 RU_LOCAL_BF = "RuLocalBf"
@@ -30,43 +29,29 @@ class BlerMap:
         self._map[(ue, ru, carrier)] = bler
 
 
-@dataclass
-class ServingSet:
-    ue: str
-    rus: list = field(default_factory=list)  # ordered, best first
-    mode: str = SINGLE_RU
-
-
-def transmit(serving_set, carrier_id, bler_map, rng):
-    """One transmission attempt; returns True on success.
-
-    Single-RU mode succeeds with probability 1-bler of the primary RU; joint
-    mode fails only if every RU in the set fails independently.  One draw is
-    taken per RU either way.
+def transmit(ue, rus, carrier_id, bler_map, rng):
+    """One transmission attempt of a TB carried by ``rus``; returns True on
+    success.  One draw is taken per RU, in order; the TB gets through if
+    any RU's does.
     """
-    rus = serving_set.rus if serving_set.mode == DMIMO_JOINT else serving_set.rus[:1]
     success = False
     for ru in rus:
-        bler = bler_map.get(serving_set.ue, ru, carrier_id)
-        if rng.draw() >= bler:
+        if rng.draw() >= bler_map.get(ue, ru, carrier_id):
             success = True
     return success
 
 
-def select_serving_set(ue, candidate_rus, bler_of, quality_threshold,
-                       max_set_size, mode=SINGLE_RU):
-    """Pick the best RUs under the BLER threshold, capped at max_set_size.
+def select_serving_set(candidate_rus, bler_of, quality_threshold,
+                       max_set_size):
+    """The best RUs under the BLER threshold, best first, capped at
+    ``max_set_size``.
 
     Falls back to the single best RU when none meets the threshold, so the
     set is never empty: every RANF serves at least one RU.
     """
     ranked = sorted(candidate_rus, key=lambda r: (bler_of(r), r))
     chosen = [r for r in ranked if bler_of(r) <= quality_threshold][:max_set_size]
-    if not chosen:
-        chosen = ranked[:1]
-    if max_set_size <= 1 or len(chosen) == 1:
-        mode = SINGLE_RU
-    return ServingSet(ue, chosen, mode)
+    return chosen or ranked[:1]
 
 
 def fronthaul_load(mode, tb_bytes, expansion_factor=4, update_cost=64):

@@ -33,7 +33,7 @@ from .metrics import MetricsCollector
 
 class BearerCtx:
     __slots__ = ("bearer", "buffer", "rlc", "reorder", "source",
-                 "live", "metrics", "ue", "slice", "window_marked",
+                 "live", "metrics", "slice", "window_marked",
                  "window_delivered", "active_set", "in_active_set",
                  "traffic_rng", "ue_ctx", "emit")
 
@@ -45,7 +45,6 @@ class BearerCtx:
         self.source = source
         self.live = {}  # sn -> PdcpPdu, every non-terminal PDU in the system
         self.metrics = metrics
-        self.ue = bearer.ue
         self.slice = bearer.slice
         self.window_marked = 0
         self.window_delivered = 0
@@ -69,7 +68,7 @@ class UeCtx:
     def __init__(self, ue_id, ranf_id, serving_set, n_harq):
         self.id = ue_id
         self.ranf = ranf_id
-        self.serving_set = serving_set
+        self.serving_set = serving_set  # its RUs, best first
         self.pool_keys = None  # its stage-2 (ru, carrier) keys, on first use
         self.harq = [None] * n_harq  # HARQ slots: the process in flight
         self.resume_at = 0
@@ -153,12 +152,15 @@ class Runtime:
                 self.ru_to_ranf[ru] = rf.id
         # Per-RANF PRB pool template, copied by ``fresh()`` each TTI.
         self.pool_templates = {}
+        offered = self.metrics.prbs_per_tti
         for rf in ranfs:
-            self.pool_templates[rf.id] = sched.PrbPools({
+            pools = self.pool_templates[rf.id] = sched.PrbPools({
                 (ru_id, c_id): carriers[c_id]
                 for ru_id in sorted(rf.serving_rus)
                 for c_id in self.topology.rus[ru_id].carriers
             })
+            for key, prbs in pools.total.items():
+                offered[key] = offered.get(key, 0) + prbs
         entries = {}
         for e in cfg["bler"]["entries"]:
             entries[(e["ue"], e["ru"], e["carrier"])] = e["bler"]
@@ -173,7 +175,7 @@ class Runtime:
             for i in cfg["placement"]
         ]
         self.plan = topo.PlacementPlan(instances)
-        declared = [sl["id"] for sl in cfg["slices"]]
+        self.slice_ids = [sl["id"] for sl in cfg["slices"]]
         for sl in cfg["slices"]:
             if sl["auto_place"]:
                 sla = orch.SlaSpec(sl["id"], sl["latency_budget_us"])
@@ -186,10 +188,9 @@ class Runtime:
                         f"{result.detail}"
                     )
         violations = topo.validate_placement(self.plan, self.topology,
-                                             slices=declared or None)
+                                             slices=self.slice_ids)
         if violations:
             raise ConfigError("invalid placement:\n  " + "\n  ".join(violations))
-        self.slice_ids = declared or self.plan.slices()
         self.slice_paused_until = {sl: 0 for sl in self.slice_ids}
         self._recompute_paths()
 
@@ -236,8 +237,8 @@ class Runtime:
         to that RANF.  Checked wherever ``ue.ranf`` or ``ue.serving_set`` is
         set; ``_select_serving`` makes it hold, so raising means a bug."""
         own = self.topology.ranfs[ue.ranf].serving_rus
-        if not own.issuperset(ue.serving_set.rus):
-            foreign = [ru for ru in ue.serving_set.rus if ru not in own]
+        if not own.issuperset(ue.serving_set):
+            foreign = [ru for ru in ue.serving_set if ru not in own]
             raise sched.UlAnchorViolation(
                 f"UE {ue.id} anchored to RANF {ue.ranf} is served by "
                 f"foreign RUs {foreign}")
@@ -246,7 +247,6 @@ class Runtime:
         scfg = self.cfg["serving"]
         ranf = self.topology.ranfs[ranf_id]
         candidates = sorted(ranf.serving_rus)
-        mode = radio.DMIMO_JOINT if self.dmimo else radio.SINGLE_RU
 
         def bler_of(ru):
             carrier = self.topology.rus[ru].carriers[0]
@@ -256,7 +256,7 @@ class Runtime:
         if self.dmimo and max_set <= 1:
             max_set = len(candidates)
         return radio.select_serving_set(
-            ue_id, candidates, bler_of, scfg["quality_threshold"], max_set, mode)
+            candidates, bler_of, scfg["quality_threshold"], max_set)
 
     def _build_bearers(self):
         self.bearers = {}
@@ -266,7 +266,7 @@ class Runtime:
         for b in self.cfg["bearers"]:
             qos_class, slice_id = sched.classify_qos(
                 b["latency_req_us"], b["reliability_req"])
-            if declared and slice_id not in declared:
+            if slice_id not in declared:
                 raise ConfigError(
                     f"bearer {b['id']}: classified into slice {slice_id} "
                     f"which is not declared in the scenario"
@@ -321,17 +321,17 @@ class Runtime:
             period = sn["grant_period_us"]
             ctrl = subnet.SubnetworkController(
                 sn["id"], autonomous_prbs=sn["autonomous_prbs"],
-                grant_prbs=sn["grant_prbs"], grant_period=period,
+                grant_prbs=sn["grant_prbs"],
                 local_bytes_per_prb=sn["local_bytes_per_prb"],
                 nonlocal_ttl=sn["nonlocal_ttl_us"],
                 parent_latency=sn["parent_latency_us"])
             if sn["parent_ranf"] is not None:
-                ctrl.attach(sn["parent_ranf"], sn["parent_ru"], 0)
+                ctrl.attach()
             for dev_id in sn["devices"]:
                 ctrl.add_device(subnet.SubnetworkDevice(dev_id))
             self.subnets[sn["id"]] = ctrl
             every(period, period, "subnet-grant", sn["id"],
-                  partial(self._on_subnet_grant, ctrl), end)
+                  ctrl.renew_grant, end)
             for key, local in (("local_traffic", True),
                                ("nonlocal_traffic", False)):
                 for t in sn[key]:  # the last packet goes before ``stop_us``
@@ -434,6 +434,7 @@ class Runtime:
 
     def _on_tti(self):
         now = self.sim.now
+        self.metrics.ttis += 1
         for ranf in self.ranf_order:
             self._tti_for_ranf(ranf, now)
         for ctrl in self.subnets.values():
@@ -530,7 +531,7 @@ class Runtime:
             keys = ue.pool_keys
             if keys is None:
                 keys = ue.pool_keys = [
-                    (ru_id, c_id) for ru_id in ue.serving_set.rus
+                    (ru_id, c_id) for ru_id in ue.serving_set
                     for c_id in self.topology.rus[ru_id].carriers]
             return keys
 
@@ -556,7 +557,8 @@ class Runtime:
             sched.ul_anchor_check(grants, self.ru_to_ranf, ues)
 
         self._energy_tti(ranf, active_rus, now)
-        metrics.on_tti(now, ranf.id, pools, max_sojourn)
+        if series:
+            metrics.on_tti(now, ranf.id, pools, max_sojourn)
 
     def _apply_aqm(self, ctx, now):
         if not ctx.buffer.queue:
@@ -603,14 +605,17 @@ class Runtime:
         rng = ue.link_rng
         if rng is None:
             rng = ue.link_rng = self.rng.stream(f"link:{ue.id}")
-        sset = ue.serving_set
-        success = radio.transmit(sset, carrier_id, self.bler, rng)
+        # The RUs that carry the TB: the whole serving set in a D-MIMO joint
+        # transmission, else the grant's RU.
+        rus = ue.serving_set
+        if not (self.dmimo and len(rus) > 1):
+            rus = (ru_id,)
+        success = radio.transmit(ue.id, rus, carrier_id, self.bler, rng)
         fh_mode, expansion, update_cost = self.fh_params
         charged = radio.fronthaul_load(fh_mode, tb.bytes, expansion,
                                        update_cost)
-        targets = sset.rus if sset.mode == radio.DMIMO_JOINT else (ru_id,)
-        for target in targets:
-            self.metrics.on_fronthaul(target, charged)
+        for ru in rus:
+            self.metrics.on_fronthaul(ru, charged)
         if success:
             path = self.path_lat[(ctx.slice, ru_id)]
             arrive = now + self.tti + path + wake_delay
@@ -699,7 +704,7 @@ class Runtime:
 
     def _uplink_latency(self, ctx):
         """Receiver-to-source latency: the path of the UE's first RU."""
-        return self.path_lat[(ctx.slice, ctx.ue_ctx.serving_set.rus[0])]
+        return self.path_lat[(ctx.slice, ctx.ue_ctx.serving_set[0])]
 
     def _echo_drop(self, ctx, now):
         """Echo a loss to the bearer's source after the uplink latency."""
@@ -880,7 +885,7 @@ class Runtime:
         elif action == "detach_subnet":
             self.subnets[ev["subnet"]].detach()
         elif action == "attach_subnet":
-            self.subnets[ev["subnet"]].attach(ev["ranf"], ev["ru"], now)
+            self.subnets[ev["subnet"]].attach()
         elif action == "device_handover":
             src = self.subnets[ev["src"]]
             dst = self.subnets[ev["dst"]] if ev["dst"] else None
@@ -952,10 +957,6 @@ class Runtime:
     def _on_subnet_traffic(self, ctrl, t, local):
         ctrl.offer(subnet.SubnetPacket(t["src"], t.get("dst"), t["size"],
                                        self.sim.now, local))
-
-    def _on_subnet_grant(self, ctrl):
-        if ctrl.attached:
-            ctrl.request_grant(self.sim.now)
 
     def _tti_for_subnet(self, ctrl, now):
         ctrl.schedule_local(now)

@@ -4,9 +4,8 @@ devices.  The sub-network keeps working out of parent coverage on an
 autonomous resource pool; only non-local traffic then queues until a TTL.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
-
-from .core import ModelError
 
 
 class SubnetPacket:
@@ -21,34 +20,30 @@ class SubnetPacket:
 
 
 @dataclass
-class ResourceGrant:
-    prbs_per_tti: int
-    expiry: int  # us
-
-
-@dataclass
 class SubnetworkDevice:
     id: str
-    queue: list = field(default_factory=list)  # packets awaiting local PRBs
+    queue: deque = field(default_factory=deque)  # packets awaiting local PRBs
 
 
 class SubnetworkController:
     """Schedules local transmissions and relays non-local traffic at L3.
 
-    While attached it holds a parent grant of ``grant_prbs`` per TTI, valid
-    for two grant periods: requested on attachment and renewed each period.
+    A sub-network is attached to its parent or not.  While attached it
+    schedules on the parent's grant of ``grant_prbs`` per TTI, else on its
+    ``autonomous_prbs``.  The grant lasts two grant periods; it is requested
+    at each attach and renewed every period while attached (the runtime
+    calls ``renew_grant``), so it cannot lapse while attached.
+    ``grant_renewals`` counts the requests.
     """
 
     def __init__(self, ctrl_id, *, autonomous_prbs=0, grant_prbs=10,
-                 grant_period=100_000, local_bytes_per_prb=64,
-                 nonlocal_ttl=1_000_000, parent_latency=2_000):
+                 local_bytes_per_prb=64, nonlocal_ttl=1_000_000,
+                 parent_latency=2_000):
         self.id = ctrl_id
-        self.parent_attachment = None  # (ranf_id, ru_id) or None
+        self.attached = False
         self.devices = {}
-        self.grant = None  # ResourceGrant
         self.autonomous_prbs = autonomous_prbs
         self.grant_prbs = grant_prbs
-        self.grant_period = grant_period
         self.local_bytes_per_prb = local_bytes_per_prb
         self.nonlocal_ttl = nonlocal_ttl
         self.parent_latency = parent_latency
@@ -63,21 +58,22 @@ class SubnetworkController:
         self.unknown_dropped = 0
         self.grant_renewals = 0
 
-    @property
-    def attached(self):
-        return self.parent_attachment is not None
-
     def add_device(self, device):
         self.devices[device.id] = device
 
-    def attach(self, ranf_id, ru_id, now):
+    def attach(self):
         """Attach to the parent and obtain its grant at once."""
-        self.parent_attachment = (ranf_id, ru_id)
-        self.request_grant(now)
+        self.attached = True
+        self.renew_grant()
 
     def detach(self):
-        self.parent_attachment = None
-        self.grant = None
+        self.attached = False
+
+    def renew_grant(self):
+        """The periodic grant renewal, which only an attached sub-network
+        requests."""
+        if self.attached:
+            self.grant_renewals += 1
 
     def offer(self, pkt):
         """A device hands a packet to the sub-network; a packet from or (if
@@ -88,43 +84,25 @@ class SubnetworkController:
             return
         src.queue.append(pkt)
 
-    def request_grant(self, now):
-        """Obtain a parent resource grant; only meaningful while attached."""
-        if not self.attached:
-            raise ModelError(f"sub-network {self.id}: grant request while detached")
-        self.grant = ResourceGrant(self.grant_prbs,
-                                   now + 2 * self.grant_period)
-        self.grant_renewals += 1
-
-    def pool_for_tti(self, now):
-        """Active pool: unexpired parent grant when attached, else autonomous."""
-        if self.attached and self.grant is not None and now < self.grant.expiry:
-            return self.grant.prbs_per_tti
-        return self.autonomous_prbs
-
     def schedule_local(self, now):
         """Greedy oldest-head-first local scheduling within the TTI pool.
 
         Local packets are delivered, non-local ones handed to the relay;
         both kinds of device transmission consume local PRBs.
         """
-        prbs = self.pool_for_tti(now)
+        prbs = self.grant_prbs if self.attached else self.autonomous_prbs
+        devices = self.devices.values()
         while prbs > 0:
-            heads = [
-                (d.queue[0].created, d.id, d)
-                for d in self.devices.values()
-                if d.queue
-            ]
-            if not heads:
+            device = min((d for d in devices if d.queue), default=None,
+                         key=lambda d: (d.queue[0].created, d.id))
+            if device is None:
                 break
-            heads.sort()
-            device = heads[0][2]
             pkt = device.queue[0]
             need = -(-pkt.size // self.local_bytes_per_prb)
             if need > prbs:
                 break
             prbs -= need
-            device.queue.pop(0)
+            device.queue.popleft()
             if pkt.local:
                 self.local_delivered += 1
                 self.local_delivered_times.append(now)
@@ -168,6 +146,6 @@ def device_handover(device, src, dst):
         return False
     del src.devices[device.id]
     if dst is not None:
-        device.queue = []
+        device.queue.clear()
         dst.add_device(device)
     return True

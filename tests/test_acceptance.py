@@ -196,12 +196,11 @@ def test_criterion_04_harq_residual_rate():
     sigma = math.sqrt(expected * (1 - expected) / n)
     rng = RngRegistry(99).stream("harq-accept")
     bmap = radio.BlerMap(default=bler)
-    ss = radio.ServingSet("u1", ["ru1"])
     failures = 0
     for _ in range(n):
         proc = stack.HarqProcess(object(), 0, ("ru1", "c1"), 1, None)
         while True:
-            success = radio.transmit(ss, "c1", bmap, rng)
+            success = radio.transmit("u1", ["ru1"], "c1", bmap, rng)
             outcome = stack.harq_on_feedback(proc, success, max_tx)
             if outcome == stack.HARQ_ACKED:
                 break
@@ -317,9 +316,8 @@ def test_criterion_08_dmimo_product_and_monotonicity():
     expected = 0.1 * 0.1
     sigma = math.sqrt(expected * (1 - expected) / n)
     fails = 0
-    ss2 = radio.ServingSet("u1", ["ru1", "ru2"], mode=radio.DMIMO_JOINT)
     for _ in range(n):
-        ok = radio.transmit(ss2, "c1", bmap, rng)
+        ok = radio.transmit("u1", ["ru1", "ru2"], "c1", bmap, rng)
         fails += not ok
     rate2 = fails / n
     assert abs(rate2 - expected) < 3 * sigma, (rate2, sigma)
@@ -328,10 +326,9 @@ def test_criterion_08_dmimo_product_and_monotonicity():
     m = 200_000
     rates = []
     for rus in (["ru1"], ["ru1", "ru2"], ["ru1", "ru2", "ru3"]):
-        ss = radio.ServingSet("u1", list(rus), mode=radio.DMIMO_JOINT)
         f = 0
         for _ in range(m):
-            ok = radio.transmit(ss, "c1", bmap, rng)
+            ok = radio.transmit("u1", rus, "c1", bmap, rng)
             f += not ok
         rates.append(f / m)
     guard = 3 * math.sqrt(0.1 * 0.9 / m)

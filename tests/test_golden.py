@@ -44,7 +44,8 @@ def _split_lossy_raw():
 
 def _ecn_overload_raw():
     """``smoke.yaml`` with ``b-mod`` ECN-capable at 30 MB/s: the only run
-    through ingress discards at the SN window and the L4S rate law."""
+    through ingress discards at the SN window.  ``b-mod`` is CE-marked, but
+    its source has no congestion law, so no rate law runs."""
     with open(os.path.join(SCENARIO_DIR, "smoke.yaml")) as fh:
         raw = yaml.safe_load(fh)
     raw["bearers"][1]["ecn_capable"] = True
@@ -238,6 +239,57 @@ def _energy_policy_raw():
     return raw
 
 
+def _control_plane_raw():
+    """``test_runtime.base_raw`` whose slice II is auto-placed within a
+    100 ms budget, then migrated twice: its UP to the far edge at 200 ms
+    (accepted, 10 ms of downtime, paths recomputed) and the RRM at 300 ms
+    (rejected: its placement is fixed)."""
+    from test_runtime import base_raw
+    raw = base_raw()
+    raw["slices"] = [{"id": "II", "auto_place": True,
+                      "latency_budget_us": 100_000}]
+    raw["placement"] = [p for p in raw["placement"]
+                        if p["id"] in ("rrm", "fhm1", "cpr")]
+    raw["script"] = [
+        {"at_us": 200_000, "action": "migrate", "instance": "slice-II-up",
+         "site": "edge-1"},
+        {"at_us": 300_000, "action": "migrate", "instance": "rrm",
+         "site": "edge-1"}]
+    return raw
+
+
+def _subnet_reattach_raw():
+    """``test_config._subnet_knob_raw``: a sub-network out of parent
+    coverage from 100 to 200 ms, then attached again by the script."""
+    from test_config import _subnet_knob_raw
+    return _subnet_knob_raw()
+
+
+def _ru_local_bf_raw():
+    """``_dmimo_ranfs_raw`` with RU-local beamforming: each RU that carries
+    a TB is charged the TB once plus the coefficient-update cost."""
+    raw = _dmimo_ranfs_raw()
+    raw["fronthaul"] = {"mode": "RuLocalBf"}
+    return raw
+
+
+def _two_ru_aggregation_raw():
+    """``test_runtime.base_raw`` with a second RU ``ru2`` on ``c1`` and
+    serving sets of up to two RUs without D-MIMO, so ``b1`` (16 MB/s) is
+    granted PRBs on both RUs; ``ru2`` loses half its TBs."""
+    from test_runtime import base_raw
+    raw = base_raw(serving={"max_set_size": 2, "quality_threshold": 1.0},
+                   bler={"entries": [{"ue": "u1", "ru": "ru2",
+                                      "carrier": "c1", "bler": 0.5}]})
+    raw["rus"].append({"id": "ru2", "site": "cell-a", "carriers": ["c1"],
+                       "fronthaul_latency_us": 50})
+    raw["ranfs"][0]["rus"].append("ru2")
+    raw["placement"].append({"id": "fhm2", "kind": "FHM", "site": "cell-a",
+                             "bound_ru": "ru2"})
+    raw["bearers"][0]["traffic"]["rate_bytes_per_s"] = 16_000_000
+    return raw
+
+
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
@@ -338,6 +390,36 @@ CASES = {
     "energy": (
         lambda: build(_energy_policy_raw()),
         "f0a632c32cc75a3d7681e3c15a39f76a51b2ce98289b809dc33d94f26fdd0bc1"),
+    # The four below were recorded before the carrying RUs, the
+    # sub-network pool and the slice list each got one rule.
+    # Pins auto-placement (``admit_slice``), an accepted migration with
+    # downtime, which pauses the slice and recomputes its paths, and a
+    # rejected one; no other pin places or migrates a function.
+    "control-plane": (
+        lambda: build(_control_plane_raw()),
+        "90bc7450c3ff67f9b9136224582e20f1beec30762ae4c19ad76498ec28870c66"),
+    # Pins a sub-network that detaches and attaches again: the autonomous
+    # pool and the relay TTL while detached, the grant requested at the
+    # attach and the renewals (5) while attached.
+    "subnet-reattach": (
+        lambda: build(_subnet_reattach_raw()),
+        "2f2cc6fe04632d7602d202f765707cd779796f81d768590a8e826e2ab97425e4"),
+    # Pins the fronthaul charge of RU-local beamforming on joint
+    # transmissions; every other pin runs centralized beamforming.
+    "ru-local-bf": (
+        lambda: build(_ru_local_bf_raw()),
+        "293bc9af53f60a17c593cf89b3dc2666eaffb3a2900264b061dc63945664d1cb"),
+    # Pins carrier aggregation without D-MIMO: a TB granted on ``ru2``
+    # is carried by ``ru2`` alone.  Recorded before that change as
+    # 2dfe7b28425a0e8b42c42ae1489fcf4433d1eeae52fecda001493cab2da400ce;
+    # moved by the fix when a TB on a UE's second RU stopped drawing the
+    # first RU's BLER (0): ``ru2``'s 1,000 transmissions now fail half the
+    # time, HARQ retransmissions take half its PRBs, and ``b1`` gets 1,533
+    # TBs instead of 2,000 (26 fail after 4 tries), so its queue grows and
+    # its p50 goes from 2,788 to 51,217 us.
+    "carrier-aggregation": (
+        lambda: build(_two_ru_aggregation_raw()),
+        "9396aed3b5e6bc9b19cf17ee55c9f017bddd7dea11db6ba88725a82ecf06a3d6"),
 }
 
 

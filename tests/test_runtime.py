@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from ransim import config as cfgmod
-from ransim import cli, radio, runtime, sched, stack
+from ransim import cli, runtime, sched, stack
 from ransim import topology as topo
 from ransim.core import ModelError, RngRegistry, Simulator
 from ransim.metrics import BearerMetrics, write_tti_series_csv
@@ -18,7 +18,8 @@ from energy_oracle import record_transitions, replay_energy
 from test_acceptance import _handover_raw, _subnet_raw
 from test_golden import (_ecn_overload_raw, _energy_policy_raw, _set_bler_raw,
                          _split_handover_raw, _split_lossy_raw,
-                         _split_ranfs_raw, event_counts, wrap_each_event)
+                         _split_ranfs_raw, _two_ru_aggregation_raw,
+                         event_counts, wrap_each_event)
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                      "smoke.yaml")
@@ -70,6 +71,10 @@ def test_basic_run_delivers_and_conserves():
     assert b["delivered"] > 900
     assert b["residual"] == 0 and b["duplicates"] == 0
     assert report["conservation"]["b1"]["holds"]
+
+
+def test_a_run_shorter_than_one_tti_offers_no_prbs():
+    assert run_raw(base_raw(duration_us=100))["prb_utilization"] == {}
 
 
 def test_auto_placed_slice():
@@ -535,18 +540,18 @@ def assert_active_sets_match_scan(rt):
     Likewise every queue in ``cu_backlog`` holds PDUs, and no released UE's
     bearer holds any, at the CU or in its DU buffer."""
     assert all(rt.cu_backlog.values()), rt.sim.now
-    assert not any(rt.ues[ctx.ue].released for ctx in rt.cu_backlog), \
-        rt.sim.now
+    assert not any(rt.ues[ctx.bearer.ue].released
+                   for ctx in rt.cu_backlog), rt.sim.now
     assert not any(ctx.buffer.queue for ctx in rt.bearers.values()
-                   if rt.ues[ctx.ue].released), rt.sim.now
+                   if rt.ues[ctx.bearer.ue].released), rt.sim.now
     for rf_id, by_slice in rt.active_sets.items():
         for sl, members in by_slice.items():
             for ctx in members:
-                assert rt.ues[ctx.ue].ranf == rf_id and ctx.slice == sl, \
-                    (ctx.bearer.id, rf_id, sl)
+                assert rt.ues[ctx.bearer.ue].ranf == rf_id \
+                    and ctx.slice == sl, (ctx.bearer.id, rf_id, sl)
                 assert ctx.in_active_set and ctx.active_set is members
     for ctx in rt.bearers.values():
-        ue = rt.ues[ctx.ue]
+        ue = rt.ues[ctx.bearer.ue]
         home = rt.active_sets[ue.ranf].get(ctx.slice, {})
         assert ctx.active_set is home, ctx.bearer.id
         assert ctx.in_active_set == (ctx in home), ctx.bearer.id
@@ -594,7 +599,8 @@ def test_handover_moves_only_its_ues_bearers():
 
     def handover(ue_id, dst_id, now):
         def others():
-            return {(rf, sl): (members, [c for c in members if c.ue != ue_id])
+            return {(rf, sl): (members, [c for c in members
+                                         if c.bearer.ue != ue_id])
                     for rf, by_slice in rt.active_sets.items()
                     for sl, members in by_slice.items()}
 
@@ -722,10 +728,19 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     assert requests[-1]["b1"][4] == stack.DROP_IND_BYTES
 
 
+def test_carrier_aggregation_tb_draws_its_own_rus_bler():
+    """Without D-MIMO, a TB granted on a UE's second RU is carried by that
+    RU alone and draws its BLER: with ``ru2`` always failing, TBs fail."""
+    raw = _two_ru_aggregation_raw()
+    raw["bler"]["entries"][0]["bler"] = 1.0
+    report = run_raw(raw)
+    assert report["fronthaul_bytes"]["ru2"] > 0
+    assert report["tb_failed_final"] > 0
+
+
 def test_serving_set_outside_the_ranf_is_an_anchor_violation(monkeypatch):
     def foreign(rt, ue_id, ranf_id):
-        return radio.ServingSet(ue_id, ["ru-b" if ranf_id == "rf-a"
-                                        else "ru-a"])
+        return ["ru-b" if ranf_id == "rf-a" else "ru-a"]
 
     cfg = cfgmod.validate_scenario(three_cell_raw())
     with monkeypatch.context() as m:
@@ -963,7 +978,7 @@ def test_energy_meter_is_called_only_on_transitions(make_raw, monkeypatch):
     if make_raw is not latency_budgets_short_raw:
         assert all(h["accepted"] for h in report["handovers"])
         assert report["wake_delays"] > 0
-        assert any(len(ue.serving_set.rus) == 2 for ue in rt.ues.values())
+        assert any(len(ue.serving_set) == 2 for ue in rt.ues.values())
     sleepers = set(rt.ru_entity.values()) | {
         f"fn:{inst.id}" for inst in rt.plan.instances
         if inst.kind in (topo.UP, topo.RRC, topo.PHY)}

@@ -1,7 +1,4 @@
-import pytest
-
 from ransim import subnet as sn
-from ransim.core import ModelError
 
 
 def make_controller(**kw):
@@ -14,25 +11,38 @@ def make_controller(**kw):
     return ctrl
 
 
+def delivered_in_one_tti(ctrl, now):
+    """Local 1-PRB packets delivered by one TTI with more queued than any
+    pool holds: the size of the TTI's pool."""
+    for _ in range(20):
+        ctrl.offer(sn.SubnetPacket("d1", "d2", 100, created=now, local=True))
+    before = ctrl.local_delivered
+    ctrl.schedule_local(now)
+    ctrl.devices["d1"].queue.clear()
+    return ctrl.local_delivered - before
+
+
 def test_grant_pool_when_attached_autonomous_when_not():
-    # A grant lasts two grant periods.
-    ctrl = make_controller(autonomous_prbs=3, grant_prbs=8, grant_period=50)
-    ctrl.attach("ranf-a", "ru1", now=0)
+    ctrl = make_controller(autonomous_prbs=3, grant_prbs=8)
+    assert delivered_in_one_tti(ctrl, 0) == 3
+    ctrl.attach()
     assert ctrl.grant_renewals == 1
-    assert ctrl.pool_for_tti(50) == 8
-    assert ctrl.pool_for_tti(150) == 3  # grant expired
-    ctrl.detach()
-    assert ctrl.pool_for_tti(50) == 3
-    # Pools never add up.
-    ctrl.attach("ranf-a", "ru1", now=200)
+    assert delivered_in_one_tti(ctrl, 1) == 8
+    ctrl.renew_grant()
     assert ctrl.grant_renewals == 2
-    assert ctrl.pool_for_tti(250) == 8
+    ctrl.detach()
+    assert delivered_in_one_tti(ctrl, 2) == 3
+    # Pools never add up.
+    ctrl.attach()
+    assert ctrl.grant_renewals == 3
+    assert delivered_in_one_tti(ctrl, 3) == 8
 
 
-def test_grant_request_while_detached_is_an_error():
-    ctrl = make_controller()
-    with pytest.raises(ModelError):
-        ctrl.request_grant(0)
+def test_renewal_while_detached_requests_no_grant():
+    ctrl = make_controller(autonomous_prbs=3, grant_prbs=8)
+    ctrl.renew_grant()
+    assert ctrl.grant_renewals == 0
+    assert delivered_in_one_tti(ctrl, 0) == 3
 
 
 def test_local_scheduling_oldest_head_first():
@@ -40,7 +50,7 @@ def test_local_scheduling_oldest_head_first():
     ctrl.offer(sn.SubnetPacket("d1", "d2", 100, created=5, local=True))
     ctrl.offer(sn.SubnetPacket("d2", "d1", 100, created=3, local=True))
     ctrl.schedule_local(10)  # one packet per TTI: d2's, the older head
-    assert ctrl.devices["d2"].queue == []
+    assert not ctrl.devices["d2"].queue
     assert [p.created for p in ctrl.devices["d1"].queue] == [5]
     ctrl.schedule_local(11)
     assert ctrl.local_delivered_times == [10, 11]
@@ -66,7 +76,7 @@ def test_unknown_destination_dropped():
 
 def test_nonlocal_relays_while_attached_queues_and_ttl_drops_detached():
     ctrl = make_controller(nonlocal_ttl=500)
-    ctrl.attach("ranf-a", "ru1", now=0)
+    ctrl.attach()
     ctrl.offer(sn.SubnetPacket("d1", None, 100, 0, local=False))
     ctrl.schedule_local(1)
     assert ctrl.nonlocal_in == 1
@@ -84,9 +94,8 @@ def test_nonlocal_relays_while_attached_queues_and_ttl_drops_detached():
 
 
 def test_local_traffic_survives_detach():
-    ctrl = make_controller(autonomous_prbs=5, grant_prbs=5,
-                           grant_period=5_000)
-    ctrl.attach("ranf-a", "ru1", now=0)
+    ctrl = make_controller(autonomous_prbs=5, grant_prbs=5)
+    ctrl.attach()
     ctrl.offer(sn.SubnetPacket("d1", "d2", 100, 0, local=True))
     ctrl.schedule_local(1)
     ctrl.detach()
