@@ -1,5 +1,7 @@
 import copy
 import glob
+import hashlib
+import json
 import os
 import re
 
@@ -240,6 +242,19 @@ def assert_rejected(raw, path):
 def test_full_raw_validates():
     cfg = cfgmod.validate_scenario(full_raw())
     assert cfg["script"][6]["dst"] == "sn2"
+
+
+# The resolved ``full_raw``: every default that validation fills in, for
+# an entry of every kind and every script action.  Recorded before the
+# scenario keys were merged into one schema table.
+FULL_RAW_RESOLVED = \
+    "2f662fd9dc83c682a0d4bc19fafce34ca04acbb742fc15ee89843b1f2045b0b3"
+
+
+def test_full_raw_resolves_to_its_pin():
+    blob = json.dumps(cfgmod.validate_scenario(full_raw()), sort_keys=True,
+                      default=str)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FULL_RAW_RESOLVED
 
 
 def test_migration_to_an_auto_placed_instance_validates():

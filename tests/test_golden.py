@@ -53,6 +53,23 @@ def _ecn_overload_raw():
     return raw
 
 
+def _reactive_sources_raw():
+    """``_ecn_overload_raw`` whose ``b-mod`` runs the L4S rate law, plus a
+    UE ``ue2`` with a 30 MB/s Classic bearer: ``b-mod`` is CE-marked and
+    its source re-rates at each RTT window, and the Classic bearer's AQM
+    drops are echoed to its source."""
+    raw = _ecn_overload_raw()
+    raw["bearers"][1]["traffic"]["congestion_law"] = "L4S"
+    raw["ues"].append({"id": "ue2", "ranf": "ranf-a"})
+    raw["bearers"].append({
+        "id": "b-classic", "ue": "ue2", "latency_req_us": 100_000,
+        "reliability_req": 0.999,
+        "traffic": {"pattern": "ConstantBitRate",
+                    "rate_bytes_per_s": 30_000_000,
+                    "congestion_law": "Classic"}})
+    return raw
+
+
 def _split_uncredited_raw():
     """Criterion 06's split run with F1 delay and no F1 credit: each PDU
     is forwarded to the DU on its own."""
@@ -420,6 +437,14 @@ CASES = {
     "carrier-aggregation": (
         lambda: build(_two_ru_aggregation_raw()),
         "9396aed3b5e6bc9b19cf17ee55c9f017bddd7dea11db6ba88725a82ecf06a3d6"),
+    # Pins the reactive sources: 40 ``cc-window`` events re-rate ``b-mod``
+    # under the L4S law (1,347 CE marks), and 3,936 ``drop-echo`` events
+    # tell the Classic source of ``b-classic`` of its 3,936 AQM drops; no
+    # other pin runs a congestion law.  Recorded before the scenario keys
+    # were merged into one schema table.
+    "reactive-sources": (
+        lambda: build(_reactive_sources_raw()),
+        "4d5d6251a4b7d5b17848c267a0dd01b48c0e77317ad369e02462e1e1dcecf39e"),
 }
 
 
