@@ -5,6 +5,12 @@ run trust what it returns.  Only model rules stay at the build (QoS
 classification, the slice of a bearer, auto-placement and the placement
 rules), each failing with a ``ConfigError`` that names its cause.
 
+Each key of the schema is declared once, in the table of its entry kind:
+its default (or its required types) and its rule (or the kind of id it
+names).  Filling in the defaults and checking the values both read that
+table; a script event's table is chosen by its action, and a policy's by
+its directive.
+
 The resolved config (defaults filled in) is itself a valid scenario: dumping
 and re-parsing it is a fixed point.  Every output artifact embeds the seed
 and a hash of the resolved config for provenance.
@@ -24,113 +30,8 @@ from .core import ConfigError, US_PER_S
 MODE_SIXG = "sixg"
 MODE_SPLIT = "split_baseline"
 
-_TOP_DEFAULTS = {
-    "seed": 1,
-    "mode": MODE_SIXG,
-    "tti_us": 500,
-    "reliable_harq": True,
-    "drop_indication": True,
-    "dmimo": False,
-    "energy": False,
-    "cn_entry_site": None,
-    "t_reordering_us": 20_000,
-    "handover_interruption_us": 5_000,
-    "migration_downtime_us": 10_000,
-    "sites": [],
-    "links": [],
-    "carriers": [],
-    "rus": [],
-    "ranfs": [],
-    "ues": [],
-    "bearers": [],
-    "placement": [],
-    "slices": [],
-    "subnetworks": [],
-    "script": [],
-}
-
-# Specs: each allowed key maps to its default, or to a tuple of types for a
-# required key.  A dict default is the spec of a nested mapping; a list
-# default also requires a list.
-_NESTED_DEFAULTS = {
-    "harq": {"processes": 8, "rtt_ttis": 4, "max_tx": 4,
-             "feedback_error_rate": 0.0},
-    "aqm": {"mark_threshold_us": 1_000, "drop_threshold_us": 50_000},
-    "rlc": {"window": 64, "max_retx": None, "status_interval_us": 5_000},
-    "fronthaul": {"mode": radio.CENTRALIZED_BF, "expansion_factor": 4,
-                  "update_cost_bytes": 64},
-    "split": {"d_f1_us": 0, "credit_bytes": None},
-    "class_weights": {"MissionCritical": 100.0, "Moderate": 1.0},
-    "serving": {"quality_threshold": 0.1, "max_set_size": 1},
-    "trust": {"weights": [0.5, 0.3, 0.2], "threshold": 0.6,
-              "reassess_interval_us": 1_000_000},
-    "orchestrator": {"hysteresis": 3, "tick_us": 100_000,
-                     "idle_sleep_interval_us": 10_000},
-    "bler": {"default": 0.0, "entries": []},
-}
-
-_TRAFFIC_DEFAULTS = {
-    "pattern": tra.CBR,
-    "rate_bytes_per_s": 1_000_000.0,
-    "sdu_bytes": 1500,
-    "burst_period_us": 100_000,
-    "burst_bytes": 15_000,
-    "fps": 90.0,
-    "frame_bytes": 50_000,
-    "frame_jitter": 0.0,
-    "congestion_law": tra.NO_REACTION,
-    "recovery_step": 0.05,
-    "rtt_window_us": 50_000,
-    "start_us": 0,
-    "stop_us": None,
-}
-
-_NONLOCAL_TRAFFIC = {"src": (str,), "size": (int,), "period_us": (int,),
-                     "start_us": 0, "stop_us": None}
-_UE_TRUST = {"auth": 1.0, "history": 1.0, "anomaly": 0.0}
-_BLER_ENTRY = {"ue": (str,), "ru": (str,), "carrier": (str,),
-               "bler": (int, float)}
-
-# The list sections of a scenario, with the spec of their entries.
-_ENTRIES = {
-    "sites": {"id": (str,), "kind": (str,), "cpu_capacity": 100.0},
-    "links": {"a": (str,), "b": (str,), "latency_us": (int,)},
-    "carriers": {"id": (str,), "prbs_per_tti": (int,),
-                 "bytes_per_prb": (int,)},
-    "rus": {"id": (str,), "site": (str,), "carriers": (list,),
-            "fronthaul_latency_us": 50},
-    "ranfs": {"id": (str,), "site": (str,), "rus": [], "neighbors": []},
-    "slices": {"id": (str,), "latency_budget_us": None, "auto_place": False},
-    "placement": {"id": (str,), "kind": (str,), "site": (str,),
-                  "slice": None, "bound_ru": None, "cpu_load": 1.0},
-    "ues": {"id": (str,), "ranf": (str,), "trust": _UE_TRUST,
-            "trust_threshold": None},
-    "bearers": {"id": (str,), "ue": (str,), "latency_req_us": (int,),
-                "reliability_req": (float,), "ecn_capable": False,
-                "traffic": _TRAFFIC_DEFAULTS},
-    "subnetworks": {"id": (str,), "parent_ranf": None, "parent_ru": None,
-                    "autonomous_prbs": 0, "grant_prbs": 10,
-                    "grant_period_us": 100_000, "local_bytes_per_prb": 64,
-                    "nonlocal_ttl_us": 1_000_000, "parent_latency_us": 2_000,
-                    "devices": [], "local_traffic": [],
-                    "nonlocal_traffic": []},
-}
-_SUBNET_TRAFFIC = {"local_traffic": {**_NONLOCAL_TRAFFIC, "dst": (str,)},
-                   "nonlocal_traffic": _NONLOCAL_TRAFFIC}
-_SCRIPT_ACTIONS = {
-    "handover": {"ue": (str,), "dst": (str,)},
-    "migrate": {"instance": (str,), "site": (str,)},
-    "anomaly": {"ue": (str,), "anomaly_score": (int, float)},
-    "policy": {"policy": (dict,)},
-    "detach_subnet": {"subnet": (str,)},
-    "attach_subnet": {"subnet": (str,), "ranf": (str,), "ru": (str,)},
-    "device_handover": {"device": (str,), "src": (str,), "dst": None},
-    "set_bler": _BLER_ENTRY,
-}
-_SCRIPT_SPECS = {action: {"at_us": (int,), "action": (str,), **spec}
-                 for action, spec in _SCRIPT_ACTIONS.items()}
-
 _NUMBER = (int, float)
+_STR = (str,)
 _POSITIVE = (lambda v: type(v) in _NUMBER and v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: type(v) in _NUMBER and v >= 0,
                  "must be non-negative")
@@ -147,112 +48,179 @@ def _or_null(rule):
     return (lambda v: v is None or rule[0](v), rule[1] + " or null")
 
 
-_TIME_OR_NULL = _or_null(_NON_NEGATIVE_INT)
-
-
 def _one_of(*values):
     return (lambda v: v in values, f"must be one of {list(values)}")
 
 
-# The checks of each entry kind (and of the scenario's top level), by key:
-# the kind of id the value names (each item of a list; None names nothing),
-# a (test, message) pair for the value, or the checks of a nested mapping.
-# Every value the run reschedules by or divides by must be positive, and
-# every time (a ``*_us`` key) is an integer, or null where its default is.
-_BLER_CHECKS = {"ue": "ues", "ru": "rus", "carrier": "carriers",
-                "bler": _FRACTION}
-_SUBNET_TRAFFIC_CHECKS = {"period_us": _POSITIVE_INT,
-                          "start_us": _NON_NEGATIVE_INT,
-                          "stop_us": _TIME_OR_NULL}
-_CHECKS = {
-    "scenario": {
-        "seed": _INT, "duration_us": _POSITIVE_INT,
-        "mode": _one_of(MODE_SIXG, MODE_SPLIT),
-        "tti_us": (lambda v: type(v) is int and 125 <= v <= 1000,
-                   "must be an integer within [125, 1000]"),
-        **dict.fromkeys(("reliable_harq", "drop_indication", "dmimo",
-                         "energy"), _BOOL),
-        "t_reordering_us": _POSITIVE_INT,
-        "handover_interruption_us": _NON_NEGATIVE_INT,
-        "migration_downtime_us": _NON_NEGATIVE_INT,
-        "cn_entry_site": "sites",
-        "harq": {**dict.fromkeys(("processes", "rtt_ttis", "max_tx"),
-                                 _POSITIVE_INT),
-                 "feedback_error_rate": _FRACTION},
-        "aqm": dict.fromkeys(("mark_threshold_us", "drop_threshold_us"),
-                             _NON_NEGATIVE_INT),
-        "rlc": {"window": _POSITIVE_INT,
-                "max_retx": _or_null(_NON_NEGATIVE_INT),
-                "status_interval_us": _POSITIVE_INT},
-        "split": {"d_f1_us": _NON_NEGATIVE_INT,
-                  "credit_bytes": _or_null(_POSITIVE_INT)},
-        "class_weights": dict.fromkeys(_NESTED_DEFAULTS["class_weights"],
-                                       _NON_NEGATIVE),
-        "serving": {"quality_threshold": _FRACTION,
-                    "max_set_size": _POSITIVE_INT},
-        "orchestrator": {"hysteresis": _POSITIVE_INT, "tick_us": _POSITIVE_INT,
-                         "idle_sleep_interval_us": _NON_NEGATIVE_INT},
-        "trust": {"reassess_interval_us": _POSITIVE_INT, "weights": (
+# The schema.  A table maps each key of an entry kind to (default, rule):
+# - the default is the value of an omitted key; a tuple of types marks a
+#   required key, a table that of a nested mapping, and a list default
+#   also requires a list;
+# - the rule is None, the kind of id the value names (each item of a list;
+#   null names nothing), a (test, message) pair, or, for a list of entries,
+#   the table of its entries.
+# A value that is its default passes, unless the default fails its rule
+# (null ``duration_us``, which has no default).  Every value the
+# run reschedules by or divides by must be positive, and every time (a
+# ``*_us`` key) is an integer, or null where its default is.
+class _Table(dict):
+    """A table of the schema; its attributes sort the keys for ``_fill``
+    and ``_check``."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.defaults = {k: d for k, (d, _) in table.items()
+                         if type(d) not in (tuple, list, _Table)}
+        # A nested mapping of plain defaults only is filled in by a merge.
+        self.plain = len(self.defaults) == len(table)
+        # (key, the value that passes unchecked, rule) of each value rule:
+        # the default, unless it fails its rule.
+        self.rules = [(k, d if type(r) is str or r[0](d) else object(), r)
+                      for k, (d, r) in table.items()
+                      if type(r) in (str, tuple)]
+        # The nested mappings that have rules.
+        self.nested = [(k, d) for k, (d, _) in table.items()
+                       if type(d) is _Table and (d.rules or d.nested)]
+
+
+def _mapping(**table):
+    """The spec of a nested mapping: its table, and no rule of its own."""
+    return _Table(table), None
+
+
+_NAME = (_STR, None)  # a required string
+_TIME_OR_NULL = _or_null(_NON_NEGATIVE_INT)
+_WINDOW = {"start_us": (0, _NON_NEGATIVE_INT),
+           "stop_us": (None, _TIME_OR_NULL)}
+_SUBNET_TRAFFIC = {"src": _NAME, "size": ((int,), None),
+                   "period_us": ((int,), _POSITIVE_INT), **_WINDOW}
+_BLER_ENTRY = _Table({"ue": (_STR, "ues"), "ru": (_STR, "rus"),
+                      "carrier": (_STR, "carriers"),
+                      "bler": (_NUMBER, _FRACTION)})
+
+# The list sections of a scenario, with the table of their entries.
+_ENTRIES = {what: _Table(table) for what, table in {
+    "sites": {"id": _NAME, "kind": (_STR, _one_of(topo.ONPREM, topo.FAREDGE)),
+              "cpu_capacity": (100.0, _POSITIVE)},
+    "links": {"a": (_STR, "sites"), "b": (_STR, "sites"),
+              "latency_us": ((int,), _NON_NEGATIVE)},
+    "carriers": {"id": _NAME, "prbs_per_tti": ((int,), _POSITIVE),
+                 "bytes_per_prb": ((int,), _POSITIVE)},
+    "rus": {"id": _NAME, "site": (_STR, "sites"),
+            "carriers": ((list,), "carriers"),
+            "fronthaul_latency_us": (50, _NON_NEGATIVE_INT)},
+    "ranfs": {"id": _NAME, "site": (_STR, "sites"), "rus": ([], "rus"),
+              "neighbors": ([], "ranfs")},
+    "slices": {"id": _NAME, "latency_budget_us": (None, _TIME_OR_NULL),
+               "auto_place": (False, _BOOL)},
+    "placement": {"id": _NAME, "kind": (_STR, _one_of(*topo.FUNCTION_KINDS)),
+                  "site": (_STR, "sites"), "slice": (None, "slices"),
+                  "bound_ru": (None, "rus"), "cpu_load": (1.0, None)},
+    "ues": {"id": _NAME, "ranf": (_STR, "ranfs"),
+            "trust": _mapping(auth=(1.0, _FRACTION), history=(1.0, _FRACTION),
+                              anomaly=(0.0, _FRACTION)),
+            "trust_threshold": (None, _or_null(_FRACTION))},
+    "bearers": {
+        "id": _NAME, "ue": (_STR, "ues"), "latency_req_us": ((int,), None),
+        "reliability_req": ((float,), None), "ecn_capable": (False, _BOOL),
+        "traffic": _mapping(
+            pattern=(tra.CBR, _one_of(tra.CBR, tra.POISSON,
+                                      tra.PERIODIC_BURST, tra.XR_FRAME)),
+            rate_bytes_per_s=(1_000_000.0, _NON_NEGATIVE),
+            sdu_bytes=(1500, _POSITIVE),
+            burst_period_us=(100_000, _POSITIVE_INT),
+            burst_bytes=(15_000, _POSITIVE),
+            # XrFrame frames are int(1e6 / fps) us apart: at least 1 us.
+            fps=(90.0, (lambda v: type(v) in _NUMBER and 0 < v <= US_PER_S,
+                        f"must be in (0, {US_PER_S}]")),
+            frame_bytes=(50_000, _POSITIVE), frame_jitter=(0.0, _NON_NEGATIVE),
+            congestion_law=(tra.NO_REACTION, _one_of(
+                tra.NO_REACTION, tra.L4S, tra.CLASSIC)),
+            recovery_step=(0.05, _NON_NEGATIVE),
+            rtt_window_us=(50_000, _POSITIVE_INT), **_WINDOW)},
+    "subnetworks": {
+        "id": _NAME, "parent_ranf": (None, "ranfs"),
+        "parent_ru": (None, "rus"),
+        "autonomous_prbs": (0, _NON_NEGATIVE_INT),
+        "grant_prbs": (10, _NON_NEGATIVE_INT),
+        "grant_period_us": (100_000, _POSITIVE_INT),
+        "local_bytes_per_prb": (64, _POSITIVE_INT),
+        "nonlocal_ttl_us": (1_000_000, _NON_NEGATIVE_INT),
+        "parent_latency_us": (2_000, _NON_NEGATIVE_INT), "devices": ([], None),
+        "local_traffic": ([], _Table({**_SUBNET_TRAFFIC, "dst": _NAME})),
+        "nonlocal_traffic": ([], _Table(_SUBNET_TRAFFIC))},
+}.items()}
+
+_SCENARIO = _Table({
+    "seed": (1, _INT),
+    # The one key without a default: null, which its rule rejects.
+    "duration_us": (None, _POSITIVE_INT),
+    "mode": (MODE_SIXG, _one_of(MODE_SIXG, MODE_SPLIT)),
+    "tti_us": (500, (lambda v: type(v) is int and 125 <= v <= 1000,
+                     "must be an integer within [125, 1000]")),
+    "reliable_harq": (True, _BOOL),
+    "drop_indication": (True, _BOOL),
+    "dmimo": (False, _BOOL),
+    "energy": (False, _BOOL),
+    "cn_entry_site": (None, "sites"),
+    "t_reordering_us": (20_000, _POSITIVE_INT),
+    "handover_interruption_us": (5_000, _NON_NEGATIVE_INT),
+    "migration_downtime_us": (10_000, _NON_NEGATIVE_INT),
+    "harq": _mapping(processes=(8, _POSITIVE_INT), rtt_ttis=(4, _POSITIVE_INT),
+                     max_tx=(4, _POSITIVE_INT),
+                     feedback_error_rate=(0.0, _FRACTION)),
+    "aqm": _mapping(mark_threshold_us=(1_000, _NON_NEGATIVE_INT),
+                    drop_threshold_us=(50_000, _NON_NEGATIVE_INT)),
+    "rlc": _mapping(window=(64, _POSITIVE_INT),
+                    max_retx=(None, _or_null(_NON_NEGATIVE_INT)),
+                    status_interval_us=(5_000, _POSITIVE_INT)),
+    "fronthaul": _mapping(
+        mode=(radio.CENTRALIZED_BF,
+              _one_of(radio.CENTRALIZED_BF, radio.RU_LOCAL_BF)),
+        expansion_factor=(4, None), update_cost_bytes=(64, None)),
+    "split": _mapping(d_f1_us=(0, _NON_NEGATIVE_INT),
+                      credit_bytes=(None, _or_null(_POSITIVE_INT))),
+    "class_weights": _mapping(MissionCritical=(100.0, _NON_NEGATIVE),
+                              Moderate=(1.0, _NON_NEGATIVE)),
+    "serving": _mapping(quality_threshold=(0.1, _FRACTION),
+                        max_set_size=(1, _POSITIVE_INT)),
+    "trust": _mapping(
+        weights=([0.5, 0.3, 0.2], (
             lambda w: len(w) == 3 and all(type(x) in _NUMBER and x >= 0
                                           for x in w)
             and abs(sum(w) - 1.0) <= 1e-9,
-            "must be three non-negative weights that sum to 1"),
-            "threshold": _FRACTION},
-        "fronthaul": {"mode": _one_of(radio.CENTRALIZED_BF,
-                                      radio.RU_LOCAL_BF)},
-    },
-    "sites": {"kind": _one_of(topo.ONPREM, topo.FAREDGE),
-              "cpu_capacity": _POSITIVE},
-    "links": {"a": "sites", "b": "sites", "latency_us": _NON_NEGATIVE},
-    "carriers": {"prbs_per_tti": _POSITIVE, "bytes_per_prb": _POSITIVE},
-    "rus": {"site": "sites", "carriers": "carriers",
-            "fronthaul_latency_us": _NON_NEGATIVE_INT},
-    "ranfs": {"site": "sites", "rus": "rus", "neighbors": "ranfs"},
-    "slices": {"latency_budget_us": _TIME_OR_NULL, "auto_place": _BOOL},
-    "placement": {"kind": _one_of(*topo.FUNCTION_KINDS), "site": "sites",
-                  "slice": "slices", "bound_ru": "rus"},
-    "ues": {"ranf": "ranfs", "trust": dict.fromkeys(_UE_TRUST, _FRACTION),
-            "trust_threshold": _or_null(_FRACTION)},
-    "bearers": {"ue": "ues", "ecn_capable": _BOOL, "traffic": {
-        "pattern": _one_of(tra.CBR, tra.POISSON, tra.PERIODIC_BURST,
-                           tra.XR_FRAME),
-        "congestion_law": _one_of(tra.NO_REACTION, tra.L4S, tra.CLASSIC),
-        "rate_bytes_per_s": _NON_NEGATIVE, "sdu_bytes": _POSITIVE,
-        "burst_bytes": _POSITIVE, "frame_bytes": _POSITIVE,
-        "frame_jitter": _NON_NEGATIVE, "recovery_step": _NON_NEGATIVE,
-        "burst_period_us": _POSITIVE_INT, "rtt_window_us": _POSITIVE_INT,
-        # XrFrame frames are int(1e6 / fps) us apart: at least 1 us.
-        "fps": (lambda v: type(v) in _NUMBER and 0 < v <= US_PER_S,
-                f"must be in (0, {US_PER_S}]"),
-        "start_us": _NON_NEGATIVE_INT, "stop_us": _TIME_OR_NULL}},
-    "subnetworks": {
-        "parent_ranf": "ranfs", "parent_ru": "rus",
-        **dict.fromkeys(("grant_period_us", "local_bytes_per_prb"),
-                        _POSITIVE_INT),
-        **dict.fromkeys(("autonomous_prbs", "grant_prbs", "nonlocal_ttl_us",
-                         "parent_latency_us"), _NON_NEGATIVE_INT)},
-    "local_traffic": _SUBNET_TRAFFIC_CHECKS,
-    "nonlocal_traffic": _SUBNET_TRAFFIC_CHECKS,
-    "bler.entries": _BLER_CHECKS,
-}
-_SCRIPT_CHECKS = {
-    "handover": {"ue": "ues", "dst": "ranfs"},
-    "migrate": {"instance": "instances", "site": "sites"},
-    "anomaly": {"ue": "ues", "anomaly_score": _FRACTION},
-    "policy": {},
-    "detach_subnet": {"subnet": "subnetworks"},
-    "attach_subnet": {"subnet": "subnetworks", "ranf": "ranfs", "ru": "rus"},
-    "device_handover": {"device": "devices", "src": "subnetworks",
-                        "dst": "subnetworks"},
-    "set_bler": _BLER_CHECKS,
-}
-_CHECKS.update((action, {"at_us": _NON_NEGATIVE, **checks})
-               for action, checks in _SCRIPT_CHECKS.items())
-# The spec of each entry kind in _CHECKS; the scenario's is its allowed keys.
-_SPECS = {"scenario": {**_TOP_DEFAULTS, **_NESTED_DEFAULTS,
-                       "duration_us": (int,)},
-          **_ENTRIES, **_SUBNET_TRAFFIC, **_SCRIPT_SPECS,
-          "bler.entries": _BLER_ENTRY}
+            "must be three non-negative weights that sum to 1")),
+        threshold=(0.6, _FRACTION),
+        reassess_interval_us=(1_000_000, _POSITIVE_INT)),
+    "orchestrator": _mapping(
+        hysteresis=(3, _POSITIVE_INT), tick_us=(100_000, _POSITIVE_INT),
+        idle_sleep_interval_us=(10_000, _NON_NEGATIVE_INT)),
+    "bler": _mapping(default=(0.0, None), entries=([], _BLER_ENTRY)),
+    **{what: ([], table) for what, table in _ENTRIES.items()},
+    "script": ([], None),  # each event's table is chosen by its action
+})
+
+_SCRIPT = {action: _Table({"at_us": ((int,), _NON_NEGATIVE), "action": _NAME,
+                           **table}) for action, table in {
+    "handover": {"ue": (_STR, "ues"), "dst": (_STR, "ranfs")},
+    "migrate": {"instance": (_STR, "instances"), "site": (_STR, "sites")},
+    "anomaly": {"ue": (_STR, "ues"), "anomaly_score": (_NUMBER, _FRACTION)},
+    "policy": {"policy": ((dict,), None)},  # its table is chosen by directive
+    "detach_subnet": {"subnet": (_STR, "subnetworks")},
+    "attach_subnet": {"subnet": (_STR, "subnetworks"), "ranf": (_STR, "ranfs"),
+                      "ru": (_STR, "rus")},
+    "device_handover": {"device": (_STR, "devices"),
+                        "src": (_STR, "subnetworks"),
+                        "dst": (None, "subnetworks")},
+    "set_bler": _BLER_ENTRY,
+}.items()}
+_POLICIES = {directive: _Table({"id": _NAME, "directive": _NAME,
+                                "params": params})
+             for directive, params in {
+    orch.ENERGY_SAVING: _mapping(on=(False, _BOOL)),
+    orch.MIN_SLICE_SHARE: _mapping(slice=(_STR, "slices"),
+                                   fraction=(_NUMBER, _FRACTION)),
+}.items()}
 
 
 class SchemaErrors(ConfigError):
@@ -261,79 +229,91 @@ class SchemaErrors(ConfigError):
         super().__init__("scenario schema errors:\n  " + "\n  ".join(self.errors))
 
 
-def _check_keys(obj, allowed, path, errors):
+def _fill(obj, table, path, errors):
+    """Check ``obj`` against ``table`` and fill in its defaults in place;
+    True when every key of ``table`` can be read (``obj`` is a mapping, and
+    each required key, nested mapping and list has a value of its type).
+    A nested mapping or a list that fails is replaced by its default."""
     if not isinstance(obj, dict):
         errors.append(f"{path}: expected a mapping, got {type(obj).__name__}")
         return False
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{path}: unknown key {key!r}")
-    return True
-
-
-def _require(obj, key, path, errors, types=None):
-    if key not in obj or obj[key] is None:
-        errors.append(f"{path}: missing required key {key!r}")
-        return None
-    val = obj[key]
-    if types and not isinstance(val, types):
-        errors.append(f"{path}.{key}: expected {types}, got {type(val).__name__}")
-        return None
-    return val
-
-
-def _fill(obj, spec, path, errors):
-    """Check ``obj`` against ``spec`` and fill in its defaults in place;
-    True when every key of ``spec`` can be read (``obj`` is a mapping, and
-    each required key, nested mapping and list has a value of its type)."""
-    if not _check_keys(obj, spec, path, errors):
-        return False
+    if not obj.keys() <= table.keys():
+        errors += [f"{path}: unknown key {key!r}" for key in obj
+                   if key not in table]
     ok = True
-    for key, rule in spec.items():
-        kind = type(rule)
-        if kind is tuple:
+    for key, (default, _) in table.items():
+        kind = type(default)
+        if kind is tuple:  # a required key, by its types
             val = obj.get(key)
             if val is None:
                 errors.append(f"{path}: missing required key {key!r}")
                 ok = False
-            elif not isinstance(val, rule):
-                errors.append(f"{path}.{key}: expected {rule}, "
+            elif not isinstance(val, default):
+                errors.append(f"{path}.{key}: expected {default}, "
                               f"got {type(val).__name__}")
                 ok = False
-        elif kind is dict:  # a nested mapping of defaults only
+        elif kind is _Table:  # a nested mapping; null means its defaults
             sub = obj.get(key)
-            if sub is None:
-                obj[key] = rule.copy()
-            elif _check_keys(sub, rule, f"{path}.{key}", errors):
-                obj[key] = {**rule, **sub}
+            if default.plain and sub is None:
+                obj[key] = default.defaults.copy()
+            elif default.plain and type(sub) is dict \
+                    and sub.keys() <= default.keys():
+                obj[key] = {**default.defaults, **sub}
             else:
-                ok = False
+                obj[key] = sub = {} if sub is None else sub
+                if not _fill(sub, default, f"{path}.{key}", errors):
+                    obj[key] = {}
+                    _fill(obj[key], default, path, [])
+                    ok = False
         elif key not in obj:
-            obj[key] = rule.copy() if kind is list else rule
+            obj[key] = default.copy() if kind is list else default
         elif kind is list and not isinstance(obj[key], list):
             errors.append(f"{path}.{key}: expected a list, "
                           f"got {type(obj[key]).__name__}")
+            obj[key] = []
             ok = False
     return ok
 
 
-def _check(obj, spec, path, checks, ids, errors):
-    """Apply ``checks`` (see ``_CHECKS``) to a mapping that meets ``spec``;
-    a value that is its spec default is valid."""
-    for key, rule in checks.items():
-        value = obj[key]
-        if value is spec[key]:
-            continue
-        if type(rule) is str:
-            if value is None:
+def _check(entries, table, ids, errors, keys=()):
+    """Apply the rules of ``table`` to the mapping at ``keys`` in each
+    (path, mapping) of ``entries``, mappings that ``_fill`` completed."""
+    rules = table.rules
+    for path, obj in entries:
+        for key in keys:
+            obj = obj[key]
+        for key, unchecked, rule in rules:
+            value = obj[key]
+            if value is unchecked:
                 continue
-            for v in value if type(value) is list else (value,):
-                if type(v) is not str or v not in ids[rule]:
-                    errors.append(f"{path}.{key}: {v!r} is not in {rule}")
-        elif type(rule) is dict:
-            _check(value, spec[key], f"{path}.{key}", rule, ids, errors)
-        elif not rule[0](value):
-            errors.append(f"{path}.{key}: {rule[1]}")
+            if type(rule) is tuple:
+                if not rule[0](value):
+                    errors.append(f"{'.'.join((path, *keys, key))}: "
+                                  f"{rule[1]}")
+            elif value is not None:
+                for v in value if type(value) is list else (value,):
+                    if type(v) is not str or v not in ids[rule]:
+                        errors.append(f"{'.'.join((path, *keys, key))}: "
+                                      f"{v!r} is not in {rule}")
+    for key, sub in table.nested:
+        _check(entries, sub, ids, errors, keys + (key,))
+
+
+def _table_of(obj, tables, key, path, errors):
+    """The table of ``obj`` in ``tables``, named by ``obj[key]``; None after
+    an error."""
+    if not isinstance(obj, dict):
+        errors.append(f"{path}: expected a mapping, got {type(obj).__name__}")
+        return None
+    name = obj.get(key)
+    if name is None:
+        errors.append(f"{path}: missing required key {key!r}")
+    elif type(name) is not str or name not in tables:
+        errors.append(f"{path}.{key}: unknown {key} {name!r}, "
+                      f"expected one of {sorted(tables)}")
+    else:
+        return tables[name]
+    return None
 
 
 def parse_scenario(path):
@@ -353,49 +333,34 @@ def validate_scenario(raw):
     if not isinstance(raw, dict):
         raise SchemaErrors(["scenario must be a mapping at the top level"])
 
-    _check_keys(raw, _SPECS["scenario"], "scenario", errors)
-
-    # Every config gets its own copy of the mutable (list) defaults, so that
-    # editing one resolved config in place cannot change the next one.
-    cfg = {}
-    for key, default in _TOP_DEFAULTS.items():
-        value = raw.get(key)
-        if value is None:
-            value = list(default) if isinstance(default, list) else default
-        elif isinstance(default, list) and not isinstance(value, list):
-            errors.append(f"scenario.{key}: expected a list")
-            value = []
-        cfg[key] = value
-    for section, spec in _NESTED_DEFAULTS.items():
-        sub = raw.get(section)
-        if sub is None or not _fill(sub, spec, section, errors):
-            sub = {k: v.copy() if type(v) is list else v
-                   for k, v in spec.items()}
-        cfg[section] = sub
-
-    cfg["duration_us"] = raw.get("duration_us")
+    # A top-level null means the default.  Every config gets its own copy
+    # of the mutable (list) defaults, so that editing one resolved config in
+    # place cannot change the next one.
+    cfg = {key: value for key, value in raw.items() if value is not None}
+    _fill(cfg, _SCENARIO, "scenario", errors)
     lo, hi = cfg["aqm"]["mark_threshold_us"], cfg["aqm"]["drop_threshold_us"]
     if not (type(lo) in _NUMBER and type(hi) in _NUMBER and lo <= hi):
-        errors.append("aqm.drop_threshold_us: must be at least "
+        errors.append("scenario.aqm.drop_threshold_us: must be at least "
                       "mark_threshold_us")
 
-    # Each entry that meets its spec, as (path, entry), by entry kind; the
-    # ids of each kind.
-    entries = {"scenario": [("scenario", cfg)]}
+    # First pass: fill in every entry and collect the ids of each kind.
+    # ``checked`` holds (table, [(path, entry), ...]) of the entries that
+    # meet their table; ``entries`` those of each list section.
+    checked = [(_SCENARIO, [("scenario", cfg)])]
+    entries = {}
     ids = {}
-    for what, spec in _ENTRIES.items():
-        items = cfg[what]
-        if what in ("sites", "carriers", "rus", "ranfs") and not items:
+    for what, table in _ENTRIES.items():
+        if what in ("sites", "carriers", "rus", "ranfs") and not cfg[what]:
             errors.append(f"scenario.{what}: at least one entry is required")
-        entries[what] = _entries(items, spec, what, errors, ids)
-    entries["bler.entries"] = _entries(cfg["bler"]["entries"], _BLER_ENTRY,
-                                       "bler.entries", errors)
+        entries[what] = _entries(cfg[what], table, what, errors, checked, ids)
+    _entries(cfg["bler"]["entries"], _BLER_ENTRY, "scenario.bler.entries",
+             errors, checked)
     ids["devices"] = set()
     for path, sn in entries["subnetworks"]:
         ids["devices"].update(d for d in sn["devices"] if type(d) is str)
-        for what, spec in _SUBNET_TRAFFIC.items():
-            entries.setdefault(what, []).extend(
-                _entries(sn[what], spec, f"{path}.{what}", errors))
+        for what in ("local_traffic", "nonlocal_traffic"):
+            _entries(sn[what], _ENTRIES["subnetworks"][what][1],
+                     f"{path}.{what}", errors, checked)
     ids["instances"] = set(ids["placement"])
     for path, sl in entries["slices"]:
         if sl["auto_place"]:
@@ -404,19 +369,19 @@ def validate_scenario(raw):
                 errors.append(f"{path}: auto_place requires latency_budget_us")
     for idx, ev in enumerate(cfg["script"]):
         path = f"script[{idx}]"
-        action = ev.get("action") if isinstance(ev, dict) else None
-        if isinstance(action, str) and action in _SCRIPT_SPECS:
-            if _fill(ev, _SCRIPT_SPECS[action], path, errors):
-                entries.setdefault(action, []).append((path, ev))
-        elif action is not None:
-            errors.append(f"{path}.action: unknown action {action!r}")
-        else:
-            _fill(ev, {"at_us": (int,), "action": (str,)}, path, errors)
+        table = _table_of(ev, _SCRIPT, "action", path, errors)
+        if table is None or not _fill(ev, table, path, errors):
+            continue
+        checked.append((table, [(path, ev)]))
+        if ev["action"] == "policy":
+            path, ev = f"{path}.policy", ev["policy"]
+            table = _table_of(ev, _POLICIES, "directive", path, errors)
+            if table is not None and _fill(ev, table, path, errors):
+                checked.append((table, [(path, ev)]))
 
-    for what, good in entries.items():
-        spec, checks = _SPECS[what], _CHECKS[what]
-        for path, entry in good:
-            _check(entry, spec, path, checks, ids, errors)
+    # Second pass: the values and the ids they name.
+    for table, good in checked:
+        _check(good, table, ids, errors)
 
     # Rules between entries.
     site_kind = {s["id"]: s["kind"] for _, s in entries["sites"]}
@@ -441,57 +406,33 @@ def validate_scenario(raw):
         if first_lat != lat:
             errors.append(f"{path}.latency_us: {lat} differs from the "
                           f"{first_lat} of {first}, between the same sites")
-    for path, ev in entries.get("policy", ()):
-        _check_policy(ev["policy"], f"{path}.policy", ids["slices"], errors)
-
     if errors:
         raise SchemaErrors(errors)
     return cfg
 
 
-def _entries(items, spec, what, errors, ids=None):
-    """(path, entry) of each entry of ``items`` that meets ``spec``; the
-    ids of all its entries go into ``ids[what]``."""
+def _entries(items, table, what, errors, checked, ids=None):
+    """(path, entry) of each entry of ``items`` that meets ``table``, also
+    added to ``checked``; the ids of all its entries go into
+    ``ids[what]``."""
     good = []
     first = {}  # id -> the path of its first entry
     for idx, item in enumerate(items):
         path = f"{what}[{idx}]"
         iid = item.get("id") if isinstance(item, dict) else None
-        if type(iid) is str:  # else the spec check reports it
+        if type(iid) is str:  # else _fill reports it
             if iid in first:
                 errors.append(f"{path}: duplicate id {iid!r} (first at "
                               f"{first[iid]})")
-            first.setdefault(iid, path)
-        if _fill(item, spec, path, errors):
+            else:
+                first[iid] = path
+        if _fill(item, table, path, errors):
             good.append((path, item))
+    if good:
+        checked.append((table, good))
     if ids is not None:
         ids[what] = set(first)
     return good
-
-
-def _check_policy(policy, path, slice_ids, errors):
-    if not _check_keys(policy, {"id", "directive", "params"}, path, errors):
-        return
-    _require(policy, "id", path, errors, (str,))
-    directive = _require(policy, "directive", path, errors, (str,))
-    if directive is None:
-        return
-    if directive not in orch.POLICY_PARAMS:
-        errors.append(f"{path}.directive: unknown directive {directive!r}, "
-                      f"expected one of {sorted(orch.POLICY_PARAMS)}")
-        return
-    params = policy.get("params", {})
-    if not _check_keys(params, orch.POLICY_PARAMS[directive],
-                       f"{path}.params", errors):
-        return
-    if directive == orch.MIN_SLICE_SHARE:
-        sl = _require(params, "slice", f"{path}.params", errors, (str,))
-        if sl is not None and sl not in slice_ids:
-            errors.append(f"{path}.params.slice: unknown slice {sl!r}")
-        frac = _require(params, "fraction", f"{path}.params", errors,
-                        (int, float))
-        if frac is not None and not 0 <= frac <= 1:
-            errors.append(f"{path}.params.fraction: must be in [0,1]")
 
 
 def config_hash(cfg):

@@ -1,7 +1,7 @@
 """Orchestration: slice admission with automatic placement, hysteresis-based
 scaling and power-state metering.  The policies a controller may apply
-(``POLICY_PARAMS``) are carried out by the runtime: the last one applied
-decides.
+(their directives below; the scenario schema declares their params) are
+carried out by the runtime: the last one applied decides.
 """
 
 from dataclasses import dataclass
@@ -15,12 +15,6 @@ SCALE_NONE = "None"
 
 ENERGY_SAVING = "EnergySaving"
 MIN_SLICE_SHARE = "MinSliceShare"
-
-# Policy directive -> the params keys it reads.
-POLICY_PARAMS = {
-    ENERGY_SAVING: {"on"},
-    MIN_SLICE_SHARE: {"slice", "fraction"},
-}
 
 
 @dataclass

@@ -877,9 +877,9 @@ class Runtime:
                 ev["anomaly_score"]
         elif action == "policy":
             # The last policy applied decides.
-            params = ev["policy"].get("params", {})
+            params = ev["policy"]["params"]
             if ev["policy"]["directive"] == orch.ENERGY_SAVING:
-                self.meter.saving = bool(params.get("on", False))
+                self.meter.saving = params["on"]
             else:
                 self.min_slice_share[params["slice"]] = params["fraction"]
         elif action == "detach_subnet":

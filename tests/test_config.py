@@ -11,7 +11,8 @@ import yaml
 from ransim import config as cfgmod
 from ransim.runtime import run_scenario
 from test_acceptance import SCENARIO_DIR, _subnet_raw
-from test_golden import _split_lossy_raw
+from test_golden import (_control_plane_raw, _ru_local_bf_raw,
+                         _split_lossy_raw)
 
 
 def minimal_raw():
@@ -145,6 +146,9 @@ def test_trust_query_latency_rejected():
       "params": {"slice": "IX", "fraction": 0.5}}, "'IX'"),
     ({"id": "p1", "directive": "EnergySaving", "params": {"of": True}},
      "'of'"),
+    # Once validated, and turned energy saving on.
+    ({"id": "p1", "directive": "EnergySaving", "params": {"on": "false"}},
+     "script[0].policy.params.on: must be true or false"),
 ])
 def test_bad_policy_rejected_at_validation(policy, fragment):
     raw = minimal_raw()
@@ -155,6 +159,14 @@ def test_bad_policy_rejected_at_validation(policy, fragment):
     assert fragment in str(exc.value)
 
 
+def test_energy_saving_is_off_without_params():
+    raw = minimal_raw()
+    raw["script"] = [{"at_us": 0, "action": "policy",
+                      "policy": {"id": "p1", "directive": "EnergySaving"}}]
+    cfg = cfgmod.validate_scenario(raw)
+    assert cfg["script"][0]["policy"]["params"] == {"on": False}
+
+
 def test_every_default_key_is_read_by_the_simulator():
     """A key with a default but no reader is a knob that does nothing."""
     src = os.path.join(os.path.dirname(__file__), "..", "src", "ransim")
@@ -162,11 +174,10 @@ def test_every_default_key_is_read_by_the_simulator():
                    for path in sorted(glob.glob(os.path.join(src, "*.py")))
                    if os.path.basename(path) != "config.py")
     free_form = {"class_weights"}
-    keys = set(cfgmod._TOP_DEFAULTS)
-    for section, defaults in cfgmod._NESTED_DEFAULTS.items():
-        keys.add(section)
-        if section not in free_form:
-            keys |= set(defaults)
+    keys = set(cfgmod._SCENARIO)
+    for section, (default, _) in cfgmod._SCENARIO.items():
+        if isinstance(default, dict) and section not in free_form:
+            keys |= set(default)
     unread = sorted(k for k in keys
                     if not re.search(r'\[\s*"%s"\s*\]' % re.escape(k), text))
     assert unread == []
@@ -281,7 +292,7 @@ SUBNET = ("subnetworks", 0)
     ([(TRAFFIC + ("rate_bytes_per_s",), -1.0)],
      "bearers[0].traffic.rate_bytes_per_s"),
     ([(("aqm",), {"mark_threshold_us": 5_000, "drop_threshold_us": 1_000})],
-     "aqm.drop_threshold_us"),
+     "scenario.aqm.drop_threshold_us"),
     ([(("rlc",), {"status_interval_us": 0})],
      "scenario.rlc.status_interval_us"),
     ([(("orchestrator",), {"tick_us": 0})], "scenario.orchestrator.tick_us"),
@@ -377,9 +388,9 @@ SUBNET = ("subnetworks", 0)
                                   "directive": "EnergySaving"}})],
      "script[0].policy: unknown key 'scope'"),
     ([(("orchestrator",), {"scale_hi": 0.8})],
-     "orchestrator: unknown key 'scale_hi'"),
+     "scenario.orchestrator: unknown key 'scale_hi'"),
     ([(("orchestrator",), {"scale_lo": 0.2})],
-     "orchestrator: unknown key 'scale_lo'"),
+     "scenario.orchestrator: unknown key 'scale_lo'"),
     ([(("class_weights",), {"Moderate": "x"})],
      "scenario.class_weights.Moderate"),
     ([(("class_weights",), {"MissionCritical": -1})],
@@ -409,18 +420,35 @@ def test_rule_rejected_at_validation(edits, path):
     assert_rejected(edited(edits), path)
 
 
-def test_defaults_pass_their_checks():
-    """Validation does not check a value that is its spec default again,
-    so each default must pass its own rule."""
-    def walk(spec, checks):
-        for key, rule in checks.items():
-            if isinstance(rule, dict):
-                walk(spec[key], rule)
-            elif isinstance(rule, tuple) and not isinstance(spec[key], tuple):
-                assert rule[0](spec[key]), key
+def schema_tables():
+    """(name, table) of every table of the schema: the scenario's, each
+    script action's and policy directive's, and, within those, each nested
+    mapping's and each list of entries'."""
+    todo = [("scenario", cfgmod._SCENARIO)]
+    todo += [(f"script:{action}", table)
+             for action, table in cfgmod._SCRIPT.items()]
+    todo += [(f"policy:{directive}", table)
+             for directive, table in cfgmod._POLICIES.items()]
+    for name, table in todo:  # grows as nested tables are found
+        yield name, table
+        for key, (default, rule) in table.items():
+            if isinstance(default, dict):
+                todo.append((f"{name}.{key}", default))
+            elif isinstance(rule, dict):
+                todo.append((f"{name}.{key}[]", rule))
 
-    for kind, checks in cfgmod._CHECKS.items():
-        walk(cfgmod._SPECS[kind], checks)
+
+def test_defaults_pass_their_checks():
+    """Validation does not check a value that is its default again, so
+    each default must pass its own rule.  Only ``duration_us``'s null, which
+    stands for no default, fails it, and so is checked."""
+    failing = []
+    for name, table in schema_tables():
+        for key, (default, rule) in table.items():
+            if isinstance(rule, tuple) and not isinstance(default, tuple) \
+                    and not rule[0](default):
+                failing.append(f"{name}.{key}")
+    assert failing == ["scenario.duration_us"]
 
 
 def test_device_handover_to_the_parent_validates():
@@ -435,14 +463,16 @@ def _at(raw, path):
     return raw
 
 
-def _spec_of(path, entry):
-    """The spec of the entry at ``path`` in ``full_raw``."""
+def _entry_table(path, entry):
+    """The schema table of the entry at ``path`` in ``full_raw``."""
+    if path[-1] == "policy":
+        return cfgmod._POLICIES[entry["directive"]]
     if path[0] == "script":
-        return cfgmod._SCRIPT_SPECS[entry["action"]]
+        return cfgmod._SCRIPT[entry["action"]]
     if path[0] == "bler":
-        return cfgmod._BLER_ENTRY
+        return cfgmod._SCENARIO["bler"][0]["entries"][1]
     if len(path) > 2:  # a sub-network's traffic
-        return cfgmod._SUBNET_TRAFFIC[path[2]]
+        return cfgmod._ENTRIES["subnetworks"][path[2]][1]
     return cfgmod._ENTRIES[path[0]]
 
 
@@ -452,6 +482,8 @@ def _entry_paths():
     paths += [("bler", "entries", 0), SUBNET + ("local_traffic", 0),
               SUBNET + ("nonlocal_traffic", 0)]
     paths += [("script", i) for i in range(len(raw["script"]))]
+    paths += [("script", i, "policy") for i, ev in enumerate(raw["script"])
+              if ev["action"] == "policy"]
     return paths
 
 
@@ -472,8 +504,9 @@ def test_bad_entry_is_a_schema_error_never_a_crash(path):
     value give SchemaErrors (or a valid scenario), never another
     exception."""
     entry = _at(full_raw(), path)
-    spec = _spec_of(path, entry)
-    required = [k for k, rule in spec.items() if isinstance(rule, tuple)]
+    table = _entry_table(path, entry)
+    required = [k for k, (default, _) in table.items()
+                if isinstance(default, tuple)]
     assert required
     for key in required:
         raw = full_raw()
@@ -487,8 +520,13 @@ def test_bad_entry_is_a_schema_error_never_a_crash(path):
             _outcome(edited([((*path, key), value)]))
 
 
-@pytest.mark.parametrize("section", sorted(cfgmod._NESTED_DEFAULTS) +
-                         ["ues/trust", "bearers/traffic"])
+NESTED = sorted(key for key, (default, _) in cfgmod._SCENARIO.items()
+                if isinstance(default, dict))
+NESTED += [f"{what}/{key}" for what, table in cfgmod._ENTRIES.items()
+           for key, (default, _) in table.items() if isinstance(default, dict)]
+
+
+@pytest.mark.parametrize("section", NESTED)
 def test_bad_nested_mapping_is_a_schema_error(section):
     for value in (7, "x", [1, 2]):
         if "/" in section:
@@ -666,26 +704,34 @@ KNOB_CHANGES = {
     ("scenario", "t_reordering_us"): ("stack", 5_000),
     ("scenario", "drop_indication"): ("stack", False),
     ("scenario", "reliable_harq"): ("stack", True),
+    # Read only in RU-local mode.
+    ("fronthaul", "update_cost_bytes"): ("ru-local-bf", 128),
+    ("fronthaul", "expansion_factor"): ("control-plane", 8),
+    ("fronthaul", "mode"): ("control-plane", "RuLocalBf"),
+    ("scenario", "migration_downtime_us"): ("control-plane", 30_000),
 }
 KNOB_RUNS = {"orchestrator": _orchestrator_knob_raw,
              "subnetworks": _subnet_knob_raw,
              "stack": _split_lossy_raw,
-             "ecn": _ecn_knob_raw}
-STACK_SECTIONS = ("harq", "aqm", "rlc")
-STACK_KEYS = ("t_reordering_us", "drop_indication", "reliable_harq")
+             "ecn": _ecn_knob_raw,
+             "ru-local-bf": _ru_local_bf_raw,
+             "control-plane": _control_plane_raw}
+SECTIONS = ("orchestrator", "fronthaul", "harq", "aqm", "rlc")
+SCENARIO_KEYS = ("t_reordering_us", "drop_indication", "reliable_harq",
+                 "migration_downtime_us")
 
 
 def test_knob_changes_the_report():
-    """Each orchestrator, sub-network and user-plane stack knob changes the
-    report of a run where it matters.  A knob that is read but ignored
-    fails here, and so does a new knob of these sections until it has a
-    value above."""
-    knobs = {(section, k) for section in ("orchestrator",) + STACK_SECTIONS
-             for k in cfgmod._NESTED_DEFAULTS[section]}
+    """Each orchestrator, fronthaul, sub-network and user-plane stack knob,
+    and the migration downtime, changes the report of a run where it
+    matters.  A knob that is read but ignored fails here, and so does a new
+    knob of these sections until it has a value above."""
+    knobs = {(section, k) for section in SECTIONS
+             for k in cfgmod._SCENARIO[section][0]}
     knobs |= {("subnetworks", k)
-              for k, v in cfgmod._ENTRIES["subnetworks"].items()
-              if type(v) in (int, float)}
-    knobs |= {("scenario", k) for k in STACK_KEYS}
+              for k, (default, _) in cfgmod._ENTRIES["subnetworks"].items()
+              if type(default) in (int, float)}
+    knobs |= {("scenario", k) for k in SCENARIO_KEYS}
     assert knobs == set(KNOB_CHANGES)
 
     def report(run, section=None, key=None, value=None):
