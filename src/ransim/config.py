@@ -115,7 +115,7 @@ _ENTRIES = {what: _Table(table) for what, table in {
                "auto_place": (False, _BOOL)},
     "placement": {"id": _NAME, "kind": (_STR, _one_of(*topo.FUNCTION_KINDS)),
                   "site": (_STR, "sites"), "slice": (None, "slices"),
-                  "bound_ru": (None, "rus"), "cpu_load": (1.0, None)},
+                  "bound_ru": (None, "rus"), "cpu_load": (1.0, _NON_NEGATIVE)},
     "ues": {"id": _NAME, "ranf": (_STR, "ranfs"),
             "trust": _mapping(auth=(1.0, _FRACTION), history=(1.0, _FRACTION),
                               anomaly=(0.0, _FRACTION)),
@@ -177,7 +177,8 @@ _SCENARIO = _Table({
     "fronthaul": _mapping(
         mode=(radio.CENTRALIZED_BF,
               _one_of(radio.CENTRALIZED_BF, radio.RU_LOCAL_BF)),
-        expansion_factor=(4, None), update_cost_bytes=(64, None)),
+        expansion_factor=(4, _POSITIVE),
+        update_cost_bytes=(64, _NON_NEGATIVE_INT)),
     "split": _mapping(d_f1_us=(0, _NON_NEGATIVE_INT),
                       credit_bytes=(None, _or_null(_POSITIVE_INT))),
     "class_weights": _mapping(MissionCritical=(100.0, _NON_NEGATIVE),
@@ -195,7 +196,7 @@ _SCENARIO = _Table({
     "orchestrator": _mapping(
         hysteresis=(3, _POSITIVE_INT), tick_us=(100_000, _POSITIVE_INT),
         idle_sleep_interval_us=(10_000, _NON_NEGATIVE_INT)),
-    "bler": _mapping(default=(0.0, None), entries=([], _BLER_ENTRY)),
+    "bler": _mapping(default=(0.0, _FRACTION), entries=([], _BLER_ENTRY)),
     **{what: ([], table) for what, table in _ENTRIES.items()},
     "script": ([], None),  # each event's table is chosen by its action
 })

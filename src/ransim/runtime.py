@@ -752,12 +752,14 @@ class Runtime:
         before ``ack_point``.  It acts only by deleting window SNs before
         ``ack_point`` and queueing the missing ones (``_abandon``,
         ``_activate`` follow from the latter).  An SN behind ``ack_point`` when
-        applied was in the window when built: a PDU enters it when its last
+        applied was in the window when built: a PDU enters it when its first
         byte is pulled, and the receiver passes an SN only on receipt (pulled
-        before), by drop indication (AQM drops only unsent heads) or by
-        t-reordering (FIFO: every SN below a stashed one was pulled first; the
-        give-up discards it from the window).  No SN re-enters the window.
-        A bearer with nothing stashed names no missing SN and one with an
+        whole before), by drop indication (AQM drops only unsent heads) or by
+        t-reordering (FIFO: every SN below a stashed one was pulled whole
+        first; the give-up discards it from the window).  No SN re-enters the
+        window.  So a partly pulled head is never behind ``ack_point``, nor
+        missing (below a stashed SN): each SN queued is resent whole.  A
+        bearer with nothing stashed names no missing SN and one with an
         empty window has no SN before ``ack_point``, so a bearer with both
         empty is skipped before a report is built: the reports sent are the
         same."""
@@ -912,16 +914,20 @@ class Runtime:
             self.metrics.handovers.append(radio.HandoverRecord(
                 ue_id, src.id, dst_id, now, 0, 0, False, "admission rejected"))
             return
-        # In-flight TBs are treated as lost and re-queued for RLC retx at the
-        # target; the un-ACKed window and buffer are forwarded as-is.
+        # In-flight TBs are treated as lost and their segments of window SNs
+        # re-queued for RLC retx at the target; the un-ACKed window and the
+        # buffer are forwarded as-is, a partly pulled head (in both) once.
         for proc in ue.harq:
             if proc is not None:
-                rlc = proc.ctx.rlc
-                self._abandon(proc.ctx, rlc.queue_retx(
-                    [s for s in proc.tb.segments if s.sn in rlc.window]))
+                self._abandon(proc.ctx,
+                              proc.ctx.rlc.queue_retx(proc.tb.segments))
         ue.harq = [None] * len(ue.harq)
-        forwarded = sum(len(ctx.rlc.window) + len(ctx.buffer.queue)
-                        for ctx in ue.bearers)
+        forwarded = 0
+        for ctx in ue.bearers:
+            window, queue = ctx.rlc.window, ctx.buffer.queue
+            forwarded += len(window) + len(queue)
+            if queue and window.get(queue[0].sn) is queue[0]:
+                forwarded -= 1
         link = self.topology.latency(src.site, dst.site)
         interruption = self.cfg["handover_interruption_us"]
         ue.ranf = dst_id

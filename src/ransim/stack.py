@@ -9,6 +9,12 @@ reordering timer.  HARQ feedback, when configured reliable, doubles as
 the RLC ACK/NACK; otherwise ``RlcTxState.apply_status`` applies the
 receiver's ``ReorderState.status_report``.
 
+The RLC window has one rule: a PDU is in it from its first pulled byte until
+a count of its un-ACKed bytes reaches zero, and its size bounds only the pull
+of a new SN.  The count is exact, as each byte is ACKed once at most: by its
+TB's HARQ ACK (a failed or flushed TB gets none before its bytes are resent),
+or, in the baseline, by a status report, which ACKs whole PDUs.
+
 A ``HarqProcess`` is one transport block in flight in one of its UE's HARQ
 slots, from its first transmission until HARQ acknowledges or gives it up;
 a process whose slot no longer holds it is stale.
@@ -24,6 +30,8 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass
+
+from .core import ModelError
 
 SN_SPACE = 4096
 SN_WINDOW = SN_SPACE // 2
@@ -74,7 +82,8 @@ class Bearer:
 
 
 class PdcpPdu:
-    __slots__ = ("sn", "size", "arrival_time", "payload", "sent", "ce_marked")
+    __slots__ = ("sn", "size", "arrival_time", "payload", "sent", "ce_marked",
+                 "unacked", "retx_count")
 
     def __init__(self, sn, size, arrival_time, payload=None):
         self.sn = sn
@@ -83,6 +92,8 @@ class PdcpPdu:
         self.payload = payload
         self.sent = 0  # bytes already pulled into transport blocks
         self.ce_marked = False
+        self.unacked = size  # bytes not yet ACKed, read in the RLC window
+        self.retx_count = 0  # times queued for RLC retransmission
 
     def __repr__(self):
         return f"PdcpPdu(sn={self.sn}, size={self.size})"
@@ -173,64 +184,39 @@ class TransportBlock:
         return not self.segments and not self.drop_indications
 
 
-class WindowEntry:
-    """The unACKed byte ranges of a transmitted PDU in the RLC window."""
-
-    __slots__ = ("pending", "retx_count")
-
-    def __init__(self, size):
-        self.pending = [(0, size)]  # unACKed byte ranges
-        self.retx_count = 0
-
-
 class RlcTxState:
     """Transmitter-side RLC AM bookkeeping, distinct from the user-data queue."""
 
     def __init__(self, window_size=64, max_retx=None):
-        self.window = {}  # sn -> WindowEntry
+        self.window = {}  # sn -> PdcpPdu, from its first pulled byte
         self.window_size = window_size
         self.max_retx = max_retx  # None = unlimited
         self.retx_queue = deque()  # Segment, awaiting a grant
         self.pending_drop_indications = deque()
 
-    def enter_window(self, pdu):
-        self.window[pdu.sn] = WindowEntry(pdu.size)
-
     def ack_segment(self, sn, start, end):
-        """Mark a delivered byte range; frees the window entry when complete."""
-        entry = self.window.get(sn)
-        if entry is None:
+        """ACK a segment's bytes; True if it frees the SN's window entry."""
+        pdu = self.window.get(sn)
+        if pdu is None:
+            return False  # given up or discarded since
+        pdu.unacked -= end - start
+        if pdu.unacked > 0:
             return False
-        pending = entry.pending
-        if len(pending) == 1:
-            s, e = pending[0]
-            if start <= s < e <= end:  # the whole rest is ACKed
-                del self.window[sn]
-                return True
-        remaining = []
-        for s, e in pending:
-            if e <= start or s >= end:
-                remaining.append((s, e))
-            else:
-                if s < start:
-                    remaining.append((s, start))
-                if e > end:
-                    remaining.append((end, e))
-        entry.pending = remaining
-        if not remaining:
-            del self.window[sn]
-            return True
-        return False
+        if pdu.unacked < 0:
+            raise ModelError(f"SN {sn} ACKed {-pdu.unacked} bytes more "
+                             f"than its {pdu.size}")
+        del self.window[sn]
+        return True
 
     def queue_retx(self, segments):
         """Queue segments for retransmission; returns SNs abandoned at max_retx."""
         abandoned = []
         for seg in segments:
-            entry = self.window.get(seg.sn)
-            if entry is None:
+            pdu = self.window.get(seg.sn)
+            if pdu is None:
                 continue
-            entry.retx_count += 1
-            if self.max_retx is not None and entry.retx_count > self.max_retx:
+            pdu.retx_count += 1
+            if self.max_retx is not None and pdu.retx_count > self.max_retx:
                 del self.window[seg.sn]
                 abandoned.append(seg.sn)
                 continue
@@ -238,15 +224,15 @@ class RlcTxState:
         return abandoned
 
     def apply_status(self, ack_point, missing):
-        """ACK every SN before ``ack_point`` and queue the unACKed ranges of
-        each ``missing`` one not queued yet; returns the SNs abandoned."""
+        """ACK every SN before ``ack_point`` and queue each ``missing`` one
+        not queued yet whole; returns the SNs abandoned."""
         window = self.window
         for sn in [sn for sn in window if sn_lt(sn, ack_point)]:
             del window[sn]
         queued = {s.sn for s in self.retx_queue}
-        return self.queue_retx([Segment(sn, s, e) for sn in missing
-                                if sn in window and sn not in queued
-                                for s, e in window[sn].pending])
+        return self.queue_retx([Segment(sn, 0, window[sn].size)
+                                for sn in missing
+                                if sn in window and sn not in queued])
 
     def discard(self, sn):
         self.window.pop(sn, None)
@@ -256,10 +242,12 @@ def build_transport_block(buffer, rlc, grant_bytes):
     """Fill a grant with RLC control, retransmissions, then new head-of-queue data.
 
     Drop indications ride first (fastest congestion indication), then queued
-    retransmission segments, then new PDUs pulled from the buffer head with
-    byte-level segmentation.  Newly pulled PDUs move to the retransmission
-    window; they leave it only on RLC ACK.  A grant too small for any header
-    yields an empty TB (wasted, counted by the caller).
+    retransmission segments, then new data pulled from the buffer head with
+    byte-level segmentation.  A PDU enters the retransmission window when
+    its first byte is pulled and leaves it only on RLC ACK of all its bytes
+    (or when given up); a full window stops only the pull of a new SN, so a
+    partly pulled head is always continued.  A grant too small for any
+    header yields an empty TB (wasted, counted by the caller).
     """
     tb = TransportBlock()
     budget = grant_bytes - TB_HEADER_BYTES
@@ -285,11 +273,15 @@ def build_transport_block(buffer, rlc, grant_bytes):
     segments = tb.segments
     window = rlc.window
     window_size = rlc.window_size
-    # The window test stays per pull: a pulled SN may overwrite an entry
-    # still in the window, so a running count would drift.
-    while q and budget > SEG_HEADER_BYTES and len(window) < window_size:
+    while q and budget > SEG_HEADER_BYTES:
         pdu = q[0]
         sent = pdu.sent
+        if not sent:
+            # The window test stays per new SN: a pulled SN may overwrite an
+            # entry still in the window, so a running count would drift.
+            if len(window) >= window_size:
+                break
+            window[pdu.sn] = pdu
         take = min(budget - SEG_HEADER_BYTES, pdu.size - sent)
         segments.append(Segment(pdu.sn, sent, sent + take))
         budget -= SEG_HEADER_BYTES + take
@@ -297,7 +289,6 @@ def build_transport_block(buffer, rlc, grant_bytes):
         buffer.bytes -= take
         if sent == pdu.size:
             q.popleft()
-            rlc.enter_window(pdu)
 
     if segments or tb.drop_indications:
         tb.bytes = grant_bytes - budget

@@ -415,6 +415,23 @@ SUBNET = ("subnetworks", 0)
     ([(SUBNET + ("grant_prbs",), -1)], "subnetworks[0].grant_prbs"),
     ([(SUBNET + ("grant_prbs",), 2.5)], "subnetworks[0].grant_prbs"),
     ([(SUBNET + ("autonomous_prbs",), -3)], "subnetworks[0].autonomous_prbs"),
+    # Fronthaul charges, the default BLER and CPU loads: once without a rule,
+    # a value of the wrong type or sign failed in the first TTI or gave a
+    # negative figure.
+    ([(("fronthaul",), {"expansion_factor": "x"})],
+     "scenario.fronthaul.expansion_factor"),
+    ([(("fronthaul",), {"expansion_factor": -4})],
+     "scenario.fronthaul.expansion_factor"),
+    ([(("fronthaul",), {"expansion_factor": 0})],
+     "scenario.fronthaul.expansion_factor"),
+    ([(("fronthaul",), {"update_cost_bytes": -1})],
+     "scenario.fronthaul.update_cost_bytes"),
+    ([(("fronthaul",), {"update_cost_bytes": 1.5})],
+     "scenario.fronthaul.update_cost_bytes"),
+    ([(("bler",), {"default": 1.5})], "scenario.bler.default"),
+    ([(("bler",), {"default": "low"})], "scenario.bler.default"),
+    ([(("placement", 0, "cpu_load"), -1)], "placement[0].cpu_load"),
+    ([(("placement", 0, "cpu_load"), "heavy")], "placement[0].cpu_load"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_rule_rejected_at_validation(edits, path):
     assert_rejected(edited(edits), path)

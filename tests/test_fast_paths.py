@@ -8,6 +8,13 @@ left out of the last.  Each property feeds one random operation sequence to
 both versions and compares every return value and the full object state
 after each step.
 
+Two transmitter rules changed after the copies were made, and the copies
+follow them: ``ref_build_transport_block`` puts a PDU in the RLC window at
+its first pulled byte and bounds only the pull of a new SN, and
+``ref_ack_segment`` subtracts ACKed ranges from a list of un-ACKed ranges
+kept beside the window, against which the window's count of un-ACKed bytes
+is checked.
+
 The receiver references are verbatim, from before ``ReorderState`` took
 segments itself.  The harness applies to them the two receiver rules added
 then: a segment of an SN behind ``expected_sn`` or stashed is a counted
@@ -20,9 +27,11 @@ shows that these rules are the only change.
 
 import copy
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from ransim import stack
+from ransim.core import ModelError
 from ransim.stack import (DROP_IND_BYTES, SEG_HEADER_BYTES, SN_SPACE,
                           SN_WINDOW, TB_HEADER_BYTES, Segment, TransportBlock,
                           sn_delta, sn_lt)
@@ -134,12 +143,14 @@ class RefReorderState:
         return delivered, skipped, None
 
 
-def ref_ack_segment(rlc, sn, start, end):
-    entry = rlc.window.get(sn)
-    if entry is None:
+def ref_ack_segment(pending, sn, start, end):
+    """Subtract an ACKed range from ``pending[sn]``, the SN's un-ACKed
+    ranges; True when none is left and the SN leaves ``pending``."""
+    ranges = pending.get(sn)
+    if ranges is None:
         return False
     remaining = []
-    for s, e in entry.pending:
+    for s, e in ranges:
         if e <= start or s >= end:
             remaining.append((s, e))
         else:
@@ -147,10 +158,10 @@ def ref_ack_segment(rlc, sn, start, end):
                 remaining.append((s, start))
             if e > end:
                 remaining.append((end, e))
-    entry.pending = remaining
     if not remaining:
-        del rlc.window[sn]
+        del pending[sn]
         return True
+    pending[sn] = remaining
     return False
 
 
@@ -176,9 +187,12 @@ def ref_build_transport_block(buffer, rlc, grant_bytes):
             seg.start += take
 
     q = buffer.queue
-    while q and budget > SEG_HEADER_BYTES \
-            and not len(rlc.window) >= rlc.window_size:
+    while q and budget > SEG_HEADER_BYTES:
         pdu = q[0]
+        if pdu.sent == 0:  # a new SN, in the window from its first byte
+            if len(rlc.window) >= rlc.window_size:
+                break
+            rlc.window[pdu.sn] = pdu
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, pdu.size - pdu.sent)
         tb.segments.append(Segment(pdu.sn, pdu.sent, pdu.sent + take))
@@ -187,7 +201,6 @@ def ref_build_transport_block(buffer, rlc, grant_bytes):
         buffer.bytes -= take
         if pdu.sent == pdu.size:
             q.popleft()
-            rlc.enter_window(pdu)
 
     tb.bytes = grant_bytes - budget if not tb.empty else 0
     return tb
@@ -302,7 +315,8 @@ def test_reassembly_and_reordering_match_reference(first_sn, ops):
 # ---------------------------------------------------------------- transmitter
 
 def window_state(rlc):
-    return {sn: (e.pending, e.retx_count) for sn, e in rlc.window.items()}
+    return {sn: (p.sn, p.size, p.sent, p.unacked, p.retx_count)
+            for sn, p in rlc.window.items()}
 
 
 def tx_state(buffer, rlc):
@@ -319,49 +333,73 @@ def tb_state(tb):
 
 @st.composite
 def ack_ops(draw):
+    """PDUs entering the window and ACKs of disjoint pieces of them, the
+    runtime's contract: each byte of a PDU is ACKed at most once.  Some
+    pieces are never ACKed, and some ACKs name an SN not in the window."""
     ops = []
-    for _ in range(draw(st.integers(1, 30))):
-        sn = draw(st.integers(0, 5))
-        if draw(st.booleans()):
-            ops.append(("enter", sn, draw(sizes)))
-        else:
-            a = draw(st.integers(0, 110))
-            ops.append(("ack", sn, a, draw(st.integers(a, 110))))
-    return ops
+    for sn in draw(st.lists(st.integers(0, 5), max_size=6, unique=True)):
+        size = draw(st.integers(1, 120))
+        cuts = sorted(draw(st.sets(st.integers(1, size - 1), max_size=4))
+                      if size > 1 else ())
+        bounds = [0, *cuts, size]
+        pieces = [("ack", sn, a, b) for a, b in zip(bounds, bounds[1:])]
+        pieces = draw(st.permutations(pieces))
+        ops.append(("enter", sn, size))
+        ops += pieces[:draw(st.integers(0, len(pieces)))]
+    ops += [("ack", sn, 0, 10) for sn in draw(st.lists(st.integers(6, 8),
+                                                      max_size=2))]
+    # The ACKs of different PDUs may interleave; an ACK drawn before its
+    # PDU enters finds no entry.
+    return draw(st.permutations(ops)) if draw(st.booleans()) else ops
 
 
-@given(ack_ops())
-# An ACK spanning two pending ranges: the one input that takes the general
-# path of ``ack_segment``, which random draws rarely produce.
-@example([("enter", 0, 100), ("ack", 0, 40, 60), ("ack", 0, 0, 110)])
-def test_ack_segment_matches_reference(ops):
-    new, ref = stack.RlcTxState(), stack.RlcTxState()
+@given(ack_ops(), st.integers(1, 50))
+# A PDU ACKed in three pieces, the middle one last.
+@example([("enter", 0, 100), ("ack", 0, 0, 40), ("ack", 0, 60, 100),
+          ("ack", 0, 40, 60)], 1)
+def test_ack_segment_matches_reference(ops, excess):
+    """The window's count of un-ACKed bytes frees a PDU exactly when the
+    reference's list of un-ACKed ranges empties; then an ACK of more bytes
+    than an SN has left raises."""
+    rlc, pending = stack.RlcTxState(), {}
     for op in ops:
         if op[0] == "enter":
-            for rlc in (new, ref):
-                rlc.enter_window(stack.PdcpPdu(op[1], op[2], 0))
+            _, sn, size = op
+            rlc.window[sn] = stack.PdcpPdu(sn, size, 0)
+            pending[sn] = [(0, size)]
             continue
         _, sn, start, end = op
-        assert new.ack_segment(sn, start, end) \
-            == ref_ack_segment(ref, sn, start, end), op
-        assert window_state(new) == window_state(ref), op
+        assert rlc.ack_segment(sn, start, end) \
+            == ref_ack_segment(pending, sn, start, end), op
+        assert rlc.window.keys() == pending.keys(), op
+        assert {sn: p.unacked for sn, p in rlc.window.items()} \
+            == {sn: sum(e - s for s, e in r) for sn, r in pending.items()}, op
+    for sn, pdu in list(rlc.window.items()):
+        left = pdu.unacked
+        with pytest.raises(ModelError):
+            rlc.ack_segment(sn, 0, left + excess)
 
 
 @st.composite
 def tx_setups(draw):
     """A bearer's transmit side: a window whose SNs may reappear in the
-    buffer (an overwritten window entry), partly sent heads, queued
-    retransmissions and drop indications, then a run of grants."""
+    buffer (an overwritten window entry), partly sent heads in the window
+    or not, queued retransmissions and drop indications, then a run of
+    grants."""
     window_size = draw(st.integers(1, 6))
     rlc = stack.RlcTxState(window_size=window_size)
     for sn in draw(st.lists(st.integers(0, 7), max_size=window_size)):
-        rlc.enter_window(stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0))
+        rlc.window[sn] = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
     buffer = stack.TransmitBuffer()
     for i, sn in enumerate(draw(st.lists(st.integers(0, 7), max_size=10))):
         pdu = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
         if i == 0:
             pdu.sent = draw(st.integers(0, pdu.size - 1))
             buffer.bytes -= pdu.sent
+            # A partly sent head is in the window unless it was given up,
+            # and the window may be full without it.
+            if pdu.sent and draw(st.booleans()):
+                rlc.window[sn] = pdu
         buffer.push(pdu)
     for sn in draw(st.lists(st.integers(0, 7), max_size=3)):
         a = draw(st.integers(0, 100))

@@ -307,6 +307,24 @@ def _two_ru_aggregation_raw():
     return raw
 
 
+def _segmented_harq_raw(bler=0.1):
+    """``smoke.yaml`` with only ``b-mod``, 5,000-byte SDUs at 200 kB/s over
+    480 bytes per TTI, BLER ``bler`` and no HARQ retransmission, for 2 s:
+    each PDU is pulled over about ten TTIs, more than one HARQ RTT, so the
+    TBs carrying its first segments are ACKed or given up before its last
+    byte is pulled."""
+    with open(os.path.join(SCENARIO_DIR, "smoke.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["duration_us"] = 2_000_000
+    raw["carriers"][0]["prbs_per_tti"] = 4
+    raw["bearers"] = [raw["bearers"][1]]
+    raw["bearers"][0]["traffic"].update(rate_bytes_per_s=200_000,
+                                        sdu_bytes=5_000)
+    raw["bler"] = {"default": bler}
+    raw["harq"] = {"max_tx": 1}
+    return raw
+
+
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
@@ -347,8 +365,17 @@ CASES = {
         "b125c87e8e7c024f255f4c8d7dd0aa1d5d71cd91c8e68e31f2c3f992f842b9b6"),
     "set-bler": (
         lambda: build(_set_bler_raw()),
-        # Moved only by harq_protocol_errors.
-        "f3bac59e0e9e42bd09b9a44204e5a1084a9ae138557b26bb9de7c94e34f6bc8b"),
+        # Moved only by harq_protocol_errors, then (from
+        # f3bac59e0e9e42bd09b9a44204e5a1084a9ae138557b26bb9de7c94e34f6bc8b)
+        # when a PDU entered the RLC window at its first pulled byte: once
+        # the link degrades, the ACKs of a PDU's early segments no longer
+        # miss its entry and its given-up early segments are resent, so
+        # ``b1`` delivers 913 SDUs, not 879, and its window ends with no
+        # dead entry (6 before).  Moved: ``b1``'s ``delivered``, p99,
+        # ``reorder_stalls`` (23 more) and ``in_flight_at_end`` (122 -> 88),
+        # ``tb_transmitted`` (755 -> 754), ``tb_failed_final`` (162 -> 163),
+        # ``ru1``'s fronthaul bytes and energy.
+        "8b5412c0f7f9e44d8ead439c854cd10eb01cf9aa57536aae1ac3055f9d363760"),
     # The two below pin the policy and sub-network paths whose rules were
     # merged; recorded before that change.
     "min-share": (
@@ -375,8 +402,16 @@ CASES = {
     # became one TB in flight.
     "harq-churn": (
         lambda: build(_harq_churn_raw()),
-        # Moved only by harq_protocol_errors.
-        "9a84d546bb5dfd5abaf01a04d108e56ee5d9a4fbab3118125dec248e014dee6b"),
+        # Moved only by harq_protocol_errors, then (from
+        # 9a84d546bb5dfd5abaf01a04d108e56ee5d9a4fbab3118125dec248e014dee6b)
+        # when a PDU entered the RLC window at its first pulled byte: the
+        # second and third handovers forward 12 and 0 PDUs, not 13 and 2
+        # (dead window entries were counted), and each handover resends
+        # the in-flight segments of a partly pulled head, which moves
+        # ``ru-a``'s fronthaul bytes (+3,328), its ``granted_prbs`` and
+        # ``utilization`` and slice I's PRBs (5 fewer each).  Without that
+        # resend only the two ``forwarded_pdus`` move (13 -> 12, 2 -> 1).
+        "c0a39f92e86c8d9e9c66f552f65c31071d5ffcc1647ff744bcf082f0e401eb76"),
     # Pins a handover's move of its UE's bearers between active sets, the
     # DU's poll of the bearers with a CU backlog and a release of a UE with
     # PDUs held at the CU.  Recorded before a handover stopped rebuilding
@@ -387,8 +422,14 @@ CASES = {
         # Moved when a released UE's SDUs stopped counting as duplicates on
         # delivery (``_release_ue`` counts them residual): ``b2``'s
         # duplicates 3 -> 0, the three delivered at 200,050 us after
-        # ``u2``'s release at 200,000 us; no other byte moved.
-        "96e8c61484a14b6b5082673f0436121b327ae837e368a718e9139a05f2c5f9d7"),
+        # ``u2``'s release at 200,000 us; no other byte moved.  Moved again
+        # (from 96e8c61484a14b6b5082673f0436121b327ae837e368a718e9139a05f2c5f9d7)
+        # when a PDU entered the RLC window at its first pulled byte: the
+        # handover resends the in-flight segments of ``b1``'s partly pulled
+        # head at once, not after a status report names it, so one of
+        # ``b1``'s reorder stalls is 8,500 us, not 9,000, and ``ru-b``'s
+        # fronthaul bytes change; nothing else moved.
+        "8148b0c3e434ddbcb5f4c4bca738649b8712a165e2012e086ce8c8582754dcd9"),
     # Pins the batches of many bearers in the split baseline: the RLC
     # status reports of a tick, sent at each uplink delay, and the
     # F1 status and data messages of a TTI.  Recorded before each of those
@@ -438,13 +479,39 @@ CASES = {
         lambda: build(_two_ru_aggregation_raw()),
         "9396aed3b5e6bc9b19cf17ee55c9f017bddd7dea11db6ba88725a82ecf06a3d6"),
     # Pins the reactive sources: 40 ``cc-window`` events re-rate ``b-mod``
-    # under the L4S law (1,347 CE marks), and 3,936 ``drop-echo`` events
-    # tell the Classic source of ``b-classic`` of its 3,936 AQM drops; no
+    # under the L4S law (1,235 CE marks), and 4,014 ``drop-echo`` events
+    # tell the Classic source of ``b-classic`` of its 4,014 AQM drops; no
     # other pin runs a congestion law.  Recorded before the scenario keys
-    # were merged into one schema table.
+    # were merged into one schema table, as
+    # 4d5d6251a4b7d5b17848c267a0dd01b48c0e77317ad369e02462e1e1dcecf39e.
+    # Moved when a PDU entered the RLC window at its first pulled byte:
+    # the windows of ``b-mod`` and ``b-classic`` no longer fill with dead
+    # entries (16 and 43 at the end before), so both moderate bearers pull
+    # new SNs again.  Moved: every count, latency and ``reorder_stalls``
+    # entry of ``b-mod`` and ``b-classic`` (``b-classic`` delivers 5,754
+    # SDUs, not 4,206, and ``b-mod`` 9,734, not 10,753, under 1,235 CE
+    # marks, not 1,347), ``b-mc``'s p100 (3,050 -> 1,050 us),
+    # ``tb_transmitted``, ``ru1``'s PRBs, fronthaul bytes and energy, and
+    # slice II's PRBs.
     "reactive-sources": (
         lambda: build(_reactive_sources_raw()),
-        "4d5d6251a4b7d5b17848c267a0dd01b48c0e77317ad369e02462e1e1dcecf39e"),
+        "fe7a4004e87db3af1d00201ad822855461e148ba5c8093cebffa9fafa2d020e2"),
+    # Pins PDUs whose segments span more than one HARQ RTT with HARQ as the
+    # RLC ACK: TBs carrying a PDU's first segments are ACKed or given up
+    # (BLER 0.1, one transmission) while the rest is still being pulled.
+    # Recorded before the RLC window got one rule as
+    # 577e7ab7b4fedecb57009dd3bf23193886397c112fbd2ff5e155b367df9485f2, with
+    # ``b-mod`` delivering 1 of 81 SDUs: a PDU entered the window only at
+    # its last byte, so ACKs of its earlier segments were lost and its
+    # given-up early segments never resent.  Moved by that fix: ``b-mod``
+    # delivers 80 of 81 SDUs with no AQM drop (14 before), so its
+    # ``delivered``, latencies, ``aqm_drops`` and ``in_flight_at_end``
+    # (66 -> 1), its drop echo, ``tb_transmitted`` (748 -> 974),
+    # ``tb_failed_final`` (72 -> 94), ``ru1``'s PRBs, fronthaul bytes and
+    # energy, and slice II's PRBs moved.
+    "segmented-harq": (
+        lambda: build(_segmented_harq_raw()),
+        "aedf15067c2b99c865f7ca5b57b458b170984f5c2fe10c7ee05e130475910dbb"),
 }
 
 

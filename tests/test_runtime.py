@@ -16,7 +16,8 @@ from ransim.metrics import BearerMetrics, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from energy_oracle import record_transitions, replay_energy
 from test_acceptance import _handover_raw, _subnet_raw
-from test_golden import (_ecn_overload_raw, _energy_policy_raw, _set_bler_raw,
+from test_golden import (CASES, _ecn_overload_raw, _energy_policy_raw,
+                         _segmented_harq_raw, _set_bler_raw,
                          _split_handover_raw, _split_lossy_raw,
                          _split_ranfs_raw, _two_ru_aggregation_raw,
                          event_counts, wrap_each_event)
@@ -1212,3 +1213,80 @@ def test_handover_of_a_released_ue_is_refused():
             if e.ue == "u1"] == [(0, "Admit", "rf-a"), (40_000, "Reject", "rf-b")]
     assert rt.ues["u1"].released and rt.ues["u1"].ranf == "rf-a"
     assert all(c["holds"] for c in report["conservation"].values())
+
+
+# ---------------------------------------------------------------- RLC window
+
+def dead_window_sns(rt):
+    """Each bearer's window SNs that are neither live nor carried by a TB
+    in one of its UE's HARQ slots: entries that no ACK can ever free."""
+    dead = {}
+    for bid, ctx in rt.bearers.items():
+        carried = {s.sn for proc in ctx.ue_ctx.harq
+                   if proc is not None and proc.ctx is ctx
+                   for s in proc.tb.segments}
+        sns = [sn for sn in ctx.rlc.window
+               if sn not in ctx.live and sn not in carried]
+        if sns:
+            dead[bid] = sns
+    return dead
+
+
+RELIABLE_PINS = sorted(name for name, (make, _) in CASES.items()
+                       if make()["reliable_harq"])
+
+
+@pytest.mark.parametrize("name", RELIABLE_PINS)
+def test_window_holds_only_live_or_in_flight_sns(name):
+    """With HARQ as the RLC ACK, a PDU leaves the window once all its bytes
+    are ACKed: at the end of each such golden pin, every window SN is live
+    or still in a HARQ slot."""
+    rt = Runtime(CASES[name][0]())
+    rt.run()
+    assert dead_window_sns(rt) == {}
+
+
+def test_pdus_pulled_over_several_harq_rtts_are_delivered_without_loss():
+    """5,000-byte SDUs over 480 bytes per TTI, no loss: each PDU spans more
+    than one HARQ RTT, and every one but the SDU emitted at the end is
+    delivered, leaving the window empty."""
+    rt = Runtime(cfgmod.validate_scenario(_segmented_harq_raw(bler=0.0)))
+    report = rt.run()
+    b = report["bearers"]["b-mod"]
+    assert (b["packets_in"], b["delivered"], b["residual"]) == (81, 80, 0)
+    assert not rt.bearers["b-mod"].rlc.window
+
+
+def test_handover_mid_pdu_forwards_it_once_and_resends_its_segments():
+    """20,000-byte SDUs over 3,000 bytes per TTI: at the handover the head
+    PDU is partly pulled, in both the window and the buffer, and its first
+    segments are in flight.  It is forwarded once, and those segments are
+    queued for retransmission at the target."""
+    raw = _handover_raw()
+    raw["bearers"][0]["traffic"]["sdu_bytes"] = 20_000
+    raw["script"][0]["at_us"] = 81_250
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    ctx = rt.bearers["b1"]
+    seen = {}
+    do_handover = rt._do_handover
+
+    def handover(*args):
+        head = ctx.buffer.queue[0]
+        seen["head"] = (head.sn, head.sent, head.size)
+        seen["window"] = set(ctx.rlc.window)
+        seen["in_flight"] = [(s.sn, s.start, s.end)
+                             for proc in ctx.ue_ctx.harq if proc is not None
+                             for s in proc.tb.segments if s.sn == head.sn]
+        do_handover(*args)
+        seen["retx"] = [(s.sn, s.start, s.end) for s in ctx.rlc.retx_queue]
+
+    rt._do_handover = handover
+    report = rt.run()
+    sn, sent, size = seen["head"]
+    assert 0 < sent < size and sn in seen["window"]
+    assert len(seen["in_flight"]) == 2, seen["in_flight"]
+    [record] = report["handovers"]
+    assert record["forwarded_pdus"] == len(seen["window"] | {sn}) == 1
+    assert sorted(seen["retx"]) == sorted(seen["in_flight"])
+    assert report["bearers"]["b1"]["delivered"] == 10
+    assert not ctx.rlc.window and report["conservation"]["b1"]["holds"]

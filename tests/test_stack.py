@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ransim import stack
+from ransim.core import ModelError
 
 
 def make_bearer(**kw):
@@ -101,10 +102,26 @@ def test_tb_segments_across_grants():
     buf, rlc = setup_tx(1, size=500)
     tb1 = stack.build_transport_block(buf, rlc, 206)  # 2 + 4 + 200 payload
     assert tb1.segments[0].start == 0 and tb1.segments[0].end == 200
-    assert 0 not in rlc.window  # not fully pulled yet
+    assert rlc.window == {0: buf.queue[0]}  # in the window from its first byte
     tb2 = stack.build_transport_block(buf, rlc, 1000)
     assert tb2.segments[0].start == 200 and tb2.segments[0].end == 500
-    assert 0 in rlc.window
+    assert list(rlc.window) == [0] and rlc.window[0].unacked == 500
+    assert not buf.queue
+
+
+def test_full_window_still_continues_a_partly_pulled_pdu():
+    """The window bounds new SNs only: with room for one SN, the second TB
+    continues the PDU the first one started, and pulls no new SN."""
+    buf = stack.TransmitBuffer()
+    rlc = stack.RlcTxState(window_size=1)
+    buf.push(stack.PdcpPdu(0, 300, 0))
+    buf.push(stack.PdcpPdu(1, 50, 0))
+    tb1 = stack.build_transport_block(buf, rlc, 206)
+    assert [(s.sn, s.start, s.end) for s in tb1.segments] == [(0, 0, 200)]
+    assert list(rlc.window) == [0]  # full
+    tb2 = stack.build_transport_block(buf, rlc, 1000)
+    assert [(s.sn, s.start, s.end) for s in tb2.segments] == [(0, 200, 300)]
+    assert list(rlc.window) == [0] and [p.sn for p in buf.queue] == [1]
 
 
 def test_tb_drop_indications_ride_first():
@@ -144,19 +161,28 @@ def test_tiny_grant_yields_empty_tb():
 
 # ---------------------------------------------------------------- RLC window
 
-def test_ack_segment_range_subtraction():
+def test_ack_segment_counts_unacked_bytes():
     rlc = stack.RlcTxState()
-    rlc.enter_window(stack.PdcpPdu(0, 100, 0))
+    rlc.window[0] = stack.PdcpPdu(0, 100, 0)
     assert not rlc.ack_segment(0, 0, 40)
     assert not rlc.ack_segment(0, 60, 100)
-    assert rlc.window[0].pending == [(40, 60)]
+    assert rlc.window[0].unacked == 20
     assert rlc.ack_segment(0, 40, 60)
     assert 0 not in rlc.window
+    assert not rlc.ack_segment(0, 0, 100)  # no longer in the window
+
+
+def test_ack_of_more_bytes_than_remain_is_an_error():
+    rlc = stack.RlcTxState()
+    rlc.window[0] = stack.PdcpPdu(0, 100, 0)
+    rlc.ack_segment(0, 0, 60)
+    with pytest.raises(ModelError, match="SN 0"):
+        rlc.ack_segment(0, 0, 60)
 
 
 def test_queue_retx_abandons_at_max():
     rlc = stack.RlcTxState(max_retx=1)
-    rlc.enter_window(stack.PdcpPdu(0, 100, 0))
+    rlc.window[0] = stack.PdcpPdu(0, 100, 0)
     assert rlc.queue_retx([stack.Segment(0, 0, 100)]) == []
     assert rlc.queue_retx([stack.Segment(0, 0, 100)]) == [0]
     assert 0 not in rlc.window
@@ -165,12 +191,12 @@ def test_queue_retx_abandons_at_max():
 def test_apply_status_acks_and_queues_missing():
     rlc = stack.RlcTxState(max_retx=1)
     for sn in range(4):
-        rlc.enter_window(stack.PdcpPdu(sn, 100, 0))
-    rlc.ack_segment(2, 0, 40)
+        rlc.window[sn] = stack.PdcpPdu(sn, 100 + sn, 0)
     rlc.discard(3)
     assert rlc.apply_status(1, [2, 3]) == []
     assert sorted(rlc.window) == [1, 2]  # 0 ACKed
-    assert [(s.sn, s.start, s.end) for s in rlc.retx_queue] == [(2, 40, 100)]
+    # A missing SN is resent whole; SN 3 is no longer in the window.
+    assert [(s.sn, s.start, s.end) for s in rlc.retx_queue] == [(2, 0, 102)]
     rlc.window[1].retx_count = 1
     # SN 2 is queued already; SN 1 is given up at max_retx.
     assert rlc.apply_status(1, [1, 2]) == [1]
