@@ -127,13 +127,14 @@ _ENTRIES = {what: _Table(table) for what, table in {
             pattern=(tra.CBR, _one_of(tra.CBR, tra.POISSON,
                                       tra.PERIODIC_BURST, tra.XR_FRAME)),
             rate_bytes_per_s=(1_000_000.0, _NON_NEGATIVE),
-            sdu_bytes=(1500, _POSITIVE),
+            sdu_bytes=(1500, _POSITIVE_INT),
             burst_period_us=(100_000, _POSITIVE_INT),
-            burst_bytes=(15_000, _POSITIVE),
+            burst_bytes=(15_000, _POSITIVE_INT),
             # XrFrame frames are int(1e6 / fps) us apart: at least 1 us.
             fps=(90.0, (lambda v: type(v) in _NUMBER and 0 < v <= US_PER_S,
                         f"must be in (0, {US_PER_S}]")),
-            frame_bytes=(50_000, _POSITIVE), frame_jitter=(0.0, _NON_NEGATIVE),
+            frame_bytes=(50_000, _POSITIVE_INT),
+            frame_jitter=(0.0, _NON_NEGATIVE),
             congestion_law=(tra.NO_REACTION, _one_of(
                 tra.NO_REACTION, tra.L4S, tra.CLASSIC)),
             recovery_step=(0.05, _NON_NEGATIVE),

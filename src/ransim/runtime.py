@@ -277,7 +277,7 @@ class Runtime:
                 ecn_capable=b["ecn_capable"],
             )
             buffer = stack.TransmitBuffer(aqm)
-            rlc = stack.RlcTxState(self.cfg["rlc"]["window"],
+            rlc = stack.RlcTxState(buffer, self.cfg["rlc"]["window"],
                                    self.cfg["rlc"]["max_retx"])
             reorder = stack.ReorderState(self.t_reordering)
             t = b["traffic"]
@@ -655,8 +655,9 @@ class Runtime:
                 self._activate(ctx)
 
     def _abandon(self, ctx, sns):
-        """Count each SN still live as a residual loss and forget it."""
+        """The one loss exit: remove each SN, counting a live one residual."""
         for sn in sns:
+            ctx.rlc.remove(sn)
             if ctx.live.pop(sn, None) is not None:
                 ctx.metrics.residual += 1
 
@@ -736,8 +737,7 @@ class Runtime:
             return
         delivered, lost = reorder.timer_expired(now)
         self._abandon(ctx, lost)
-        for sn in lost:
-            ctx.rlc.discard(sn)
+        for _ in lost:
             self._echo_drop(ctx, now)
         self._deliver_sdus(ctx, delivered, now)
 
@@ -749,20 +749,20 @@ class Runtime:
     def _on_rlc_status(self):
         """Each bearer's status report in the non-reliable baseline, in config
         order, sent only if it names a missing SN or an RLC window SN lies
-        before ``ack_point``.  It acts only by deleting window SNs before
-        ``ack_point`` and queueing the missing ones (``_abandon``,
-        ``_activate`` follow from the latter).  An SN behind ``ack_point`` when
-        applied was in the window when built: a PDU enters it when its first
-        byte is pulled, and the receiver passes an SN only on receipt (pulled
-        whole before), by drop indication (AQM drops only unsent heads) or by
-        t-reordering (FIFO: every SN below a stashed one was pulled whole
-        first; the give-up discards it from the window).  No SN re-enters the
-        window.  So a partly pulled head is never behind ``ack_point``, nor
-        missing (below a stashed SN): each SN queued is resent whole.  A
-        bearer with nothing stashed names no missing SN and one with an
-        empty window has no SN before ``ack_point``, so a bearer with both
-        empty is skipped before a report is built: the reports sent are the
-        same."""
+        before ``ack_point``.  It acts only by removing window SNs before
+        ``ack_point`` (``RlcTxState.remove``) and queueing the missing ones
+        (``_abandon``, ``_activate`` follow from the latter).  An SN behind
+        ``ack_point`` when applied was in the window when built: a PDU enters
+        it when its first byte is pulled, and the receiver passes an SN only on
+        receipt (pulled whole before), by drop indication (AQM drops only
+        unsent heads) or by t-reordering (FIFO: every SN below a stashed one
+        was pulled whole first; ``_abandon`` removes the loss).  No SN
+        re-enters the window.  So a partly pulled head is never behind
+        ``ack_point``, nor missing (below a stashed SN): each SN queued is
+        resent whole, and a status ACK never removes the head.  A bearer with
+        nothing stashed names no missing SN and one with an empty window has no
+        SN before ``ack_point``, so a bearer with both empty is skipped before
+        a report is built: the reports sent are the same."""
         by_delay = {}  # uplink latency -> the reports that arrive after it
         for ctx in self.bearers.values():
             if not ctx.reorder.stash and not ctx.rlc.window:

@@ -13,7 +13,10 @@ The RLC window has one rule: a PDU is in it from its first pulled byte until
 a count of its un-ACKed bytes reaches zero, and its size bounds only the pull
 of a new SN.  The count is exact, as each byte is ACKed once at most: by its
 TB's HARQ ACK (a failed or flushed TB gets none before its bytes are resent),
-or, in the baseline, by a status report, which ACKs whole PDUs.
+or, in the baseline, by a status report, which ACKs whole PDUs.  Queued
+retransmissions and a partly pulled head exist only for an SN in the window:
+``RlcTxState.remove``, its one other exit (status ACK, give-up, t-reordering
+loss), takes all three at once.
 
 A ``HarqProcess`` is one transport block in flight in one of its UE's HARQ
 slots, from its first transmission until HARQ acknowledges or gives it up;
@@ -185,9 +188,10 @@ class TransportBlock:
 
 
 class RlcTxState:
-    """Transmitter-side RLC AM bookkeeping, distinct from the user-data queue."""
+    """Transmitter-side RLC AM bookkeeping over its bearer's ``buffer``."""
 
-    def __init__(self, window_size=64, max_retx=None):
+    def __init__(self, buffer, window_size=64, max_retx=None):
+        self.buffer = buffer
         self.window = {}  # sn -> PdcpPdu, from its first pulled byte
         self.window_size = window_size
         self.max_retx = max_retx  # None = unlimited
@@ -208,6 +212,19 @@ class RlcTxState:
         del self.window[sn]
         return True
 
+    def remove(self, sn):
+        """Take ``sn``, if in the window, out of it with its queued
+        retransmissions and, as the partly pulled head, out of the buffer."""
+        pdu = self.window.pop(sn, None)
+        if pdu is not None:
+            if self.retx_queue:
+                self.retx_queue = deque(s for s in self.retx_queue
+                                        if s.sn != sn)
+            q = self.buffer.queue
+            if q and q[0] is pdu:
+                q.popleft()
+                self.buffer.bytes -= pdu.size - pdu.sent
+
     def queue_retx(self, segments):
         """Queue segments for retransmission; returns SNs abandoned at max_retx."""
         abandoned = []
@@ -217,7 +234,7 @@ class RlcTxState:
                 continue
             pdu.retx_count += 1
             if self.max_retx is not None and pdu.retx_count > self.max_retx:
-                del self.window[seg.sn]
+                self.remove(seg.sn)
                 abandoned.append(seg.sn)
                 continue
             self.retx_queue.append(Segment(seg.sn, seg.start, seg.end))
@@ -228,14 +245,11 @@ class RlcTxState:
         not queued yet whole; returns the SNs abandoned."""
         window = self.window
         for sn in [sn for sn in window if sn_lt(sn, ack_point)]:
-            del window[sn]
+            self.remove(sn)
         queued = {s.sn for s in self.retx_queue}
         return self.queue_retx([Segment(sn, 0, window[sn].size)
                                 for sn in missing
                                 if sn in window and sn not in queued])
-
-    def discard(self, sn):
-        self.window.pop(sn, None)
 
 
 def build_transport_block(buffer, rlc, grant_bytes):

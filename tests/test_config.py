@@ -432,6 +432,13 @@ SUBNET = ("subnetworks", 0)
     ([(("bler",), {"default": "low"})], "scenario.bler.default"),
     ([(("placement", 0, "cpu_load"), -1)], "placement[0].cpu_load"),
     ([(("placement", 0, "cpu_load"), "heavy")], "placement[0].cpu_load"),
+    # SDU sizes are whole bytes, so segment bounds and the RLC window's
+    # count of un-ACKed bytes stay integers.
+    ([(TRAFFIC + ("sdu_bytes",), 1500.3)], "bearers[0].traffic.sdu_bytes"),
+    ([(TRAFFIC + ("burst_bytes",), 3600.5)],
+     "bearers[0].traffic.burst_bytes"),
+    ([(TRAFFIC + ("frame_bytes",), 16_000.5)],
+     "bearers[0].traffic.frame_bytes"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_rule_rejected_at_validation(edits, path):
     assert_rejected(edited(edits), path)

@@ -361,7 +361,7 @@ def test_ack_segment_matches_reference(ops, excess):
     """The window's count of un-ACKed bytes frees a PDU exactly when the
     reference's list of un-ACKed ranges empties; then an ACK of more bytes
     than an SN has left raises."""
-    rlc, pending = stack.RlcTxState(), {}
+    rlc, pending = stack.RlcTxState(stack.TransmitBuffer()), {}
     for op in ops:
         if op[0] == "enter":
             _, sn, size = op
@@ -387,17 +387,17 @@ def tx_setups(draw):
     or not, queued retransmissions and drop indications, then a run of
     grants."""
     window_size = draw(st.integers(1, 6))
-    rlc = stack.RlcTxState(window_size=window_size)
+    buffer = stack.TransmitBuffer()
+    rlc = stack.RlcTxState(buffer, window_size=window_size)
     for sn in draw(st.lists(st.integers(0, 7), max_size=window_size)):
         rlc.window[sn] = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
-    buffer = stack.TransmitBuffer()
     for i, sn in enumerate(draw(st.lists(st.integers(0, 7), max_size=10))):
         pdu = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
         if i == 0:
             pdu.sent = draw(st.integers(0, pdu.size - 1))
             buffer.bytes -= pdu.sent
-            # A partly sent head is in the window unless it was given up,
-            # and the window may be full without it.
+            # A run keeps a partly sent head in the window; the draw also
+            # puts it outside, and the window may be full without it.
             if pdu.sent and draw(st.booleans()):
                 rlc.window[sn] = pdu
         buffer.push(pdu)

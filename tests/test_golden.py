@@ -325,6 +325,15 @@ def _segmented_harq_raw(bler=0.1):
     return raw
 
 
+def _reliable_giveup_raw():
+    """``_segmented_harq_raw`` with ``rlc.max_retx: 0``: HARQ as the RLC
+    ACK gives up an SN at its first failed TB, mostly while its PDU is
+    still being pulled from the buffer head."""
+    raw = _segmented_harq_raw()
+    raw["rlc"] = {"max_retx": 0}
+    return raw
+
+
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
@@ -512,6 +521,20 @@ CASES = {
     "segmented-harq": (
         lambda: build(_segmented_harq_raw()),
         "aedf15067c2b99c865f7ca5b57b458b170984f5c2fe10c7ee05e130475910dbb"),
+    # Pins the give-up of a partly pulled head with HARQ as the RLC ACK; no
+    # other pin sets ``max_retx`` in reliable mode.  Recorded before an SN
+    # left the transmitter through one exit as
+    # 664e4fcabb8626f2e9b1f422847376fb21cb39e873ae12e8548752259f4e19bb,
+    # with ``b-mod`` delivering 21 of 81 SDUs and 59 residual: a given-up
+    # head stayed in the buffer and 183 segments (77,754 bytes) of given-up
+    # SNs were sent.  Moved by that fix: the head leaves the buffer with its
+    # unsent bytes, so ``b-mod`` delivers 20 and 60 are residual, and
+    # ``tb_transmitted`` (880 -> 686), ``tb_failed_final`` (83 -> 69),
+    # ``b-mod``'s ``reorder_stalls`` and drop echo, ``ru1``'s PRBs (4,800
+    # -> 4,024), fronthaul bytes and energy, and slice II's PRBs moved.
+    "reliable-giveup": (
+        lambda: build(_reliable_giveup_raw()),
+        "186ba894fc75224f62b5c9c862e73c355eb3e9e11be7e4a19a3e8ecc516a103e"),
 }
 
 

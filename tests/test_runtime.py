@@ -15,6 +15,7 @@ from ransim.core import ModelError, RngRegistry, Simulator
 from ransim.metrics import BearerMetrics, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from energy_oracle import record_transitions, replay_energy
+from tx_oracle import check_transmitters
 from test_acceptance import _handover_raw, _subnet_raw
 from test_golden import (CASES, _ecn_overload_raw, _energy_policy_raw,
                          _segmented_harq_raw, _set_bler_raw,
@@ -1244,6 +1245,22 @@ def test_window_holds_only_live_or_in_flight_sns(name):
     rt = Runtime(CASES[name][0]())
     rt.run()
     assert dead_window_sns(rt) == {}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_transmitter_rule_holds_after_every_event(name, monkeypatch):
+    """Queued retransmissions and a partly pulled head belong to window
+    SNs, no residual PDU stays in the transmitter and no TB carries a
+    segment of an SN outside the window, after every event of each golden
+    pin (``tx_oracle``).  Every residual count passes ``_abandon`` or
+    ``_release_ue``, so the check sees each residual PDU."""
+    rt = Runtime(CASES[name][0]())
+    check = check_transmitters(rt, monkeypatch)
+    rt.run()
+    assert check.events == rt.sim.events_processed
+    assert check.segments > 0 or not rt.bearers
+    assert sum(map(len, check.residual.values())) \
+        == sum(ctx.metrics.residual for ctx in rt.bearers.values())
 
 
 def test_pdus_pulled_over_several_harq_rtts_are_delivered_without_loss():

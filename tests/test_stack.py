@@ -82,7 +82,7 @@ def test_aqm_never_drops_partially_sent_head():
 
 def setup_tx(n_pdus=3, size=100):
     buf = stack.TransmitBuffer()
-    rlc = stack.RlcTxState()
+    rlc = stack.RlcTxState(buf)
     for sn in range(n_pdus):
         buf.push(stack.PdcpPdu(sn, size, 0))
     return buf, rlc
@@ -113,7 +113,7 @@ def test_full_window_still_continues_a_partly_pulled_pdu():
     """The window bounds new SNs only: with room for one SN, the second TB
     continues the PDU the first one started, and pulls no new SN."""
     buf = stack.TransmitBuffer()
-    rlc = stack.RlcTxState(window_size=1)
+    rlc = stack.RlcTxState(buf, window_size=1)
     buf.push(stack.PdcpPdu(0, 300, 0))
     buf.push(stack.PdcpPdu(1, 50, 0))
     tb1 = stack.build_transport_block(buf, rlc, 206)
@@ -145,7 +145,7 @@ def test_tb_retx_precede_new_data():
 
 def test_tb_window_full_blocks_new_data():
     buf = stack.TransmitBuffer()
-    rlc = stack.RlcTxState(window_size=1)
+    rlc = stack.RlcTxState(buf, window_size=1)
     buf.push(stack.PdcpPdu(0, 50, 0))
     buf.push(stack.PdcpPdu(1, 50, 0))
     tb = stack.build_transport_block(buf, rlc, 1000)
@@ -162,7 +162,7 @@ def test_tiny_grant_yields_empty_tb():
 # ---------------------------------------------------------------- RLC window
 
 def test_ack_segment_counts_unacked_bytes():
-    rlc = stack.RlcTxState()
+    rlc = stack.RlcTxState(stack.TransmitBuffer())
     rlc.window[0] = stack.PdcpPdu(0, 100, 0)
     assert not rlc.ack_segment(0, 0, 40)
     assert not rlc.ack_segment(0, 60, 100)
@@ -173,7 +173,7 @@ def test_ack_segment_counts_unacked_bytes():
 
 
 def test_ack_of_more_bytes_than_remain_is_an_error():
-    rlc = stack.RlcTxState()
+    rlc = stack.RlcTxState(stack.TransmitBuffer())
     rlc.window[0] = stack.PdcpPdu(0, 100, 0)
     rlc.ack_segment(0, 0, 60)
     with pytest.raises(ModelError, match="SN 0"):
@@ -181,7 +181,7 @@ def test_ack_of_more_bytes_than_remain_is_an_error():
 
 
 def test_queue_retx_abandons_at_max():
-    rlc = stack.RlcTxState(max_retx=1)
+    rlc = stack.RlcTxState(stack.TransmitBuffer(), max_retx=1)
     rlc.window[0] = stack.PdcpPdu(0, 100, 0)
     assert rlc.queue_retx([stack.Segment(0, 0, 100)]) == []
     assert rlc.queue_retx([stack.Segment(0, 0, 100)]) == [0]
@@ -189,10 +189,10 @@ def test_queue_retx_abandons_at_max():
 
 
 def test_apply_status_acks_and_queues_missing():
-    rlc = stack.RlcTxState(max_retx=1)
+    rlc = stack.RlcTxState(stack.TransmitBuffer(), max_retx=1)
     for sn in range(4):
         rlc.window[sn] = stack.PdcpPdu(sn, 100 + sn, 0)
-    rlc.discard(3)
+    rlc.remove(3)
     assert rlc.apply_status(1, [2, 3]) == []
     assert sorted(rlc.window) == [1, 2]  # 0 ACKed
     # A missing SN is resent whole; SN 3 is no longer in the window.
@@ -202,6 +202,55 @@ def test_apply_status_acks_and_queues_missing():
     assert rlc.apply_status(1, [1, 2]) == [1]
     assert sorted(rlc.window) == [2] and rlc.window[2].retx_count == 1
     assert len(rlc.retx_queue) == 1
+
+
+# An SN leaves the window other than by a full ACK through ``remove`` alone,
+# which also takes its queued retransmissions and a partly pulled head.
+
+def test_give_up_of_a_partly_pulled_head_takes_it_from_the_buffer():
+    buf, rlc = setup_tx(2, size=500)
+    rlc.max_retx = 0
+    tb = stack.build_transport_block(buf, rlc, 206)  # SN 0's first 200 bytes
+    assert rlc.queue_retx(tb.segments) == [0]
+    assert [p.sn for p in buf.queue] == [1] and buf.bytes == 500
+    assert not rlc.window and not rlc.retx_queue
+    tb = stack.build_transport_block(buf, rlc, 1000)
+    assert [(s.sn, s.start, s.end) for s in tb.segments] == [(1, 0, 500)]
+
+
+def test_give_up_takes_the_sns_segments_queued_in_the_same_call():
+    buf, rlc = setup_tx(2)
+    rlc.max_retx = 1
+    stack.build_transport_block(buf, rlc, 1000)
+    segments = [stack.Segment(0, 0, 40), stack.Segment(1, 0, 100),
+                stack.Segment(0, 40, 100)]
+    assert rlc.queue_retx(segments) == [0]  # its second segment gives up
+    assert [(s.sn, s.start, s.end) for s in rlc.retx_queue] == [(1, 0, 100)]
+    assert list(rlc.window) == [1]
+
+
+def test_status_ack_takes_the_sns_queued_segments():
+    buf, rlc = setup_tx(3)
+    stack.build_transport_block(buf, rlc, 1000)
+    assert rlc.apply_status(0, [0, 1]) == []
+    assert [s.sn for s in rlc.retx_queue] == [0, 1]
+    # SNs 0 and 1 reach the receiver before their resends go out.
+    assert rlc.apply_status(2, []) == []
+    assert list(rlc.window) == [2] and not rlc.retx_queue
+
+
+def test_t_reordering_loss_takes_the_sns_queued_segments():
+    """The runtime removes each SN that t-reordering gives up."""
+    buf, rlc = setup_tx(3)
+    stack.build_transport_block(buf, rlc, 1000)
+    rlc.queue_retx([stack.Segment(0, 0, 100), stack.Segment(1, 0, 100)])
+    rx = stack.ReorderState(t_reordering=10)
+    rx.segment(2, 0, 100, 100, 0)
+    delivered, lost = rx.timer_expired(10)
+    assert (delivered, lost) == ([(2, 0)], [0, 1])
+    for sn in lost:
+        rlc.remove(sn)
+    assert list(rlc.window) == [2] and not rlc.retx_queue
 
 
 # ---------------------------------------------------------------- HARQ
