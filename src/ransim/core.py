@@ -5,12 +5,15 @@ events is FIFO by a global scheduling counter, which makes every run a
 pure function of (scenario, master seed).  The queue is a heap of plain
 ``(fire_at, seq, fn, kind, target)`` tuples: scheduling allocates no event
 object, and a handler is any zero-argument callable (bound methods and
-``functools.partial`` of them in the runtime).
+``functools.partial`` of them in the runtime).  Handlers, ``Simulator.every``
+ticks and RNG streams all pickle, so a run pickled between two events
+resumes to the same report.
 """
 
+import _random
 import hashlib
-import random
 from heapq import heappop, heappush
+from math import cos, log, sin, sqrt, tau
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
@@ -28,27 +31,51 @@ class ModelError(SimulationError):
     """A model invariant was violated at run time (indicates a bug or a bad plan)."""
 
 
-class RngStream:
+class RngStream(_random.Random):
     """A named pseudo-random stream derived from a master seed.
 
     Seeding hashes (master_seed, name), so streams are independent and
-    adding a new stream never perturbs draws on existing ones.  Backed by
-    ``random.Random`` (Mersenne Twister), which is stable across platforms.
+    adding a new stream never perturbs draws on existing ones.  Mersenne
+    Twister, which is stable across platforms: the C generator under
+    ``random.Random``, slotted, so a stream is its generator state and one
+    slot.  ``expovariate`` and ``gauss`` are ``random.Random``'s, and a
+    stream draws exactly what ``random.Random`` seeded alike would.
     """
+
+    __slots__ = ("gauss_next",)
 
     def __init__(self, master_seed, name):
         digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
-        self._rand = random.Random(int.from_bytes(digest[:8], "big"))
+        super().__init__(int.from_bytes(digest[:8], "big"))
+        self.gauss_next = None
 
-    def draw(self):
-        """Uniform float in [0, 1); advances the state exactly once."""
-        return self._rand.random()
+    def __reduce__(self):
+        return _restore_stream, (self.getstate(), self.gauss_next)
+
+    # Uniform float in [0, 1); advances the state exactly once.
+    draw = _random.Random.random
 
     def expovariate(self, lambd):
-        return self._rand.expovariate(lambd)
+        return -log(1.0 - self.random()) / lambd
 
     def gauss(self, mu, sigma):
-        return self._rand.gauss(mu, sigma)
+        random = self.random
+        z = self.gauss_next
+        self.gauss_next = None
+        if z is None:
+            x2pi = random() * tau
+            g2rad = sqrt(-2.0 * log(1.0 - random()))
+            z = cos(x2pi) * g2rad
+            self.gauss_next = sin(x2pi) * g2rad
+        return mu + z * sigma
+
+
+def _restore_stream(state, gauss_next):
+    """Unpickle an ``RngStream``: its generator state, then ``gauss_next``."""
+    stream = RngStream.__new__(RngStream)
+    stream.setstate(state)
+    stream.gauss_next = gauss_next
+    return stream
 
 
 class RngRegistry:
@@ -99,13 +126,8 @@ class Simulator:
         time is ``<= until``.  Each next call is scheduled once ``fn``
         returns, so it comes after the same-time events that ``fn``
         scheduled."""
-        def tick():
-            fn()
-            nxt = self.now + period
-            if nxt <= until:
-                self.schedule(nxt, kind, target, tick)
-
-        self.schedule(first, kind, target, tick)
+        self.schedule(first, kind, target,
+                      _Every(self, period, kind, target, fn, until))
 
     def run_until(self, t_end):
         """Process every event with fire_at <= t_end; leave the clock at t_end.
@@ -131,3 +153,25 @@ class Simulator:
         if t_end > self.now:
             self.now = t_end
         return self.now
+
+
+class _Every:
+    """One tick of ``Simulator.every``: a plain object, so that a queued
+    tick pickles with its simulator."""
+
+    __slots__ = ("sim", "period", "kind", "target", "fn", "until")
+
+    def __init__(self, sim, period, kind, target, fn, until):
+        self.sim = sim
+        self.period = period
+        self.kind = kind
+        self.target = target
+        self.fn = fn
+        self.until = until
+
+    def __call__(self):
+        self.fn()
+        sim = self.sim
+        nxt = sim.now + self.period
+        if nxt <= self.until:
+            sim.schedule(nxt, self.kind, self.target, self)

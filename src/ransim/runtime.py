@@ -50,7 +50,7 @@ class BearerCtx:
         self.window_delivered = 0
         self.active_set = None  # its RANF's stage-1 set for its slice
         self.in_active_set = False
-        self.traffic_rng = None  # its ``traffic:`` stream, fetched on first use
+        self.traffic_rng = None  # its ``traffic:`` stream, from the first draw
         self.ue_ctx = ue_ctx
         self.emit = None  # the handler of its next ``traffic`` event
 
@@ -63,7 +63,7 @@ class BearerCtx:
 
 class UeCtx:
     __slots__ = ("id", "ranf", "serving_set", "pool_keys", "harq", "resume_at",
-                 "released", "bearers", "link_rng")
+                 "released", "bearers", "link_rng", "fb_rng")
 
     def __init__(self, ue_id, ranf_id, serving_set, n_harq):
         self.id = ue_id
@@ -75,6 +75,7 @@ class UeCtx:
         self.released = False
         self.bearers = []
         self.link_rng = None  # its ``link:`` stream, fetched on first use
+        self.fb_rng = None  # its ``fb:`` stream, fetched on first use
 
 
 class Runtime:
@@ -375,7 +376,7 @@ class Runtime:
     def _on_traffic(self, ctx, stop):
         now = self.sim.now
         rng = ctx.traffic_rng
-        if rng is None:
+        if rng is None and ctx.source.draws:
             rng = ctx.traffic_rng = self.rng.stream(f"traffic:{ctx.bearer.id}")
         next_t, sizes = ctx.source.next_emission(now, rng)
         for size in sizes:
@@ -573,7 +574,7 @@ class Runtime:
                 ctx.live.pop(sn, None)
             ctx.metrics.aqm_drops += len(acted)
             if self.drop_indication:
-                ctx.rlc.pending_drop_indications.extend(acted)
+                ctx.rlc.queue_drop_indications(acted)
 
     def _serve_grant(self, ctx, key, prbs, nbytes, now):
         """Serve a grant on pool ``key`` to a bearer with data to send."""
@@ -635,7 +636,10 @@ class Runtime:
             return  # stale: a handover or release emptied the slot
         ack = success
         if not self.reliable and not success and self.fb_error > 0:
-            if self.rng.stream(f"fb:{ue.id}").draw() < self.fb_error:
+            rng = ue.fb_rng
+            if rng is None:
+                rng = ue.fb_rng = self.rng.stream(f"fb:{ue.id}")
+            if rng.draw() < self.fb_error:
                 ack = True  # corrupted NACK read as ACK
         result = stack.harq_on_feedback(proc, ack, self.max_tx)
         if result == stack.HARQ_RETRANSMIT:
@@ -857,11 +861,11 @@ class Runtime:
         for ctx in ue.bearers:
             ctx.metrics.residual += len(ctx.live)
             ctx.live.clear()
-            ctx.buffer.queue.clear()
+            ctx.buffer.queue = ()
             ctx.buffer.bytes = 0
             ctx.rlc.window.clear()
-            ctx.rlc.retx_queue.clear()
-            ctx.rlc.pending_drop_indications.clear()
+            ctx.rlc.retx_queue = ()
+            ctx.rlc.pending_drop_indications = ()
             self.cu_backlog.pop(ctx, None)
         ue.harq = [None] * len(ue.harq)
 

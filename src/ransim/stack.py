@@ -22,6 +22,13 @@ A ``HarqProcess`` is one transport block in flight in one of its UE's HARQ
 slots, from its first transmission until HARQ acknowledges or gives it up;
 a process whose slot no longer holds it is stale.
 
+A bearer that never sends costs its counters, not containers: its transmit
+queue, ``RlcTxState.retx_queue`` and ``pending_drop_indications`` and
+``ReorderState.skipped`` start as the empty tuple ``()``, which every read
+(``len``, ``in``, iteration, truth) takes as empty.  Each writer appends and
+creates the real container on the ``AttributeError`` that ``()`` raises, so
+a busy bearer pays nothing per write; a release puts ``()`` back.
+
 A bearer's receiver is one ``ReorderState`` holding its ``RxReassembly``.
 Receiving returns ``(delivered, timer_started)`` and t-reordering expiry
 ``(delivered, lost)``, where ``delivered`` lists ``(sn, stashed_at)`` in SN
@@ -72,7 +79,7 @@ def cipher(payload, key, sn):
     ).to_bytes(n, "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class Bearer:
     id: str
     ue: str
@@ -111,13 +118,18 @@ class AqmState:
 class TransmitBuffer:
     """The single per-bearer queue of PDUs awaiting first transmission."""
 
+    __slots__ = ("queue", "bytes", "aqm")
+
     def __init__(self, aqm=None):
-        self.queue = deque()
+        self.queue = ()  # a deque from the first push
         self.bytes = 0
         self.aqm = aqm if aqm is not None else AqmState()
 
     def push(self, pdu):
-        self.queue.append(pdu)
+        try:
+            self.queue.append(pdu)
+        except AttributeError:  # the first push
+            self.queue = deque((pdu,))
         self.bytes += pdu.size
 
 
@@ -190,13 +202,16 @@ class TransportBlock:
 class RlcTxState:
     """Transmitter-side RLC AM bookkeeping over its bearer's ``buffer``."""
 
+    __slots__ = ("buffer", "window", "window_size", "max_retx", "retx_queue",
+                 "pending_drop_indications")
+
     def __init__(self, buffer, window_size=64, max_retx=None):
         self.buffer = buffer
         self.window = {}  # sn -> PdcpPdu, from its first pulled byte
         self.window_size = window_size
         self.max_retx = max_retx  # None = unlimited
-        self.retx_queue = deque()  # Segment, awaiting a grant
-        self.pending_drop_indications = deque()
+        self.retx_queue = ()  # Segment, awaiting a grant
+        self.pending_drop_indications = ()  # SNs, awaiting a grant
 
     def ack_segment(self, sn, start, end):
         """ACK a segment's bytes; True if it frees the SN's window entry."""
@@ -237,8 +252,19 @@ class RlcTxState:
                 self.remove(seg.sn)
                 abandoned.append(seg.sn)
                 continue
-            self.retx_queue.append(Segment(seg.sn, seg.start, seg.end))
+            queued = Segment(seg.sn, seg.start, seg.end)
+            try:
+                self.retx_queue.append(queued)
+            except AttributeError:  # the first retransmission
+                self.retx_queue = deque((queued,))
         return abandoned
+
+    def queue_drop_indications(self, sns):
+        """Queue an indication of each dropped SN in ``sns``."""
+        try:
+            self.pending_drop_indications.extend(sns)
+        except AttributeError:  # the first drop
+            self.pending_drop_indications = deque(sns)
 
     def apply_status(self, ack_point, missing):
         """ACK every SN before ``ack_point`` and queue each ``missing`` one
@@ -350,6 +376,8 @@ def harq_on_feedback(process, ack, max_tx):
 class RxReassembly:
     """Receiver-side per-SN byte-range collection until PDUs complete."""
 
+    __slots__ = ("partial",)
+
     def __init__(self):
         self.partial = {}  # sn -> merged list of (start, end)
 
@@ -380,10 +408,14 @@ class ReorderState:
     a segment of an SN behind ``expected_sn`` or stashed is a duplicate, and
     expiry forgets the partial PDUs of the SNs it gives up."""
 
+    __slots__ = ("expected_sn", "stash", "skipped", "reassembly",
+                 "t_reordering", "timer_deadline", "timer_generation",
+                 "duplicates")
+
     def __init__(self, t_reordering=20_000):
         self.expected_sn = 0
         self.stash = {}  # sn -> receive time
-        self.skipped = set()  # SNs announced dropped (gap closed, no wait)
+        self.skipped = ()  # SNs announced dropped (gap closed, no wait)
         self.reassembly = RxReassembly()
         self.t_reordering = t_reordering
         self.timer_deadline = None
@@ -446,7 +478,10 @@ class ReorderState:
         """Close the SN gap at sn."""
         if sn_lt(sn, self.expected_sn):
             return [], False
-        self.skipped.add(sn)  # drained at once when it is expected_sn
+        try:
+            self.skipped.add(sn)  # drained at once when it is expected_sn
+        except AttributeError:  # the first drop indication
+            self.skipped = {sn}
         return self._drain([]), self._update_timer(now)
 
     def timer_expired(self, now):

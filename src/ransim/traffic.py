@@ -21,7 +21,7 @@ CLASSIC = "Classic"
 NO_REACTION = "None"
 
 
-@dataclass
+@dataclass(slots=True)
 class TrafficSource:
     bearer_id: str
     pattern: str = CBR
@@ -37,9 +37,14 @@ class TrafficSource:
     rate: float = field(init=False)
     _last_reaction: int = field(init=False, default=-(10**12))
     rtt_window: int = 50_000  # us, at most one multiplicative reaction per window
+    # Whether ``next_emission`` draws from its rng: only Poisson gaps and
+    # jittered XR frame sizes do, and the others are passed None.
+    draws: bool = field(init=False)
 
     def __post_init__(self):
         self.rate = self.nominal_rate
+        self.draws = self.pattern == POISSON or (
+            self.pattern == XR_FRAME and self.frame_jitter > 0)
 
     def next_emission(self, now, rng):
         """Return (next_time_us, [sdu sizes]) for the emission after ``now``."""

@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+import random
 from functools import partial
 
 import pytest
@@ -86,6 +89,20 @@ def test_rng_golden_draws_seed42():
     st_ = RngStream(42, "link:ue1")
     draws = [st_.draw() for _ in range(3)]
     assert draws == pytest.approx(GOLDEN_SEED42_LINK_UE1, abs=0)
+
+
+def test_rng_stream_draws_as_random_random_and_pickles_mid_gauss_pair():
+    digest = hashlib.sha256(b"42:traffic:b1").digest()
+    ref = random.Random(int.from_bytes(digest[:8], "big"))
+    st_ = RngStream(42, "traffic:b1")
+    # An odd number of gauss draws leaves the pair's second in gauss_next.
+    draws = [(st_.draw(), st_.expovariate(0.5), st_.gauss(3.0, 2.0))
+             for _ in range(5)]
+    assert draws == [(ref.random(), ref.expovariate(0.5), ref.gauss(3.0, 2.0))
+                     for _ in range(5)]
+    resumed = pickle.loads(pickle.dumps(st_))
+    assert [resumed.gauss(0.0, 1.0), resumed.draw()] \
+        == [ref.gauss(0.0, 1.0), ref.random()]
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.text(min_size=1, max_size=8))

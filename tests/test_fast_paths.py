@@ -26,6 +26,7 @@ shows that these rules are the only change.
 """
 
 import copy
+from collections import deque
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -208,9 +209,17 @@ def ref_build_transport_block(buffer, rlc, grant_bytes):
 
 # ---------------------------------------------------------------- receiver
 
+def fields(obj):
+    """Every attribute of ``obj``, whether its class has slots or not."""
+    names = getattr(type(obj), "__slots__", None) or vars(obj)
+    return {k: getattr(obj, k) for k in names}
+
+
 def receiver_state(partial, reorder):
-    return partial, {k: v for k, v in vars(reorder).items()
-                     if k != "reassembly"}
+    state = {k: v for k, v in fields(reorder).items() if k != "reassembly"}
+    # ``ReorderState.skipped`` is the empty ``()`` until its first SN.
+    state["skipped"] = set(state["skipped"])
+    return partial, state
 
 
 def ref_partial(rx):
@@ -401,10 +410,13 @@ def tx_setups(draw):
             if pdu.sent and draw(st.booleans()):
                 rlc.window[sn] = pdu
         buffer.push(pdu)
+    retx = []
     for sn in draw(st.lists(st.integers(0, 7), max_size=3)):
         a = draw(st.integers(0, 100))
-        rlc.retx_queue.append(Segment(sn, a, draw(st.integers(a + 1, 120))))
-    rlc.pending_drop_indications.extend(
+        retx.append(Segment(sn, a, draw(st.integers(a + 1, 120))))
+    if retx:  # else the empty ``()`` it starts with
+        rlc.retx_queue = deque(retx)
+    rlc.queue_drop_indications(
         draw(st.lists(st.integers(0, SN_SPACE - 1), max_size=3)))
     grants = draw(st.lists(st.integers(0, 400), min_size=1, max_size=6))
     return buffer, rlc, grants

@@ -126,7 +126,7 @@ def test_full_window_still_continues_a_partly_pulled_pdu():
 
 def test_tb_drop_indications_ride_first():
     buf, rlc = setup_tx(1)
-    rlc.pending_drop_indications.extend([7, 8])
+    rlc.queue_drop_indications([7, 8])
     tb = stack.build_transport_block(buf, rlc, 1000)
     assert tb.drop_indications == [7, 8]
     assert tb.segments[0].sn == 0
