@@ -1,11 +1,11 @@
 """End-to-end simulation wiring: builds entities from a resolved scenario
 config and drives them through the event loop.
 
-The downlink data path is simulated packet by packet (PDCP ingress ->
-single RLC buffer -> TTI scheduling -> HARQ transmission -> receiver
-reassembly and reordering).  Uplink data is out of scope; the single-RANF
-UL anchor is an invariant of the serving set, checked wherever a UE's RANF
-or serving set is chosen (set-up and handover).
+The downlink data path is simulated packet by packet (PDCP ingress -> the
+bearer's one RLC transmitter -> TTI scheduling -> HARQ transmission ->
+receiver reassembly and reordering).  Uplink data is out of scope; the
+single-RANF UL anchor is an invariant of the serving set, checked wherever a
+UE's RANF or serving set is chosen (set-up and handover).
 
 Each TTI visits only the bearers that have something to send: a bearer
 joins its (RANF, slice) active set when data, a retransmission or a drop
@@ -32,15 +32,14 @@ from .metrics import MetricsCollector
 
 
 class BearerCtx:
-    __slots__ = ("bearer", "buffer", "rlc", "reorder", "source",
+    __slots__ = ("bearer", "rlc", "reorder", "source",
                  "live", "metrics", "slice", "window_marked",
                  "window_delivered", "active_set", "in_active_set",
                  "traffic_rng", "ue_ctx", "emit")
 
-    def __init__(self, bearer, buffer, rlc, reorder, source, metrics, ue_ctx):
+    def __init__(self, bearer, rlc, reorder, source, metrics, ue_ctx):
         self.bearer = bearer
-        self.buffer = buffer
-        self.rlc = rlc
+        self.rlc = rlc  # its one transmitter
         self.reorder = reorder
         self.source = source
         self.live = {}  # sn -> PdcpPdu, every non-terminal PDU in the system
@@ -53,12 +52,6 @@ class BearerCtx:
         self.traffic_rng = None  # its ``traffic:`` stream, from the first draw
         self.ue_ctx = ue_ctx
         self.emit = None  # the handler of its next ``traffic`` event
-
-    def has_data(self):
-        """Anything to send: new data, RLC retransmissions or drop indications."""
-        rlc = self.rlc
-        return bool(self.buffer.queue or rlc.retx_queue
-                    or rlc.pending_drop_indications)
 
 
 class UeCtx:
@@ -92,6 +85,9 @@ class Runtime:
         self.max_tx = cfg["harq"]["max_tx"]
         self.fb_error = cfg["harq"]["feedback_error_rate"]
         self.t_reordering = cfg["t_reordering_us"]
+        self.rlc_window = cfg["rlc"]["window"]
+        self.aqm = stack.AqmState(cfg["aqm"]["mark_threshold_us"],
+                                  cfg["aqm"]["drop_threshold_us"])
         self.d_f1 = cfg["split"]["d_f1_us"]
         self.credit_bytes = cfg["split"]["credit_bytes"]
         self.class_weights = cfg["class_weights"]
@@ -262,8 +258,6 @@ class Runtime:
     def _build_bearers(self):
         self.bearers = {}
         declared = set(self.slice_ids)
-        aqm = stack.AqmState(self.cfg["aqm"]["mark_threshold_us"],
-                             self.cfg["aqm"]["drop_threshold_us"])  # read only
         for b in self.cfg["bearers"]:
             qos_class, slice_id = sched.classify_qos(
                 b["latency_req_us"], b["reliability_req"])
@@ -277,9 +271,7 @@ class Runtime:
                 sched.CLASS_LATENCY_BUDGET[qos_class], qos_class,
                 ecn_capable=b["ecn_capable"],
             )
-            buffer = stack.TransmitBuffer(aqm)
-            rlc = stack.RlcTxState(buffer, self.cfg["rlc"]["window"],
-                                   self.cfg["rlc"]["max_retx"])
+            rlc = stack.RlcTxState(self.cfg["rlc"]["max_retx"])
             reorder = stack.ReorderState(self.t_reordering)
             t = b["traffic"]
             source = tra.TrafficSource(
@@ -290,7 +282,7 @@ class Runtime:
             )
             source.rtt_window = t["rtt_window_us"]
             ue = self.ues[bearer.ue]
-            ctx = BearerCtx(bearer, buffer, rlc, reorder, source,
+            ctx = BearerCtx(bearer, rlc, reorder, source,
                             self.metrics.bearer(b["id"]), ue)
             ctx.active_set = self.active_sets[ue.ranf].setdefault(slice_id, {})
             self.bearers[b["id"]] = ctx
@@ -399,10 +391,10 @@ class Runtime:
             ctx.metrics.ingress_dropped += 1
             return
         ctx.metrics.packets_in += 1
-        target = None if self.split_mode else ctx.buffer
-        pdu = stack.pdcp_preprocess(size, bearer, now, buffer=target)
+        pdu = stack.pdcp_preprocess(size, bearer, now)
         ctx.live[pdu.sn] = pdu
         if not self.split_mode:
+            ctx.rlc.push(pdu)
             if not ctx.in_active_set:
                 self._activate(ctx)
         elif self.credit_bytes is None:  # each PDU reaches the DU after d_f1
@@ -417,7 +409,7 @@ class Runtime:
     def _du_arrival(self, pdus):
         for ctx, pdu in pdus:  # a released UE's were counted residual
             if not ctx.ue_ctx.released:
-                ctx.buffer.push(pdu)
+                ctx.rlc.push(pdu)
                 self._activate(ctx)
 
     def _on_cc_window(self, ctx):
@@ -442,7 +434,7 @@ class Runtime:
             self._tti_for_subnet(ctrl, now)
         if self.cu_backlog:  # one F1 status: each bearer's desired fill
             credits = [(ctx, desired) for ctx in self.cu_backlog if (
-                desired := self.credit_bytes - ctx.buffer.bytes) > 0]
+                desired := self.credit_bytes - ctx.rlc.bytes) > 0]
             if credits:
                 self.sim.schedule(now + self.d_f1, "f1-status", "cu",
                                   partial(self._cu_release, credits))
@@ -479,30 +471,22 @@ class Runtime:
             if active and now >= self.slice_paused_until.get(sl, 0):
                 idle = []
                 for ctx in active:
-                    # Buffers live at the UP function, which keeps reporting
-                    # through a handover interruption; only the radio grant
-                    # waits for the UE to resume (see resources_for below).
-                    buffer = ctx.buffer
-                    queue = buffer.queue
-                    rlc = ctx.rlc
-                    if ctx.ue_ctx.released or not (
-                            queue or rlc.retx_queue
-                            or rlc.pending_drop_indications):
+                    # Transmitters live at the UP function, which keeps
+                    # reporting through a handover interruption; only the radio
+                    # grant waits for the UE to resume (see resources_for).
+                    tx = ctx.rlc
+                    if ctx.ue_ctx.released or not tx.has_data():
                         idle.append(ctx)
                         continue
+                    queue = tx.queue
                     if queue:
                         self._apply_aqm(ctx, now)
-                    extra = (len(rlc.pending_drop_indications)
-                             * stack.DROP_IND_BYTES)
-                    if rlc.retx_queue:
-                        extra += sum(s.end - s.start + stack.SEG_HEADER_BYTES
-                                     for s in rlc.retx_queue)
+                    extra = tx.control_bytes()
                     sojourn = now - queue[0].arrival_time if queue else 0
                     if series and sojourn > max_sojourn:
                         max_sojourn = sojourn
                     if queue or extra:
-                        items.append((ctx.bearer, buffer.bytes, sojourn,
-                                      extra))
+                        items.append((ctx.bearer, tx.bytes, sojourn, extra))
                 for ctx in idle:
                     del active[ctx]
                     ctx.in_active_set = False
@@ -549,12 +533,7 @@ class Runtime:
                 prb_granted[key] = prb_granted.get(key, 0) + prbs
                 slice_prbs[ctx.slice] = slice_prbs.get(ctx.slice, 0) + prbs
                 active_rus.add(ru)
-                if ctx.has_data():
-                    self._serve_grant(ctx, key, prbs, nbytes, now)
-                elif None not in ctx.ue_ctx.harq:
-                    # A padding grant: a stale request or the stage-2
-                    # leftover pass granted a bearer with nothing to send.
-                    metrics.wasted_grants += 1
+                self._serve_grant(ctx, key, prbs, nbytes, now)
             sched.ul_anchor_check(grants, self.ru_to_ranf, ues)
 
         self._energy_tti(ranf, active_rus, now)
@@ -562,10 +541,9 @@ class Runtime:
             metrics.on_tti(now, ranf.id, pools, max_sojourn)
 
     def _apply_aqm(self, ctx, now):
-        if not ctx.buffer.queue:
-            return  # AQM acts on the head of the queue only
+        """AQM on the head of a bearer's non-empty queue."""
         ecn = ctx.bearer.ecn_capable
-        acted = stack.aqm_inspect(ctx.buffer, now, ecn)
+        acted = stack.aqm_inspect(ctx.rlc, self.aqm, now, ecn)
         if ecn:
             if acted:  # it CE-marked the head
                 ctx.metrics.ce_marks += 1
@@ -577,18 +555,22 @@ class Runtime:
                 ctx.rlc.queue_drop_indications(acted)
 
     def _serve_grant(self, ctx, key, prbs, nbytes, now):
-        """Serve a grant on pool ``key`` to a bearer with data to send."""
-        ue = ctx.ue_ctx
-        # Stage 1 ran AQM at this ``now`` too, but an earlier grant in this
-        # TTI (another carrier) may have sent the head it saw.
-        self._apply_aqm(ctx, now)
-        harq = ue.harq
+        """Serve a grant on pool ``key``.  A grant to a UE with every HARQ
+        slot busy is wasted, and counted here alone; a padding grant, to a
+        bearer with nothing to send (a stale request, the stage-2 leftover
+        pass), is not counted."""
+        tx = ctx.rlc
+        if tx.queue:
+            # Stage 1 ran AQM at this ``now`` too, but an earlier grant in
+            # this TTI (another carrier) may have sent the head it saw.
+            self._apply_aqm(ctx, now)
+        harq = ctx.ue_ctx.harq
         if None not in harq:
             self.metrics.wasted_grants += 1
             return
-        if not ctx.has_data():
-            return  # AQM dropped all it had: the grant is padding
-        tb = stack.build_transport_block(ctx.buffer, ctx.rlc, nbytes)
+        if not tx.has_data():
+            return  # nothing to send, or AQM dropped all it had: padding
+        tb = stack.build_transport_block(tx, self.rlc_window, nbytes)
         if tb.empty:
             return
         slot = harq.index(None)  # the first free slot
@@ -861,11 +843,7 @@ class Runtime:
         for ctx in ue.bearers:
             ctx.metrics.residual += len(ctx.live)
             ctx.live.clear()
-            ctx.buffer.queue = ()
-            ctx.buffer.bytes = 0
-            ctx.rlc.window.clear()
-            ctx.rlc.retx_queue = ()
-            ctx.rlc.pending_drop_indications = ()
+            ctx.rlc.release()
             self.cu_backlog.pop(ctx, None)
         ue.harq = [None] * len(ue.harq)
 
@@ -919,19 +897,14 @@ class Runtime:
                 ue_id, src.id, dst_id, now, 0, 0, False, "admission rejected"))
             return
         # In-flight TBs are treated as lost and their segments of window SNs
-        # re-queued for RLC retx at the target; the un-ACKed window and the
-        # buffer are forwarded as-is, a partly pulled head (in both) once.
+        # re-queued for RLC retx at the target; what each transmitter holds
+        # is forwarded as-is.
         for proc in ue.harq:
             if proc is not None:
                 self._abandon(proc.ctx,
                               proc.ctx.rlc.queue_retx(proc.tb.segments))
         ue.harq = [None] * len(ue.harq)
-        forwarded = 0
-        for ctx in ue.bearers:
-            window, queue = ctx.rlc.window, ctx.buffer.queue
-            forwarded += len(window) + len(queue)
-            if queue and window.get(queue[0].sn) is queue[0]:
-                forwarded -= 1
+        forwarded = sum(ctx.rlc.held() for ctx in ue.bearers)
         link = self.topology.latency(src.site, dst.site)
         interruption = self.cfg["handover_interruption_us"]
         ue.ranf = dst_id
@@ -945,7 +918,7 @@ class Runtime:
             ctx.active_set.pop(ctx, None)
             ctx.in_active_set = False
             ctx.active_set = target.setdefault(ctx.slice, {})
-            if ctx.has_data():
+            if ctx.rlc.has_data():
                 self._activate(ctx)
         ue.resume_at = now + max(interruption, link)
         self.metrics.handovers.append(radio.HandoverRecord(

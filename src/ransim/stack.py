@@ -1,13 +1,17 @@
 """Simplified 6G user-plane stack.
 
 PDCP is buffer-free: sequence numbering and ciphering happen at packet
-arrival, after which the PDU sits in the bearer's single RLC transmit
-buffer.  AQM works on head-of-queue sojourn there; front drops are
-announced to the receiver through an L2 drop indication carried in the
-next transport block, which closes the SN gap without waiting for the
-reordering timer.  HARQ feedback, when configured reliable, doubles as
-the RLC ACK/NACK; otherwise ``RlcTxState.apply_status`` applies the
-receiver's ``ReorderState.status_report``.
+arrival, after which the PDU waits in the queue of its bearer's one
+transmitter, ``RlcTxState``.  That object also holds the queue's unsent byte
+count, the RLC window, the queued retransmissions and the pending drop
+indications, and it alone answers what the bearer has to send
+(``has_data``, ``control_bytes``), what it holds (``held``) and what a
+release drops (``release``).  AQM works on head-of-queue sojourn there; front
+drops are announced to the receiver through an L2 drop indication carried in
+the next transport block, which closes the SN gap without waiting for the
+reordering timer.  HARQ feedback, when configured reliable, doubles as the
+RLC ACK/NACK; otherwise ``RlcTxState.apply_status`` applies the receiver's
+``ReorderState.status_report``.
 
 The RLC window has one rule: a PDU is in it from its first pulled byte until
 a count of its un-ACKed bytes reaches zero, and its size bounds only the pull
@@ -22,12 +26,13 @@ A ``HarqProcess`` is one transport block in flight in one of its UE's HARQ
 slots, from its first transmission until HARQ acknowledges or gives it up;
 a process whose slot no longer holds it is stale.
 
-A bearer that never sends costs its counters, not containers: its transmit
-queue, ``RlcTxState.retx_queue`` and ``pending_drop_indications`` and
+A bearer that never sends costs its counters, not containers: the
+transmitter's queue, ``retx_queue`` and ``pending_drop_indications`` and
 ``ReorderState.skipped`` start as the empty tuple ``()``, which every read
 (``len``, ``in``, iteration, truth) takes as empty.  Each writer appends and
 creates the real container on the ``AttributeError`` that ``()`` raises, so
-a busy bearer pays nothing per write; a release puts ``()`` back.
+a busy bearer pays nothing per write; ``RlcTxState.release`` puts ``()``
+back.
 
 A bearer's receiver is one ``ReorderState`` holding its ``RxReassembly``.
 Receiving returns ``(delivered, timer_started)`` and t-reordering expiry
@@ -115,38 +120,16 @@ class AqmState:
     drop_threshold: int = 50_000  # us head sojourn before front drop
 
 
-class TransmitBuffer:
-    """The single per-bearer queue of PDUs awaiting first transmission."""
-
-    __slots__ = ("queue", "bytes", "aqm")
-
-    def __init__(self, aqm=None):
-        self.queue = ()  # a deque from the first push
-        self.bytes = 0
-        self.aqm = aqm if aqm is not None else AqmState()
-
-    def push(self, pdu):
-        try:
-            self.queue.append(pdu)
-        except AttributeError:  # the first push
-            self.queue = deque((pdu,))
-        self.bytes += pdu.size
-
-
-def pdcp_preprocess(sdu_size, bearer, now, payload=None, buffer=None):
-    """Assign the next SN, cipher, and enqueue into the transmit buffer;
-    returns the PDU."""
+def pdcp_preprocess(sdu_size, bearer, now, payload=None):
+    """Assign the next SN and cipher; returns the PDU."""
     sn = bearer.tx_sn_next
     bearer.tx_sn_next = (sn + 1) % SN_SPACE
     ciphered = cipher(payload, bearer.key, sn) if payload is not None else None
-    pdu = PdcpPdu(sn, sdu_size, now, ciphered)
-    if buffer is not None:
-        buffer.push(pdu)
-    return pdu
+    return PdcpPdu(sn, sdu_size, now, ciphered)
 
 
-def aqm_inspect(buffer, now, ecn_capable):
-    """Head-sojourn step AQM; returns what it did.
+def aqm_inspect(tx, aqm, now, ecn_capable):
+    """Head-sojourn step AQM on ``tx``'s queue; returns what it did.
 
     ECN-capable (ECT(1)) traffic gets a CE mark above the mark threshold,
     and the result says whether the head was marked now; classic traffic
@@ -154,8 +137,7 @@ def aqm_inspect(buffer, now, ecn_capable):
     dropped SNs.  Partially transmitted heads are never dropped (their bytes
     are already committed to the air interface).
     """
-    aqm = buffer.aqm
-    q = buffer.queue
+    q = tx.queue
     if ecn_capable:
         if q:
             head = q[0]
@@ -169,7 +151,7 @@ def aqm_inspect(buffer, now, ecn_capable):
         if now - head.arrival_time <= aqm.drop_threshold or head.sent > 0:
             break
         q.popleft()
-        buffer.bytes -= head.size
+        tx.bytes -= head.size
         dropped.append(head.sn)
     return dropped
 
@@ -200,18 +182,56 @@ class TransportBlock:
 
 
 class RlcTxState:
-    """Transmitter-side RLC AM bookkeeping over its bearer's ``buffer``."""
+    """A bearer's one transmitter: the queue of PDUs awaiting their first
+    transmission and its count of unsent bytes, the RLC AM window, and the
+    retransmissions and drop indications awaiting a grant."""
 
-    __slots__ = ("buffer", "window", "window_size", "max_retx", "retx_queue",
+    __slots__ = ("queue", "bytes", "window", "max_retx", "retx_queue",
                  "pending_drop_indications")
 
-    def __init__(self, buffer, window_size=64, max_retx=None):
-        self.buffer = buffer
+    def __init__(self, max_retx=None):
+        self.queue = ()  # PdcpPdu, a deque from the first push
+        self.bytes = 0  # the queue's bytes not yet pulled
         self.window = {}  # sn -> PdcpPdu, from its first pulled byte
-        self.window_size = window_size
         self.max_retx = max_retx  # None = unlimited
         self.retx_queue = ()  # Segment, awaiting a grant
         self.pending_drop_indications = ()  # SNs, awaiting a grant
+
+    def push(self, pdu):
+        try:
+            self.queue.append(pdu)
+        except AttributeError:  # the first push
+            self.queue = deque((pdu,))
+        self.bytes += pdu.size
+
+    def has_data(self):
+        """Anything to send: new data, retransmissions or drop indications."""
+        return bool(self.queue or self.retx_queue
+                    or self.pending_drop_indications)
+
+    def control_bytes(self):
+        """Drop-indication and retransmission bytes, headers included."""
+        extra = len(self.pending_drop_indications) * DROP_IND_BYTES
+        if self.retx_queue:
+            extra += sum(s.end - s.start + SEG_HEADER_BYTES
+                         for s in self.retx_queue)
+        return extra
+
+    def held(self):
+        """PDUs held in the window and the queue, a partly pulled head once."""
+        window, queue = self.window, self.queue
+        n = len(window) + len(queue)
+        if queue and window.get(queue[0].sn) is queue[0]:
+            n -= 1
+        return n
+
+    def release(self):
+        """Drop everything held and queued."""
+        self.queue = ()
+        self.bytes = 0
+        self.window.clear()
+        self.retx_queue = ()
+        self.pending_drop_indications = ()
 
     def ack_segment(self, sn, start, end):
         """ACK a segment's bytes; True if it frees the SN's window entry."""
@@ -229,16 +249,16 @@ class RlcTxState:
 
     def remove(self, sn):
         """Take ``sn``, if in the window, out of it with its queued
-        retransmissions and, as the partly pulled head, out of the buffer."""
+        retransmissions and, as the partly pulled head, out of the queue."""
         pdu = self.window.pop(sn, None)
         if pdu is not None:
             if self.retx_queue:
                 self.retx_queue = deque(s for s in self.retx_queue
                                         if s.sn != sn)
-            q = self.buffer.queue
+            q = self.queue
             if q and q[0] is pdu:
                 q.popleft()
-                self.buffer.bytes -= pdu.size - pdu.sent
+                self.bytes -= pdu.size - pdu.sent
 
     def queue_retx(self, segments):
         """Queue segments for retransmission; returns SNs abandoned at max_retx."""
@@ -278,41 +298,42 @@ class RlcTxState:
                                 if sn in window and sn not in queued])
 
 
-def build_transport_block(buffer, rlc, grant_bytes):
+def build_transport_block(tx, window_size, grant_bytes):
     """Fill a grant with RLC control, retransmissions, then new head-of-queue data.
 
     Drop indications ride first (fastest congestion indication), then queued
-    retransmission segments, then new data pulled from the buffer head with
+    retransmission segments, then new data pulled from the queue head with
     byte-level segmentation.  A PDU enters the retransmission window when
     its first byte is pulled and leaves it only on RLC ACK of all its bytes
-    (or when given up); a full window stops only the pull of a new SN, so a
-    partly pulled head is always continued.  A grant too small for any
-    header yields an empty TB (wasted, counted by the caller).
+    (or when given up); a window of ``window_size`` SNs stops only the pull
+    of a new SN, so a partly pulled head is always continued.  The TB is
+    empty when the grant fits no header, or when the window is full and
+    nothing is queued for retransmission or partly pulled; the caller drops
+    an empty TB without counting it.
     """
     tb = TransportBlock()
     budget = grant_bytes - TB_HEADER_BYTES
     if budget <= 0:
         return tb
 
-    while rlc.pending_drop_indications and budget >= DROP_IND_BYTES:
-        tb.drop_indications.append(rlc.pending_drop_indications.popleft())
+    while tx.pending_drop_indications and budget >= DROP_IND_BYTES:
+        tb.drop_indications.append(tx.pending_drop_indications.popleft())
         budget -= DROP_IND_BYTES
 
-    while rlc.retx_queue and budget > SEG_HEADER_BYTES:
-        seg = rlc.retx_queue[0]
+    while tx.retx_queue and budget > SEG_HEADER_BYTES:
+        seg = tx.retx_queue[0]
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, seg.end - seg.start)
         tb.segments.append(Segment(seg.sn, seg.start, seg.start + take))
         budget -= SEG_HEADER_BYTES + take
         if take == seg.end - seg.start:
-            rlc.retx_queue.popleft()
+            tx.retx_queue.popleft()
         else:
             seg.start += take
 
-    q = buffer.queue
+    q = tx.queue
     segments = tb.segments
-    window = rlc.window
-    window_size = rlc.window_size
+    window = tx.window
     while q and budget > SEG_HEADER_BYTES:
         pdu = q[0]
         sent = pdu.sent
@@ -326,7 +347,7 @@ def build_transport_block(buffer, rlc, grant_bytes):
         segments.append(Segment(pdu.sn, sent, sent + take))
         budget -= SEG_HEADER_BYTES + take
         pdu.sent = sent = sent + take
-        buffer.bytes -= take
+        tx.bytes -= take
         if sent == pdu.size:
             q.popleft()
 

@@ -13,7 +13,8 @@ follow them: ``ref_build_transport_block`` puts a PDU in the RLC window at
 its first pulled byte and bounds only the pull of a new SN, and
 ``ref_ack_segment`` subtracts ACKed ranges from a list of un-ACKed ranges
 kept beside the window, against which the window's count of un-ACKed bytes
-is checked.
+is checked.  The transmitter's queue and window moved into one object, and
+the copy reads both from it, with the window's size as its own argument.
 
 The receiver references are verbatim, from before ``ReorderState`` took
 segments itself.  The harness applies to them the two receiver rules added
@@ -166,40 +167,40 @@ def ref_ack_segment(pending, sn, start, end):
     return False
 
 
-def ref_build_transport_block(buffer, rlc, grant_bytes):
+def ref_build_transport_block(tx, window_size, grant_bytes):
     tb = TransportBlock()
     budget = grant_bytes - TB_HEADER_BYTES
     if budget <= 0:
         return tb
 
-    while rlc.pending_drop_indications and budget >= DROP_IND_BYTES:
-        tb.drop_indications.append(rlc.pending_drop_indications.popleft())
+    while tx.pending_drop_indications and budget >= DROP_IND_BYTES:
+        tb.drop_indications.append(tx.pending_drop_indications.popleft())
         budget -= DROP_IND_BYTES
 
-    while rlc.retx_queue and budget > SEG_HEADER_BYTES:
-        seg = rlc.retx_queue[0]
+    while tx.retx_queue and budget > SEG_HEADER_BYTES:
+        seg = tx.retx_queue[0]
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, seg.end - seg.start)
         tb.segments.append(Segment(seg.sn, seg.start, seg.start + take))
         budget -= SEG_HEADER_BYTES + take
         if take == seg.end - seg.start:
-            rlc.retx_queue.popleft()
+            tx.retx_queue.popleft()
         else:
             seg.start += take
 
-    q = buffer.queue
+    q = tx.queue
     while q and budget > SEG_HEADER_BYTES:
         pdu = q[0]
         if pdu.sent == 0:  # a new SN, in the window from its first byte
-            if len(rlc.window) >= rlc.window_size:
+            if len(tx.window) >= window_size:
                 break
-            rlc.window[pdu.sn] = pdu
+            tx.window[pdu.sn] = pdu
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, pdu.size - pdu.sent)
         tb.segments.append(Segment(pdu.sn, pdu.sent, pdu.sent + take))
         budget -= SEG_HEADER_BYTES + take
         pdu.sent += take
-        buffer.bytes -= take
+        tx.bytes -= take
         if pdu.sent == pdu.size:
             q.popleft()
 
@@ -323,16 +324,16 @@ def test_reassembly_and_reordering_match_reference(first_sn, ops):
 
 # ---------------------------------------------------------------- transmitter
 
-def window_state(rlc):
+def window_state(tx):
     return {sn: (p.sn, p.size, p.sent, p.unacked, p.retx_count)
-            for sn, p in rlc.window.items()}
+            for sn, p in tx.window.items()}
 
 
-def tx_state(buffer, rlc):
-    return ([(p.sn, p.size, p.sent) for p in buffer.queue], buffer.bytes,
-            window_state(rlc),
-            [(s.sn, s.start, s.end) for s in rlc.retx_queue],
-            list(rlc.pending_drop_indications))
+def tx_state(tx):
+    return ([(p.sn, p.size, p.sent) for p in tx.queue], tx.bytes,
+            window_state(tx),
+            [(s.sn, s.start, s.end) for s in tx.retx_queue],
+            list(tx.pending_drop_indications))
 
 
 def tb_state(tb):
@@ -370,7 +371,7 @@ def test_ack_segment_matches_reference(ops, excess):
     """The window's count of un-ACKed bytes frees a PDU exactly when the
     reference's list of un-ACKed ranges empties; then an ACK of more bytes
     than an SN has left raises."""
-    rlc, pending = stack.RlcTxState(stack.TransmitBuffer()), {}
+    rlc, pending = stack.RlcTxState(), {}
     for op in ops:
         if op[0] == "enter":
             _, sn, size = op
@@ -391,43 +392,42 @@ def test_ack_segment_matches_reference(ops, excess):
 
 @st.composite
 def tx_setups(draw):
-    """A bearer's transmit side: a window whose SNs may reappear in the
-    buffer (an overwritten window entry), partly sent heads in the window
-    or not, queued retransmissions and drop indications, then a run of
-    grants."""
+    """A bearer's transmitter and its window size: a window whose SNs may
+    reappear in the queue (an overwritten window entry), partly sent heads
+    in the window or not, queued retransmissions and drop indications, then
+    a run of grants."""
     window_size = draw(st.integers(1, 6))
-    buffer = stack.TransmitBuffer()
-    rlc = stack.RlcTxState(buffer, window_size=window_size)
+    tx = stack.RlcTxState()
     for sn in draw(st.lists(st.integers(0, 7), max_size=window_size)):
-        rlc.window[sn] = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
+        tx.window[sn] = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
     for i, sn in enumerate(draw(st.lists(st.integers(0, 7), max_size=10))):
         pdu = stack.PdcpPdu(sn, draw(st.integers(1, 120)), 0)
         if i == 0:
             pdu.sent = draw(st.integers(0, pdu.size - 1))
-            buffer.bytes -= pdu.sent
+            tx.bytes -= pdu.sent
             # A run keeps a partly sent head in the window; the draw also
             # puts it outside, and the window may be full without it.
             if pdu.sent and draw(st.booleans()):
-                rlc.window[sn] = pdu
-        buffer.push(pdu)
+                tx.window[sn] = pdu
+        tx.push(pdu)
     retx = []
     for sn in draw(st.lists(st.integers(0, 7), max_size=3)):
         a = draw(st.integers(0, 100))
         retx.append(Segment(sn, a, draw(st.integers(a + 1, 120))))
     if retx:  # else the empty ``()`` it starts with
-        rlc.retx_queue = deque(retx)
-    rlc.queue_drop_indications(
+        tx.retx_queue = deque(retx)
+    tx.queue_drop_indications(
         draw(st.lists(st.integers(0, SN_SPACE - 1), max_size=3)))
     grants = draw(st.lists(st.integers(0, 400), min_size=1, max_size=6))
-    return buffer, rlc, grants
+    return tx, window_size, grants
 
 
 @given(tx_setups())
 def test_build_transport_block_matches_reference(setup):
-    buffer, rlc, grants = setup
-    ref_buffer, ref_rlc = copy.deepcopy((buffer, rlc))
+    tx, window_size, grants = setup
+    ref_tx = copy.deepcopy(tx)
     for grant in grants:
-        tb = stack.build_transport_block(buffer, rlc, grant)
-        ref_tb = ref_build_transport_block(ref_buffer, ref_rlc, grant)
+        tb = stack.build_transport_block(tx, window_size, grant)
+        ref_tb = ref_build_transport_block(ref_tx, window_size, grant)
         assert tb_state(tb) == tb_state(ref_tb), grant
-        assert tx_state(buffer, rlc) == tx_state(ref_buffer, ref_rlc), grant
+        assert tx_state(tx) == tx_state(ref_tx), grant

@@ -7,7 +7,9 @@ that moves one is a behaviour change and must say why next to the new hash.
 
 import argparse
 import collections
+import functools
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -566,6 +568,44 @@ def test_golden_tti_series():
     assert tti_series_fingerprint() == TTI_SERIES
 
 
+# The benchmark's generated workloads at seed 7, built and set up as
+# ``bench/run.py`` builds them (its ``WORKLOADS`` and ``setup``).  Kept out
+# of ``CASES``, which also feeds the per-event transmitter oracle and
+# ``test_resume``: on ``dmimo-cells``' 640 bearers those would take far too
+# long.  The ``latency-budgets`` workload at seed 7 is the
+# ``latency-budgets`` pin.
+WORKLOAD_SEED = 7
+WORKLOADS = {
+    "dmimo-cells":
+        "da6720241bf7b5560c15cec194dfc30dcf539f2a22f42561d4c681923466984c",
+    "split-lossy":
+        "3167a9134e83666ccc40b6866a3faa0dca37a9f75340eaef5f92e2c63c38cacf",
+}
+BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "bench")
+
+
+@functools.cache
+def bench_run():
+    """``bench/run.py`` as a module, loaded once."""
+    sys.path.insert(0, BENCH_DIR)  # it imports scengen and tracing from there
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(BENCH_DIR, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload_report(name):
+    bench = bench_run()
+    rt, _ = bench.setup(json.dumps(bench.WORKLOADS[name](WORKLOAD_SEED)))
+    return rt.run()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_golden_workload(name):
+    assert fingerprint(workload_report(name)) == WORKLOADS[name]
+
+
 def _latency_budgets_raw(duration_us):
     with open(os.path.join(SCENARIO_DIR, "latency-budgets.yaml")) as fh:
         raw = yaml.safe_load(fh)
@@ -632,10 +672,11 @@ def event_counts(cfg):
 
 
 def main(argv):
-    """Print every pin's fingerprint.  ``--without KEY`` (repeatable) drops
-    the top-level report key ``KEY`` first, so that two trees whose reports
-    differ only by that key print the same lines.  ``--events`` prints each
-    pin's count of events run, in total and by kind, instead."""
+    """Print every pin's fingerprint, the workload pins included.
+    ``--without KEY`` (repeatable) drops the top-level report key ``KEY``
+    first, so that two trees whose reports differ only by that key print the
+    same lines.  ``--events`` prints each case's count of events run, in
+    total and by kind, instead."""
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--without", action="append", default=[],
                         metavar="KEY")
@@ -652,6 +693,11 @@ def main(argv):
             report.pop(key, None)
         print(name, fingerprint(report))
     if not args.events:
+        for name in sorted(WORKLOADS):
+            report = workload_report(name)
+            for key in args.without:
+                report.pop(key, None)
+            print(f"workload {name}", fingerprint(report))
         print("tti-series", tti_series_fingerprint())
         with tempfile.TemporaryDirectory() as tmp:
             for name in sorted(LATENCY_CDF):

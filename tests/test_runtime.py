@@ -532,19 +532,19 @@ def three_cell_raw():
 
 
 def has_data(ctx):
-    return bool(ctx.buffer.queue or ctx.rlc.retx_queue
-                or ctx.rlc.pending_drop_indications)
+    tx = ctx.rlc
+    return bool(tx.queue or tx.retx_queue or tx.pending_drop_indications)
 
 
 def assert_active_sets_match_scan(rt):
     """Every live-UE bearer with data is in its RANF's active set for its
     slice, and every member of a set belongs there (brute-force scan).
     Likewise every queue in ``cu_backlog`` holds PDUs, and no released UE's
-    bearer holds any, at the CU or in its DU buffer."""
+    bearer holds any, at the CU or in its transmit queue at the DU."""
     assert all(rt.cu_backlog.values()), rt.sim.now
     assert not any(rt.ues[ctx.bearer.ue].released
                    for ctx in rt.cu_backlog), rt.sim.now
-    assert not any(ctx.buffer.queue for ctx in rt.bearers.values()
+    assert not any(ctx.rlc.queue for ctx in rt.bearers.values()
                    if rt.ues[ctx.bearer.ue].released), rt.sim.now
     for rf_id, by_slice in rt.active_sets.items():
         for sl, members in by_slice.items():
@@ -704,18 +704,18 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     rt = Runtime(cfgmod.validate_scenario(raw))
     ranf = rt.topology.ranfs["rf-a"]
     ctx = rt.bearers["b1"]
-    assert not ctx.buffer.queue
+    assert not ctx.rlc.queue
 
     rt._tti_for_ranf(ranf, 500)
     assert requests[-1] == {}
 
     # One PDU goes out whole and waits in the RLC window; the next TTI finds
     # the bearer idle.  A status report that misses the PDU queues its
-    # retransmission while the buffer stays empty.
+    # retransmission while the queue stays empty.
     rt._ingress(ctx, 300, 1000)
     rt._tti_for_ranf(ranf, 1000)
     rt._tti_for_ranf(ranf, 1500)
-    assert requests[-1] == {} and not ctx.buffer.queue
+    assert requests[-1] == {} and not ctx.rlc.queue
     assert list(ctx.rlc.window) == [0]
     rt._apply_status([(ctx, 0, [0])])
     rt._tti_for_ranf(ranf, 2000)
@@ -726,7 +726,7 @@ def test_empty_buffer_with_retx_or_drop_indication_still_requests(
     # indication alone makes the request.
     rt._ingress(ctx, 300, 2500)
     rt._tti_for_ranf(ranf, 2500 + rt.cfg["aqm"]["drop_threshold_us"] + 500)
-    assert ctx.metrics.aqm_drops == 1 and not ctx.buffer.queue
+    assert ctx.metrics.aqm_drops == 1 and not ctx.rlc.queue
     assert requests[-1]["b1"][4] == stack.DROP_IND_BYTES
 
 
@@ -831,9 +831,9 @@ def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
     built = []
     build = stack.build_transport_block
 
-    def checked_build(buffer, rlc, grant_bytes):
-        assert buffer.queue or rlc.retx_queue or rlc.pending_drop_indications
-        tb = build(buffer, rlc, grant_bytes)
+    def checked_build(tx, window_size, grant_bytes):
+        assert tx.queue or tx.retx_queue or tx.pending_drop_indications
+        tb = build(tx, window_size, grant_bytes)
         built.append(tb)
         return tb
 
@@ -861,14 +861,14 @@ def test_tti_loop_does_no_work_for_idle_bearers(monkeypatch):
 
     idle = [rt.bearers[f"b-idle-{ue}"] for ue in ("u1", "u3", "u4")]
     for ctx in idle:
-        ctx.buffer = TouchCounter(ctx.buffer)
+        ctx.rlc = TouchCounter(ctx.rlc)
     report = rt.run()
 
     assert grants and sum(g[4] for g in grants) == sum(
         u["granted_prbs"] for u in report["prb_utilization"].values())
     assert len(built) == report["tb_transmitted"] > 0
     assert all(not tb.empty for tb in built)
-    assert [ctx.buffer.touches for ctx in idle] == [0, 0, 0]
+    assert [ctx.rlc.touches for ctx in idle] == [0, 0, 0]
 
 
 def test_link_and_traffic_streams_are_fetched_lazily_and_once(monkeypatch):
@@ -1276,7 +1276,7 @@ def test_pdus_pulled_over_several_harq_rtts_are_delivered_without_loss():
 
 def test_handover_mid_pdu_forwards_it_once_and_resends_its_segments():
     """20,000-byte SDUs over 3,000 bytes per TTI: at the handover the head
-    PDU is partly pulled, in both the window and the buffer, and its first
+    PDU is partly pulled, in both the window and the queue, and its first
     segments are in flight.  It is forwarded once, and those segments are
     queued for retransmission at the target."""
     raw = _handover_raw()
@@ -1288,7 +1288,7 @@ def test_handover_mid_pdu_forwards_it_once_and_resends_its_segments():
     do_handover = rt._do_handover
 
     def handover(*args):
-        head = ctx.buffer.queue[0]
+        head = ctx.rlc.queue[0]
         seen["head"] = (head.sn, head.sent, head.size)
         seen["window"] = set(ctx.rlc.window)
         seen["in_flight"] = [(s.sn, s.start, s.end)

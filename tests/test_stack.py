@@ -5,6 +5,9 @@ from ransim import stack
 from ransim.core import ModelError
 
 
+WINDOW = 64  # the ``rlc.window`` default of a scenario
+
+
 def make_bearer(**kw):
     defaults = dict(id="b1", ue="ue1", slice="II", latency_budget=10_000)
     defaults.update(kw)
@@ -42,215 +45,262 @@ def test_sn_wraparound():
 
 def test_pdcp_assigns_consecutive_sns_and_enqueues():
     bearer = make_bearer()
-    buf = stack.TransmitBuffer()
-    p0 = stack.pdcp_preprocess(100, bearer, 0, buffer=buf)
-    p1 = stack.pdcp_preprocess(100, bearer, 1, buffer=buf)
+    tx = stack.RlcTxState()
+    p0 = stack.pdcp_preprocess(100, bearer, 0)
+    p1 = stack.pdcp_preprocess(100, bearer, 1)
     assert (p0.sn, p1.sn) == (0, 1)
-    assert len(buf.queue) == 2 and buf.bytes == 200
+    assert not tx.queue and bearer.tx_sn_next == 2
+    tx.push(p0)
+    tx.push(p1)
+    assert list(tx.queue) == [p0, p1] and tx.bytes == 200
 
 
 # ---------------------------------------------------------------- AQM
 
+AQM = stack.AqmState(1000, 50_000)
+
+
 def test_aqm_marks_ecn_head_once():
-    buf = stack.TransmitBuffer(stack.AqmState(1000, 50_000))
-    buf.push(stack.PdcpPdu(0, 100, 0))
-    assert stack.aqm_inspect(buf, 500, ecn_capable=True) is False
-    assert stack.aqm_inspect(buf, 2000, ecn_capable=True) is True
-    assert buf.queue[0].ce_marked
+    tx = stack.RlcTxState()
+    tx.push(stack.PdcpPdu(0, 100, 0))
+    assert stack.aqm_inspect(tx, AQM, 500, ecn_capable=True) is False
+    assert stack.aqm_inspect(tx, AQM, 2000, ecn_capable=True) is True
+    assert tx.queue[0].ce_marked
     # Already marked: no second mark.
-    assert stack.aqm_inspect(buf, 3000, ecn_capable=True) is False
-    assert len(buf.queue) == 1  # ECN never drops
+    assert stack.aqm_inspect(tx, AQM, 3000, ecn_capable=True) is False
+    assert len(tx.queue) == 1  # ECN never drops
 
 
 def test_aqm_front_drops_classic_until_threshold():
-    buf = stack.TransmitBuffer(stack.AqmState(1000, 50_000))
+    tx = stack.RlcTxState()
     for sn, t in [(0, 0), (1, 10), (2, 60_000)]:
-        buf.push(stack.PdcpPdu(sn, 100, t))
-    assert stack.aqm_inspect(buf, 60_000, ecn_capable=False) == [0, 1]
-    assert len(buf.queue) == 1 and buf.bytes == 100
+        tx.push(stack.PdcpPdu(sn, 100, t))
+    assert stack.aqm_inspect(tx, AQM, 60_000, ecn_capable=False) == [0, 1]
+    assert len(tx.queue) == 1 and tx.bytes == 100
 
 
 def test_aqm_never_drops_partially_sent_head():
-    buf = stack.TransmitBuffer(stack.AqmState(1000, 50_000))
+    tx = stack.RlcTxState()
     pdu = stack.PdcpPdu(0, 100, 0)
     pdu.sent = 10
-    buf.push(pdu)
-    assert stack.aqm_inspect(buf, 100_000, ecn_capable=False) == []
+    tx.push(pdu)
+    assert stack.aqm_inspect(tx, AQM, 100_000, ecn_capable=False) == []
 
 
 # ---------------------------------------------------------------- TB building
 
 def setup_tx(n_pdus=3, size=100):
-    buf = stack.TransmitBuffer()
-    rlc = stack.RlcTxState(buf)
+    tx = stack.RlcTxState()
     for sn in range(n_pdus):
-        buf.push(stack.PdcpPdu(sn, size, 0))
-    return buf, rlc
+        tx.push(stack.PdcpPdu(sn, size, 0))
+    return tx
 
 
 def test_tb_pulls_head_data_and_enters_window():
-    buf, rlc = setup_tx(3)
-    tb = stack.build_transport_block(buf, rlc, 1000)
+    tx = setup_tx(3)
+    tb = stack.build_transport_block(tx, WINDOW, 1000)
     assert [s.sn for s in tb.segments] == [0, 1, 2]
-    assert sorted(rlc.window) == [0, 1, 2]
-    assert len(buf.queue) == 0 and buf.bytes == 0
+    assert sorted(tx.window) == [0, 1, 2]
+    assert len(tx.queue) == 0 and tx.bytes == 0
     payload = 3 * 100
     assert tb.bytes == stack.TB_HEADER_BYTES + 3 * stack.SEG_HEADER_BYTES + payload
 
 
 def test_tb_segments_across_grants():
-    buf, rlc = setup_tx(1, size=500)
-    tb1 = stack.build_transport_block(buf, rlc, 206)  # 2 + 4 + 200 payload
+    tx = setup_tx(1, size=500)
+    tb1 = stack.build_transport_block(tx, WINDOW, 206)  # 2 + 4 + 200 payload
     assert tb1.segments[0].start == 0 and tb1.segments[0].end == 200
-    assert rlc.window == {0: buf.queue[0]}  # in the window from its first byte
-    tb2 = stack.build_transport_block(buf, rlc, 1000)
+    assert tx.window == {0: tx.queue[0]}  # in the window from its first byte
+    tb2 = stack.build_transport_block(tx, WINDOW, 1000)
     assert tb2.segments[0].start == 200 and tb2.segments[0].end == 500
-    assert list(rlc.window) == [0] and rlc.window[0].unacked == 500
-    assert not buf.queue
+    assert list(tx.window) == [0] and tx.window[0].unacked == 500
+    assert not tx.queue
 
 
 def test_full_window_still_continues_a_partly_pulled_pdu():
     """The window bounds new SNs only: with room for one SN, the second TB
     continues the PDU the first one started, and pulls no new SN."""
-    buf = stack.TransmitBuffer()
-    rlc = stack.RlcTxState(buf, window_size=1)
-    buf.push(stack.PdcpPdu(0, 300, 0))
-    buf.push(stack.PdcpPdu(1, 50, 0))
-    tb1 = stack.build_transport_block(buf, rlc, 206)
+    tx = stack.RlcTxState()
+    tx.push(stack.PdcpPdu(0, 300, 0))
+    tx.push(stack.PdcpPdu(1, 50, 0))
+    tb1 = stack.build_transport_block(tx, 1, 206)
     assert [(s.sn, s.start, s.end) for s in tb1.segments] == [(0, 0, 200)]
-    assert list(rlc.window) == [0]  # full
-    tb2 = stack.build_transport_block(buf, rlc, 1000)
+    assert list(tx.window) == [0]  # full
+    tb2 = stack.build_transport_block(tx, 1, 1000)
     assert [(s.sn, s.start, s.end) for s in tb2.segments] == [(0, 200, 300)]
-    assert list(rlc.window) == [0] and [p.sn for p in buf.queue] == [1]
+    assert list(tx.window) == [0] and [p.sn for p in tx.queue] == [1]
 
 
 def test_tb_drop_indications_ride_first():
-    buf, rlc = setup_tx(1)
-    rlc.queue_drop_indications([7, 8])
-    tb = stack.build_transport_block(buf, rlc, 1000)
+    tx = setup_tx(1)
+    tx.queue_drop_indications([7, 8])
+    tb = stack.build_transport_block(tx, WINDOW, 1000)
     assert tb.drop_indications == [7, 8]
     assert tb.segments[0].sn == 0
 
 
 def test_tb_retx_precede_new_data():
-    buf, rlc = setup_tx(2)
-    stack.build_transport_block(buf, rlc, 104 + 2)  # pulls sn 0
-    rlc.queue_retx([stack.Segment(0, 0, 100)])
-    tb = stack.build_transport_block(buf, rlc, 1000)
+    tx = setup_tx(2)
+    stack.build_transport_block(tx, WINDOW, 104 + 2)  # pulls sn 0
+    tx.queue_retx([stack.Segment(0, 0, 100)])
+    tb = stack.build_transport_block(tx, WINDOW, 1000)
     first = tb.segments[0]
     assert (first.sn, first.start, first.end) == (0, 0, 100)
-    assert not rlc.retx_queue
+    assert not tx.retx_queue
     assert tb.segments[1].sn == 1
 
 
 def test_tb_window_full_blocks_new_data():
-    buf = stack.TransmitBuffer()
-    rlc = stack.RlcTxState(buf, window_size=1)
-    buf.push(stack.PdcpPdu(0, 50, 0))
-    buf.push(stack.PdcpPdu(1, 50, 0))
-    tb = stack.build_transport_block(buf, rlc, 1000)
+    tx = stack.RlcTxState()
+    tx.push(stack.PdcpPdu(0, 50, 0))
+    tx.push(stack.PdcpPdu(1, 50, 0))
+    tb = stack.build_transport_block(tx, 1, 1000)
     assert [s.sn for s in tb.segments] == [0]
-    assert len(buf.queue) == 1
+    assert len(tx.queue) == 1
 
 
 def test_tiny_grant_yields_empty_tb():
-    buf, rlc = setup_tx(1)
-    tb = stack.build_transport_block(buf, rlc, 2)
+    tx = setup_tx(1)
+    tb = stack.build_transport_block(tx, WINDOW, 2)
     assert tb.empty and tb.bytes == 0
 
 
 # ---------------------------------------------------------------- RLC window
 
 def test_ack_segment_counts_unacked_bytes():
-    rlc = stack.RlcTxState(stack.TransmitBuffer())
-    rlc.window[0] = stack.PdcpPdu(0, 100, 0)
-    assert not rlc.ack_segment(0, 0, 40)
-    assert not rlc.ack_segment(0, 60, 100)
-    assert rlc.window[0].unacked == 20
-    assert rlc.ack_segment(0, 40, 60)
-    assert 0 not in rlc.window
-    assert not rlc.ack_segment(0, 0, 100)  # no longer in the window
+    tx = stack.RlcTxState()
+    tx.window[0] = stack.PdcpPdu(0, 100, 0)
+    assert not tx.ack_segment(0, 0, 40)
+    assert not tx.ack_segment(0, 60, 100)
+    assert tx.window[0].unacked == 20
+    assert tx.ack_segment(0, 40, 60)
+    assert 0 not in tx.window
+    assert not tx.ack_segment(0, 0, 100)  # no longer in the window
 
 
 def test_ack_of_more_bytes_than_remain_is_an_error():
-    rlc = stack.RlcTxState(stack.TransmitBuffer())
-    rlc.window[0] = stack.PdcpPdu(0, 100, 0)
-    rlc.ack_segment(0, 0, 60)
+    tx = stack.RlcTxState()
+    tx.window[0] = stack.PdcpPdu(0, 100, 0)
+    tx.ack_segment(0, 0, 60)
     with pytest.raises(ModelError, match="SN 0"):
-        rlc.ack_segment(0, 0, 60)
+        tx.ack_segment(0, 0, 60)
 
 
 def test_queue_retx_abandons_at_max():
-    rlc = stack.RlcTxState(stack.TransmitBuffer(), max_retx=1)
-    rlc.window[0] = stack.PdcpPdu(0, 100, 0)
-    assert rlc.queue_retx([stack.Segment(0, 0, 100)]) == []
-    assert rlc.queue_retx([stack.Segment(0, 0, 100)]) == [0]
-    assert 0 not in rlc.window
+    tx = stack.RlcTxState(max_retx=1)
+    tx.window[0] = stack.PdcpPdu(0, 100, 0)
+    assert tx.queue_retx([stack.Segment(0, 0, 100)]) == []
+    assert tx.queue_retx([stack.Segment(0, 0, 100)]) == [0]
+    assert 0 not in tx.window
 
 
 def test_apply_status_acks_and_queues_missing():
-    rlc = stack.RlcTxState(stack.TransmitBuffer(), max_retx=1)
+    tx = stack.RlcTxState(max_retx=1)
     for sn in range(4):
-        rlc.window[sn] = stack.PdcpPdu(sn, 100 + sn, 0)
-    rlc.remove(3)
-    assert rlc.apply_status(1, [2, 3]) == []
-    assert sorted(rlc.window) == [1, 2]  # 0 ACKed
+        tx.window[sn] = stack.PdcpPdu(sn, 100 + sn, 0)
+    tx.remove(3)
+    assert tx.apply_status(1, [2, 3]) == []
+    assert sorted(tx.window) == [1, 2]  # 0 ACKed
     # A missing SN is resent whole; SN 3 is no longer in the window.
-    assert [(s.sn, s.start, s.end) for s in rlc.retx_queue] == [(2, 0, 102)]
-    rlc.window[1].retx_count = 1
+    assert [(s.sn, s.start, s.end) for s in tx.retx_queue] == [(2, 0, 102)]
+    tx.window[1].retx_count = 1
     # SN 2 is queued already; SN 1 is given up at max_retx.
-    assert rlc.apply_status(1, [1, 2]) == [1]
-    assert sorted(rlc.window) == [2] and rlc.window[2].retx_count == 1
-    assert len(rlc.retx_queue) == 1
+    assert tx.apply_status(1, [1, 2]) == [1]
+    assert sorted(tx.window) == [2] and tx.window[2].retx_count == 1
+    assert len(tx.retx_queue) == 1
 
 
 # An SN leaves the window other than by a full ACK through ``remove`` alone,
 # which also takes its queued retransmissions and a partly pulled head.
 
 def test_give_up_of_a_partly_pulled_head_takes_it_from_the_buffer():
-    buf, rlc = setup_tx(2, size=500)
-    rlc.max_retx = 0
-    tb = stack.build_transport_block(buf, rlc, 206)  # SN 0's first 200 bytes
-    assert rlc.queue_retx(tb.segments) == [0]
-    assert [p.sn for p in buf.queue] == [1] and buf.bytes == 500
-    assert not rlc.window and not rlc.retx_queue
-    tb = stack.build_transport_block(buf, rlc, 1000)
+    tx = setup_tx(2, size=500)
+    tx.max_retx = 0
+    tb = stack.build_transport_block(tx, WINDOW, 206)  # SN 0's first 200 bytes
+    assert tx.queue_retx(tb.segments) == [0]
+    assert [p.sn for p in tx.queue] == [1] and tx.bytes == 500
+    assert not tx.window and not tx.retx_queue
+    tb = stack.build_transport_block(tx, WINDOW, 1000)
     assert [(s.sn, s.start, s.end) for s in tb.segments] == [(1, 0, 500)]
 
 
 def test_give_up_takes_the_sns_segments_queued_in_the_same_call():
-    buf, rlc = setup_tx(2)
-    rlc.max_retx = 1
-    stack.build_transport_block(buf, rlc, 1000)
+    tx = setup_tx(2)
+    tx.max_retx = 1
+    stack.build_transport_block(tx, WINDOW, 1000)
     segments = [stack.Segment(0, 0, 40), stack.Segment(1, 0, 100),
                 stack.Segment(0, 40, 100)]
-    assert rlc.queue_retx(segments) == [0]  # its second segment gives up
-    assert [(s.sn, s.start, s.end) for s in rlc.retx_queue] == [(1, 0, 100)]
-    assert list(rlc.window) == [1]
+    assert tx.queue_retx(segments) == [0]  # its second segment gives up
+    assert [(s.sn, s.start, s.end) for s in tx.retx_queue] == [(1, 0, 100)]
+    assert list(tx.window) == [1]
 
 
 def test_status_ack_takes_the_sns_queued_segments():
-    buf, rlc = setup_tx(3)
-    stack.build_transport_block(buf, rlc, 1000)
-    assert rlc.apply_status(0, [0, 1]) == []
-    assert [s.sn for s in rlc.retx_queue] == [0, 1]
+    tx = setup_tx(3)
+    stack.build_transport_block(tx, WINDOW, 1000)
+    assert tx.apply_status(0, [0, 1]) == []
+    assert [s.sn for s in tx.retx_queue] == [0, 1]
     # SNs 0 and 1 reach the receiver before their resends go out.
-    assert rlc.apply_status(2, []) == []
-    assert list(rlc.window) == [2] and not rlc.retx_queue
+    assert tx.apply_status(2, []) == []
+    assert list(tx.window) == [2] and not tx.retx_queue
 
 
 def test_t_reordering_loss_takes_the_sns_queued_segments():
     """The runtime removes each SN that t-reordering gives up."""
-    buf, rlc = setup_tx(3)
-    stack.build_transport_block(buf, rlc, 1000)
-    rlc.queue_retx([stack.Segment(0, 0, 100), stack.Segment(1, 0, 100)])
+    tx = setup_tx(3)
+    stack.build_transport_block(tx, WINDOW, 1000)
+    tx.queue_retx([stack.Segment(0, 0, 100), stack.Segment(1, 0, 100)])
     rx = stack.ReorderState(t_reordering=10)
     rx.segment(2, 0, 100, 100, 0)
     delivered, lost = rx.timer_expired(10)
     assert (delivered, lost) == ([(2, 0)], [0, 1])
     for sn in lost:
-        rlc.remove(sn)
-    assert list(rlc.window) == [2] and not rlc.retx_queue
+        tx.remove(sn)
+    assert list(tx.window) == [2] and not tx.retx_queue
+
+
+# ---------------------------------------------------------------- what it holds
+
+def test_has_data_sees_new_data_retransmissions_and_drop_indications():
+    tx = stack.RlcTxState()
+    assert not tx.has_data()
+    tx.queue_drop_indications([5])
+    assert tx.has_data()
+    tx = setup_tx(1)
+    assert tx.has_data()
+    stack.build_transport_block(tx, WINDOW, 1000)
+    assert not tx.has_data()  # SN 0 waits in the window only
+    tx.queue_retx([stack.Segment(0, 0, 100)])
+    assert tx.has_data()
+
+
+def test_control_bytes_count_each_header():
+    tx = setup_tx(2)
+    assert tx.control_bytes() == 0  # new data is not control
+    stack.build_transport_block(tx, WINDOW, 1000)
+    tx.queue_retx([stack.Segment(0, 0, 40), stack.Segment(1, 0, 100)])
+    tx.queue_drop_indications([7, 8])
+    assert tx.control_bytes() == 140 + 2 * stack.SEG_HEADER_BYTES \
+        + 2 * stack.DROP_IND_BYTES
+
+
+def test_held_counts_a_partly_pulled_head_once():
+    tx = setup_tx(3, size=500)
+    assert tx.held() == 3
+    stack.build_transport_block(tx, WINDOW, 800)  # SN 0 whole, SN 1 in part
+    assert list(tx.window) == [0, 1] and len(tx.queue) == 2
+    assert tx.held() == 3
+
+
+def test_release_drops_everything():
+    tx = setup_tx(3, size=500)
+    stack.build_transport_block(tx, WINDOW, 800)
+    tx.queue_retx([stack.Segment(0, 0, 500)])
+    tx.queue_drop_indications([9])
+    tx.release()
+    assert (tx.queue, tx.bytes, tx.window, tx.retx_queue,
+            tx.pending_drop_indications) == ((), 0, {}, (), ())
+    assert not tx.has_data() and tx.held() == 0 and tx.control_bytes() == 0
 
 
 # ---------------------------------------------------------------- HARQ

@@ -4,17 +4,17 @@ exits that ``stack`` and ``runtime`` take.
 ``check_transmitters(rt, monkeypatch)`` installs the check on a ``Runtime``
 built but not yet run.  After every event, for every bearer:
 
-- each queued retransmission's SN and a partly pulled buffer head are in
+- each queued retransmission's SN and a partly pulled queue head are in
   the RLC window (the head as its own entry);
-- no PDU counted residual is in the window or at the buffer head;
+- no PDU counted residual is in the window or at the queue head;
 - the SDU ledger holds, with what is in flight counted from ``ctx.live``:
   ``packets_in == delivered + aqm_drops + residual + len(live)``.
 
-A PDU counted residual is also checked to be out of the whole buffer, with
-``buffer.bytes`` exact, in the event that counts it, and is never pushed
-again.  Every transport block built is checked to carry segments of window
-SNs only.  Residual PDUs are recorded by wrapping ``Runtime._abandon`` and
-``Runtime._release_ue``.
+A PDU counted residual is also checked to be out of the whole transmit
+queue, with ``ctx.rlc.bytes`` exact, in the event that counts it, and is
+never pushed again.  Every transport block built is checked to carry
+segments of window SNs only.  Residual PDUs are recorded by wrapping
+``Runtime._abandon`` and ``Runtime._release_ue``.
 """
 
 from ransim import stack
@@ -29,16 +29,15 @@ class TransmitterCheck:
         self.segments = 0  # segments of built TBs checked
 
 
-def _check_out_of_buffer(ctx, pdus):
-    buffer = ctx.buffer
+def _check_out_of_queue(ctx, pdus):
+    tx = ctx.rlc
     for pdu in pdus:
-        assert pdu not in buffer.queue, (ctx.bearer.id, pdu)
-    assert buffer.bytes == sum(p.size - p.sent for p in buffer.queue), \
-        ctx.bearer.id
+        assert pdu not in tx.queue, (ctx.bearer.id, pdu)
+    assert tx.bytes == sum(p.size - p.sent for p in tx.queue), ctx.bearer.id
 
 
 def _check_bearer(ctx, residual, now):
-    rlc, queue = ctx.rlc, ctx.buffer.queue
+    rlc, queue = ctx.rlc, ctx.rlc.queue
     window = rlc.window
     bid = ctx.bearer.id
     for seg in rlc.retx_queue:
@@ -64,7 +63,7 @@ def check_transmitters(rt, monkeypatch):
     def abandoning(ctx, sns):
         pdus = [ctx.live[sn] for sn in sns if sn in ctx.live]
         abandon(ctx, sns)
-        _check_out_of_buffer(ctx, pdus)
+        _check_out_of_queue(ctx, pdus)
         residual.setdefault(ctx, []).extend(pdus)
         residual_ids.update(map(id, pdus))
 
@@ -74,27 +73,27 @@ def check_transmitters(rt, monkeypatch):
         pdus = {ctx: list(ctx.live.values()) for ctx in ue.bearers}
         release_ue(ue, now)
         for ctx, live in pdus.items():
-            _check_out_of_buffer(ctx, live)
+            _check_out_of_queue(ctx, live)
             residual.setdefault(ctx, []).extend(live)
             residual_ids.update(map(id, live))
 
     rt._abandon = abandoning
     rt._release_ue = releasing
 
-    push = stack.TransmitBuffer.push
+    push = stack.RlcTxState.push
 
-    def pushing(buffer, pdu):
+    def pushing(tx, pdu):
         assert id(pdu) not in residual_ids, pdu
-        push(buffer, pdu)
+        push(tx, pdu)
 
-    monkeypatch.setattr(stack.TransmitBuffer, "push", pushing)
+    monkeypatch.setattr(stack.RlcTxState, "push", pushing)
 
     build = stack.build_transport_block
 
-    def building(buffer, rlc, grant_bytes):
-        tb = build(buffer, rlc, grant_bytes)
+    def building(tx, window_size, grant_bytes):
+        tb = build(tx, window_size, grant_bytes)
         for seg in tb.segments:
-            assert seg.sn in rlc.window, (rt.sim.now, seg)
+            assert seg.sn in tx.window, (rt.sim.now, seg)
         check.segments += len(tb.segments)
         return tb
 
