@@ -35,11 +35,13 @@ class Reject:
     detail: str = ""
 
 
-def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
+def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000,
+                cn_entry_site=None):
     """Place a new slice's RRC/UP/PHY, cheapest-first (FarEdge preferred).
 
-    The conservative latency bound is path latency + one TTI of scheduling
-    delay + worst-case HARQ (max_tx x RTT).  If the FarEdge placement misses
+    The conservative latency bound is path latency from ``cn_entry_site``
+    (each RU's own site if None, as in ``topology.path_latency``) + one TTI
+    of scheduling delay + worst-case HARQ (max_tx x RTT).  If the FarEdge placement misses
     the slice's tightest budget, functions escalate to OnPrem; if even
     all-OnPrem misses it (or capacity runs out) the slice is rejected and
     the plan is left unchanged.  Returns the new FunctionInstances or the
@@ -76,7 +78,8 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000):
             continue
         worst = 0
         for ru_id in topology.rus:
-            lat = topo.path_latency(trial, topology, sla.slice_id, ru_id)
+            lat = topo.path_latency(trial, topology, sla.slice_id, ru_id,
+                                    cn_entry_site=cn_entry_site)
             worst = max(worst, lat + overhead)
         if worst <= sla.latency_budget:
             plan.instances.extend(instances)

@@ -178,7 +178,8 @@ class Runtime:
                 sla = orch.SlaSpec(sl["id"], sl["latency_budget_us"])
                 result = orch.admit_slice(
                     sla, self.topology, self.plan, tti=self.tti,
-                    harq_max_tx=self.max_tx, harq_rtt=self.harq_rtt)
+                    harq_max_tx=self.max_tx, harq_rtt=self.harq_rtt,
+                    cn_entry_site=cfg["cn_entry_site"])
                 if isinstance(result, orch.Reject):
                     raise ConfigError(
                         f"slice {sl['id']} rejected ({result.reason}): "
@@ -602,14 +603,9 @@ class Runtime:
         if success:
             path = self.path_lat[(ctx.slice, ru_id)]
             arrive = now + self.tti + path + wake_delay
-            live = ctx.live
-            payload = [(s.sn, s.start, s.end,
-                        live[s.sn].size if s.sn in live else s.end)
-                       for s in tb.segments]
-            # The TB's lists are never changed after it is built.
+            # A TB is never changed after it is built.
             self.sim.schedule(arrive, "deliver", ctx.bearer.id,
-                              partial(self._on_deliver, ctx, payload,
-                                      tb.drop_indications))
+                              partial(self._on_deliver, ctx, tb))
         self.sim.schedule(now + self.harq_rtt, "harq-feedback", ue.id,
                           partial(self._on_feedback, ue, proc, success))
 
@@ -649,12 +645,13 @@ class Runtime:
 
     # ------------------------------------------------------------ receiver
 
-    def _on_deliver(self, ctx, payload, drops):
+    def _on_deliver(self, ctx, tb):
         now = self.sim.now
         reorder = ctx.reorder
-        for sn, start, end, size in payload:
-            self._receive(ctx, reorder.segment(sn, start, end, size, now), now)
-        for sn in drops:
+        for s in tb.segments:
+            self._receive(ctx, reorder.segment(s.sn, s.start, s.end, s.size,
+                                               now), now)
+        for sn in tb.drop_indications:
             self._receive(ctx, reorder.receive_drop_indication(sn, now), now)
             self._echo_drop(ctx, now)
 
@@ -819,8 +816,9 @@ class Runtime:
                 if inst.kind in (topo.UP, topo.PHY) else 0
             if now - last >= ocfg["idle_sleep_interval_us"]:
                 self.meter.rest(f"fn:{inst.id}", now)
-        # Scaling of UP instances: busy if it carried data in the last tick.
-        for inst in self.plan.of_kind(topo.UP):
+        # Scaling of UP instances, in id order: busy if it carried data in
+        # the last tick.
+        for inst in sorted(self.plan.of_kind(topo.UP), key=lambda i: i.id):
             busy = now - woken.get(inst.slice, 0) < ocfg["tick_us"]
             action = self.scaler.evaluate(inst.id, busy)
             if action != orch.SCALE_NONE:

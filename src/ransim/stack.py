@@ -157,12 +157,15 @@ def aqm_inspect(tx, aqm, now, ecn_capable):
 
 
 class Segment:
-    __slots__ = ("sn", "start", "end")
+    """Bytes ``start``..``end`` of the PDU ``sn`` of ``size`` bytes."""
 
-    def __init__(self, sn, start, end):
+    __slots__ = ("sn", "start", "end", "size")
+
+    def __init__(self, sn, start, end, size):
         self.sn = sn
         self.start = start
         self.end = end
+        self.size = size
 
     def __repr__(self):
         return f"Seg(sn={self.sn}, {self.start}..{self.end})"
@@ -272,7 +275,7 @@ class RlcTxState:
                 self.remove(seg.sn)
                 abandoned.append(seg.sn)
                 continue
-            queued = Segment(seg.sn, seg.start, seg.end)
+            queued = Segment(seg.sn, seg.start, seg.end, pdu.size)
             try:
                 self.retx_queue.append(queued)
             except AttributeError:  # the first retransmission
@@ -293,9 +296,10 @@ class RlcTxState:
         for sn in [sn for sn in window if sn_lt(sn, ack_point)]:
             self.remove(sn)
         queued = {s.sn for s in self.retx_queue}
-        return self.queue_retx([Segment(sn, 0, window[sn].size)
+        return self.queue_retx([Segment(sn, 0, pdu.size, pdu.size)
                                 for sn in missing
-                                if sn in window and sn not in queued])
+                                if (pdu := window.get(sn)) is not None
+                                and sn not in queued])
 
 
 def build_transport_block(tx, window_size, grant_bytes):
@@ -324,7 +328,8 @@ def build_transport_block(tx, window_size, grant_bytes):
         seg = tx.retx_queue[0]
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, seg.end - seg.start)
-        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take))
+        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take,
+                                   seg.size))
         budget -= SEG_HEADER_BYTES + take
         if take == seg.end - seg.start:
             tx.retx_queue.popleft()
@@ -344,7 +349,7 @@ def build_transport_block(tx, window_size, grant_bytes):
                 break
             window[pdu.sn] = pdu
         take = min(budget - SEG_HEADER_BYTES, pdu.size - sent)
-        segments.append(Segment(pdu.sn, sent, sent + take))
+        segments.append(Segment(pdu.sn, sent, sent + take, pdu.size))
         budget -= SEG_HEADER_BYTES + take
         pdu.sent = sent = sent + take
         tx.bytes -= take
@@ -511,17 +516,16 @@ class ReorderState:
         self.timer_generation += 1
         delivered = []
         lost = []
+        stash, skipped = self.stash, self.skipped
         sn = self.expected_sn
-        while self.stash:
-            # Closest stashed SN ahead of sn in modular order.
-            target = min(self.stash, key=lambda s: sn_delta(sn, s))
-            while sn != target:
-                if sn in self.skipped:
-                    self.skipped.discard(sn)
-                else:
-                    lost.append(sn)
-                sn = (sn + 1) % SN_SPACE
-            delivered.append((sn, self.stash.pop(sn)))
+        # One walk forward: every stashed SN lies ahead within the window.
+        while stash:
+            if sn in stash:
+                delivered.append((sn, stash.pop(sn)))
+            elif sn in skipped:
+                skipped.discard(sn)
+            else:
+                lost.append(sn)
             sn = (sn + 1) % SN_SPACE
         self.expected_sn = sn
         for sn in lost:

@@ -181,7 +181,8 @@ def ref_build_transport_block(tx, window_size, grant_bytes):
         seg = tx.retx_queue[0]
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, seg.end - seg.start)
-        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take))
+        tb.segments.append(Segment(seg.sn, seg.start, seg.start + take,
+                                   seg.size))
         budget -= SEG_HEADER_BYTES + take
         if take == seg.end - seg.start:
             tx.retx_queue.popleft()
@@ -197,7 +198,8 @@ def ref_build_transport_block(tx, window_size, grant_bytes):
             tx.window[pdu.sn] = pdu
         avail = budget - SEG_HEADER_BYTES
         take = min(avail, pdu.size - pdu.sent)
-        tb.segments.append(Segment(pdu.sn, pdu.sent, pdu.sent + take))
+        tb.segments.append(Segment(pdu.sn, pdu.sent, pdu.sent + take,
+                                   pdu.size))
         budget -= SEG_HEADER_BYTES + take
         pdu.sent += take
         tx.bytes -= take
@@ -332,12 +334,12 @@ def window_state(tx):
 def tx_state(tx):
     return ([(p.sn, p.size, p.sent) for p in tx.queue], tx.bytes,
             window_state(tx),
-            [(s.sn, s.start, s.end) for s in tx.retx_queue],
+            [(s.sn, s.start, s.end, s.size) for s in tx.retx_queue],
             list(tx.pending_drop_indications))
 
 
 def tb_state(tb):
-    return ([(s.sn, s.start, s.end) for s in tb.segments],
+    return ([(s.sn, s.start, s.end, s.size) for s in tb.segments],
             tb.drop_indications, tb.bytes, tb.empty)
 
 
@@ -413,7 +415,7 @@ def tx_setups(draw):
     retx = []
     for sn in draw(st.lists(st.integers(0, 7), max_size=3)):
         a = draw(st.integers(0, 100))
-        retx.append(Segment(sn, a, draw(st.integers(a + 1, 120))))
+        retx.append(Segment(sn, a, draw(st.integers(a + 1, 120)), 120))
     if retx:  # else the empty ``()`` it starts with
         tx.retx_queue = deque(retx)
     tx.queue_drop_indications(

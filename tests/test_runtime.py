@@ -11,7 +11,7 @@ import yaml
 from ransim import config as cfgmod
 from ransim import cli, runtime, sched, stack
 from ransim import topology as topo
-from ransim.core import ModelError, RngRegistry, Simulator
+from ransim.core import ConfigError, ModelError, RngRegistry, Simulator
 from ransim.metrics import BearerMetrics, write_tti_series_csv
 from ransim.runtime import Runtime, run_scenario
 from energy_oracle import record_transitions, replay_energy
@@ -91,6 +91,21 @@ def test_auto_placed_slice():
     assert report["bearers"]["b1"]["delivered"] > 0
 
 
+def test_admission_counts_the_path_from_the_runs_cn_entry():
+    """With the core network entering at ``edge-1``, slice II's worst case
+    at OnPrem is 2,050 us of path, one TTI and 4 HARQ RTTs: 10,550 us, over
+    its 9,000 us budget (8,550 us counted from the RU's own site)."""
+    raw = base_raw(cn_entry_site="edge-1")
+    raw["slices"] = [{"id": "II", "auto_place": True,
+                      "latency_budget_us": 9_000}]
+    raw["placement"] = [p for p in raw["placement"]
+                        if p["id"] in ("rrm", "fhm1", "cpr")]
+    with pytest.raises(ConfigError, match=r"rejected \(latency\)"):
+        run_raw(raw)
+    del raw["cn_entry_site"]
+    assert run_raw(raw)["bearers"]["b1"]["delivered"] > 0
+
+
 def test_migration_of_an_auto_placed_instance():
     raw = base_raw()
     raw["slices"] = [{"id": "II", "auto_place": True,
@@ -160,6 +175,43 @@ def test_classic_bearer_front_drops_under_overload():
 def smoke_raw():
     with open(SMOKE) as fh:
         return yaml.safe_load(fh)
+
+
+def list_paths(node, path=()):
+    """The path of each list of two or more items in a parsed scenario."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+        if len(node) > 1:
+            yield path
+    else:
+        return
+    for key, child in children:
+        yield from list_paths(child, path + (key,))
+
+
+def test_listing_order_leaves_the_report_unchanged():
+    """Reversing any one list of ``smoke.yaml`` (``sites``, ``slices``,
+    ``placement`` and ``bearers`` have two or more items) leaves the report
+    minus ``config_hash`` unchanged: the orchestrator scales UP instances
+    (``scale_events``) in id order, not plan order."""
+    def report_of(raw):
+        report = run_raw(raw)
+        del report["config_hash"]
+        return report
+
+    base = report_of(smoke_raw())
+    paths = list(list_paths(smoke_raw()))
+    assert paths == [("sites",), ("slices",), ("placement",), ("bearers",)]
+    assert base["scale_events"]
+    for path in paths:
+        raw = smoke_raw()
+        node = raw
+        for key in path:
+            node = node[key]
+        node.reverse()
+        assert report_of(raw) == base, path
 
 
 def test_ecn_overload_discards_at_ingress():

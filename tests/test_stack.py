@@ -142,7 +142,7 @@ def test_tb_drop_indications_ride_first():
 def test_tb_retx_precede_new_data():
     tx = setup_tx(2)
     stack.build_transport_block(tx, WINDOW, 104 + 2)  # pulls sn 0
-    tx.queue_retx([stack.Segment(0, 0, 100)])
+    tx.queue_retx([stack.Segment(0, 0, 100, 100)])
     tb = stack.build_transport_block(tx, WINDOW, 1000)
     first = tb.segments[0]
     assert (first.sn, first.start, first.end) == (0, 0, 100)
@@ -189,8 +189,8 @@ def test_ack_of_more_bytes_than_remain_is_an_error():
 def test_queue_retx_abandons_at_max():
     tx = stack.RlcTxState(max_retx=1)
     tx.window[0] = stack.PdcpPdu(0, 100, 0)
-    assert tx.queue_retx([stack.Segment(0, 0, 100)]) == []
-    assert tx.queue_retx([stack.Segment(0, 0, 100)]) == [0]
+    assert tx.queue_retx([stack.Segment(0, 0, 100, 100)]) == []
+    assert tx.queue_retx([stack.Segment(0, 0, 100, 100)]) == [0]
     assert 0 not in tx.window
 
 
@@ -228,8 +228,9 @@ def test_give_up_takes_the_sns_segments_queued_in_the_same_call():
     tx = setup_tx(2)
     tx.max_retx = 1
     stack.build_transport_block(tx, WINDOW, 1000)
-    segments = [stack.Segment(0, 0, 40), stack.Segment(1, 0, 100),
-                stack.Segment(0, 40, 100)]
+    segments = [stack.Segment(0, 0, 40, 100),
+                stack.Segment(1, 0, 100, 100),
+                stack.Segment(0, 40, 100, 100)]
     assert tx.queue_retx(segments) == [0]  # its second segment gives up
     assert [(s.sn, s.start, s.end) for s in tx.retx_queue] == [(1, 0, 100)]
     assert list(tx.window) == [1]
@@ -249,7 +250,8 @@ def test_t_reordering_loss_takes_the_sns_queued_segments():
     """The runtime removes each SN that t-reordering gives up."""
     tx = setup_tx(3)
     stack.build_transport_block(tx, WINDOW, 1000)
-    tx.queue_retx([stack.Segment(0, 0, 100), stack.Segment(1, 0, 100)])
+    tx.queue_retx([stack.Segment(0, 0, 100, 100),
+                   stack.Segment(1, 0, 100, 100)])
     rx = stack.ReorderState(t_reordering=10)
     rx.segment(2, 0, 100, 100, 0)
     delivered, lost = rx.timer_expired(10)
@@ -270,7 +272,7 @@ def test_has_data_sees_new_data_retransmissions_and_drop_indications():
     assert tx.has_data()
     stack.build_transport_block(tx, WINDOW, 1000)
     assert not tx.has_data()  # SN 0 waits in the window only
-    tx.queue_retx([stack.Segment(0, 0, 100)])
+    tx.queue_retx([stack.Segment(0, 0, 100, 100)])
     assert tx.has_data()
 
 
@@ -278,7 +280,8 @@ def test_control_bytes_count_each_header():
     tx = setup_tx(2)
     assert tx.control_bytes() == 0  # new data is not control
     stack.build_transport_block(tx, WINDOW, 1000)
-    tx.queue_retx([stack.Segment(0, 0, 40), stack.Segment(1, 0, 100)])
+    tx.queue_retx([stack.Segment(0, 0, 40, 100),
+                   stack.Segment(1, 0, 100, 100)])
     tx.queue_drop_indications([7, 8])
     assert tx.control_bytes() == 140 + 2 * stack.SEG_HEADER_BYTES \
         + 2 * stack.DROP_IND_BYTES
@@ -295,7 +298,7 @@ def test_held_counts_a_partly_pulled_head_once():
 def test_release_drops_everything():
     tx = setup_tx(3, size=500)
     stack.build_transport_block(tx, WINDOW, 800)
-    tx.queue_retx([stack.Segment(0, 0, 500)])
+    tx.queue_retx([stack.Segment(0, 0, 500, 500)])
     tx.queue_drop_indications([9])
     tx.release()
     assert (tx.queue, tx.bytes, tx.window, tx.retx_queue,
@@ -311,7 +314,7 @@ def harq_process(tb):
 
 def test_harq_ack_nack_cycle():
     tb = stack.TransportBlock()
-    tb.segments.append(stack.Segment(0, 0, 100))
+    tb.segments.append(stack.Segment(0, 0, 100, 100))
     p = harq_process(tb)
     assert p.tx_count == 1
     assert stack.harq_on_feedback(p, False, 2) == stack.HARQ_RETRANSMIT
