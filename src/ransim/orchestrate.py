@@ -40,12 +40,12 @@ def admit_slice(sla, topology, plan, *, tti=500, harq_max_tx=4, harq_rtt=2_000,
     """Place a new slice's RRC/UP/PHY, cheapest-first (FarEdge preferred).
 
     The conservative latency bound is path latency from ``cn_entry_site``
-    (each RU's own site if None, as in ``topology.path_latency``) + one TTI
-    of scheduling delay + worst-case HARQ (max_tx x RTT).  If the FarEdge placement misses
-    the slice's tightest budget, functions escalate to OnPrem; if even
-    all-OnPrem misses it (or capacity runs out) the slice is rejected and
-    the plan is left unchanged.  Returns the new FunctionInstances or the
-    last site's Reject: a broken rule, else capacity, else latency.
+    (see ``topology.path_latency``) + one TTI of scheduling delay +
+    worst-case HARQ (max_tx x RTT).  If the FarEdge placement misses the
+    slice's tightest budget, functions escalate to OnPrem; if even all-OnPrem
+    misses it (or capacity runs out) the slice is rejected and the plan is
+    left unchanged.  Returns the new FunctionInstances or the last site's
+    Reject: a broken rule, else capacity, else latency.
     """
     ids = auto_instance_ids(sla.slice_id)
     faredge = sorted(

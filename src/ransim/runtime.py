@@ -338,6 +338,7 @@ class Runtime:
     def _build_energy(self):
         self.meter = orch.EnergyMeter(saving=self.cfg["energy"])
         self.slice_woken_at = {}  # slice -> TTI its UP and PHY were woken
+        self.ru_carried_at = {}  # RU -> the last TTI it carried a TB
         self.ru_entity = {ru: f"ru:{ru}" for ru in sorted(self.topology.rus)}
         for entity in self.ru_entity.values():
             self.meter.register(entity, orch.DEFAULT_POWER_PROFILES["RU"],
@@ -443,7 +444,6 @@ class Runtime:
     def _tti_for_ranf(self, ranf, now):
         pools = self.pool_templates[ranf.id].fresh()
         ues = self.ues
-        active_rus = set()
 
         # HARQ retransmissions take resources first; each fits, as all were
         # sent one HARQ RTT ago from fresh pools of the same size.
@@ -533,11 +533,10 @@ class Runtime:
                 key = (ru, carrier)
                 prb_granted[key] = prb_granted.get(key, 0) + prbs
                 slice_prbs[ctx.slice] = slice_prbs.get(ctx.slice, 0) + prbs
-                active_rus.add(ru)
                 self._serve_grant(ctx, key, prbs, nbytes, now)
             sched.ul_anchor_check(grants, self.ru_to_ranf, ues)
 
-        self._energy_tti(ranf, active_rus, now)
+        self._energy_tti(ranf, now)
         if series:
             metrics.on_tti(now, ranf.id, pools, max_sojourn)
 
@@ -577,15 +576,15 @@ class Runtime:
         slot = harq.index(None)  # the first free slot
         proc = harq[slot] = stack.HarqProcess(tb, slot, key, prbs, ctx)
         self.metrics.tb_transmitted += 1
-        self._mark_instance_active(ctx.slice, now)
         self._transmit(proc, now)
 
     def _transmit(self, proc, now):
+        """Send a TB, new or a HARQ retransmission: the one place that wakes
+        anything, each RU that carries it and its slice's UP and PHY."""
         tb = proc.tb
         ctx = proc.ctx
         ue = ctx.ue_ctx
         ru_id, carrier_id = proc.pool
-        wake_delay = self.meter.wake(self.ru_entity[ru_id], now)
         rng = ue.link_rng
         if rng is None:
             rng = ue.link_rng = self.rng.stream(f"link:{ue.id}")
@@ -598,8 +597,17 @@ class Runtime:
         fh_mode, expansion, update_cost = self.fh_params
         charged = radio.fronthaul_load(fh_mode, tb.bytes, expansion,
                                        update_cost)
+        wake = self.meter.wake
         for ru in rus:
             self.metrics.on_fronthaul(ru, charged)
+            self.ru_carried_at[ru] = now
+        # The TB leaves once the last of its RUs is awake.
+        wake_delay = max(wake(self.ru_entity[ru], now) for ru in rus)
+        woken = self.slice_woken_at  # its UP and PHY, once per TTI
+        if woken.get(ctx.slice) != now:
+            woken[ctx.slice] = now
+            for entity in self.user_plane_instances[ctx.slice]:
+                wake(entity, now)
         if success:
             path = self.path_lat[(ctx.slice, ru_id)]
             arrive = now + self.tti + path + wake_delay
@@ -786,24 +794,13 @@ class Runtime:
 
     # ------------------------------------------------------------ energy
 
-    def _energy_tti(self, ranf, active_rus, now):
-        """Put each RU granted no PRBs this TTI at rest.  A granted RU keeps
-        its state, awake only if a TB woke it: a grant that carried only
-        padding wakes nothing."""
-        rest = self.meter.rest
+    def _energy_tti(self, ranf, now):
+        """Put each RU of the RANF that carried no TB this TTI at rest; one
+        that carried a TB was woken by ``_transmit``."""
+        rest, carried = self.meter.rest, self.ru_carried_at
         for ru_id, entity in self.ranf_ru_entities[ranf.id]:
-            if ru_id not in active_rus:
+            if carried.get(ru_id) != now:
                 rest(entity, now)
-
-    def _mark_instance_active(self, slice_id, now):
-        """Wake the slice's user-plane instances, once per TTI: only the
-        TTI event serves grants, so a second call in it changes nothing."""
-        if self.slice_woken_at.get(slice_id) == now:
-            return
-        self.slice_woken_at[slice_id] = now
-        wake = self.meter.wake
-        for entity in self.user_plane_instances[slice_id]:
-            wake(entity, now)
 
     def _on_orchestrator_tick(self):
         now = self.sim.now
@@ -816,8 +813,7 @@ class Runtime:
                 if inst.kind in (topo.UP, topo.PHY) else 0
             if now - last >= ocfg["idle_sleep_interval_us"]:
                 self.meter.rest(f"fn:{inst.id}", now)
-        # Scaling of UP instances, in id order: busy if it carried data in
-        # the last tick.
+        # Scale UP instances in id order: busy if it carried data last tick.
         for inst in sorted(self.plan.of_kind(topo.UP), key=lambda i: i.id):
             busy = now - woken.get(inst.slice, 0) < ocfg["tick_us"]
             action = self.scaler.evaluate(inst.id, busy)

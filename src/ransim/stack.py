@@ -297,9 +297,8 @@ class RlcTxState:
             self.remove(sn)
         queued = {s.sn for s in self.retx_queue}
         return self.queue_retx([Segment(sn, 0, pdu.size, pdu.size)
-                                for sn in missing
-                                if (pdu := window.get(sn)) is not None
-                                and sn not in queued])
+                                for sn in missing if sn not in queued
+                                and (pdu := window.get(sn)) is not None])
 
 
 def build_transport_block(tx, window_size, grant_bytes):

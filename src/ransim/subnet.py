@@ -30,10 +30,9 @@ class SubnetworkController:
 
     A sub-network is attached to its parent or not.  While attached it
     schedules on the parent's grant of ``grant_prbs`` per TTI, else on its
-    ``autonomous_prbs``.  The grant lasts two grant periods; it is requested
-    at each attach and renewed every period while attached (the runtime
-    calls ``renew_grant``), so it cannot lapse while attached.
-    ``grant_renewals`` counts the requests.
+    ``autonomous_prbs``; nothing expires.  ``grant_renewals`` counts one
+    grant request per attach and one per grant period while attached (the
+    runtime calls ``renew_grant`` each period).
     """
 
     def __init__(self, ctrl_id, *, autonomous_prbs=0, grant_prbs=10,

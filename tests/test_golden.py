@@ -339,27 +339,45 @@ def _reliable_giveup_raw():
 # Each hash below moved only when the never-raised harq_protocol_errors
 # left the report: ``python tests/test_golden.py --without
 # harq_protocol_errors`` prints the same fingerprints before and after.
+#
+# The RU power rule: 17 hashes moved when an RU became Active in a TTI
+# exactly when it carries a TB in it.  Before, an RU granted PRBs kept its
+# state even if its grants carried only padding, an RU granted none was put
+# at rest even in the microsecond a HARQ retransmission woke it, and a joint
+# (D-MIMO) TB woke only its grant's RU.  ``python tests/test_golden.py
+# --keys`` names the keys that moved: ``energy_j`` alone in each, except in
+# ``energy``.
 CASES = {
     "smoke": (
         lambda: load_scenario("smoke.yaml"),
         # Moved only by harq_protocol_errors.
-        "04e5845a7c0138f77e00d9b41f90a203da9c0629d907bf2d7b6110c68c66940c"),
+        # Moved (from 04e5845a…) by the RU power rule above: only
+        # ``energy_j``, 76.255 -> 73.297 J.
+        "dd9d938ba3bac635e6fc0f3c2101118835827f95032b18019691248f9c42d454"),
     "latency-budgets": (
         lambda: load_scenario("latency-budgets.yaml"),
         # Moved only by harq_protocol_errors.
-        "18897d3e7ac7410ecf88833988a5b8c0d38e912fcdb12859269a82e4c408ce58"),
+        # Moved (from 18897d3e…) by the RU power rule above: only
+        # ``energy_j``, 792.943 -> 792.949 J.
+        "f5af0401709a0c9e8674d46458ca94c5ef7bba10ad7b89e7848ce8979cb2db19"),
     "split-lossy": (
         lambda: build(_split_lossy_raw()),
         # Moved only by harq_protocol_errors.
-        "42773a0a80ea6f2d9fb705280b123b260fbfb5a6e1dc74193e5cbc8d16eb0f40"),
+        # Moved (from 42773a0a…) by the RU power rule above: only
+        # ``energy_j``, 18.951 -> 18.663 J.
+        "daa3344071e35bf0b206c14ca3d76f42507390cffa125a72e5145b733366a1fb"),
     "handover": (
         lambda: build(_handover_raw()),
         # Moved only by harq_protocol_errors.
-        "14bd1e76694f8054a068426d2380fecfaed3b684317ce32b57a2809d445b8721"),
+        # Moved (from 14bd1e76…) by the RU power rule above: only
+        # ``energy_j``, 22.044 -> 22.008 J.
+        "7b842312b7ea1275a87f95de1f8b2f54ff1c5c8def8e62333f49250654f6e62c"),
     "ecn-overload": (
         lambda: build(_ecn_overload_raw()),
         # Moved only by harq_protocol_errors.
-        "4266dc82d1c6df34b7c8d1d33e799194d1c1d32727936f54d8e2e6996094c6e3"),
+        # Moved (from 4266dc82…) by the RU power rule above: only
+        # ``energy_j``, 79.183 -> 79.237 J.
+        "d3cc6ab676ac517247dcf4f1dbada333fba2aa79de88ed9d59bde0498baa8f8d"),
     # The four below pin the paths that Simulator.every and the merged
     # event paths rewired; recorded before that change.
     "split-uncredited": (
@@ -386,13 +404,17 @@ CASES = {
         # ``reorder_stalls`` (23 more) and ``in_flight_at_end`` (122 -> 88),
         # ``tb_transmitted`` (755 -> 754), ``tb_failed_final`` (162 -> 163),
         # ``ru1``'s fronthaul bytes and energy.
-        "8b5412c0f7f9e44d8ead439c854cd10eb01cf9aa57536aae1ac3055f9d363760"),
+        # Moved (from 8b5412c0…) by the RU power rule above: only
+        # ``energy_j``, 24.895 -> 26.137 J.
+        "b1259b77744848d7966535155a3e4c96c5e5e38e1945a37e8e723b0853cc96f9"),
     # The two below pin the policy and sub-network paths whose rules were
     # merged; recorded before that change.
     "min-share": (
         lambda: build(_min_share_raw()),
         # Moved only by harq_protocol_errors.
-        "8f48d10db62a091177e658712e123e1a0f58811538755525b4cbbe68548a6cf3"),
+        # Moved (from 8f48d10d…) by the RU power rule above: only
+        # ``energy_j``, 76.255 -> 73.297 J.
+        "d0a013ebead648fad9435ef19d4f516a1754c75d6d18aabbe1aad81ff6dc9ae2"),
     "device-handover": (
         lambda: build(_device_handover_raw()),
         # Moved only by harq_protocol_errors.
@@ -405,7 +427,9 @@ CASES = {
     "dmimo-ranfs": (
         lambda: build(_dmimo_ranfs_raw()),
         # Moved only by harq_protocol_errors.
-        "34a833c1a83016a67816f96051f2d503b6b5aeaf18215416cf2d97695b2dda63"),
+        # Moved (from 34a833c1…) by the RU power rule above: only
+        # ``energy_j``, 31.613 -> 29.651 J.
+        "eac1b6f25df340f521c00aeb379d0c9854ba5abd4e1a075f5f626a1a664a5821"),
     # Pins the HARQ slot order: which free slot a new TB takes, and the
     # order in which each of three handovers flushes the in-flight TBs
     # back to RLC (loading into the last free slot or flushing in reverse
@@ -422,7 +446,9 @@ CASES = {
         # ``ru-a``'s fronthaul bytes (+3,328), its ``granted_prbs`` and
         # ``utilization`` and slice I's PRBs (5 fewer each).  Without that
         # resend only the two ``forwarded_pdus`` move (13 -> 12, 2 -> 1).
-        "c0a39f92e86c8d9e9c66f552f65c31071d5ffcc1647ff744bcf082f0e401eb76"),
+        # Moved (from c0a39f92…) by the RU power rule above: only
+        # ``energy_j``, 21.906 -> 21.966 J.
+        "e632adf792531ca139adc737f270d4bd2f3c1ed01afc1cdbf8dfb935f650b069"),
     # Pins a handover's move of its UE's bearers between active sets, the
     # DU's poll of the bearers with a CU backlog and a release of a UE with
     # PDUs held at the CU.  Recorded before a handover stopped rebuilding
@@ -440,7 +466,9 @@ CASES = {
         # head at once, not after a status report names it, so one of
         # ``b1``'s reorder stalls is 8,500 us, not 9,000, and ``ru-b``'s
         # fronthaul bytes change; nothing else moved.
-        "8148b0c3e434ddbcb5f4c4bca738649b8712a165e2012e086ce8c8582754dcd9"),
+        # Moved (from 8148b0c3…) by the RU power rule above: only
+        # ``energy_j``, 22.752 -> 22.446 J.
+        "2495512205832e31b218f985309ae1afa5544c840d7f4d58a5ed2f5f4bcb228e"),
     # Pins the batches of many bearers in the split baseline: the RLC
     # status reports of a tick, sent at each uplink delay, and the
     # F1 status and data messages of a TTI.  Recorded before each of those
@@ -448,17 +476,25 @@ CASES = {
     # instead of at the DU's TTI moves it.
     "split-ranfs": (
         lambda: build(_split_ranfs_raw()),
-        "b458e59e76c561f0e0092a9e844193901bac9de5d64c9e8bef39de43eca9f384"),
+        # Moved (from b458e59e…) by the RU power rule above: only
+        # ``energy_j``, 27.233 -> 26.620 J.
+        "4cd8cd69766e649ba157813a11b6e8ffda2e56d8759774355859c4b15ebd64c4"),
     # Pins the power states with energy saving on: RUs that sleep, are woken
-    # by new TBs (some sent jointly over two RUs) and by HARQ
-    # retransmissions and go back to rest, RRC functions that sleep, and a
-    # policy that moves every resting entity from Sleep to Idle and back.
-    # No other pin runs with ``energy: true``.  Recorded before the energy
-    # meter became the one owner of the Idle-or-Sleep choice and stopped
-    # keeping a transition log.
+    # by each TB they carry (new or a HARQ retransmission, many sent jointly
+    # over two RUs) and go back to rest in the first TTI they carry none,
+    # RRC functions that sleep, and a policy that moves every resting entity
+    # from Sleep to Idle and back.  No other pin runs with ``energy: true``.
+    # Recorded before the energy meter became the one owner of the
+    # Idle-or-Sleep choice and stopped keeping a transition log.
     "energy": (
         lambda: build(_energy_policy_raw()),
-        "f0a632c32cc75a3d7681e3c15a39f76a51b2ce98289b809dc33d94f26fdd0bc1"),
+        # Moved (from f0a632c3…) by the RU power rule above: a joint TB now
+        # wakes both its RUs and leaves once the later one is awake, so
+        # ``wake_delays`` goes from 113 to 232 and ``energy_j`` from 27.200
+        # to 27.854 J; the latencies of ``b-mc-u4``, ``b-mod-u1``,
+        # ``b-mod-u3`` and ``b-mod-u4`` and ``b-mc-u4``'s
+        # ``reorder_stalls`` (1 -> 2) moved with them.
+        "08880fec2edd26e6b2bf6271fb9f438e9f7aab2de38366ac924c98804cc0c8ae"),
     # The four below were recorded before the carrying RUs, the
     # sub-network pool and the slice list each got one rule.
     # Pins auto-placement (``admit_slice``), an accepted migration with
@@ -477,7 +513,9 @@ CASES = {
     # transmissions; every other pin runs centralized beamforming.
     "ru-local-bf": (
         lambda: build(_ru_local_bf_raw()),
-        "293bc9af53f60a17c593cf89b3dc2666eaffb3a2900264b061dc63945664d1cb"),
+        # Moved (from 293bc9af…) by the RU power rule above: only
+        # ``energy_j``, 31.613 -> 29.651 J.
+        "e0d9828a451758d07e285be233512a80e07d8b83dab3857f4b89df5cdfc69804"),
     # Pins carrier aggregation without D-MIMO: a TB granted on ``ru2``
     # is carried by ``ru2`` alone.  Recorded before that change as
     # 2dfe7b28425a0e8b42c42ae1489fcf4433d1eeae52fecda001493cab2da400ce;
@@ -488,7 +526,9 @@ CASES = {
     # its p50 goes from 2,788 to 51,217 us.
     "carrier-aggregation": (
         lambda: build(_two_ru_aggregation_raw()),
-        "9396aed3b5e6bc9b19cf17ee55c9f017bddd7dea11db6ba88725a82ecf06a3d6"),
+        # Moved (from 9396aed3…) by the RU power rule above: only
+        # ``energy_j``, 34.270 -> 37.031 J.
+        "bbf854fc327abf069742ebe7874d0e20fd62aaa427d166d7fe8d8bf59d638e7c"),
     # Pins the reactive sources: 40 ``cc-window`` events re-rate ``b-mod``
     # under the L4S law (1,235 CE marks), and 4,014 ``drop-echo`` events
     # tell the Classic source of ``b-classic`` of its 4,014 AQM drops; no
@@ -506,7 +546,9 @@ CASES = {
     # slice II's PRBs.
     "reactive-sources": (
         lambda: build(_reactive_sources_raw()),
-        "fe7a4004e87db3af1d00201ad822855461e148ba5c8093cebffa9fafa2d020e2"),
+        # Moved (from fe7a4004…) by the RU power rule above: only
+        # ``energy_j``, 79.129 -> 79.237 J.
+        "b712130359944040f6d42336265d4deaedeca68b02f3cc95064aa3fcfd5fe103"),
     # Pins PDUs whose segments span more than one HARQ RTT with HARQ as the
     # RLC ACK: TBs carrying a PDU's first segments are ACKed or given up
     # (BLER 0.1, one transmission) while the rest is still being pulled.
@@ -522,7 +564,9 @@ CASES = {
     # energy, and slice II's PRBs moved.
     "segmented-harq": (
         lambda: build(_segmented_harq_raw()),
-        "aedf15067c2b99c865f7ca5b57b458b170984f5c2fe10c7ee05e130475910dbb"),
+        # Moved (from aedf1506…) by the RU power rule above: only
+        # ``energy_j``, 111.600 -> 109.837 J.
+        "14b215d2470614464befc4f0ef83b361001c99e0f76ad21267fa73bd36716d96"),
     # Pins the give-up of a partly pulled head with HARQ as the RLC ACK; no
     # other pin sets ``max_retx`` in reliable mode.  Recorded before an SN
     # left the transmitter through one exit as
@@ -536,7 +580,9 @@ CASES = {
     # -> 4,024), fronthaul bytes and energy, and slice II's PRBs moved.
     "reliable-giveup": (
         lambda: build(_reliable_giveup_raw()),
-        "186ba894fc75224f62b5c9c862e73c355eb3e9e11be7e4a19a3e8ecc516a103e"),
+        # Moved (from 186ba894…) by the RU power rule above: only
+        # ``energy_j``, 110.028 -> 108.109 J.
+        "5d998c857b84e5ed6b306e2e4941169de8f23d203092dbe0e702d7f8aac707f8"),
 }
 
 
@@ -575,11 +621,18 @@ def test_golden_tti_series():
 # long.  The ``latency-budgets`` workload at seed 7 is the
 # ``latency-budgets`` pin.
 WORKLOAD_SEED = 7
+# Both moved by the RU power rule above (``--keys`` names the keys).
+# ``dmimo-cells`` (from da672024…): only ``energy_j``, 129.472 -> 124.156 J.
+# ``split-lossy`` (from 3167a913…): ``energy_j`` 153.299 -> 156.776 J and
+# ``wake_delays`` 512 -> 101, as a HARQ retransmission no longer wakes an RU
+# that goes back to rest in the same microsecond; the fewer wake delays
+# move the latencies and ``reorder_stalls`` of 40 bearers,
+# ``ce_signal_times`` and ``drop_echo_times``.  Delivered stays 36,325.
 WORKLOADS = {
     "dmimo-cells":
-        "da6720241bf7b5560c15cec194dfc30dcf539f2a22f42561d4c681923466984c",
+        "f90dc49d5d6fd18d2385f79493073891a048345b06a9b863fbb0e31e25ebebd3",
     "split-lossy":
-        "3167a9134e83666ccc40b6866a3faa0dca37a9f75340eaef5f92e2c63c38cacf",
+        "0383fc470e51039e1a6601ec49815bbc311e27353da4143940a064857d968c35",
 }
 BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "bench")
 
@@ -671,33 +724,62 @@ def event_counts(cfg):
     return counts
 
 
+def key_fingerprints(report):
+    """``(key, fingerprint)`` for each top-level report key, with
+    ``bearers`` split into one ``bearers.<id>`` entry per bearer."""
+    for key in sorted(report):
+        if key == "bearers":
+            for bid in sorted(report[key]):
+                yield f"bearers.{bid}", fingerprint(report[key][bid])
+        else:
+            yield key, fingerprint(report[key])
+
+
+def test_key_fingerprints_split_the_bearers():
+    report = {"seed": 7, "bearers": {"b2": {"delivered": 1}, "b1": {}}}
+    assert list(key_fingerprints(report)) == [
+        ("bearers.b1", fingerprint({})),
+        ("bearers.b2", fingerprint({"delivered": 1})),
+        ("seed", fingerprint(7))]
+
+
 def main(argv):
     """Print every pin's fingerprint, the workload pins included.
     ``--without KEY`` (repeatable) drops the top-level report key ``KEY``
     first, so that two trees whose reports differ only by that key print the
-    same lines.  ``--events`` prints each case's count of events run, in
-    total and by kind, instead."""
+    same lines.  ``--keys`` prints, for each report pin and workload pin, one
+    line per top-level report key and per ``bearers`` entry with its own
+    fingerprint, so that a diff of two trees' output names what moved.
+    ``--events`` prints each case's count of events run, in total and by
+    kind, instead."""
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--without", action="append", default=[],
                         metavar="KEY")
+    parser.add_argument("--keys", action="store_true")
     parser.add_argument("--events", action="store_true")
     args = parser.parse_args(argv)
+
+    def show(name, report):
+        for key in args.without:
+            report.pop(key, None)
+        if not args.keys:
+            print(name, fingerprint(report))
+            return
+        for key, fp in key_fingerprints(report):
+            print(name, key, fp)
+
     for name in sorted(CASES):
         if args.events:
             counts = event_counts(CASES[name][0]())
             print(name, sum(counts.values()), " ".join(
                 f"{kind}={n}" for kind, n in sorted(counts.items())))
             continue
-        report = run_scenario(CASES[name][0]())
-        for key in args.without:
-            report.pop(key, None)
-        print(name, fingerprint(report))
-    if not args.events:
-        for name in sorted(WORKLOADS):
-            report = workload_report(name)
-            for key in args.without:
-                report.pop(key, None)
-            print(f"workload {name}", fingerprint(report))
+        show(name, run_scenario(CASES[name][0]()))
+    if args.events:
+        return
+    for name in sorted(WORKLOADS):
+        show(f"workload {name}", workload_report(name))
+    if not args.keys:
         print("tti-series", tti_series_fingerprint())
         with tempfile.TemporaryDirectory() as tmp:
             for name in sorted(LATENCY_CDF):

@@ -1043,6 +1043,56 @@ def test_energy_meter_is_called_only_on_transitions(make_raw, monkeypatch):
     assert replay_energy(log, rt.duration) == rt.meter.energy_j
 
 
+def ru_power_mismatches(rt):
+    """Run ``rt``, checking after each ``tti`` event each RU's power state
+    against the TBs sent in it: a TB, new or a HARQ retransmission, is
+    carried by its UE's whole serving set when sent jointly (D-MIMO, two or
+    more RUs), else by its grant's RU.  Returns the counts of RU-TTIs
+    Active without a TB and of RU-TTIs with a TB not Active, and of TBs."""
+    carried = set()
+    counts = [0, 0, 0]
+    transmit = rt._transmit
+
+    def recording(proc, now):
+        serving = proc.ctx.ue_ctx.serving_set
+        joint = rt.dmimo and len(serving) > 1
+        carried.update(serving if joint else (proc.pool[0],))
+        counts[2] += 1
+        transmit(proc, now)
+
+    def checked(kind, fn):
+        if kind != "tti":
+            return fn
+
+        def handler():
+            fn()
+            for ru in rt.topology.rus:
+                active = rt.meter.state(f"ru:{ru}") == "Active"
+                if active != (ru in carried):
+                    counts[0 if active else 1] += 1
+            carried.clear()
+        return handler
+
+    rt._transmit = recording
+    wrap_each_event(rt, checked)
+    rt.run()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("name", ["energy", "dmimo-ranfs", "set-bler",
+                                  "split-lossy"])
+def test_an_ru_is_active_exactly_when_it_carried_a_tb(name):
+    """At the end of each TTI every RU is Active exactly when it carried a
+    TB in it: ``_transmit`` wakes each RU that carries one, and the TTI
+    puts every other RU of the RANF at rest.  The pins send joint TBs with
+    energy saving on, joint TBs with padding grants, HARQ retransmissions
+    after a link degrades, and lossy HARQ in the split baseline."""
+    active_idle, carried_at_rest, tbs = ru_power_mismatches(
+        Runtime(CASES[name][0]()))
+    assert tbs > 0
+    assert (active_idle, carried_at_rest) == (0, 0)
+
+
 def released_mid_run_raw():
     """``smoke.yaml`` with ue1 released at the 300 ms reassessment.  Slice
     II's UP is 2 ms from the RRM, so stage-1 requests sent before the
