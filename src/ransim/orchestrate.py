@@ -1,7 +1,9 @@
 """Orchestration: slice admission with automatic placement, hysteresis-based
-scaling and power-state metering.  The policies a controller may apply
-(their directives below; the scenario schema declares their params) are
-carried out by the runtime: the last one applied decides.
+scaling and power-state metering.  The meter is the one record of activity:
+the runtime's idle and busy rules read each entity's last wake from it, and
+its power profile alone says whether it may sleep.  The policies a
+controller may apply (their directives below; the scenario schema declares
+their params) are carried out by the runtime: the last one applied decides.
 """
 
 from dataclasses import dataclass
@@ -120,6 +122,7 @@ class PowerProfile:
     idle_w: float
     sleep_w: float
     wake_latency: int = 100  # us
+    may_sleep: bool = False  # rests in Sleep, not Idle, when saving is on
 
     def __post_init__(self):
         if not (self.sleep_w < self.idle_w < self.active_w):
@@ -133,10 +136,10 @@ class PowerProfile:
 
 
 DEFAULT_POWER_PROFILES = {
-    "RU": PowerProfile(20.0, 8.0, 1.0, wake_latency=100),
-    topo.PHY: PowerProfile(15.0, 6.0, 1.0, wake_latency=100),
-    topo.UP: PowerProfile(10.0, 4.0, 0.5, wake_latency=500),
-    topo.RRC: PowerProfile(5.0, 2.0, 0.3, wake_latency=500),
+    "RU": PowerProfile(20.0, 8.0, 1.0, wake_latency=100, may_sleep=True),
+    topo.PHY: PowerProfile(15.0, 6.0, 1.0, wake_latency=100, may_sleep=True),
+    topo.UP: PowerProfile(10.0, 4.0, 0.5, wake_latency=500, may_sleep=True),
+    topo.RRC: PowerProfile(5.0, 2.0, 0.3, wake_latency=500, may_sleep=True),
     topo.RRM: PowerProfile(5.0, 2.0, 0.3, wake_latency=500),
     topo.CP_ROUTING: PowerProfile(3.0, 1.5, 0.2, wake_latency=500),
     topo.FHM: PowerProfile(4.0, 1.8, 0.2, wake_latency=100),
@@ -144,10 +147,11 @@ DEFAULT_POWER_PROFILES = {
 
 
 class EnergyMeter:
-    """Integrates power x time per entity over its power states, and owns
-    the choice of an entity's rest state: Sleep if energy saving is on and
-    the entity may sleep, else Idle.  ``saving`` is set at build and by the
-    ``EnergySaving`` policy.
+    """Integrates power x time per entity over its power states, and is the
+    one record of each entity's activity: ``active_at`` holds the time it
+    was last woken (0 if never).  It owns the choice of an entity's rest
+    state: Sleep if energy saving is on and its profile may sleep, else
+    Idle.  ``saving`` is set at build and by the ``EnergySaving`` policy.
 
     ``set_state`` is called only when the state changes, so the calls the
     benchmark traces as ``orchestrate.set_state`` count state changes.
@@ -158,38 +162,34 @@ class EnergyMeter:
         self._profile = {}
         self._state = {}
         self._since = {}
-        self._sleepers = set()  # the entities that may sleep
+        self.active_at = {}  # entity -> the time it was last woken, else 0
         self.energy_j = {}
-        self.wake_delays = 0
 
-    def register(self, entity, profile, may_sleep):
+    def register(self, entity, profile):
         """Add ``entity``, Idle from time 0."""
         self._profile[entity] = profile
         self._state[entity] = "Idle"
         self._since[entity] = 0
-        if may_sleep:
-            self._sleepers.add(entity)
+        self.active_at[entity] = 0
         self.energy_j[entity] = 0.0
 
     def state(self, entity):
         return self._state[entity]
 
     def wake(self, entity, now):
-        """Set ``entity`` Active; returns its wake latency if it was asleep,
-        counted in ``wake_delays``, else 0."""
+        """Record ``entity`` active at ``now`` and set it Active; returns its
+        wake latency if it was asleep, else 0."""
+        self.active_at[entity] = now
         state = self._state[entity]
         if state == "Active":
             return 0
         self.set_state(entity, "Active", now)
-        if state != "Sleep":
-            return 0
-        self.wake_delays += 1
-        return self._profile[entity].wake_latency
+        return self._profile[entity].wake_latency if state == "Sleep" else 0
 
     def rest(self, entity, now):
-        """Put ``entity`` at rest: Sleep if saving is on and it may sleep,
-        else Idle."""
-        state = "Sleep" if self.saving and entity in self._sleepers \
+        """Put ``entity`` at rest: Sleep if saving is on and its profile may
+        sleep, else Idle."""
+        state = "Sleep" if self.saving and self._profile[entity].may_sleep \
             else "Idle"
         if self._state[entity] != state:
             self.set_state(entity, state, now)

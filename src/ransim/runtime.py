@@ -13,6 +13,12 @@ indication is queued for it, and stage 1 drops it once it finds it idle.
 A handover moves only its UE's bearers.  One event serves all the bearers
 of an RLC status tick, an F1 status (those with a CU backlog) or an F1 data
 message; a status report is sent only if it can act.
+
+A UE's ``TrustRecord`` is its one admission flag: a UE not admitted takes no
+ingress, sends no stage-1 request and gets no PRB pools.  The energy meter
+is the one record of activity: ``_transmit`` wakes each RU that carries a
+TB and the slice's UP and PHY, each TTI rests the RUs it did not wake, and
+the orchestrator's idle and busy rules read each function's last wake.
 """
 
 from collections import deque
@@ -56,16 +62,16 @@ class BearerCtx:
 
 class UeCtx:
     __slots__ = ("id", "ranf", "serving_set", "pool_keys", "harq", "resume_at",
-                 "released", "bearers", "link_rng", "fb_rng")
+                 "trust", "bearers", "link_rng", "fb_rng")
 
-    def __init__(self, ue_id, ranf_id, serving_set, n_harq):
+    def __init__(self, ue_id, ranf_id, serving_set, n_harq, trust):
         self.id = ue_id
         self.ranf = ranf_id
         self.serving_set = serving_set  # its RUs, best first
         self.pool_keys = None  # its stage-2 (ru, carrier) keys, on first use
         self.harq = [None] * n_harq  # HARQ slots: the process in flight
         self.resume_at = 0
-        self.released = False
+        self.trust = trust  # its TrustRecord: ``admitted`` until released
         self.bearers = []
         self.link_rng = None  # its ``link:`` stream, fetched on first use
         self.fb_rng = None  # its ``fb:`` stream, fetched on first use
@@ -216,19 +222,17 @@ class Runtime:
         self.ues = {}
         for u in self.cfg["ues"]:
             tr = u["trust"]
-            self.trust_engine.register(
+            record = self.trust_engine.register(
                 u["id"],
                 tru.TrustFeatures(tr["auth"], tr["history"], tr["anomaly"]),
                 u["trust_threshold"],
             )
             serving = self._select_serving(u["id"], u["ranf"])
             ue = UeCtx(u["id"], u["ranf"], serving,
-                       self.cfg["harq"]["processes"])
+                       self.cfg["harq"]["processes"], record)
             self._check_ul_anchor(ue)
             self.ues[u["id"]] = ue
-            if self.trust_engine.admission_check(u["id"], 0, ranf=u["ranf"]) \
-                    == tru.REJECT:
-                ue.released = True
+            self.trust_engine.admission_check(u["id"], 0, ranf=u["ranf"])
 
     def _check_ul_anchor(self, ue):
         """UL is anchored to the UE's RANF: its serving RUs must all belong
@@ -336,27 +340,27 @@ class Runtime:
                           sn["id"], emit, until)
 
     def _build_energy(self):
-        self.meter = orch.EnergyMeter(saving=self.cfg["energy"])
-        self.slice_woken_at = {}  # slice -> TTI its UP and PHY were woken
-        self.ru_carried_at = {}  # RU -> the last TTI it carried a TB
+        meter = self.meter = orch.EnergyMeter(saving=self.cfg["energy"])
+        profiles = orch.DEFAULT_POWER_PROFILES
         self.ru_entity = {ru: f"ru:{ru}" for ru in sorted(self.topology.rus)}
         for entity in self.ru_entity.values():
-            self.meter.register(entity, orch.DEFAULT_POWER_PROFILES["RU"],
-                                may_sleep=True)
-        for inst in self.plan.instances:
-            self.meter.register(
-                f"fn:{inst.id}", orch.DEFAULT_POWER_PROFILES[inst.kind],
-                may_sleep=inst.kind in (topo.UP, topo.RRC, topo.PHY))
-        self.ranf_ru_entities = {  # RUs in id order, with entity names
-            rf.id: [(ru_id, self.ru_entity[ru_id])
-                    for ru_id in sorted(rf.serving_rus)]
+            meter.register(entity, profiles["RU"])
+        # Instances are fixed after placement (migration moves only their
+        # site).  Functions rest in plan order.
+        self.fn_entities = [f"fn:{i.id}" for i in self.plan.instances]
+        for entity, inst in zip(self.fn_entities, self.plan.instances):
+            meter.register(entity, profiles[inst.kind])
+        self.ranf_ru_entities = {  # RUs in id order
+            rf.id: [self.ru_entity[ru_id] for ru_id in sorted(rf.serving_rus)]
             for rf in self.topology.ranfs.values()}
-        # A slice's UP and PHY instances are fixed after placement (migration
-        # moves only their site): UP first, then PHY, each in plan order.
+        # A slice's UP and PHY: UP first, then PHY, each in plan order.
         self.user_plane_instances = {
             sl: [f"fn:{i.id}" for kind in (topo.UP, topo.PHY)
                  for i in self.plan.of_kind(kind, sl)]
             for sl in self.slice_ids}
+        # UP instances scale in id order.
+        self.scaled_ups = sorted((i.id, f"fn:{i.id}")
+                                 for i in self.plan.of_kind(topo.UP))
 
     def _schedule_script(self):
         for ev in self.cfg["script"]:
@@ -389,7 +393,7 @@ class Runtime:
         # live SN within the window, so that one lookup is the whole check.
         full = (bearer.tx_sn_next - stack.SN_WINDOW) % stack.SN_SPACE \
             in ctx.live
-        if ctx.ue_ctx.released or full:
+        if not ctx.ue_ctx.trust.admitted or full:
             ctx.metrics.ingress_dropped += 1
             return
         ctx.metrics.packets_in += 1
@@ -410,7 +414,7 @@ class Runtime:
 
     def _du_arrival(self, pdus):
         for ctx, pdu in pdus:  # a released UE's were counted residual
-            if not ctx.ue_ctx.released:
+            if ctx.ue_ctx.trust.admitted:
                 ctx.rlc.push(pdu)
                 self._activate(ctx)
 
@@ -476,7 +480,7 @@ class Runtime:
                     # reporting through a handover interruption; only the radio
                     # grant waits for the UE to resume (see resources_for).
                     tx = ctx.rlc
-                    if ctx.ue_ctx.released or not tx.has_data():
+                    if not ctx.ue_ctx.trust.admitted or not tx.has_data():
                         idle.append(ctx)
                         continue
                     queue = tx.queue
@@ -500,20 +504,14 @@ class Runtime:
             if visible:
                 requests.extend(visible)
 
-        records = self.trust_engine.records
-
         def resources_for(req):
             ue = ues[req[2]]
             # Released with requests still in the pipe, not yet resumed, or
             # a stale request from before a handover out of this RANF (the
             # UE's serving set lies within its own RANF, the one caching it).
-            if ue.released or now < ue.resume_at or ue.ranf != ranf.id:
+            if not ue.trust.admitted or now < ue.resume_at \
+                    or ue.ranf != ranf.id:
                 return ()
-            # Every path that clears admission also releases the UE, so
-            # this never fires on a working run.
-            if not records[ue.id].admitted:
-                raise ModelError(f"request of unadmitted UE {ue.id} "
-                                 f"reached stage 2")
             keys = ue.pool_keys
             if keys is None:
                 keys = ue.pool_keys = [
@@ -598,15 +596,18 @@ class Runtime:
         charged = radio.fronthaul_load(fh_mode, tb.bytes, expansion,
                                        update_cost)
         wake = self.meter.wake
+        wake_delay = 0  # the TB leaves once the last of its RUs is awake
         for ru in rus:
             self.metrics.on_fronthaul(ru, charged)
-            self.ru_carried_at[ru] = now
-        # The TB leaves once the last of its RUs is awake.
-        wake_delay = max(wake(self.ru_entity[ru], now) for ru in rus)
-        woken = self.slice_woken_at  # its UP and PHY, once per TTI
-        if woken.get(ctx.slice) != now:
-            woken[ctx.slice] = now
-            for entity in self.user_plane_instances[ctx.slice]:
+            delay = wake(self.ru_entity[ru], now)
+            if delay:  # the TB waits for this RU to leave Sleep
+                self.metrics.wake_delays += 1
+                wake_delay = max(wake_delay, delay)
+        # Its slice's UP and PHY, once per TTI: they are always woken
+        # together, so the first one's last wake is theirs.
+        fns = self.user_plane_instances[ctx.slice]
+        if self.meter.active_at[fns[0]] != now:
+            for entity in fns:
                 wake(entity, now)
         if success:
             path = self.path_lat[(ctx.slice, ru_id)]
@@ -680,7 +681,7 @@ class Runtime:
             pdu = live.pop(sn, None)
             if pdu is None:
                 # A released UE's SNs were counted residual at the release.
-                if not ctx.ue_ctx.released:
+                if ctx.ue_ctx.trust.admitted:
                     m.duplicates += 1
                 continue
             m.delivered += 1
@@ -795,30 +796,26 @@ class Runtime:
     # ------------------------------------------------------------ energy
 
     def _energy_tti(self, ranf, now):
-        """Put each RU of the RANF that carried no TB this TTI at rest; one
-        that carried a TB was woken by ``_transmit``."""
-        rest, carried = self.meter.rest, self.ru_carried_at
-        for ru_id, entity in self.ranf_ru_entities[ranf.id]:
-            if carried.get(ru_id) != now:
+        """Put each RU of the RANF not woken this TTI at rest: ``_transmit``
+        wakes each RU that carries a TB."""
+        rest, active_at = self.meter.rest, self.meter.active_at
+        for entity in self.ranf_ru_entities[ranf.id]:
+            if active_at[entity] != now:
                 rest(entity, now)
 
     def _on_orchestrator_tick(self):
         now = self.sim.now
         ocfg = self.cfg["orchestrator"]
-        woken = self.slice_woken_at
-        # A UP or PHY instance was last active when its slice's were last
-        # woken; no other instance is ever woken.
-        for inst in self.plan.instances:
-            last = woken.get(inst.slice, 0) \
-                if inst.kind in (topo.UP, topo.PHY) else 0
-            if now - last >= ocfg["idle_sleep_interval_us"]:
-                self.meter.rest(f"fn:{inst.id}", now)
-        # Scale UP instances in id order: busy if it carried data last tick.
-        for inst in sorted(self.plan.of_kind(topo.UP), key=lambda i: i.id):
-            busy = now - woken.get(inst.slice, 0) < ocfg["tick_us"]
-            action = self.scaler.evaluate(inst.id, busy)
+        active_at = self.meter.active_at
+        for entity in self.fn_entities:
+            if now - active_at[entity] >= ocfg["idle_sleep_interval_us"]:
+                self.meter.rest(entity, now)
+        # Scale UP instances in id order: busy if woken since the last tick.
+        for inst_id, entity in self.scaled_ups:
+            busy = now - active_at[entity] < ocfg["tick_us"]
+            action = self.scaler.evaluate(inst_id, busy)
             if action != orch.SCALE_NONE:
-                self.metrics.scale_events.append((now, inst.id, action))
+                self.metrics.scale_events.append((now, inst_id, action))
 
     # ------------------------------------------------------------ trust
 
@@ -826,14 +823,14 @@ class Runtime:
         now = self.sim.now
         for ue_id in sorted(self.ues):
             ue = self.ues[ue_id]
-            if ue.released:
+            if not ue.trust.admitted:
                 continue
             if self.trust_engine.reassess(ue_id, now, ranf=ue.ranf) \
                     == tru.RELEASE:
                 self._release_ue(ue, now)
 
     def _release_ue(self, ue, now):
-        ue.released = True
+        """Drop what a UE holds once the trust engine has unadmitted it."""
         for ctx in ue.bearers:
             ctx.metrics.residual += len(ctx.live)
             ctx.live.clear()
@@ -877,9 +874,9 @@ class Runtime:
         ue = self.ues[ue_id]
         src = self.topology.ranfs[ue.ranf]
         dst = self.topology.ranfs[dst_id]
-        if ue.released or dst_id not in src.neighbor_ranfs:
+        if not ue.trust.admitted or dst_id not in src.neighbor_ranfs:
             # A released UE stays released: no admission check, no audit.
-            reason = "UE released" if ue.released else "not a neighbor"
+            reason = "not a neighbor" if ue.trust.admitted else "UE released"
             self.metrics.handovers.append(radio.HandoverRecord(
                 ue_id, src.id, dst_id, now, 0, 0, False, reason))
             return
@@ -949,7 +946,6 @@ class Runtime:
         self.sim.run_until(self.duration)
         self.meter.finalize(self.duration)
         self.metrics.energy_j = dict(self.meter.energy_j)
-        self.metrics.wake_delays = self.meter.wake_delays
         for bid in sorted(self.bearers):
             ctx = self.bearers[bid]
             self.metrics.finalize_conservation(bid, len(ctx.live))

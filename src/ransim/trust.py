@@ -58,10 +58,12 @@ class TrustEngine:
         self.audit_log = []
 
     def register(self, ue, features, threshold=None):
-        self.records[ue] = TrustRecord(
+        """Add ``ue``'s record, not admitted; returns it."""
+        record = self.records[ue] = TrustRecord(
             ue, features,
             self.default_threshold if threshold is None else threshold,
         )
+        return record
 
     def _log(self, now, ue, event, score, ranf):
         self.audit_log.append(AuditEntry(now, ue, event, score, ranf))

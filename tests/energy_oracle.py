@@ -25,8 +25,8 @@ def record_transitions(monkeypatch):
     register = orch.EnergyMeter.register
     set_state = orch.EnergyMeter.set_state
 
-    def registering(meter, entity, profile, may_sleep):
-        register(meter, entity, profile, may_sleep)
+    def registering(meter, entity, profile):
+        register(meter, entity, profile)
         log = logs.setdefault(meter, TransitionLog())
         log.profiles[entity] = profile
         log.transitions.append((0, entity, meter.state(entity)))

@@ -100,9 +100,9 @@ def test_power_profile_ordering_enforced():
 
 def test_energy_meter_and_replay_oracle_agree(monkeypatch):
     logs = record_transitions(monkeypatch)
-    profile = orch.PowerProfile(10.0, 4.0, 1.0)
+    profile = orch.PowerProfile(10.0, 4.0, 1.0, may_sleep=True)
     meter = orch.EnergyMeter(saving=True)
-    meter.register("ru:x", profile, may_sleep=True)
+    meter.register("ru:x", profile)
     meter.set_state("ru:x", "Active", 1_000_000)
     meter.rest("ru:x", 3_000_000)
     meter.finalize(5_000_000)
@@ -112,13 +112,13 @@ def test_energy_meter_and_replay_oracle_agree(monkeypatch):
 
 
 def test_energy_meter_decides_the_rest_state(monkeypatch):
-    """Sleep only with saving on and only for an entity that may sleep;
-    ``set_state`` (checked by the log) only when the state changes."""
+    """Sleep only with saving on and only for an entity whose profile may
+    sleep; ``set_state`` (checked by the log) only when the state changes."""
     logs = record_transitions(monkeypatch)
-    profile = orch.PowerProfile(10.0, 4.0, 1.0)
+    profile = orch.PowerProfile(10.0, 4.0, 1.0, may_sleep=True)
     meter = orch.EnergyMeter(saving=True)
-    meter.register("ru:x", profile, may_sleep=True)
-    meter.register("fn:rrm", profile, may_sleep=False)
+    meter.register("ru:x", profile)
+    meter.register("fn:rrm", orch.PowerProfile(10.0, 4.0, 1.0))
     for now in (1, 2):
         meter.rest("ru:x", now)
         meter.rest("fn:rrm", now)
@@ -130,8 +130,34 @@ def test_energy_meter_decides_the_rest_state(monkeypatch):
         meter.rest("ru:x", now)
         meter.rest("fn:rrm", now)
     assert (meter.state("ru:x"), meter.state("fn:rrm")) == ("Idle", "Idle")
-    assert meter.wake_delays == 1
     assert logs[meter].transitions[2:] == [
         (1, "ru:x", "Sleep"), (3, "ru:x", "Active"), (3, "fn:rrm", "Active"),
         (4, "ru:x", "Idle"), (4, "fn:rrm", "Idle")]
+
+
+def test_energy_meter_records_each_wake_and_its_profile_alone_decides_sleep():
+    """``wake`` stores the entity's last active time, also when it is
+    already Active; ``rest`` leaves it.  In a run with saving on, the
+    entities that sleep are exactly those whose default profile may sleep:
+    every RU and the UP, RRC and PHY functions, at rest once the traffic
+    stops."""
+    meter = orch.EnergyMeter(saving=True)
+    meter.register("ru:x", orch.DEFAULT_POWER_PROFILES["RU"])
+    assert meter.active_at["ru:x"] == 0
+    for now in (7, 9):
+        meter.wake("ru:x", now)
+        assert meter.active_at["ru:x"] == now
+    meter.rest("ru:x", 12)
+    assert (meter.state("ru:x"), meter.active_at["ru:x"]) == ("Sleep", 9)
+
+    assert {kind for kind, p in orch.DEFAULT_POWER_PROFILES.items()
+            if p.may_sleep} == {"RU", topo.UP, topo.RRC, topo.PHY}
+    raw = base_raw(energy=True)
+    raw["bearers"][0]["traffic"]["stop_us"] = 200_000
+    rt = Runtime(cfgmod.validate_scenario(raw))
+    rt.run()
+    kinds = {f"fn:{i.id}": i.kind for i in rt.plan.instances}
+    kinds.update((entity, "RU") for entity in rt.ru_entity.values())
+    asleep = {kinds[e] for e in kinds if rt.meter.state(e) == "Sleep"}
+    assert asleep == {"RU", topo.UP, topo.RRC, topo.PHY}
 
